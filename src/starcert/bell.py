@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,41 +141,45 @@ def ghz_vector(label: BellOutcomeLabel) -> np.ndarray:
     return v
 
 
-def bell_value(table: CorrelationTable, label: BellOutcomeLabel, e: int = 0) -> float:
-    """Bell expression value on correlators conditioned on Eve's outcome.
+@lru_cache(maxsize=None)
+def bell_coefficients(label: BellOutcomeLabel) -> np.ndarray:
+    """The Bell expression of ``label`` as a sparse (4,)*N coefficient tensor.
 
-    The rotated party-1 terms are expanded into raw-input correlators before
-    the table lookup; parties absent from a term are marginalized.
+    Same index basis as ``CorrelationTable.correlator_tensor``: index j < 3
+    selects A_j, index 3 the identity, and party 1's indices 0 and 1 select
+    the rotated pair (A_0 -+ A_1)/sqrt2.  The expression is
+    (-1)^{l_1} [(N-1) A~_{1,1} prod_{i>1} A_{i,1}
+                + sum_{i>1} (-1)^{l_i} A~_{1,0} A_{i,0}]
+    - sum_{i>1} (-1)^{l_i} A_{1,2} A_{i,2} prod_{j>1, j != i} A_{j,1}.
+    """
+    n = label.n
+    bits = label.bits
+    sign1 = (-1) ** bits[0]
+    b = np.zeros((4,) * n)
+    b[(1,) * n] = sign1 * (n - 1)
+    for i in range(1, n):
+        pair = [3] * n
+        pair[0] = pair[i] = 0
+        b[tuple(pair)] = sign1 * (-1) ** bits[i]
+        ys = [1] * n
+        ys[0] = ys[i] = 2
+        b[tuple(ys)] = -((-1) ** bits[i])
+    b.flags.writeable = False
+    return b
+
+
+def bell_value(table: CorrelationTable, label: BellOutcomeLabel, e: int = 0) -> float:
+    """Bell expression value on correlators conditioned on Eve's outcome l.
+
+    The dot product of the label's coefficient tensor with the correlator
+    tensor of outcome l, divided by P(l | e).
     """
     n = table.n
     if label.n != n:
         raise DimensionError(f"label has {label.n} bits, table has N={n}")
-    bits = label.bits
-    cond = table.conditional_correlator
-
-    all_one = [1] * n
-    term1 = (n - 1) * (
-        cond([0] + all_one[1:], label.value, e) + cond([1] + all_one[1:], label.value, e)
-    ) / SQRT2
-
-    term2 = 0.0
-    for i in range(1, n):
-        s0 = [None] * n
-        s1 = [None] * n
-        s0[0], s0[i] = 0, 0
-        s1[0], s1[i] = 1, 0
-        term2 += (-1) ** bits[i] * (
-            cond(s0, label.value, e) - cond(s1, label.value, e)
-        ) / SQRT2
-
-    term3 = 0.0
-    for i in range(1, n):
-        s = [1] * n
-        s[0], s[i] = 2, 2
-        term3 += (-1) ** bits[i] * cond(s, label.value, e)
-
-    sign1 = (-1) ** bits[0]
-    return sign1 * (term1 + term2 - sign1 * term3)
+    p = table.conditioning_weight(label.value, e)
+    t = table.correlator_tensor(e)[label.value]
+    return float(np.dot(bell_coefficients(label).ravel(), t.ravel())) / p
 
 
 @dataclass(frozen=True)
@@ -203,24 +208,23 @@ def classical_bound_bruteforce(n: int) -> ClassicalBoundResult:
     if not 2 <= n <= 5:
         raise DimensionError("exhaustive classical bound supports 2 <= N <= 5")
     s = _deterministic_values(n)
-    prod_rest_1 = np.prod(s[:, 1:, 1], axis=1)
-    values = np.empty((8**n, 2**n))
-    for label in all_labels(n):
-        bits = label.bits
-        term1 = (n - 1) * (s[:, 0, 0] + s[:, 0, 1]) / SQRT2 * prod_rest_1
-        term2 = np.zeros(8**n)
-        term3 = np.zeros(8**n)
-        for i in range(1, n):
-            term2 += (-1) ** bits[i] * (s[:, 0, 0] - s[:, 0, 1]) / SQRT2 * s[:, i, 0]
-            others = prod_rest_1 / s[:, i, 1]
-            term3 += (-1) ** bits[i] * s[:, 0, 2] * s[:, i, 2] * others
-        sign1 = (-1) ** bits[0]
-        values[:, label.value] = sign1 * (term1 + term2 - sign1 * term3)
+    # A strategy's value contracts each label's coefficient tensor with the
+    # outcome products; slots[t, i, j] is party i's index-j value (party 1
+    # rotated, index 3 the identity's 1).
+    slots = np.concatenate([s, np.ones((8**n, n, 1))], axis=2)
+    slots[:, 0, 0] = (s[:, 0, 0] - s[:, 0, 1]) / SQRT2
+    slots[:, 0, 1] = (s[:, 0, 0] + s[:, 0, 1]) / SQRT2
+    coeffs = np.stack([bell_coefficients(label).ravel() for label in all_labels(n)])
+    support = np.flatnonzero(np.any(coeffs, axis=0))
+    terms = np.ones((8**n, len(support)))
+    for i, js in enumerate(np.unravel_index(support, (4,) * n)):
+        terms *= slots[:, i, js]
+    values = terms @ coeffs[:, support].T
     per_label = values.max(axis=0)
     best = int(np.argmax(values[:, 0]))
     return ClassicalBoundResult(
         bound=float(per_label[0]),
-        strategy=_deterministic_values(n)[best],
+        strategy=s[best].copy(),
         per_label_maxima=per_label,
     )
 

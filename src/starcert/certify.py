@@ -15,12 +15,10 @@ match (real references) the tie resolves to Plain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .bell import (
-    SQRT2,
     BellEvaluation,
     all_labels,
     classical_bound_formula,
@@ -125,11 +123,7 @@ def check_part1(table: CorrelationTable, n: int, tol: Tolerances = DEFAULT_TOL) 
                 classical_bound=classical_bound_formula(n),
                 quantum_bound=beta_q, violated=False, maximal=False,
             )
-            bell_passed = False
-            evaluations.append(ev)
-            continue
-        if not ev.maximal:
-            bell_passed = False
+        bell_passed = bell_passed and ev.maximal
         evaluations.append(ev)
     pbar_passed = all(abs(p - 2.0**-n) <= tol.acceptance for p in pbar)
     return Part1Report(
@@ -138,24 +132,6 @@ def check_part1(table: CorrelationTable, n: int, tol: Tolerances = DEFAULT_TOL) 
         bell_passed=bell_passed,
         pbar_passed=pbar_passed,
     )
-
-
-def _tilde_correlator(table: CorrelationTable, idx, l: int, e: int = 1) -> float:
-    """<A~_{1,i_1} A_{2,i_2} ... A_{N,i_N} R_{l|e}> for one Pauli index tuple.
-
-    Index 3 marginalizes a party; indices 0 and 1 on party 1 select the
-    rotated combinations (A_0 -+ A_1)/sqrt2.
-    """
-    rest = [None if i == 3 else int(i) for i in idx[1:]]
-    i1 = int(idx[0])
-    if i1 == 3:
-        return table.correlator([None] + rest, l, e)
-    if i1 == 2:
-        return table.correlator([2] + rest, l, e)
-    c0 = table.correlator([0] + rest, l, e)
-    c1 = table.correlator([1] + rest, l, e)
-    sign = -1.0 if i1 == 0 else 1.0
-    return (c0 + sign * c1) / SQRT2
 
 
 def reference_coeff_tensors(effects, n: int, tol: Tolerances = DEFAULT_TOL):
@@ -176,69 +152,53 @@ def _branch_from_residuals(plain, conjugate, tol: Tolerances) -> tuple:
     return NO_BRANCH, False
 
 
-def check_projective_conditions(table: CorrelationTable, f_tensors, ranks,
-                                tol: Tolerances = DEFAULT_TOL) -> Part2Report:
-    """Coefficient-weighted expectation sums against r_l / 2^N, per outcome."""
-    n = table.n
-    k_out = table.outcome_count(1)
-    if len(f_tensors) != k_out or len(ranks) != k_out:
-        raise DimensionError(
-            f"need one coefficient tensor and rank per e=1 outcome ({k_out}), "
-            f"got {len(f_tensors)} and {len(ranks)}"
-        )
-    res_plain = []
-    res_conj = []
-    for l, (f, r) in enumerate(zip(f_tensors, ranks)):
-        target = r / 2.0**n
-        lhs_plain = 0.0
-        lhs_conj = 0.0
-        g = f.conjugated()
-        for idx in np.argwhere(np.abs(f.coeffs) > 1e-14):
-            idx = tuple(int(i) for i in idx)
-            e_val = _tilde_correlator(table, idx, l)
-            lhs_plain += f.coeffs[idx] * e_val
-            lhs_conj += g.coeffs[idx] * e_val
-        res_plain.append(abs(lhs_plain - target))
-        res_conj.append(abs(lhs_conj - target))
-    branch, passed = _branch_from_residuals(res_plain, res_conj, tol)
-    return Part2Report(
-        mode="projective",
-        residuals_plain=tuple(res_plain),
-        residuals_conjugate=tuple(res_conj),
-        branch=branch,
-        passed=passed,
-    )
+def _part2(mode: str, table: CorrelationTable, f_tensors, residuals,
+           tol: Tolerances) -> Part2Report:
+    """Per-outcome residuals of the plain and the conjugated coefficients.
 
-
-def check_povm_conditions(table: CorrelationTable, f_tensors,
-                          tol: Tolerances = DEFAULT_TOL) -> Part2Report:
-    """Per-tuple expectation match against every Pauli coefficient."""
-    n = table.n
+    ``residuals(coeffs, t)`` maps the (K, 4^N) coefficients and correlator
+    tensor of e = 1 to one residual per outcome.
+    """
     k_out = table.outcome_count(1)
     if len(f_tensors) != k_out:
         raise DimensionError(
             f"need one coefficient tensor per e=1 outcome ({k_out}), got {len(f_tensors)}"
         )
-    res_plain = []
-    res_conj = []
-    for l, f in enumerate(f_tensors):
-        g = f.conjugated()
-        worst_plain = 0.0
-        worst_conj = 0.0
-        for idx in product(range(4), repeat=n):
-            e_val = _tilde_correlator(table, idx, l)
-            worst_plain = max(worst_plain, abs(e_val - f.coeffs[idx]))
-            worst_conj = max(worst_conj, abs(e_val - g.coeffs[idx]))
-        res_plain.append(worst_plain)
-        res_conj.append(worst_conj)
+    t = table.correlator_tensor(1).reshape(k_out, -1)
+    plain = np.stack([f.coeffs.ravel() for f in f_tensors])
+    conj = np.stack([f.conjugated().coeffs.ravel() for f in f_tensors])
+    res_plain = tuple(float(r) for r in residuals(plain, t))
+    res_conj = tuple(float(r) for r in residuals(conj, t))
     branch, passed = _branch_from_residuals(res_plain, res_conj, tol)
     return Part2Report(
-        mode="povm",
-        residuals_plain=tuple(res_plain),
-        residuals_conjugate=tuple(res_conj),
+        mode=mode,
+        residuals_plain=res_plain,
+        residuals_conjugate=res_conj,
         branch=branch,
         passed=passed,
     )
+
+
+def check_projective_conditions(table: CorrelationTable, f_tensors, ranks,
+                                tol: Tolerances = DEFAULT_TOL) -> Part2Report:
+    """Coefficient-weighted expectation sums against r_l / 2^N, per outcome."""
+    if len(ranks) != table.outcome_count(1):
+        raise DimensionError(
+            f"need one rank per e=1 outcome ({table.outcome_count(1)}), got {len(ranks)}"
+        )
+    target = np.asarray(ranks) / 2.0**table.n
+
+    def residuals(coeffs, t):
+        return np.abs(np.where(np.abs(coeffs) > 1e-14, coeffs * t, 0.0).sum(axis=1) - target)
+
+    return _part2("projective", table, f_tensors, residuals, tol)
+
+
+def check_povm_conditions(table: CorrelationTable, f_tensors,
+                          tol: Tolerances = DEFAULT_TOL) -> Part2Report:
+    """Per-tuple expectation match against every Pauli coefficient."""
+    return _part2("povm", table, f_tensors,
+                  lambda coeffs, t: np.abs(t - coeffs).max(axis=1), tol)
 
 
 def post_measurement_state(scenario: Scenario, l: int, e: int,

@@ -71,12 +71,17 @@ class RunConfig:
         )
 
 
-def _f(x) -> float:
-    """Normalize a float to its 17-significant-digit decimal value."""
+def _f(x) -> float | None:
+    """Normalize a float to 17 significant digits; NaN and inf become None (JSON null)."""
     x = float(x)
-    if math.isnan(x):
-        return x
+    if not math.isfinite(x):
+        return None
     return float(format(x, ".17g"))
+
+
+def _unconditionable(values, n: int) -> list:
+    """Bit strings of the labels whose Bell value could not be conditioned (NaN)."""
+    return [format(l, f"0{n}b") for l, v in enumerate(values) if math.isnan(v)]
 
 
 def _sha256(path: str) -> str:
@@ -108,7 +113,7 @@ def _envelope(config: RunConfig, body: dict) -> dict:
 
 def _emit(config: RunConfig, text: str, structured: dict) -> None:
     if config.fmt == "structured":
-        payload = json.dumps(structured, indent=2, sort_keys=True)
+        payload = json.dumps(structured, indent=2, sort_keys=True, allow_nan=False)
     else:
         payload = text
     if config.out:
@@ -119,8 +124,11 @@ def _emit(config: RunConfig, text: str, structured: dict) -> None:
 
 
 def _report_body(report: CertificationReport) -> dict:
+    evaluations = report.part1.evaluations
+    values = [ev.value for ev in evaluations]
     part1 = {
-        "bell_values": [_f(ev.value) for ev in report.part1.evaluations],
+        "bell_values": [_f(v) for v in values],
+        "unconditionable_labels": _unconditionable(values, evaluations[0].label.n),
         "pbar": [_f(p) for p in report.part1.pbar],
         "bell_passed": report.part1.bell_passed,
         "pbar_passed": report.part1.pbar_passed,
@@ -187,18 +195,11 @@ def cmd_bounds(config: RunConfig) -> int:
         raise ValidationError("bounds requires --n between 2 and 5")
     formula = classical_bound_formula(n)
     beta_q = quantum_bound(n)
-    if n <= 4:
-        result = classical_bound_bruteforce(n)
-        brute = result.bound
-        delta = abs(brute - formula)
-        marker = ""
-    else:
-        brute = formula
-        delta = 0.0
-        marker = "  (formula-only: exhaustive search capped at N=4)"
+    brute = classical_bound_bruteforce(n).bound
+    delta = abs(brute - formula)
     text = (
         f"N={n}  classical(enumerated)={brute:.9f}  classical(formula)={formula:.9f}  "
-        f"quantum={beta_q:.1f}  delta={delta:.3e}{marker}"
+        f"quantum={beta_q:.1f}  delta={delta:.3e}"
     )
     body = {
         "n": n,
@@ -206,7 +207,7 @@ def cmd_bounds(config: RunConfig) -> int:
         "classical_formula": _f(formula),
         "quantum": _f(beta_q),
         "delta": _f(delta),
-        "formula_only": n == 5,
+        "formula_only": False,
     }
     _emit(config, text, _envelope(config, body))
     return 0
@@ -289,6 +290,7 @@ def cmd_scan(config: RunConfig) -> int:
         rows.append({
             "level": _f(row.level),
             "bell_values": [_f(v) for v in row.bell_values],
+            "unconditionable_labels": _unconditionable(row.bell_values, scenario.n_parties),
             "min_bell": _f(row.min_bell),
             "pbar_deviation": _f(row.pbar_deviation),
             "part2_max_residual": (

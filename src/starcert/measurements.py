@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -29,20 +27,12 @@ from .tensor import (
     PAULI_Z,
     as_operator,
     hermitian_eig,
-    kron_all,
     require_hermitian,
 )
 
 PAULI_BASIS = (PAULI_Z, PAULI_X, PAULI_Y, ID2)
-
-
-@lru_cache(maxsize=None)
-def _pauli_strings(n: int):
-    """All 4^n tensor products of the basis, keyed by index tuple."""
-    return {
-        idx: kron_all([PAULI_BASIS[i] for i in idx])
-        for idx in product(range(4), repeat=n)
-    }
+# Stacked basis, indexed [j, row, column].
+_BASIS = np.stack(PAULI_BASIS)
 
 
 @dataclass(frozen=True)
@@ -72,25 +62,30 @@ class PauliCoeffTensor:
 
 
 def pauli_coeffs(m: np.ndarray, n: int, tol: Tolerances = DEFAULT_TOL) -> PauliCoeffTensor:
-    """Expand a Hermitian matrix on n qubits in the Pauli basis."""
+    """Expand a Hermitian matrix on n qubits in the Pauli basis.
+
+    c[j_1..j_n] = Tr[(sigma_{j_1} (x) ... (x) sigma_{j_n}) m] / 2^n, contracted
+    one qubit at a time: each step traces the leading row and column qubit of
+    the remaining operator against the stacked basis.
+    """
     m = require_hermitian(as_operator(m), tol.structural)
     if m.shape[0] != 2**n:
         raise DimensionError(f"matrix dim {m.shape[0]} is not 2^{n}")
-    coeffs = np.empty((4,) * n)
-    for idx, sigma in _pauli_strings(n).items():
-        c = np.trace(sigma @ m) / 2**n
-        coeffs[idx] = c.real
-    return PauliCoeffTensor(n, coeffs)
+    t = m.reshape((2,) * (2 * n))
+    for remaining in range(n, 0, -1):
+        # Tr(sigma m) = sum_{r,c} m[r, c] sigma[c, r]
+        t = np.tensordot(t, _BASIS, axes=([0, remaining], [2, 1]))
+    return PauliCoeffTensor(n, t.real / 2**n)
 
 
 def reconstruct_from_coeffs(f: PauliCoeffTensor) -> np.ndarray:
     """Inverse of ``pauli_coeffs``."""
-    out = np.zeros((2**f.n, 2**f.n), dtype=complex)
-    for idx, sigma in _pauli_strings(f.n).items():
-        c = f.coeffs[idx]
-        if c != 0.0:
-            out += c * sigma
-    return out
+    t = f.coeffs.astype(complex)
+    for _ in range(f.n):
+        t = np.tensordot(t, _BASIS, axes=([0], [0]))
+    # axes are now (row_1, col_1, ..., row_n, col_n)
+    t = t.transpose(list(range(0, 2 * f.n, 2)) + list(range(1, 2 * f.n, 2)))
+    return t.reshape(2**f.n, 2**f.n)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,12 @@ behavior p(a, l | x, e) exactly.
 Conventions:
   * tensor factor 0 is the most significant index block (big-endian),
   * party 1 owns the leading bit of outcome strings,
-  * Eve's first measurement (e = 0) has exactly 2^N outcomes.
+  * Eve's first measurement (e = 0) has exactly 2^N outcomes,
+  * the correlator tensor T[l, j_1..j_N] of ``CorrelationTable`` uses the
+    Pauli index convention of ``measurements``: index j in {0, 1, 2} pairs
+    with observable A_j (Z, X, Y on the ideal qubits), index 3 marginalizes
+    the party, and party 1 is rotated, so its indices 0 and 1 select
+    (A_0 - A_1)/sqrt2 and (A_0 + A_1)/sqrt2.
 """
 
 from __future__ import annotations
@@ -188,6 +193,23 @@ def assemble_joint_state(scenario: Scenario) -> np.ndarray:
     return reorder_factors(rho, dims, perm)
 
 
+def _party_map(rotated: bool) -> np.ndarray:
+    """M[j, a, x] with <A_j> = sum_{a,x} M[j, a, x] p(a|x); row 3 sums input 0's outcomes.
+
+    ``rotated`` (party 1) replaces rows 0 and 1 by (row 0 -+ row 1)/sqrt2.
+    """
+    m = np.zeros((4, 2, 3))
+    m[[0, 1, 2], :, [0, 1, 2]] = (1.0, -1.0)
+    m[3, :, 0] = 1.0
+    if rotated:
+        m[:2] = np.array([m[0] - m[1], m[0] + m[1]]) / np.sqrt(2.0)
+    return m
+
+
+_PARTY_MAP = _party_map(rotated=False)
+_ROTATED_MAP = _party_map(rotated=True)
+
+
 @dataclass(frozen=True)
 class CorrelationTable:
     """The behavior p(a, l | x, e) for all inputs and outcomes.
@@ -202,6 +224,7 @@ class CorrelationTable:
     p0: np.ndarray
     p1: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
+    _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -248,6 +271,24 @@ class CorrelationTable:
             raise DimensionError(f"outcome l={l} out of range for e={e}")
         return float(t[:, l, 0].sum())
 
+    def correlator_tensor(self, e: int) -> np.ndarray:
+        """T[l, j_1..j_N] = <A~_{1,j_1} A_{2,j_2} ... A_{N,j_N} R_{l|e}>, built once per e.
+
+        Index j in {0, 1, 2} selects observable A_j and index 3 marginalizes
+        the party (its input is fixed to 0, irrelevant by no-signaling).
+        Party 1 is rotated: its indices 0 and 1 select (A_0 -+ A_1)/sqrt2.
+        """
+        if e not in self._tensors:
+            n, t = self.n, self._table(e)
+            # a_i, x_i, j_i per party; "Z" (never among the 3N <= 51 others) is l
+            a, x, j = (ascii_letters[k * n:(k + 1) * n] for k in range(3))
+            spec = f"{a}Z{x}," + ",".join(map("".join, zip(j, a, x))) + f"->Z{j}"
+            raw = t.reshape((2,) * n + t.shape[1:2] + (3,) * n)
+            tensor = np.einsum(spec, raw, _ROTATED_MAP, *[_PARTY_MAP] * (n - 1), optimize=True)
+            tensor.flags.writeable = False
+            self._tensors[e] = tensor
+        return self._tensors[e]
+
     def correlator(self, settings, l: int, e: int) -> float:
         """<prod_i A_{i, settings[i]} R_{l|e}>; ``None`` entries mean identity.
 
@@ -256,27 +297,28 @@ class CorrelationTable:
         """
         if len(settings) != self.n:
             raise DimensionError(f"need {self.n} settings, got {len(settings)}")
-        t = self._table(e)
-        if not 0 <= l < t.shape[1]:
+        if not 0 <= l < self.outcome_count(e):
             raise DimensionError(f"outcome l={l} out of range for e={e}")
-        x = _pack([0 if s is None else s for s in settings], 3, self.n)
-        block = t[:, l, x]
-        signs = np.ones(2**self.n)
-        for i, s in enumerate(settings):
-            if s is None:
-                continue
-            bit = (np.arange(2**self.n) >> (self.n - 1 - i)) & 1
-            signs *= 1 - 2 * bit
-        return float(np.dot(signs, block))
+        _pack([0 if s is None else s for s in settings], 3, self.n)  # range check
+        idx = tuple(3 if s is None else int(s) for s in settings)
+        t = self.correlator_tensor(e)[l]
+        if idx[0] >= 2:
+            return float(t[idx])
+        # undo party 1's rotation: A_0 = (A~_1 + A~_0)/sqrt2, A_1 = (A~_1 - A~_0)/sqrt2
+        return float((t[(1,) + idx[1:]] + (-1) ** idx[0] * t[(0,) + idx[1:]]) / np.sqrt(2.0))
 
-    def conditional_correlator(self, settings, l: int, e: int) -> float:
-        """Correlator conditioned on Eve's outcome l (division by P(l|e))."""
+    def conditioning_weight(self, l: int, e: int) -> float:
+        """P(l|e), raising ConditioningError when it is too small to divide by."""
         p = self.pbar(l, e)
         if p <= self.tol.probability:
             raise ConditioningError(
                 f"cannot condition on outcome l={l}, e={e}: probability {p:.3e}"
             )
-        return self.correlator(settings, l, e) / p
+        return p
+
+    def conditional_correlator(self, settings, l: int, e: int) -> float:
+        """Correlator conditioned on Eve's outcome l (division by P(l|e))."""
+        return self.correlator(settings, l, e) / self.conditioning_weight(l, e)
 
 
 def _pack(digits, base: int, n: int) -> int:
@@ -343,15 +385,6 @@ def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> Correlation
         table[np.abs(table) < 1e-16] = 0.0
         tables.append(table)
     return CorrelationTable(n=n, p0=tables[0], p1=tables[1], tol=tol)
-
-
-def expectation(table: CorrelationTable, x_inputs, l: int, e: int) -> float:
-    """<A_{1,x_1}...A_{N,x_N} R_{l|e}> as a signed sum over Alice outcomes."""
-    return table.correlator(list(x_inputs), l, e)
-
-
-def conditional_correlator(table: CorrelationTable, x_inputs, l: int, e: int) -> float:
-    return table.conditional_correlator(list(x_inputs), l, e)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from starcert.bell import (
     BellOutcomeLabel,
     all_labels,
+    bell_coefficients,
     bell_operator,
     bell_value,
     classical_bound_bruteforce,
@@ -116,6 +117,47 @@ def test_max_bell_eigenvalue_ideal():
     assert max_bell_eigenvalue(
         BellOutcomeLabel((0, 1)), ideal_observables(2)
     ) == pytest.approx(3.0, abs=1e-9)
+
+
+def operator_from_coefficients(coeffs, observables):
+    """sum_j B[j] A~_{1,j_1} (x) ... (x) A_{N,j_N}, index 3 the identity."""
+    slots = []
+    for i, triple in enumerate(observables):
+        a0, a1, a2 = triple.observables()
+        if i == 0:
+            a0, a1 = (a0 - a1) / SQRT2, (a0 + a1) / SQRT2
+        slots.append((a0, a1, a2, np.eye(triple.dim)))
+    op = 0
+    for idx in zip(*np.nonzero(coeffs)):
+        factor = slots[0][idx[0]]
+        for i, j in enumerate(idx[1:], start=1):
+            factor = np.kron(factor, slots[i][j])
+        op = op + coeffs[idx] * factor
+    return op
+
+
+def test_bell_coefficients_reproduce_max_eigenvalue_on_ideal():
+    for n in (2, 3):
+        scen = ideal_scenario(n)
+        table = born_table(scen)
+        for lab in all_labels(n):
+            coeffs = bell_coefficients(lab)
+            assert np.count_nonzero(coeffs) == 2 * n - 1
+            top = max_bell_eigenvalue(lab, scen.alice_observables)
+            op = operator_from_coefficients(coeffs, scen.alice_observables)
+            assert np.linalg.eigvalsh(op)[-1] == pytest.approx(top, abs=1e-9)
+            assert bell_value(table, lab) == pytest.approx(top, abs=1e-9)
+
+
+def test_bell_coefficients_match_operator_on_random_observables(rng):
+    for n in (2, 3):
+        obs = [random_observable_triple(2, rng) for _ in range(n)]
+        for lab in all_labels(n):
+            npt.assert_allclose(
+                operator_from_coefficients(bell_coefficients(lab), obs),
+                bell_operator(lab, obs),
+                atol=1e-12,
+            )
 
 
 def test_sos_identity_random_draws(rng):

@@ -5,6 +5,9 @@ import pytest
 
 from starcert.cli import main
 from starcert.fixtures import fixture_path
+from starcert.measurements import ghz_basis_measurement
+from starcert.network import EveMeasurement, Scenario, save_scenario
+from starcert.presets import ideal_scenario
 
 IDEAL = str(fixture_path("ideal_n2_ghz.scenario.json"))
 GHZ_REF = str(fixture_path("ghz_n2.povm.json"))
@@ -22,8 +25,13 @@ def test_bounds_text(capsys):
 
 
 def test_bounds_formula_only_marker(capsys):
+    # N = 5 is enumerated like N = 2..4; the key stays for schema stability
     assert main(["bounds", "--n", "5"]) == 0
-    assert "formula-only" in capsys.readouterr().out
+    assert "formula-only" not in capsys.readouterr().out
+    assert main(["bounds", "--n", "5", "--format", "structured", "--reproducible"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["formula_only"] is False
+    assert doc["classical_enumerated"] == pytest.approx(doc["classical_formula"], abs=1e-12)
 
 
 def test_bounds_out_of_range():
@@ -107,6 +115,52 @@ def test_scan_structured_endpoints(capsys):
     assert doc["bell_monotone"] is True
     assert doc["rows"][0]["min_bell"] == pytest.approx(0.0, abs=1e-9)
     assert doc["rows"][1]["min_bell"] == pytest.approx(3.0, abs=1e-9)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.fixture
+def zero_effect_scenario(tmp_path):
+    """N = 2 with a zero e = 0 effect: label 01 can never be conditioned on."""
+    scen = ideal_scenario(2, eve_second=ghz_basis_measurement(2))
+    eve0 = EveMeasurement((
+        np.diag([1.0, 1.0, 0.0, 0.0]), np.zeros((4, 4)),
+        np.diag([0.0, 0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0]),
+    ))
+    path = tmp_path / "zero.scenario.json"
+    save_scenario(
+        Scenario(n_parties=2, sources=scen.sources,
+                 alice_observables=scen.alice_observables, eve=(eve0, scen.eve[1])),
+        path,
+    )
+    return str(path)
+
+
+def test_certify_structured_zero_probability_is_strict_json(zero_effect_scenario, capsys):
+    argv = ["certify", "--scenario", zero_effect_scenario, "--reference", GHZ_REF]
+    assert main(argv + ["--format", "structured"]) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["verdict"] == "Failed"
+    assert doc["part1"]["bell_values"][1] is None
+    assert all(isinstance(v, float) for i, v in enumerate(doc["part1"]["bell_values"]) if i != 1)
+    assert doc["part1"]["unconditionable_labels"] == ["01"]
+    # the text report is unchanged
+    assert main(argv) == 1
+    assert "l=01  value=nan" in capsys.readouterr().out
+
+
+def test_scan_structured_zero_probability_is_strict_json(zero_effect_scenario, capsys):
+    assert main([
+        "scan", "--scenario", zero_effect_scenario, "--grid", "0,1",
+        "--format", "structured",
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    for row in doc["rows"]:
+        assert row["bell_values"][1] is None
+        assert row["unconditionable_labels"] == ["01"]
+        assert isinstance(row["min_bell"], float)
 
 
 def test_validate(capsys):

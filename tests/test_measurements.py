@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -30,7 +32,7 @@ from starcert.presets import (
     random_rank1_extremal_povm,
     symmetric_trine_qubit_povm,
 )
-from starcert.tensor import ID2, PAULI_X, PAULI_Y, PAULI_Z
+from starcert.tensor import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron_all
 
 
 def test_pauli_convention():
@@ -48,6 +50,18 @@ def test_pauli_round_trip(rng):
             npt.assert_allclose(
                 reconstruct_from_coeffs(pauli_coeffs(m, n)), m, atol=1e-10
             )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_coeffs_match_dense_traces(n, rng):
+    basis = (PAULI_Z, PAULI_X, PAULI_Y, ID2)
+    for _ in range(3):
+        m = random_hermitian(2**n, rng)
+        got = pauli_coeffs(m, n).coeffs
+        for idx in itertools.product(range(4), repeat=n):
+            sigma = kron_all([basis[j] for j in idx])
+            expected = np.trace(sigma @ m).real / 2**n
+            assert got[idx] == pytest.approx(expected, abs=1e-12)
 
 
 def test_identity_coefficients():

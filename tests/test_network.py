@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -23,7 +24,7 @@ from starcert.network import (
     scenario_to_json,
 )
 from starcert.presets import ideal_scenario, random_scenario
-from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z
+from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z, kron_all
 
 
 def test_observable_triple_rejects_nonhermitian():
@@ -147,6 +148,43 @@ def test_correlator_marginalizes_none(rng):
         for x2 in (0,)
     )
     assert table.correlator([1, None], 0, 0) == pytest.approx(by_sum, abs=1e-12)
+
+
+def dense_correlator_oracle(scenario: Scenario, e: int) -> np.ndarray:
+    """T[l, j_1..j_N] by direct traces against the assembled joint state.
+
+    Index 3 is the identity; party 1's indices 0 and 1 are the rotated
+    pair (A_0 -+ A_1)/sqrt2.
+    """
+    n = scenario.n_parties
+    rho = assemble_joint_state(scenario)
+    d_a = int(np.prod(scenario.alice_dims))
+    d_e = rho.shape[0] // d_a
+    r4 = rho.reshape(d_a, d_e, d_a, d_e)
+    slots = []
+    for i, triple in enumerate(scenario.alice_observables):
+        a0, a1, a2 = triple.observables()
+        if i == 0:
+            a0, a1 = (a0 - a1) / np.sqrt(2), (a0 + a1) / np.sqrt(2)
+        slots.append((a0, a1, a2, np.eye(triple.dim)))
+    effects = scenario.eve[e].effects
+    out = np.empty((len(effects),) + (4,) * n)
+    for idx in itertools.product(range(4), repeat=n):
+        alice = kron_all([slots[i][j] for i, j in enumerate(idx)])
+        for l, r in enumerate(effects):
+            out[(l,) + idx] = np.einsum("aebf,ba,fe->", r4, alice, r).real
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_correlator_tensor_matches_dense_trace_oracle(n, rng):
+    for _ in range(2):
+        scen = random_scenario(n, rng)
+        table = born_table(scen)
+        for e in (0, 1):
+            npt.assert_allclose(
+                table.correlator_tensor(e), dense_correlator_oracle(scen, e), atol=1e-12
+            )
 
 
 def test_conditional_correlator_raises_on_zero_probability():
