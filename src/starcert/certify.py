@@ -15,6 +15,7 @@ match (real references) the tie resolves to Plain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import ascii_letters
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .measurements import (
     pauli_coeffs,
     trine_preparation_outcomes,
 )
-from .network import CorrelationTable, Scenario, assemble_joint_state, born_table
+from .network import CorrelationTable, Scenario, born_table
 from .tensor import kron, numerical_rank, partial_trace
 
 PLAIN = "Plain"
@@ -203,16 +204,26 @@ def check_povm_conditions(table: CorrelationTable, f_tensors,
 
 def post_measurement_state(scenario: Scenario, l: int, e: int,
                            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Normalized Alice state conditioned on Eve's outcome l under input e."""
+    """Normalized Alice state conditioned on Eve's outcome l under input e.
+
+    Contracts Eve's effect R with each source in turn,
+    rho_A[a_1..a_N, b_1..b_N] = sum_{r,c} R[r, c] prod_i rho_i[a_i c_i, b_i r_i]
+    with r and c running over Eve's row and column indices, so no operator
+    on the joint Alice-Eve space is formed.
+    """
+    if e not in (0, 1):
+        raise DimensionError(f"Eve input e={e} out of range")
     effects = scenario.eve[e].effects
     if not 0 <= l < len(effects):
         raise DimensionError(f"outcome l={l} out of range for e={e}")
-    joint = assemble_joint_state(scenario)
-    d_a = int(np.prod(scenario.alice_dims))
-    projected = joint @ kron(np.eye(d_a, dtype=complex), effects[l])
-    dims = list(scenario.alice_dims) + list(scenario.eve_dims)
     n = scenario.n_parties
-    rho = partial_trace(projected, dims, keep=range(n))
+    d_as, d_es = scenario.alice_dims, scenario.eve_dims
+    a, b, r, c = (ascii_letters[k * n:(k + 1) * n] for k in range(4))
+    spec = f"{r}{c}," + ",".join(map("".join, zip(a, c, b, r))) + f"->{a}{b}"
+    sources = [rho.reshape((da, de) * 2) for rho, da, de in zip(scenario.sources, d_as, d_es)]
+    dim = int(np.prod(d_as))
+    rho = np.einsum(spec, effects[l].reshape(d_es * 2), *sources,
+                    optimize=True).reshape(dim, dim)
     p = float(np.trace(rho).real)
     if p <= tol.probability:
         raise ConditioningError(f"outcome l={l}, e={e} has probability {p:.3e}")

@@ -40,6 +40,18 @@ from .measurements import (
 from .network import born_table, load_scenario
 from .presets import ideal_scenario
 
+# Largest N that prepare-state and scan build; _check_parties states why.
+MAX_PARTIES = 7
+
+
+def _check_parties(n: int) -> None:
+    if n > MAX_PARTIES:
+        gb = 2**n * 6**n * 16 / 1e9
+        raise ValidationError(
+            f"N={n} is above the largest supported N={MAX_PARTIES}: the e=0 Born "
+            f"table alone would hold 2^N * 6^N complex entries ({gb:.1f} GB)"
+        )
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -237,6 +249,7 @@ def cmd_prepare_state(config: RunConfig) -> int:
         raise ValidationError(
             f"N={n} gives Eve dimension {2**n} < 2d = {2 * spec.d}"
         )
+    _check_parties(n)
     tol = config.tolerances()
     povm = embed_rank1_povm(trine_povm(spec, tol), n, tol)
     scenario = ideal_scenario(n, eve_second=povm)
@@ -272,6 +285,8 @@ def cmd_prepare_state(config: RunConfig) -> int:
 def cmd_scan(config: RunConfig) -> int:
     if not config.grid:
         raise ValidationError("scan requires a non-empty --grid")
+    if config.n is not None:
+        _check_parties(config.n)
     if config.scenario:
         scenario = load_scenario(config.scenario)
     else:

@@ -182,7 +182,12 @@ def effects_from_observable(a: np.ndarray):
 
 
 def assemble_joint_state(scenario: Scenario) -> np.ndarray:
-    """Joint density operator reordered to A_1...A_N (x) E_1...E_N."""
+    """Joint density operator reordered to A_1...A_N (x) E_1...E_N.
+
+    This is the dense reference route used by the test oracles; the
+    production paths (``born_table``, ``post_measurement_state``) contract
+    the sources one at a time and never form it.
+    """
     rho = kron_all(scenario.sources)
     dims = []
     for d_a, d_e in zip(scenario.alice_dims, scenario.eve_dims):

@@ -1,8 +1,10 @@
-"""Shared helpers: an independent brute-force Born oracle and builders.
+"""Shared helpers: independent dense oracles and builders.
 
-The oracle builds the full joint operator for every (a, l, x, e) combination
-and never touches the steering-operator fast path, so the two routes check
-each other.
+The Born oracle builds the full joint operator for every (a, l, x, e)
+combination and never touches the steering-operator fast path; the
+post-measurement oracle projects the dense joint state and traces Eve out
+instead of contracting source by source.  Each pair of routes checks the
+other.
 """
 
 from itertools import product
@@ -15,7 +17,7 @@ from starcert.network import (
     assemble_joint_state,
     effects_from_observable,
 )
-from starcert.tensor import kron_all
+from starcert.tensor import kron, kron_all, partial_trace
 
 
 def born_oracle(scenario: Scenario, e: int) -> np.ndarray:
@@ -40,6 +42,17 @@ def born_oracle(scenario: Scenario, e: int) -> np.ndarray:
                 op = kron_all([alice_op, r])
                 out[a_idx, l, x_idx] = np.trace(rho @ op).real
     return out
+
+
+def post_measurement_oracle(scenario: Scenario, l: int, e: int) -> np.ndarray:
+    """Normalized Alice state after Eve's outcome l under input e, on the dense joint state."""
+    n = scenario.n_parties
+    rho = assemble_joint_state(scenario)
+    d_a = int(np.prod(scenario.alice_dims))
+    projected = rho @ kron(np.eye(d_a, dtype=complex), scenario.eve[e].effects[l])
+    dims = list(scenario.alice_dims) + list(scenario.eve_dims)
+    reduced = partial_trace(projected, dims, keep=range(n))
+    return reduced / np.trace(reduced).real
 
 
 @pytest.fixture

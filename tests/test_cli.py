@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from starcert import cli
 from starcert.cli import main
 from starcert.fixtures import fixture_path
 from starcert.measurements import ghz_basis_measurement
@@ -93,6 +94,30 @@ def test_prepare_state_invalid_weights(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     assert main(["prepare-state", "--state-spec", str(path)]) == 2
+
+
+@pytest.fixture
+def no_construction(monkeypatch):
+    """Make every builder the CLI could reach fail the test if it is called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a scenario was built past the --n limit")
+
+    for name in ("trine_povm", "embed_rank1_povm", "ideal_scenario", "born_table",
+                 "load_scenario", "noise_scan"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
+def test_n_above_limit_is_rejected_before_construction(no_construction, tmp_path, capsys):
+    n = cli.MAX_PARTIES + 1
+    assert main(["prepare-state", "--n", str(n), "--state-spec", MIXED_SPEC]) == 2
+    assert main(["scan", "--n", str(n), "--grid", "0,1"]) == 2
+    # a 65-dimensional target needs Eve dimension 130, so N = 8 is chosen automatically
+    zero = [[0.0, 0.0]] * 64
+    path = tmp_path / "d65.json"
+    path.write_text(json.dumps({"d": 65, "weights": [1.0], "vectors": [[[1.0, 0.0]] + zero]}))
+    assert main(["prepare-state", "--state-spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"N={n} is above the largest supported N={cli.MAX_PARTIES}") == 3
 
 
 def test_scan_row_count(capsys):
