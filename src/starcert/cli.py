@@ -40,16 +40,16 @@ from .measurements import (
 from .network import born_table, load_scenario
 from .presets import ideal_scenario
 
-# Largest N that prepare-state and scan build; _check_parties states why.
+# Largest N that any subcommand builds a Born table for; _check_parties states why.
 MAX_PARTIES = 7
 
 
 def _check_parties(n: int) -> None:
     if n > MAX_PARTIES:
-        gb = 2**n * 6**n * 16 / 1e9
+        gb = 2**n * 6**n * 8 / 1e9
         raise ValidationError(
             f"N={n} is above the largest supported N={MAX_PARTIES}: the e=0 Born "
-            f"table alone would hold 2^N * 6^N complex entries ({gb:.1f} GB)"
+            f"table alone would hold 2^N * 6^N float64 entries ({gb:.1f} GB)"
         )
 
 
@@ -229,6 +229,7 @@ def cmd_certify(config: RunConfig) -> int:
     if not config.scenario or not config.reference:
         raise ValidationError("certify requires --scenario and --reference")
     scenario = load_scenario(config.scenario)
+    _check_parties(scenario.n_parties)
     reference = load_povm(config.reference)
     tol = config.tolerances()
     report = certify(scenario, reference.effects, config.mode, tol)
@@ -289,6 +290,11 @@ def cmd_scan(config: RunConfig) -> int:
         _check_parties(config.n)
     if config.scenario:
         scenario = load_scenario(config.scenario)
+        _check_parties(scenario.n_parties)
+        if config.n is not None and config.n != scenario.n_parties:
+            raise ValidationError(
+                f"--n {config.n} disagrees with the scenario file's N={scenario.n_parties}"
+            )
     else:
         scenario = ideal_scenario(config.n or 2)
     reference = load_povm(config.reference).effects if config.reference else None

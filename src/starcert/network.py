@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from string import ascii_letters
+from functools import lru_cache
 
 import numpy as np
 
@@ -199,20 +199,35 @@ def assemble_joint_state(scenario: Scenario) -> np.ndarray:
 
 
 def _party_map(rotated: bool) -> np.ndarray:
-    """M[j, a, x] with <A_j> = sum_{a,x} M[j, a, x] p(a|x); row 3 sums input 0's outcomes.
+    """M[j, (x, a)] with <A_j> = sum_{x,a} M[j, (x, a)] p(a|x); row 3 sums input 0's outcomes.
 
     ``rotated`` (party 1) replaces rows 0 and 1 by (row 0 -+ row 1)/sqrt2.
     """
-    m = np.zeros((4, 2, 3))
-    m[[0, 1, 2], :, [0, 1, 2]] = (1.0, -1.0)
-    m[3, :, 0] = 1.0
+    m = np.zeros((4, 3, 2))
+    m[[0, 1, 2], [0, 1, 2]] = (1.0, -1.0)
+    m[3, 0] = 1.0
     if rotated:
         m[:2] = np.array([m[0] - m[1], m[0] + m[1]]) / np.sqrt(2.0)
-    return m
+    return m.reshape(4, 6)
 
 
 _PARTY_MAP = _party_map(rotated=False)
 _ROTATED_MAP = _party_map(rotated=True)
+
+
+def _contract_parties(t: np.ndarray, maps) -> np.ndarray:
+    """out[l, m_1..m_N] = sum_k t[l, k_1..k_N] prod_i maps[i][m_i, k_i].
+
+    One batched matmul per party on the (lead, k_i, rest) view of ``t``; the
+    new axis m_i goes to the end, so after N steps the axes are back in party
+    order without a transpose in between.  ``t`` may be any array whose axes
+    after the first flatten to (k_1, ..., k_N); a non-contiguous one is copied
+    by the first step only, and that copy is freed after it.
+    """
+    lead = t.shape[0]
+    for m in maps:
+        t = np.matmul(t.reshape(lead, m.shape[1], -1).swapaxes(1, 2), m.T)
+    return t.reshape((lead,) + tuple(m.shape[0] for m in maps))
 
 
 @dataclass(frozen=True)
@@ -285,11 +300,10 @@ class CorrelationTable:
         """
         if e not in self._tensors:
             n, t = self.n, self._table(e)
-            # a_i, x_i, j_i per party; "Z" (never among the 3N <= 51 others) is l
-            a, x, j = (ascii_letters[k * n:(k + 1) * n] for k in range(3))
-            spec = f"{a}Z{x}," + ",".join(map("".join, zip(j, a, x))) + f"->Z{j}"
-            raw = t.reshape((2,) * n + t.shape[1:2] + (3,) * n)
-            tensor = np.einsum(spec, raw, _ROTATED_MAP, *[_PARTY_MAP] * (n - 1), optimize=True)
+            # (a_1..a_N, l, x_1..x_N) -> (l, x_1, a_1, ..., x_N, a_N), copied by the first step
+            perm = [n] + [ax for i in range(n) for ax in (n + 1 + i, i)]
+            raw = t.reshape((2,) * n + t.shape[1:2] + (3,) * n).transpose(perm)
+            tensor = _contract_parties(raw, [_ROTATED_MAP] + [_PARTY_MAP] * (n - 1))
             tensor.flags.writeable = False
             self._tensors[e] = tensor
         return self._tensors[e]
@@ -354,39 +368,60 @@ def _steering_operators(scenario: Scenario):
     return out
 
 
+@lru_cache(maxsize=None)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis B_b of d x d operators, as a read-only (d^2, d^2) map.
+
+    Row b is conj(B_b) flattened, so it sends a flattened operator X to
+    Tr[B_b X]: X[k, k] for the diagonal units, then sqrt2 Re X[j, k] and
+    sqrt2 Im X[j, k] for each j < k.  These coefficients are real for
+    Hermitian X, and Tr[X Y] is their dot product.
+    """
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    b = d
+    for j in range(d):
+        for k in range(j + 1, d):
+            basis[b, j, k] = basis[b, k, j] = 1 / np.sqrt(2.0)
+            basis[b + 1, j, k], basis[b + 1, k, j] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+            b += 2
+    basis = basis.reshape(d * d, d * d)
+    basis.flags.writeable = False
+    return basis
+
+
 def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> CorrelationTable:
     """Exact behavior of the scenario via Born's rule.
 
     Exploits source independence: p = Tr[(prod_i W^{(i)}_{a_i|x_i}) R_{l|e}]
-    with the steering operators W living on Eve's factors only.
+    with the steering operators W living on Eve's factors only.  Each W and
+    each R_l is expanded in the orthonormal Hermitian product basis of
+    ``_hermitian_basis`` (diagonal units, sqrt2 Re and sqrt2 Im of the
+    off-diagonal entries), so p = sum_b r_{l,b} prod_i w_{i,b_i} with real
+    coefficients.  R_l is expanded party by party (complex, then its real
+    part is kept); the real coefficients are then contracted with party 1's
+    w first and party N's last, and one transpose gives the (a, l, x) layout.
     """
     n = scenario.n_parties
-    steering = _steering_operators(scenario)
     d_es = scenario.eve_dims
+    bases = [_hermitian_basis(d) for d in d_es]
+    w_maps = [
+        np.ascontiguousarray((w.reshape(6, d * d) @ basis.T).real)
+        for w, basis, d in zip(_steering_operators(scenario), bases, d_es)
+    ]
+    # R[l, f_1..f_N, e_1..e_N] -> R[l, (f_1 e_1), ..., (f_N e_N)]
+    pairs = [0] + [ax for i in range(n) for ax in (1 + i, 1 + n + i)]
+    # (l, (x_1 a_1), ..., (x_N a_N)) -> (a_1..a_N, l, x_1..x_N)
+    order = [2 + 2 * i for i in range(n)] + [0] + [1 + 2 * i for i in range(n)]
     tables = []
     for e in (0, 1):
         effects = scenario.eve[e].effects
         n_out = len(effects)
-        r = np.stack(effects).reshape((n_out,) + tuple(d_es) + tuple(d_es))
-        # einsum: R[l, f_1..f_N, e_1..e_N] with W_i[c_i, e_i, f_i] -> out[l, c_1..c_N]
-        letters = iter(ascii_letters)
-        l_ax = next(letters)
-        f_ax = [next(letters) for _ in range(n)]
-        e_ax = [next(letters) for _ in range(n)]
-        c_ax = [next(letters) for _ in range(n)]
-        operands = [l_ax + "".join(f_ax) + "".join(e_ax)]
-        arrays = [r]
-        for i in range(n):
-            operands.append(c_ax[i] + e_ax[i] + f_ax[i])
-            arrays.append(steering[i].reshape(6, d_es[i], d_es[i]))
-        spec = ",".join(operands) + "->" + l_ax + "".join(c_ax)
-        raw = np.einsum(spec, *arrays, optimize=True)
-        # combo axis c_i = 3*... is (x_i, a_i) flattened; split and reorder
-        raw = raw.reshape((n_out,) + (3, 2) * n)
-        a_axes = [2 + 2 * i for i in range(n)]
-        x_axes = [1 + 2 * i for i in range(n)]
-        raw = raw.transpose(a_axes + [0] + x_axes)
-        table = raw.reshape(2**n, n_out, 3**n).real.copy()
+        r = np.stack(effects).reshape((n_out,) + d_es * 2).transpose(pairs)
+        coeffs = np.ascontiguousarray(_contract_parties(r, bases).real)
+        raw = _contract_parties(coeffs, w_maps).reshape((n_out,) + (3, 2) * n)
+        table = raw.transpose(order).reshape(2**n, n_out, 3**n)
+        del raw  # at N = 7 it is as large as the table
         table[np.abs(table) < 1e-16] = 0.0
         tables.append(table)
     return CorrelationTable(n=n, p0=tables[0], p1=tables[1], tol=tol)

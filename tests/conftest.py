@@ -13,9 +13,16 @@ import numpy as np
 import pytest
 
 from starcert.network import (
+    EveMeasurement,
     Scenario,
     assemble_joint_state,
     effects_from_observable,
+)
+from starcert.presets import (
+    random_density_matrix,
+    random_observable_triple,
+    random_povm,
+    random_projective_measurement,
 )
 from starcert.tensor import kron, kron_all, partial_trace
 
@@ -53,6 +60,20 @@ def post_measurement_oracle(scenario: Scenario, l: int, e: int) -> np.ndarray:
     dims = list(scenario.alice_dims) + list(scenario.eve_dims)
     reduced = partial_trace(projected, dims, keep=range(n))
     return reduced / np.trace(reduced).real
+
+
+def random_scenario_with_dims(alice_dims, eve_dims, rng):
+    """Random scenario with the given per-party Alice and Eve dimensions."""
+    n = len(alice_dims)
+    d_e = int(np.prod(eve_dims))
+    ranks = [1] * (2**n - 1) + [d_e - 2**n + 1]
+    return Scenario(
+        n_parties=n,
+        sources=tuple(random_density_matrix(a * b, rng) for a, b in zip(alice_dims, eve_dims)),
+        alice_observables=tuple(random_observable_triple(a, rng) for a in alice_dims),
+        eve=(EveMeasurement(tuple(random_projective_measurement(d_e, ranks, rng))),
+             EveMeasurement(random_povm(d_e, 3, rng).effects)),
+    )
 
 
 @pytest.fixture

@@ -40,13 +40,10 @@ from starcert.presets import (
     ideal_scenario,
     random_density_matrix,
     random_mixed_state_spec,
-    random_observable_triple,
-    random_povm,
-    random_projective_measurement,
     swap_eve_effects,
 )
 
-from conftest import post_measurement_oracle
+from conftest import post_measurement_oracle, random_scenario_with_dims
 
 
 def ghz_reference(n):
@@ -199,20 +196,6 @@ def test_post_measurement_state_zero_probability():
 def test_post_measurement_state_rejects_eve_input(e):
     with pytest.raises(DimensionError):
         post_measurement_state(ideal_scenario(2), 0, e)
-
-
-def random_scenario_with_dims(alice_dims, eve_dims, rng):
-    """Random scenario with the given per-party Alice and Eve dimensions."""
-    n = len(alice_dims)
-    d_e = int(np.prod(eve_dims))
-    ranks = [1] * (2**n - 1) + [d_e - 2**n + 1]
-    return Scenario(
-        n_parties=n,
-        sources=tuple(random_density_matrix(a * b, rng) for a, b in zip(alice_dims, eve_dims)),
-        alice_observables=tuple(random_observable_triple(a, rng) for a in alice_dims),
-        eve=(EveMeasurement(tuple(random_projective_measurement(d_e, ranks, rng))),
-             EveMeasurement(random_povm(d_e, 3, rng).effects)),
-    )
 
 
 @pytest.mark.parametrize("alice_dims, eve_dims", [

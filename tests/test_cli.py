@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,6 +119,28 @@ def test_n_above_limit_is_rejected_before_construction(no_construction, tmp_path
     assert main(["prepare-state", "--state-spec", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count(f"N={n} is above the largest supported N={cli.MAX_PARTIES}") == 3
+
+
+def test_scenario_file_above_limit_is_rejected_before_construction(monkeypatch, capsys):
+    n = cli.MAX_PARTIES + 1
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Born table was built past the N limit")
+
+    monkeypatch.setattr(cli, "load_scenario", lambda path: SimpleNamespace(n_parties=n))
+    for name in ("born_table", "certify", "noise_scan"):
+        monkeypatch.setattr(cli, name, forbidden)
+    assert main(["certify", "--scenario", IDEAL, "--reference", GHZ_REF]) == 2
+    assert main(["scan", "--scenario", IDEAL, "--grid", "0,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"N={n} is above the largest supported N={cli.MAX_PARTIES}") == 2
+    assert "2^N * 6^N float64 entries (3.4 GB)" in err
+
+
+def test_scan_rejects_n_that_disagrees_with_scenario(capsys):
+    assert main(["scan", "--scenario", IDEAL, "--n", "3", "--grid", "0,1"]) == 2
+    assert "--n 3 disagrees with the scenario file's N=2" in capsys.readouterr().err
+    assert main(["scan", "--scenario", IDEAL, "--n", "2", "--grid", "0,1"]) == 0
 
 
 def test_scan_row_count(capsys):

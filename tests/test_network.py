@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import born_oracle
+from conftest import born_oracle, random_scenario_with_dims
 from starcert.errors import ConditioningError, DimensionError, ValidationError
 from starcert.measurements import ghz_basis_measurement
 from starcert.network import (
@@ -23,7 +23,7 @@ from starcert.network import (
     scenario_from_json,
     scenario_to_json,
 )
-from starcert.presets import ideal_scenario, random_scenario
+from starcert.presets import conjugate_scenario, ideal_scenario, random_scenario
 from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z, kron_all
 
 
@@ -101,11 +101,33 @@ def test_assemble_joint_state_groups_factors(rng):
     npt.assert_allclose(joint, expected, atol=1e-12)
 
 
-def test_born_table_matches_bruteforce_oracle(rng):
-    scen = random_scenario(2, rng)
+# (alice_dims, eve_dims) with some Eve factor other than a qubit
+NON_QUBIT_DIMS = [
+    pytest.param((2, 3), (4, 2), id="a23-e42"),
+    pytest.param((3, 2), (2, 3), id="a32-e23"),
+    pytest.param((2, 2, 2), (3, 2, 2), id="a222-e322"),
+]
+
+
+@pytest.mark.parametrize("alice_dims, eve_dims", [
+    pytest.param((2, 2), (2, 2), id="qubits-n2"),
+    pytest.param((2, 2, 2), (2, 2, 2), id="qubits-n3"),
+    *NON_QUBIT_DIMS,
+])
+def test_born_table_matches_bruteforce_oracle(alice_dims, eve_dims, rng):
+    scen = random_scenario_with_dims(alice_dims, eve_dims, rng)
     table = born_table(scen)
     for e, got in ((0, table.p0), (1, table.p1)):
         npt.assert_allclose(got, born_oracle(scen, e), atol=1e-12)
+
+
+@pytest.mark.parametrize("alice_dims, eve_dims", NON_QUBIT_DIMS)
+def test_born_table_invariant_under_conjugation(alice_dims, eve_dims, rng):
+    # the sqrt2 Im basis coefficients flip sign under entrywise conjugation
+    scen = random_scenario_with_dims(alice_dims, eve_dims, rng)
+    table, conj = born_table(scen), born_table(conjugate_scenario(scen))
+    npt.assert_allclose(conj.p0, table.p0, atol=1e-12)
+    npt.assert_allclose(conj.p1, table.p1, atol=1e-12)
 
 
 def test_born_table_matches_oracle_ideal():
