@@ -34,7 +34,15 @@ from .measurements import (
     pauli_coeffs,
     trine_preparation_outcomes,
 )
-from .network import CorrelationTable, Scenario, born_table
+from .network import (
+    CorrelationTable,
+    EveMeasurement,
+    Scenario,
+    _born_factors,
+    _table_from_factors,
+    born_table,
+)
+from .presets import depolarize_sources
 from .tensor import kron, numerical_rank, partial_trace
 
 PLAIN = "Plain"
@@ -393,22 +401,7 @@ class ScanReport:
     bell_monotone: bool         # min Bell value non-decreasing in the level
 
 
-def _depolarize_sources(scenario: Scenario, v: float) -> Scenario:
-    sources = tuple(
-        v * rho + (1 - v) * np.eye(rho.shape[0]) / rho.shape[0]
-        for rho in scenario.sources
-    )
-    return Scenario(
-        n_parties=scenario.n_parties,
-        sources=sources,
-        alice_observables=scenario.alice_observables,
-        eve=scenario.eve,
-    )
-
-
 def _depolarize_effects(scenario: Scenario, v: float) -> Scenario:
-    from .network import EveMeasurement
-
     eve = []
     for meas in scenario.eve:
         dim = meas.dim
@@ -425,37 +418,31 @@ def _depolarize_effects(scenario: Scenario, v: float) -> Scenario:
     )
 
 
+# Each model maps (scenario, v) to the scenario with every source (isotropic)
+# or every Eve effect (effects) X replaced by the convex mixture
+# v X + (1 - v) X_0, where X_0 depends on X alone.  noise_scan relies on this:
+# the Born-table factors are linear in X, so it expands the scenario and its
+# v = 0 image once and mixes their factors at each level.
 NOISE_MODELS = {
-    "isotropic": _depolarize_sources,
+    "isotropic": depolarize_sources,
     "effects": _depolarize_effects,
 }
 
 
-def noise_scan(scenario: Scenario, model: str, grid,
-               reference_effects=None, mode: str = "projective",
-               tol: Tolerances = DEFAULT_TOL) -> ScanReport:
-    """Part-1 (and optionally part-2) metrics along a noise grid."""
-    if model not in NOISE_MODELS:
-        raise DimensionError(f"unknown noise model {model!r}")
-    grid = [float(v) for v in grid]
-    if not grid:
-        raise DimensionError("noise grid must not be empty")
-    if any(not 0 <= v <= 1 for v in grid):
-        raise DimensionError("noise levels must lie in [0, 1]")
-    apply_noise = NOISE_MODELS[model]
-    n = scenario.n_parties
+def _scan_report(model: str, n: int, levels, tables, reference_effects, mode: str,
+                 tol: Tolerances) -> ScanReport:
+    """Part-1 (and optionally part-2) metrics of one table per level."""
     f_tensors = None
     ranks = None
     if reference_effects is not None:
         f_tensors = reference_coeff_tensors(reference_effects, n, tol)
         if mode == "projective":
             ranks = reference_ranks(reference_effects, tol)
+    labels = all_labels(n)
     rows = []
-    for v in sorted(grid):
-        noisy = apply_noise(scenario, v)
-        table = born_table(noisy, tol)
+    for v, table in zip(levels, tables):
         values = []
-        for label in all_labels(n):
+        for label in labels:
             try:
                 values.append(evaluate_bell(table, label, tol).value)
             except ConditioningError:
@@ -480,3 +467,35 @@ def noise_scan(scenario: Scenario, model: str, grid,
     mins = [r.min_bell for r in rows]
     monotone = all(b >= a - tol.acceptance for a, b in zip(mins, mins[1:]))
     return ScanReport(model=model, rows=tuple(rows), bell_monotone=monotone)
+
+
+def noise_scan(scenario: Scenario, model: str, grid,
+               reference_effects=None, mode: str = "projective",
+               tol: Tolerances = DEFAULT_TOL) -> ScanReport:
+    """Part-1 (and optionally part-2) metrics along a noise grid.
+
+    The scenario and its v = 0 image are built and expanded once; the table
+    at level v is built from the mixed factors v f_1 + (1 - v) f_0, which
+    are those of the noisy scenario (see ``NOISE_MODELS``).
+    """
+    if model not in NOISE_MODELS:
+        raise DimensionError(f"unknown noise model {model!r}")
+    grid = [float(v) for v in grid]
+    if not grid:
+        raise DimensionError("noise grid must not be empty")
+    if any(not 0 <= v <= 1 for v in grid):
+        raise DimensionError("noise levels must lie in [0, 1]")
+    n = scenario.n_parties
+    levels = sorted(grid)
+    c1, w1 = _born_factors(scenario)
+    c0, w0 = _born_factors(NOISE_MODELS[model](scenario, 0.0))
+    tables = (
+        _table_from_factors(
+            n,
+            [v * a + (1 - v) * b for a, b in zip(c1, c0)],
+            [v * a + (1 - v) * b for a, b in zip(w1, w0)],
+            tol,
+        )
+        for v in levels
+    )
+    return _scan_report(model, n, levels, tables, reference_effects, mode, tol)

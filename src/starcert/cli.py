@@ -45,6 +45,11 @@ MAX_PARTIES = 7
 
 
 def _check_parties(n: int) -> None:
+    if n < 2:
+        raise ValidationError(
+            f"N={n} is outside the supported range 2..{MAX_PARTIES}: a star network "
+            "needs at least two parties"
+        )
     if n > MAX_PARTIES:
         gb = 2**n * 6**n * 8 / 1e9
         raise ValidationError(
@@ -296,7 +301,7 @@ def cmd_scan(config: RunConfig) -> int:
                 f"--n {config.n} disagrees with the scenario file's N={scenario.n_parties}"
             )
     else:
-        scenario = ideal_scenario(config.n or 2)
+        scenario = ideal_scenario(2 if config.n is None else config.n)
     reference = load_povm(config.reference).effects if config.reference else None
     tol = config.tolerances()
     report = noise_scan(scenario, config.noise, config.grid,

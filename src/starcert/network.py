@@ -390,17 +390,12 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
-def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> CorrelationTable:
-    """Exact behavior of the scenario via Born's rule.
+def _born_factors(scenario: Scenario):
+    """Real Hermitian-basis coefficients of the Born table: ([c_0, c_1], w_maps).
 
-    Exploits source independence: p = Tr[(prod_i W^{(i)}_{a_i|x_i}) R_{l|e}]
-    with the steering operators W living on Eve's factors only.  Each W and
-    each R_l is expanded in the orthonormal Hermitian product basis of
-    ``_hermitian_basis`` (diagonal units, sqrt2 Re and sqrt2 Im of the
-    off-diagonal entries), so p = sum_b r_{l,b} prod_i w_{i,b_i} with real
-    coefficients.  R_l is expanded party by party (complex, then its real
-    part is kept); the real coefficients are then contracted with party 1's
-    w first and party N's last, and one transpose gives the (a, l, x) layout.
+    ``c_e[l, b_1..b_N]`` expands Eve's effect R_{l|e}, party by party in
+    complex arithmetic with the real part kept; ``w_maps[i][(x, a), b]``
+    expands party i's steering operator W[x, a].  The table is linear in each.
     """
     n = scenario.n_parties
     d_es = scenario.eve_dims
@@ -411,20 +406,39 @@ def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> Correlation
     ]
     # R[l, f_1..f_N, e_1..e_N] -> R[l, (f_1 e_1), ..., (f_N e_N)]
     pairs = [0] + [ax for i in range(n) for ax in (1 + i, 1 + n + i)]
+    coeffs = []
+    for meas in scenario.eve:
+        r = np.stack(meas.effects).reshape((meas.outcome_count,) + d_es * 2).transpose(pairs)
+        coeffs.append(np.ascontiguousarray(_contract_parties(r, bases).real))
+    return coeffs, w_maps
+
+
+def _table_from_factors(n: int, coeffs, w_maps, tol: Tolerances) -> CorrelationTable:
+    """p = sum_b c_{l,b} prod_i w_{i,b_i}, party 1 first; one transpose gives (a, l, x)."""
     # (l, (x_1 a_1), ..., (x_N a_N)) -> (a_1..a_N, l, x_1..x_N)
     order = [2 + 2 * i for i in range(n)] + [0] + [1 + 2 * i for i in range(n)]
     tables = []
-    for e in (0, 1):
-        effects = scenario.eve[e].effects
-        n_out = len(effects)
-        r = np.stack(effects).reshape((n_out,) + d_es * 2).transpose(pairs)
-        coeffs = np.ascontiguousarray(_contract_parties(r, bases).real)
-        raw = _contract_parties(coeffs, w_maps).reshape((n_out,) + (3, 2) * n)
+    for c in coeffs:
+        n_out = c.shape[0]
+        raw = _contract_parties(c, w_maps).reshape((n_out,) + (3, 2) * n)
         table = raw.transpose(order).reshape(2**n, n_out, 3**n)
         del raw  # at N = 7 it is as large as the table
         table[np.abs(table) < 1e-16] = 0.0
         tables.append(table)
     return CorrelationTable(n=n, p0=tables[0], p1=tables[1], tol=tol)
+
+
+def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> CorrelationTable:
+    """Exact behavior of the scenario via Born's rule.
+
+    Exploits source independence: p = Tr[(prod_i W^{(i)}_{a_i|x_i}) R_{l|e}]
+    with the steering operators W living on Eve's factors only.  Each W and
+    each R_l is expanded in the orthonormal Hermitian product basis of
+    ``_hermitian_basis`` (``_born_factors``), so p is a real contraction of
+    the coefficients (``_table_from_factors``).
+    """
+    coeffs, w_maps = _born_factors(scenario)
+    return _table_from_factors(scenario.n_parties, coeffs, w_maps, tol)
 
 
 # ---------------------------------------------------------------------------

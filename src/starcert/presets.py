@@ -114,16 +114,22 @@ def computational_eve0(scenario: Scenario) -> Scenario:
     )
 
 
-def depolarize_one_source(scenario: Scenario, i: int, visibility: float) -> Scenario:
+def depolarize_sources(scenario: Scenario, visibility: float, parties=None) -> Scenario:
+    """Mix each source in ``parties`` (all by default) with white noise: v rho + (1 - v) 1/d."""
     sources = list(scenario.sources)
-    d = sources[i].shape[0]
-    sources[i] = visibility * sources[i] + (1 - visibility) * np.eye(d) / d
+    for i in range(scenario.n_parties) if parties is None else parties:
+        d = sources[i].shape[0]
+        sources[i] = visibility * sources[i] + (1 - visibility) * np.eye(d) / d
     return Scenario(
         n_parties=scenario.n_parties,
         sources=tuple(sources),
         alice_observables=scenario.alice_observables,
         eve=scenario.eve,
     )
+
+
+def depolarize_one_source(scenario: Scenario, i: int, visibility: float) -> Scenario:
+    return depolarize_sources(scenario, visibility, parties=(i,))
 
 
 # ---------------------------------------------------------------------------

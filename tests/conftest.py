@@ -3,8 +3,10 @@
 The Born oracle builds the full joint operator for every (a, l, x, e)
 combination and never touches the steering-operator fast path; the
 post-measurement oracle projects the dense joint state and traces Eve out
-instead of contracting source by source.  Each pair of routes checks the
-other.
+instead of contracting source by source; the noise-scan oracle builds and
+validates the noisy scenario and its Born table at every level instead of
+mixing the expanded factors of its two endpoints.  Each pair of routes
+checks the other.
 """
 
 from itertools import product
@@ -12,10 +14,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from starcert.certify import NOISE_MODELS, _scan_report
+from starcert.config import DEFAULT_TOL
 from starcert.network import (
     EveMeasurement,
     Scenario,
     assemble_joint_state,
+    born_table,
     effects_from_observable,
 )
 from starcert.presets import (
@@ -60,6 +65,14 @@ def post_measurement_oracle(scenario: Scenario, l: int, e: int) -> np.ndarray:
     dims = list(scenario.alice_dims) + list(scenario.eve_dims)
     reduced = partial_trace(projected, dims, keep=range(n))
     return reduced / np.trace(reduced).real
+
+
+def noise_scan_oracle(scenario: Scenario, model: str, grid, reference_effects=None,
+                      mode: str = "projective", tol=DEFAULT_TOL):
+    """``noise_scan`` with the noisy scenario and its Born table rebuilt at every level."""
+    levels = sorted(float(v) for v in grid)
+    tables = (born_table(NOISE_MODELS[model](scenario, v), tol) for v in levels)
+    return _scan_report(model, scenario.n_parties, levels, tables, reference_effects, mode, tol)
 
 
 def random_scenario_with_dims(alice_dims, eve_dims, rng):

@@ -121,6 +121,13 @@ def test_n_above_limit_is_rejected_before_construction(no_construction, tmp_path
     assert err.count(f"N={n} is above the largest supported N={cli.MAX_PARTIES}") == 3
 
 
+@pytest.mark.parametrize("n", [0, -1, 1])
+def test_scan_n_below_two_is_rejected_before_construction(n, no_construction, capsys):
+    assert main(["scan", "--n", str(n), "--grid", "0,1"]) == 2
+    err = capsys.readouterr().err
+    assert f"N={n} is outside the supported range 2..{cli.MAX_PARTIES}" in err
+
+
 def test_scenario_file_above_limit_is_rejected_before_construction(monkeypatch, capsys):
     n = cli.MAX_PARTIES + 1
 

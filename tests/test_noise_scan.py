@@ -1,0 +1,91 @@
+"""noise_scan, which mixes the expanded factors of a scenario and its v = 0
+image, against the per-level route of ``noise_scan_oracle``."""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starcert.certify import NOISE_MODELS, noise_scan
+from starcert.measurements import ghz_basis_measurement
+from starcert.network import EveMeasurement, Scenario
+from starcert.presets import ideal_scenario, random_projective_measurement, random_scenario
+
+from conftest import noise_scan_oracle, random_scenario_with_dims
+
+GRID = (1.0, 0.0, 0.35, 0.8)
+
+
+def assert_same_scan(report, oracle):
+    assert report.model == oracle.model
+    assert report.bell_monotone == oracle.bell_monotone
+    assert len(report.rows) == len(oracle.rows)
+    for row, ref in zip(report.rows, oracle.rows):
+        assert row.level == ref.level
+        values, expected = np.array(row.bell_values), np.array(ref.bell_values)
+        npt.assert_array_equal(np.isnan(values), np.isnan(expected))
+        npt.assert_allclose(values, expected, rtol=0, atol=1e-12)
+        npt.assert_allclose(row.min_bell, ref.min_bell, rtol=0, atol=1e-12)
+        npt.assert_allclose(row.pbar_deviation, ref.pbar_deviation, rtol=0, atol=1e-12)
+        if ref.part2_max_residual is None:
+            assert row.part2_max_residual is None
+        else:
+            npt.assert_allclose(row.part2_max_residual, ref.part2_max_residual,
+                                rtol=0, atol=1e-12)
+
+
+def zero_effect_scenario():
+    """N = 2 with a zero e = 0 effect, so label 01 is unconditionable at every level."""
+    scen = ideal_scenario(2, eve_second=ghz_basis_measurement(2))
+    eve0 = EveMeasurement((
+        np.diag([1.0, 1.0, 0.0, 0.0]), np.zeros((4, 4)),
+        np.diag([0.0, 0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0]),
+    ))
+    return Scenario(n_parties=2, sources=scen.sources,
+                    alice_observables=scen.alice_observables, eve=(eve0, scen.eve[1]))
+
+
+def ghz_scenario(n):
+    ref = ghz_basis_measurement(n)
+    return ideal_scenario(n, eve_second=tuple(np.conj(m) for m in ref.effects))
+
+
+SCENARIOS = {
+    "ghz-n3": lambda rng: ghz_scenario(3),
+    "zero-effect-n2": lambda rng: zero_effect_scenario(),
+    "qubits-n2": lambda rng: random_scenario_with_dims((2, 2), (2, 2), rng),
+    "qubits-n3": lambda rng: random_scenario_with_dims((2,) * 3, (2,) * 3, rng),
+    "qubits-n4": lambda rng: random_scenario_with_dims((2,) * 4, (2,) * 4, rng),
+    "dims-23-42": lambda rng: random_scenario_with_dims((2, 3), (4, 2), rng),
+    "dims-32-23": lambda rng: random_scenario_with_dims((3, 2), (2, 3), rng),
+    "dims-222-322": lambda rng: random_scenario_with_dims((2, 2, 2), (3, 2, 2), rng),
+}
+
+
+def reference_for(scen, rng):
+    """Reference effects on N qubits, one per e = 1 outcome of the scenario."""
+    n, k = scen.n_parties, scen.eve[1].outcome_count
+    if k == 2**n:
+        return ghz_basis_measurement(n).effects
+    return tuple(random_projective_measurement(2**n, [1] * (k - 1) + [2**n - k + 1], rng))
+
+
+@pytest.mark.parametrize("mode", [None, "projective", "povm"])
+@pytest.mark.parametrize("name", list(SCENARIOS))
+@pytest.mark.parametrize("model", sorted(NOISE_MODELS))
+def test_noise_scan_matches_per_level_oracle(model, name, mode, rng):
+    scen = SCENARIOS[name](rng)
+    kwargs = {}
+    if mode is not None:
+        kwargs = {"reference_effects": reference_for(scen, rng), "mode": mode}
+    assert_same_scan(noise_scan(scen, model, GRID, **kwargs),
+                     noise_scan_oracle(scen, model, GRID, **kwargs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+       model=st.sampled_from(sorted(NOISE_MODELS)), v=st.floats(0.0, 1.0))
+def test_noise_scan_level_matches_oracle(seed, n, model, v):
+    scen = random_scenario(n, np.random.default_rng(seed))
+    assert_same_scan(noise_scan(scen, model, [v]), noise_scan_oracle(scen, model, [v]))
