@@ -11,14 +11,9 @@ import pathlib
 
 import numpy as np
 
-from starcert import ghz_basis_measurement, ideal_scenario, save_scenario
-from starcert.measurements import (
-    MixedStateSpec,
-    embed_rank1_povm,
-    mixed_state_spec_to_json,
-    povm_to_json,
-    trine_povm,
-)
+from starcert import ghz_basis_measurement, ideal_scenario
+from starcert.jsonio import mixed_state_spec_to_json, povm_to_json, save_scenario
+from starcert.measurements import MixedStateSpec, embed_rank1_povm, trine_povm
 from starcert.presets import flip_observable_sign
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "starcert" / "fixtures"
@@ -50,7 +45,7 @@ def main():
     dump(mixed_state_spec_to_json(spec), "mixed_demo.statespec.json")
     for n in (2, 3):
         trine = embed_rank1_povm(trine_povm(spec), n)
-        scen = ideal_scenario(n, eve_second=trine.conjugated())
+        scen = ideal_scenario(n, eve_second=tuple(np.conj(m) for m in trine.effects))
         save_scenario(scen, OUT / f"ideal_n{n}_trine.scenario.json")
         print("wrote", OUT / f"ideal_n{n}_trine.scenario.json")
         dump(povm_to_json(trine), f"trine_n{n}.povm.json")

@@ -46,6 +46,7 @@ from .errors import (
     StarcertError,
     ValidationError,
 )
+from .jsonio import load_mixed_state_spec, load_povm, load_scenario, save_scenario
 from .measurements import (
     MixedStateSpec,
     PauliCoeffTensor,
@@ -54,8 +55,6 @@ from .measurements import (
     embed_rank1_povm,
     ghz_basis_measurement,
     is_extremal_rank1,
-    load_mixed_state_spec,
-    load_povm,
     pauli_coeffs,
     reconstruct_from_coeffs,
     trine_povm,
@@ -64,12 +63,9 @@ from .measurements import (
 from .network import (
     BinaryObservableTriple,
     CorrelationTable,
-    EveMeasurement,
     Scenario,
     assemble_joint_state,
     born_table,
-    load_scenario,
-    save_scenario,
 )
 from .presets import conjugate_scenario, ideal_scenario
 

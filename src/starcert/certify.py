@@ -30,13 +30,13 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import ConditioningError, DimensionError
 from .measurements import (
     MixedStateSpec,
+    Povm,
     _embed_block,
     pauli_coeffs,
     trine_preparation_outcomes,
 )
 from .network import (
     CorrelationTable,
-    EveMeasurement,
     Scenario,
     _born_factors,
     _table_from_factors,
@@ -409,7 +409,7 @@ def _depolarize_effects(scenario: Scenario, v: float) -> Scenario:
             v * m + (1 - v) * (np.trace(m).real / dim) * np.eye(dim)
             for m in meas.effects
         )
-        eve.append(EveMeasurement(effects))
+        eve.append(Povm(effects, meas.tol))
     return Scenario(
         n_parties=scenario.n_parties,
         sources=scenario.sources,

@@ -9,11 +9,11 @@ significant digits (round-trip exact for double precision).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -31,13 +31,9 @@ from .certify import (
 )
 from .config import DEFAULT_TOL, Tolerances
 from .errors import StarcertError, ValidationError
-from .measurements import (
-    embed_rank1_povm,
-    load_mixed_state_spec,
-    load_povm,
-    trine_povm,
-)
-from .network import born_table, load_scenario
+from .jsonio import load_mixed_state_spec, load_povm, load_scenario
+from .measurements import embed_rank1_povm, trine_povm
+from .network import born_table
 from .presets import ideal_scenario
 
 # Largest N that any subcommand builds a Born table for; _check_parties states why.
@@ -58,7 +54,7 @@ def _check_parties(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     command: str
     scenario: str | None = None
@@ -71,21 +67,15 @@ class RunConfig:
     grid: tuple = ()
     out: str | None = None
     fmt: str = "text"
-    seed: int | None = None
     reproducible: bool = False
 
     def tolerances(self) -> Tolerances:
         if self.tol is None:
             return DEFAULT_TOL
-        if self.tol <= 0:
-            raise ValidationError(f"tolerance must be positive, got {self.tol}")
-        return Tolerances(
-            structural=DEFAULT_TOL.structural,
-            spectral=DEFAULT_TOL.spectral,
-            acceptance=self.tol,
-            rank=DEFAULT_TOL.rank,
-            probability=DEFAULT_TOL.probability,
-        )
+        try:
+            return dataclasses.replace(DEFAULT_TOL, acceptance=self.tol)
+        except ValueError as exc:
+            raise ValidationError(f"--tol: {exc}") from None
 
 
 def _f(x) -> float | None:
@@ -120,8 +110,6 @@ def _envelope(config: RunConfig, body: dict) -> dict:
     ):
         if path:
             doc["inputs"][label] = {"path": path, "sha256": _sha256(path)}
-    if config.seed is not None:
-        doc["seed"] = config.seed
     if not config.reproducible:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     doc.update(body)
@@ -360,6 +348,34 @@ def _parse_grid(raw: str):
     return values
 
 
+# Every flag, with the RunConfig field it sets as its dest.
+_FLAGS = {
+    "scenario": dict(help="scenario JSON file"),
+    "reference": dict(help="reference measurement JSON file"),
+    "mode": dict(choices=["projective", "povm"], default="projective"),
+    "state-spec": dict(dest="state_spec", help="target state JSON file"),
+    "n": dict(type=int, help="number of external parties"),
+    "tol": dict(type=float, help="acceptance tolerance override"),
+    "noise": dict(choices=["isotropic", "effects"], default="isotropic"),
+    "grid": dict(default="", help="comma-separated noise levels in [0,1]"),
+    "out": dict(help="write the report to this path instead of stdout"),
+    "format": dict(dest="fmt", choices=["text", "structured"], default="text"),
+    "reproducible": dict(action="store_true",
+                         help="suppress the timestamp field for byte-identical output"),
+}
+_OUTPUT_FLAGS = ("out", "format", "reproducible")
+
+# Each subcommand: its handler and the flags it reads.
+COMMANDS = {
+    "bounds": (cmd_bounds, ("n",) + _OUTPUT_FLAGS),
+    "certify": (cmd_certify, ("scenario", "reference", "mode", "tol") + _OUTPUT_FLAGS),
+    "prepare-state": (cmd_prepare_state, ("state-spec", "n", "tol") + _OUTPUT_FLAGS),
+    "scan": (cmd_scan, ("scenario", "reference", "mode", "n", "tol", "noise", "grid")
+             + _OUTPUT_FLAGS),
+    "validate": (cmd_validate, ("scenario", "reference", "state-spec") + _OUTPUT_FLAGS),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starcert",
@@ -367,57 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--scenario", help="scenario JSON file")
-        p.add_argument("--reference", help="reference measurement JSON file")
-        p.add_argument("--mode", choices=["projective", "povm"], default="projective")
-        p.add_argument("--state-spec", dest="state_spec", help="target state JSON file")
-        p.add_argument("--n", type=int, help="number of external parties")
-        p.add_argument("--tol", type=float, help="acceptance tolerance override")
-        p.add_argument("--noise", choices=["isotropic", "effects"], default="isotropic")
-        p.add_argument("--grid", default="", help="comma-separated noise levels in [0,1]")
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--format", dest="fmt", choices=["text", "structured"],
-                       default="text")
-        p.add_argument("--seed", type=int, help="seed for randomized generation")
-        p.add_argument("--reproducible", action="store_true",
-                       help="suppress the timestamp field for byte-identical output")
-
-    for name in ("bounds", "certify", "prepare-state", "scan", "validate"):
-        add_common(sub.add_parser(name))
+    for name, (_, flags) in COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
-
-
-COMMANDS = {
-    "bounds": cmd_bounds,
-    "certify": cmd_certify,
-    "prepare-state": cmd_prepare_state,
-    "scan": cmd_scan,
-    "validate": cmd_validate,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
     try:
-        config = RunConfig(
-            command=args.command,
-            scenario=args.scenario,
-            reference=args.reference,
-            mode=args.mode,
-            state_spec=args.state_spec,
-            n=args.n,
-            tol=args.tol,
-            noise=args.noise,
-            grid=_parse_grid(args.grid) if args.grid else (),
-            out=args.out,
-            fmt=args.fmt,
-            seed=args.seed,
-            reproducible=args.reproducible,
-        )
-        return COMMANDS[args.command](config)
+        if "grid" in args:
+            args["grid"] = _parse_grid(args["grid"])
+        config = RunConfig(**args)
+        return COMMANDS[config.command][0](config)
     except (StarcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

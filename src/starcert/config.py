@@ -6,6 +6,7 @@ run can tighten or relax all checks consistently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -19,8 +20,9 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("structural", "spectral", "acceptance", "rank", "probability"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"tolerance {name!r} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"tolerance {name!r} must be positive and finite, got {value}")
 
 
 DEFAULT_TOL = Tolerances()

@@ -1,0 +1,204 @@
+"""The JSON file formats: scenarios, measurements and state specs.
+
+Every reader and writer of the formats lives here; ``network`` and
+``measurements`` know nothing about files.  Decoding is strict: each
+number must be finite, each integer a JSON integer, each list a list, and
+every failure is a ``ValidationError`` whose message starts with the path
+of the offending node inside the document (``scenario.sources[1]``,
+``povm.effects[0]``, ...).
+
+A matrix is ``{"dim": d, "entries": [[re, im], ...]}`` in row-major order.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from .errors import ValidationError
+from .measurements import MixedStateSpec, Povm
+from .network import BinaryObservableTriple, Scenario
+
+
+def _read_json(path):
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _require_object(doc, path: str, keys) -> None:
+    if not isinstance(doc, dict):
+        names = ", ".join(f"'{k}'" for k in keys)
+        raise ValidationError(f"{path}: expected an object with fields {names}")
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f"{path}: missing field '{key}'")
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: must be an integer")
+    return value
+
+
+def _finite_array(values, path: str, row_shape: tuple = ()) -> np.ndarray:
+    """``np.asarray(values, float)``, required to have shape (count,) + row_shape and finite entries."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: malformed numbers ({exc})") from None
+    if arr.ndim != 1 + len(row_shape) or arr.shape[1:] != row_shape:
+        what = "[re, im] pairs" if row_shape else "numbers"
+        raise ValidationError(f"{path}: expected a list of {what}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{path}: entries must be finite numbers")
+    return arr
+
+
+def _complex_entries(values, path: str) -> np.ndarray:
+    """A list of [re, im] pairs as a complex vector, decoded in one vectorised step."""
+    return _finite_array(values, path, (2,)).view(complex).reshape(-1)
+
+
+def _pairs_to_json(values) -> list:
+    """Row-major [re, im] pairs of a complex array, the inverse of ``_complex_entries``."""
+    flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
+    return flat.view(float).reshape(-1, 2).tolist()
+
+
+def _build(cls, path: str, *args, **kwargs):
+    """Construct a validating object; its ValueError becomes a ValidationError at ``path``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def matrix_to_json(m: np.ndarray) -> dict:
+    return {"dim": int(np.shape(m)[0]), "entries": _pairs_to_json(m)}
+
+
+def matrix_from_json(doc, path: str) -> np.ndarray:
+    _require_object(doc, path, ("dim", "entries"))
+    dim = _int(doc["dim"], f"{path}.dim")
+    entries = _complex_entries(doc["entries"], f"{path}.entries")
+    if dim < 1 or entries.size != dim * dim:
+        raise ValidationError(
+            f"{path}: expected {dim * dim} entries for dim {dim}, got {entries.size}"
+        )
+    return entries.reshape(dim, dim)
+
+
+def _matrices_from_json(docs, path: str) -> tuple:
+    return tuple(matrix_from_json(m, f"{path}[{i}]") for i, m in enumerate(_list(docs, path)))
+
+
+# ---------------------------------------------------------------------------
+# Scenarios
+# ---------------------------------------------------------------------------
+
+def scenario_to_json(scenario: Scenario) -> dict:
+    return {
+        "n_parties": scenario.n_parties,
+        "sources": [matrix_to_json(s) for s in scenario.sources],
+        "alice_observables": [
+            [matrix_to_json(o) for o in triple.observables()]
+            for triple in scenario.alice_observables
+        ],
+        "eve_measurements": [
+            [matrix_to_json(m) for m in meas.effects] for meas in scenario.eve
+        ],
+    }
+
+
+def scenario_from_json(doc) -> Scenario:
+    _require_object(doc, "scenario", ("n_parties", "sources", "alice_observables",
+                                      "eve_measurements"))
+    n = _int(doc["n_parties"], "scenario.n_parties")
+    sources = _matrices_from_json(doc["sources"], "scenario.sources")
+    triples = []
+    for i, triple in enumerate(_list(doc["alice_observables"], "scenario.alice_observables")):
+        path = f"scenario.alice_observables[{i}]"
+        mats = _matrices_from_json(triple, path)
+        if len(mats) != 3:
+            raise ValidationError(f"{path}: expected 3 observables, got {len(mats)}")
+        triples.append(_build(BinaryObservableTriple, path, *mats))
+    measurements = _list(doc["eve_measurements"], "scenario.eve_measurements")
+    if len(measurements) != 2:
+        raise ValidationError("scenario.eve_measurements: expected exactly two measurements")
+    eve = []
+    for e, meas in enumerate(measurements):
+        path = f"scenario.eve_measurements[{e}]"
+        eve.append(_build(Povm, path, _matrices_from_json(meas, path)))
+    return _build(Scenario, "scenario", n_parties=n, sources=sources,
+                  alice_observables=tuple(triples), eve=tuple(eve))
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_json(_read_json(path))
+
+
+def save_scenario(scenario: Scenario, path) -> None:
+    with open(path, "w") as f:
+        json.dump(scenario_to_json(scenario), f)
+
+
+# ---------------------------------------------------------------------------
+# Reference measurements
+# ---------------------------------------------------------------------------
+
+def povm_to_json(povm: Povm) -> dict:
+    return {"dim": povm.dim, "effects": [matrix_to_json(m) for m in povm.effects]}
+
+
+def povm_from_json(doc) -> Povm:
+    _require_object(doc, "povm", ("effects",))
+    effects = _matrices_from_json(doc["effects"], "povm.effects")
+    if "dim" in doc:
+        dim = _int(doc["dim"], "povm.dim")
+        if effects and effects[0].shape[0] != dim:
+            raise ValidationError("povm.dim: does not match the effect matrices")
+    return _build(Povm, "povm", effects)
+
+
+def load_povm(path) -> Povm:
+    return povm_from_json(_read_json(path))
+
+
+# ---------------------------------------------------------------------------
+# Target state specs
+# ---------------------------------------------------------------------------
+
+def mixed_state_spec_to_json(spec: MixedStateSpec) -> dict:
+    return {
+        "d": spec.d,
+        "weights": list(spec.weights),
+        "vectors": [_pairs_to_json(v) for v in spec.vectors],
+    }
+
+
+def mixed_state_spec_from_json(doc) -> MixedStateSpec:
+    _require_object(doc, "state spec", ("d", "weights", "vectors"))
+    d = _int(doc["d"], "state spec.d")
+    weights = tuple(_finite_array(doc["weights"], "state spec.weights").tolist())
+    vectors = tuple(
+        _complex_entries(v, f"state spec.vectors[{k}]")
+        for k, v in enumerate(_list(doc["vectors"], "state spec.vectors"))
+    )
+    return _build(MixedStateSpec, "state spec", d=d, weights=weights, vectors=vectors)
+
+
+def load_mixed_state_spec(path) -> MixedStateSpec:
+    return mixed_state_spec_from_json(_read_json(path))

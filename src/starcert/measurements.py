@@ -13,7 +13,6 @@ A_j; index 3 marginalizes the party.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,21 +89,24 @@ def reconstruct_from_coeffs(f: PauliCoeffTensor) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Povm:
-    """A generalized measurement: PSD effects summing to the identity."""
+    """A generalized measurement: Hermitian PSD effects summing to the identity.
+
+    This is the one measurement type: references, the embedded and trine
+    POVMs, and both of Eve's measurements in a ``Scenario``.
+    """
 
     effects: tuple
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         effects = tuple(as_operator(m) for m in self.effects)
-        if not effects:
-            raise ValidationError("POVM needs at least one effect")
-        dim = effects[0].shape[0]
         diag = validate_povm(effects, self.tol)
         if not diag.passed:
             raise ValidationError(
-                f"invalid POVM: min eigenvalue {min(diag.min_eigenvalues):.3e}, "
-                f"completeness residual {diag.completeness_residual:.3e}"
+                f"invalid POVM: Hermiticity defect {max(diag.hermiticity_defects):.3e}, "
+                f"min eigenvalue {min(diag.min_eigenvalues):.3e}, "
+                f"completeness residual {diag.completeness_residual:.3e} "
+                f"(tolerance {self.tol.structural:.1e})"
             )
         object.__setattr__(self, "effects", effects)
 
@@ -116,33 +118,41 @@ class Povm:
     def outcome_count(self) -> int:
         return len(self.effects)
 
-    def conjugated(self) -> "Povm":
-        return Povm(tuple(np.conj(m) for m in self.effects), self.tol)
-
 
 @dataclass(frozen=True)
 class PovmDiagnostics:
+    hermiticity_defects: tuple
     min_eigenvalues: tuple
     completeness_residual: float
     passed: bool
 
 
 def validate_povm(effects, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
-    """Diagnostic check: per-effect minimal eigenvalue and completeness residual."""
+    """Per-effect Hermiticity defect and minimal eigenvalue, and the completeness residual.
+
+    The effects are stacked once: one batched norm gives every Frobenius
+    defect ||M - M^dagger||, and one batched ``eigvalsh`` of the Hermitian
+    parts every minimal eigenvalue.  Each of the three must lie within
+    ``tol.structural``.
+    """
     effects = [as_operator(m) for m in effects]
+    if not effects:
+        raise ValidationError("POVM needs at least one effect")
     dim = effects[0].shape[0]
     for i, m in enumerate(effects):
         if m.shape[0] != dim:
             raise DimensionError(f"effect {i} has dim {m.shape[0]}, expected {dim}")
-    min_eigs = []
-    total = np.zeros((dim, dim), dtype=complex)
-    for m in effects:
-        vals, _ = hermitian_eig(m, tol)
-        min_eigs.append(float(vals[-1]))
-        total += m
-    residual = float(np.linalg.norm(total - np.eye(dim)))
-    passed = min(min_eigs) >= -tol.structural and residual <= tol.structural
-    return PovmDiagnostics(tuple(min_eigs), residual, passed)
+    stack = np.stack(effects)
+    adjoint = stack.conj().swapaxes(1, 2)
+    defects = np.linalg.norm((stack - adjoint).reshape(len(effects), -1), axis=1)
+    min_eigs = np.linalg.eigvalsh((stack + adjoint) / 2)[:, 0]
+    residual = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
+    passed = bool(
+        defects.max() <= tol.structural
+        and min_eigs.min() >= -tol.structural
+        and residual <= tol.structural
+    )
+    return PovmDiagnostics(tuple(defects.tolist()), tuple(min_eigs.tolist()), residual, passed)
 
 
 def ghz_basis_measurement(n: int) -> Povm:
@@ -341,78 +351,3 @@ def trine_povm(spec: MixedStateSpec, tol: Tolerances = DEFAULT_TOL) -> Povm:
 def trine_preparation_outcomes(spec: MixedStateSpec):
     """Indices of the (k, 1) effects inside ``trine_povm``'s effect list."""
     return [3 * k for k in range(spec.rank)]
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-def povm_to_json(povm: Povm) -> dict:
-    from .network import matrix_to_json
-
-    return {"dim": povm.dim, "effects": [matrix_to_json(m) for m in povm.effects]}
-
-
-def povm_from_json(doc) -> Povm:
-    from .network import matrix_from_json
-
-    if not isinstance(doc, dict) or "effects" not in doc:
-        raise ValidationError("povm: expected an object with an 'effects' list")
-    effects = [
-        matrix_from_json(m, f"povm.effects[{i}]") for i, m in enumerate(doc["effects"])
-    ]
-    if "dim" in doc and effects and effects[0].shape[0] != int(doc["dim"]):
-        raise ValidationError("povm.dim: does not match the effect matrices")
-    try:
-        return Povm(tuple(effects))
-    except (ValidationError, DimensionError, ValueError) as exc:
-        raise ValidationError(f"povm: {exc}") from None
-
-
-def load_povm(path) -> Povm:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-    return povm_from_json(doc)
-
-
-def mixed_state_spec_to_json(spec: MixedStateSpec) -> dict:
-    return {
-        "d": spec.d,
-        "weights": list(spec.weights),
-        "vectors": [
-            [[float(z.real), float(z.imag)] for z in v] for v in spec.vectors
-        ],
-    }
-
-
-def mixed_state_spec_from_json(doc) -> MixedStateSpec:
-    if not isinstance(doc, dict):
-        raise ValidationError("state spec: top-level document must be an object")
-    for key in ("d", "weights", "vectors"):
-        if key not in doc:
-            raise ValidationError(f"state spec: missing field '{key}'")
-    try:
-        d = int(doc["d"])
-        weights = [float(w) for w in doc["weights"]]
-        vectors = [
-            np.array([complex(float(re), float(im)) for re, im in v], dtype=complex)
-            for v in doc["vectors"]
-        ]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"state spec: malformed field ({exc})") from None
-    try:
-        return MixedStateSpec(d=d, weights=tuple(weights), vectors=tuple(vectors))
-    except (ValidationError, DimensionError, ValueError) as exc:
-        raise ValidationError(f"state spec: {exc}") from None
-
-
-def load_mixed_state_spec(path) -> MixedStateSpec:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-    return mixed_state_spec_from_json(doc)

@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -60,37 +59,6 @@ class BinaryObservableTriple:
         return (self.a0, self.a1, self.a2)
 
 
-@dataclass(frozen=True)
-class EveMeasurement:
-    """A POVM held by the central party: PSD effects summing to the identity."""
-
-    effects: tuple
-
-    def __post_init__(self):
-        effects = tuple(as_operator(m) for m in self.effects)
-        if not effects:
-            raise ValidationError("a measurement needs at least one effect")
-        dim = effects[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for i, m in enumerate(effects):
-            if m.shape[0] != dim:
-                raise DimensionError(f"effect {i} has dim {m.shape[0]}, expected {dim}")
-            if not is_psd(m, DEFAULT_TOL.structural):
-                raise ValidationError(f"effect {i} is not positive semi-definite within tolerance")
-            total += m
-        if np.linalg.norm(total - np.eye(dim)) > DEFAULT_TOL.structural:
-            raise ValidationError("effects do not sum to the identity within tolerance")
-        object.__setattr__(self, "effects", effects)
-
-    @property
-    def dim(self) -> int:
-        return self.effects[0].shape[0]
-
-    @property
-    def outcome_count(self) -> int:
-        return len(self.effects)
-
-
 def _as_density_operator(state, path: str) -> np.ndarray:
     """Accept a pure-state vector or a density matrix; return a density matrix."""
     arr = np.asarray(state, dtype=complex)
@@ -113,8 +81,8 @@ class Scenario:
 
     ``sources[i]`` is a density operator on the i-th Alice-Eve pair with the
     Alice factor first; its Alice dimension is fixed by ``alice_observables[i]``.
-    ``eve`` holds the two central measurements (e = 0 with exactly 2^N
-    outcomes, e = 1 with K <= 4^N outcomes).
+    ``eve`` holds the two central measurements as ``measurements.Povm``s
+    (e = 0 with exactly 2^N outcomes, e = 1 with K <= 4^N outcomes).
     """
 
     n_parties: int
@@ -439,108 +407,3 @@ def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> Correlation
     """
     coeffs, w_maps = _born_factors(scenario)
     return _table_from_factors(scenario.n_parties, coeffs, w_maps, tol)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "dim": int(m.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
-    }
-
-
-def matrix_from_json(doc, path: str) -> np.ndarray:
-    if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
-        raise ValidationError(f"{path}: expected an object with 'dim' and 'entries'")
-    try:
-        dim = int(doc["dim"])
-        entries = [complex(float(re), float(im)) for re, im in doc["entries"]]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed matrix entry ({exc})") from None
-    if dim < 1 or len(entries) != dim * dim:
-        raise ValidationError(
-            f"{path}: expected {dim * dim} entries for dim {dim}, got {len(entries)}"
-        )
-    return np.array(entries, dtype=complex).reshape(dim, dim)
-
-
-def scenario_to_json(scenario: Scenario) -> dict:
-    return {
-        "n_parties": scenario.n_parties,
-        "sources": [matrix_to_json(s) for s in scenario.sources],
-        "alice_observables": [
-            [matrix_to_json(o) for o in triple.observables()]
-            for triple in scenario.alice_observables
-        ],
-        "eve_measurements": [
-            [matrix_to_json(m) for m in meas.effects] for meas in scenario.eve
-        ],
-    }
-
-
-def scenario_from_json(doc) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ValidationError("scenario: top-level document must be an object")
-    for key in ("n_parties", "sources", "alice_observables", "eve_measurements"):
-        if key not in doc:
-            raise ValidationError(f"scenario: missing field '{key}'")
-    try:
-        n = int(doc["n_parties"])
-    except (TypeError, ValueError):
-        raise ValidationError("scenario.n_parties: must be an integer") from None
-    sources = [
-        matrix_from_json(s, f"scenario.sources[{i}]") for i, s in enumerate(doc["sources"])
-    ]
-    triples = []
-    for i, triple in enumerate(doc["alice_observables"]):
-        if len(triple) != 3:
-            raise ValidationError(
-                f"scenario.alice_observables[{i}]: expected 3 observables, got {len(triple)}"
-            )
-        mats = [
-            matrix_from_json(o, f"scenario.alice_observables[{i}][{j}]")
-            for j, o in enumerate(triple)
-        ]
-        try:
-            triples.append(BinaryObservableTriple(*mats))
-        except (ValidationError, DimensionError, ValueError) as exc:
-            raise ValidationError(f"scenario.alice_observables[{i}]: {exc}") from None
-    if len(doc["eve_measurements"]) != 2:
-        raise ValidationError("scenario.eve_measurements: expected exactly two measurements")
-    eve = []
-    for e, meas in enumerate(doc["eve_measurements"]):
-        mats = [
-            matrix_from_json(m, f"scenario.eve_measurements[{e}][{l}]")
-            for l, m in enumerate(meas)
-        ]
-        try:
-            eve.append(EveMeasurement(tuple(mats)))
-        except (ValidationError, DimensionError, ValueError) as exc:
-            raise ValidationError(f"scenario.eve_measurements[{e}]: {exc}") from None
-    try:
-        return Scenario(
-            n_parties=n,
-            sources=tuple(sources),
-            alice_observables=tuple(triples),
-            eve=tuple(eve),
-        )
-    except (ValidationError, DimensionError, ValueError) as exc:
-        raise ValidationError(f"scenario: {exc}") from None
-
-
-def load_scenario(path) -> Scenario:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-    return scenario_from_json(doc)
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w") as f:
-        json.dump(scenario_to_json(scenario), f)

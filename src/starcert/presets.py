@@ -13,42 +13,31 @@ import numpy as np
 from .bell import SQRT2, ideal_observables
 from .errors import DimensionError
 from .measurements import Povm, ghz_basis_measurement
-from .network import BinaryObservableTriple, EveMeasurement, Scenario
+from .network import BinaryObservableTriple, Scenario
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / SQRT2
-
-
-def _as_effects(measurement):
-    if measurement is None:
-        return None
-    if isinstance(measurement, (Povm, EveMeasurement)):
-        return measurement.effects
-    return tuple(measurement)
 
 
 def ideal_scenario(n: int, eve_second=None, visibility: float = 1.0) -> Scenario:
     """The maximally violating scenario, optionally with isotropic sources.
 
-    ``eve_second`` supplies Eve's e = 1 effects (a Povm, an EveMeasurement,
-    or a plain effect sequence); the default is the trivial one-outcome
+    ``eve_second`` supplies Eve's e = 1 measurement: a ``Povm``, stored as
+    it is, or a plain effect sequence; the default is the trivial one-outcome
     measurement, which suffices for part-1 runs.
     """
     if not 0 <= visibility <= 1:
         raise DimensionError(f"visibility {visibility} outside [0, 1]")
     rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
     rho = visibility * rho + (1 - visibility) * np.eye(4) / 4
-    dim_e = 2**n
-    effects1 = _as_effects(eve_second)
-    if effects1 is None:
-        effects1 = (np.eye(dim_e, dtype=complex),)
+    if eve_second is None:
+        eve_second = (np.eye(2**n, dtype=complex),)
+    if not isinstance(eve_second, Povm):
+        eve_second = Povm(tuple(eve_second))
     return Scenario(
         n_parties=n,
         sources=(rho,) * n,
         alice_observables=tuple(ideal_observables(n)),
-        eve=(
-            EveMeasurement(ghz_basis_measurement(n).effects),
-            EveMeasurement(tuple(effects1)),
-        ),
+        eve=(ghz_basis_measurement(n), eve_second),
     )
 
 
@@ -62,7 +51,7 @@ def conjugate_scenario(scenario: Scenario) -> Scenario:
             for t in scenario.alice_observables
         ),
         eve=tuple(
-            EveMeasurement(tuple(np.conj(m) for m in meas.effects))
+            Povm(tuple(np.conj(m) for m in meas.effects), meas.tol)
             for meas in scenario.eve
         ),
     )
@@ -91,7 +80,7 @@ def swap_eve_effects(scenario: Scenario, e: int, i: int, j: int) -> Scenario:
     eve = list(scenario.eve)
     effects = list(eve[e].effects)
     effects[i], effects[j] = effects[j], effects[i]
-    eve[e] = EveMeasurement(tuple(effects))
+    eve[e] = Povm(tuple(effects), eve[e].tol)
     return Scenario(
         n_parties=scenario.n_parties,
         sources=scenario.sources,
@@ -110,7 +99,7 @@ def computational_eve0(scenario: Scenario) -> Scenario:
         n_parties=scenario.n_parties,
         sources=scenario.sources,
         alice_observables=scenario.alice_observables,
-        eve=(EveMeasurement(effects), scenario.eve[1]),
+        eve=(Povm(effects), scenario.eve[1]),
     )
 
 
@@ -243,10 +232,8 @@ def random_scenario(n: int, rng: np.random.Generator) -> Scenario:
     sources = tuple(random_density_matrix(4, rng) for _ in range(n))
     triples = tuple(random_observable_triple(2, rng) for _ in range(n))
     dim_e = 2**n
-    eve0 = EveMeasurement(
-        tuple(random_projective_measurement(dim_e, [1] * dim_e, rng))
-    )
-    eve1 = EveMeasurement(random_povm(dim_e, 2, rng).effects)
+    eve0 = Povm(tuple(random_projective_measurement(dim_e, [1] * dim_e, rng)))
+    eve1 = random_povm(dim_e, 2, rng)
     return Scenario(
         n_parties=n, sources=sources, alice_observables=triples, eve=(eve0, eve1)
     )

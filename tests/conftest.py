@@ -16,8 +16,8 @@ import pytest
 
 from starcert.certify import NOISE_MODELS, _scan_report
 from starcert.config import DEFAULT_TOL
+from starcert.measurements import Povm
 from starcert.network import (
-    EveMeasurement,
     Scenario,
     assemble_joint_state,
     born_table,
@@ -84,8 +84,8 @@ def random_scenario_with_dims(alice_dims, eve_dims, rng):
         n_parties=n,
         sources=tuple(random_density_matrix(a * b, rng) for a, b in zip(alice_dims, eve_dims)),
         alice_observables=tuple(random_observable_triple(a, rng) for a in alice_dims),
-        eve=(EveMeasurement(tuple(random_projective_measurement(d_e, ranks, rng))),
-             EveMeasurement(random_povm(d_e, 3, rng).effects)),
+        eve=(Povm(tuple(random_projective_measurement(d_e, ranks, rng))),
+             Povm(random_povm(d_e, 3, rng).effects)),
     )
 
 

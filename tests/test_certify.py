@@ -26,12 +26,13 @@ from starcert.certify import (
 )
 from starcert.errors import ConditioningError, DimensionError
 from starcert.measurements import (
+    Povm,
     embed_projective,
     embed_rank1_povm,
     ghz_basis_measurement,
     trine_povm,
 )
-from starcert.network import EveMeasurement, Scenario, born_table
+from starcert.network import Scenario, born_table
 from starcert.presets import (
     computational_eve0,
     conjugate_scenario,
@@ -111,7 +112,7 @@ def test_projective_conditions_rank_two_reference():
 def test_projective_conditions_detect_scaled_identity_effects():
     n = 2
     ref = ghz_reference(n)
-    flat = EveMeasurement((np.eye(4) / 4,) * 4)
+    flat = Povm((np.eye(4) / 4,) * 4)
     scen = ideal_scenario(n, eve_second=flat)
     table = born_table(scen)
     f = reference_coeff_tensors(ref.effects, n)
@@ -181,7 +182,7 @@ def test_post_measurement_state_unit_trace(rng):
 
 def test_post_measurement_state_zero_probability():
     scen = ideal_scenario(2)
-    zero_eff = EveMeasurement((np.zeros((4, 4)), np.eye(4)))
+    zero_eff = Povm((np.zeros((4, 4)), np.eye(4)))
     scen2 = Scenario(
         n_parties=2,
         sources=scen.sources,

@@ -6,9 +6,11 @@ import pytest
 
 from starcert import cli
 from starcert.cli import main
+from starcert.config import Tolerances
 from starcert.fixtures import fixture_path
-from starcert.measurements import ghz_basis_measurement
-from starcert.network import EveMeasurement, Scenario, save_scenario
+from starcert.jsonio import save_scenario
+from starcert.measurements import Povm, ghz_basis_measurement
+from starcert.network import Scenario
 from starcert.presets import ideal_scenario
 
 IDEAL = str(fixture_path("ideal_n2_ghz.scenario.json"))
@@ -180,7 +182,7 @@ def _reject_constant(name):
 def zero_effect_scenario(tmp_path):
     """N = 2 with a zero e = 0 effect: label 01 can never be conditioned on."""
     scen = ideal_scenario(2, eve_second=ghz_basis_measurement(2))
-    eve0 = EveMeasurement((
+    eve0 = Povm((
         np.diag([1.0, 1.0, 0.0, 0.0]), np.zeros((4, 4)),
         np.diag([0.0, 0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0]),
     ))
@@ -275,10 +277,103 @@ def test_tol_override_flag():
 
 
 def test_fixture_round_trip():
-    from starcert.network import load_scenario, scenario_to_json, scenario_from_json
+    from starcert.jsonio import load_scenario, scenario_to_json, scenario_from_json
 
     for name in ("ideal_n2_ghz", "ideal_n3_ghz", "ideal_n2_trine", "tampered_n2_ghz"):
         scen = load_scenario(str(fixture_path(f"{name}.scenario.json")))
         doc = scenario_to_json(scen)
         again = scenario_from_json(doc)
         assert scenario_to_json(again) == doc
+
+
+def _variant(source, edit):
+    """A writer of ``source`` with ``edit`` applied to its JSON document."""
+    def write(path):
+        with open(source) as f:
+            doc = json.load(f)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return write
+
+
+# case -> (flag, writer of the malformed file, what the error must name)
+MALFORMED = {
+    "reference-dim-not-an-integer": (
+        "--reference", _variant(GHZ_REF, lambda d: d.update(dim="abc")), "povm.dim"),
+    "alice-observables-not-a-list": (
+        "--scenario", _variant(IDEAL, lambda d: d.update(alice_observables=5)),
+        "scenario.alice_observables"),
+    "sources-not-a-list": (
+        "--scenario", _variant(IDEAL, lambda d: d.update(sources=5)), "scenario.sources"),
+    "eve-measurements-not-a-list": (
+        "--scenario", _variant(IDEAL, lambda d: d.update(eve_measurements=5)),
+        "scenario.eve_measurements"),
+    "non-finite-entry": (
+        "--scenario",
+        _variant(IDEAL, lambda d: d["sources"][0]["entries"][0].__setitem__(0, float("nan"))),
+        "scenario.sources[0].entries"),
+    "non-finite-weight": (
+        "--state-spec", _variant(MIXED_SPEC, lambda d: d["weights"].__setitem__(0, float("nan"))),
+        "state spec.weights"),
+    "not-utf8": (
+        "--state-spec",
+        lambda path: path.write_bytes(b'{"d": 2, "weights": [1.0], "vectors": [], "x": "\xe9"}'),
+        "not UTF-8 text"),
+    "nested-too-deeply": (
+        "--scenario", lambda path: path.write_text("[" * 100000 + "]" * 100000),
+        "not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_validate_malformed_input_exits_two(case, tmp_path, capsys):
+    flag, write, where = MALFORMED[case]
+    path = tmp_path / f"{case}.json"
+    write(path)
+    assert main(["validate", flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+
+
+@pytest.mark.parametrize("tol, scenario", [("inf", TAMPERED), ("nan", IDEAL), ("-inf", IDEAL)])
+def test_non_finite_tol_exits_two(tol, scenario, capsys):
+    assert main(["certify", "--scenario", scenario, "--reference", GHZ_REF, f"--tol={tol}"]) == 2
+    assert "--tol: tolerance 'acceptance' must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["structural", "spectral", "acceptance", "rank", "probability"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_tolerances_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        Tolerances(**{field: value})
+
+
+SUBCOMMAND_FLAGS = {
+    "bounds": {"--n", "--out", "--format", "--reproducible"},
+    "certify": {"--scenario", "--reference", "--mode", "--tol",
+                "--out", "--format", "--reproducible"},
+    "prepare-state": {"--state-spec", "--n", "--tol", "--out", "--format", "--reproducible"},
+    "scan": {"--scenario", "--reference", "--mode", "--n", "--tol", "--noise", "--grid",
+             "--out", "--format", "--reproducible"},
+    "validate": {"--scenario", "--reference", "--state-spec",
+                 "--out", "--format", "--reproducible"},
+}
+
+
+def test_each_subcommand_has_only_its_flags():
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for name, parser in subparsers.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        assert flags - {"--help"} == SUBCOMMAND_FLAGS[name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--scenario", IDEAL, "--reference", GHZ_REF, "--state-spec", MIXED_SPEC],
+    ["bounds", "--n", "2", "--scenario", IDEAL],
+    ["bounds", "--n", "2", "--seed", "1"],
+])
+def test_flag_a_subcommand_does_not_read_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

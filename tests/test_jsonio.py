@@ -1,0 +1,135 @@
+import json
+import math
+
+import numpy as np
+import pytest
+
+from starcert.config import DEFAULT_TOL
+from starcert.errors import ValidationError
+from starcert.fixtures import fixture_path
+from starcert.jsonio import (
+    load_mixed_state_spec,
+    load_povm,
+    load_scenario,
+    matrix_from_json,
+    matrix_to_json,
+    mixed_state_spec_from_json,
+    mixed_state_spec_to_json,
+    povm_from_json,
+    povm_to_json,
+    scenario_from_json,
+    scenario_to_json,
+)
+from starcert.measurements import Povm, validate_povm
+from starcert.presets import ideal_scenario
+
+TOL = DEFAULT_TOL.structural
+FIXTURES = sorted(p.name for p in fixture_path("").iterdir() if p.name.endswith(".json"))
+
+
+def _unit(k, dim=4):
+    m = np.zeros((dim, dim), dtype=complex)
+    m[k, k] = 1.0
+    return m
+
+
+def _perturbed_basis(criterion, size):
+    """The computational basis of C^4 with one criterion off by ``size``, the others exact."""
+    effects = [_unit(k) for k in range(4)]
+    if criterion == "min_eigenvalue":
+        # diag(1 + s, 0, ...) and diag(-s, 1, 0, 0): eigenvalue -s, exact completeness
+        effects[0] = effects[0] * (1 + size)
+        effects[1] = effects[1] - size * _unit(0)
+    elif criterion == "hermiticity":
+        # +-eps in one off-diagonal slot: Frobenius defect eps * sqrt2 per effect
+        eps = size / math.sqrt(2.0)
+        effects[0][0, 1] += eps
+        effects[1][0, 1] -= eps
+    else:
+        effects[0] = effects[0] * (1 + size)  # completeness residual s
+    return effects
+
+
+def _via_constructor(effects):
+    return Povm(tuple(effects))
+
+
+def _via_scenario_json(effects):
+    doc = scenario_to_json(ideal_scenario(2))
+    doc["eve_measurements"][0] = [matrix_to_json(m) for m in effects]
+    return scenario_from_json(json.loads(json.dumps(doc)))
+
+
+def _via_povm_json(effects):
+    return povm_from_json({"dim": 4, "effects": [matrix_to_json(m) for m in effects]})
+
+
+ROUTES = {
+    "constructor": (_via_constructor, r"^invalid POVM"),
+    "scenario_json": (_via_scenario_json, r"^scenario\.eve_measurements\[0\]: invalid POVM"),
+    "povm_json": (_via_povm_json, r"^povm: invalid POVM"),
+}
+
+
+def _measured(effects):
+    diag = validate_povm(effects)
+    return {
+        "min_eigenvalue": -min(diag.min_eigenvalues),
+        "hermiticity": max(diag.hermiticity_defects),
+        "completeness": diag.completeness_residual,
+    }
+
+
+@pytest.mark.parametrize("criterion", ["min_eigenvalue", "hermiticity", "completeness"])
+def test_perturbed_basis_moves_one_criterion(criterion):
+    for size in (0.5 * TOL, 2 * TOL):
+        measured = _measured(_perturbed_basis(criterion, size))
+        assert measured.pop(criterion) == pytest.approx(size, rel=1e-4)
+        assert max(measured.values()) < 1e-3 * TOL
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("criterion", ["min_eigenvalue", "hermiticity", "completeness"])
+def test_povm_tolerance_boundary(route, criterion):
+    build, message = ROUTES[route]
+    build(_perturbed_basis(criterion, 0.5 * TOL))
+    with pytest.raises(ValidationError, match=message):
+        build(_perturbed_basis(criterion, 2 * TOL))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_reserialises_identically(name):
+    path = fixture_path(name)
+    if name.endswith(".scenario.json"):
+        doc = scenario_to_json(load_scenario(path))
+    elif name.endswith(".povm.json"):
+        doc = povm_to_json(load_povm(path))
+    else:
+        doc = mixed_state_spec_to_json(load_mixed_state_spec(path))
+    assert json.dumps(doc) == path.read_text()
+
+
+@pytest.mark.parametrize("entries, match", [
+    ([[1.0, 0.0]] * 3 + [[float("nan"), 0.0]], "finite"),
+    ([[1.0, 0.0, 0.0]] * 4, r"\[re, im\] pairs"),
+    ([[1.0, 0.0]] * 3 + [["x", 0.0]], "malformed"),
+    ([[1.0, 0.0]] * 3 + [[10**400, 0.0]], "malformed"),
+    ("abcd", "malformed"),
+    (7, r"\[re, im\] pairs"),
+], ids=["nan", "triple", "string", "overflow", "not-a-list", "scalar"])
+def test_matrix_from_json_rejects_malformed_entries(entries, match):
+    with pytest.raises(ValidationError, match=r"^doc\.m\.entries: .*" + match):
+        matrix_from_json({"dim": 2, "entries": entries}, "doc.m")
+
+
+@pytest.mark.parametrize("dim", ["2", 2.0, True, None])
+def test_matrix_from_json_requires_an_integer_dim(dim):
+    with pytest.raises(ValidationError, match=r"^doc\.m\.dim: must be an integer"):
+        matrix_from_json({"dim": dim, "entries": [[1.0, 0.0]] * 4}, "doc.m")
+
+
+def test_mixed_state_spec_rejects_non_finite_weight():
+    doc = mixed_state_spec_to_json(load_mixed_state_spec(fixture_path("mixed_demo.statespec.json")))
+    doc["weights"][0] = float("nan")
+    with pytest.raises(ValidationError, match=r"^state spec\.weights: .*finite"):
+        mixed_state_spec_from_json(doc)

@@ -6,6 +6,14 @@ import pytest
 
 from starcert.bell import BellOutcomeLabel, ghz_vector
 from starcert.errors import ContractViolation, DimensionError, ValidationError
+from starcert.jsonio import (
+    load_mixed_state_spec,
+    load_povm,
+    mixed_state_spec_from_json,
+    mixed_state_spec_to_json,
+    povm_from_json,
+    povm_to_json,
+)
 from starcert.measurements import (
     MixedStateSpec,
     PauliCoeffTensor,
@@ -14,13 +22,7 @@ from starcert.measurements import (
     embed_rank1_povm,
     ghz_basis_measurement,
     is_extremal_rank1,
-    load_mixed_state_spec,
-    load_povm,
-    mixed_state_spec_from_json,
-    mixed_state_spec_to_json,
     pauli_coeffs,
-    povm_from_json,
-    povm_to_json,
     reconstruct_from_coeffs,
     trine_povm,
     trine_preparation_outcomes,

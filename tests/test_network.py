@@ -7,21 +7,22 @@ import pytest
 
 from conftest import born_oracle, random_scenario_with_dims
 from starcert.errors import ConditioningError, DimensionError, ValidationError
-from starcert.measurements import ghz_basis_measurement
-from starcert.network import (
-    BinaryObservableTriple,
-    CorrelationTable,
-    EveMeasurement,
-    Scenario,
-    assemble_joint_state,
-    born_table,
-    effects_from_observable,
+from starcert.jsonio import (
     load_scenario,
     matrix_from_json,
     matrix_to_json,
     save_scenario,
     scenario_from_json,
     scenario_to_json,
+)
+from starcert.measurements import Povm, ghz_basis_measurement
+from starcert.network import (
+    BinaryObservableTriple,
+    CorrelationTable,
+    Scenario,
+    assemble_joint_state,
+    born_table,
+    effects_from_observable,
 )
 from starcert.presets import conjugate_scenario, ideal_scenario, random_scenario
 from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z, kron_all
@@ -44,12 +45,12 @@ def test_observable_triple_rejects_mixed_dims():
 
 def test_eve_measurement_requires_completeness():
     with pytest.raises(ValidationError):
-        EveMeasurement((np.eye(2) / 2, np.eye(2) / 3))
+        Povm((np.eye(2) / 2, np.eye(2) / 3))
 
 
 def test_eve_measurement_requires_psd():
     with pytest.raises(ValidationError):
-        EveMeasurement((np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])))
+        Povm((np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])))
 
 
 def test_scenario_rejects_wrong_e0_outcome_count():
@@ -61,7 +62,7 @@ def test_scenario_rejects_wrong_e0_outcome_count():
             n_parties=2,
             sources=scen.sources,
             alice_observables=scen.alice_observables,
-            eve=(EveMeasurement(merged), scen.eve[1]),
+            eve=(Povm(merged), scen.eve[1]),
         )
 
 

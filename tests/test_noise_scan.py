@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starcert.certify import NOISE_MODELS, noise_scan
-from starcert.measurements import ghz_basis_measurement
-from starcert.network import EveMeasurement, Scenario
+from starcert.measurements import Povm, ghz_basis_measurement
+from starcert.network import Scenario
 from starcert.presets import ideal_scenario, random_projective_measurement, random_scenario
 
 from conftest import noise_scan_oracle, random_scenario_with_dims
@@ -38,7 +38,7 @@ def assert_same_scan(report, oracle):
 def zero_effect_scenario():
     """N = 2 with a zero e = 0 effect, so label 01 is unconditionable at every level."""
     scen = ideal_scenario(2, eve_second=ghz_basis_measurement(2))
-    eve0 = EveMeasurement((
+    eve0 = Povm((
         np.diag([1.0, 1.0, 0.0, 0.0]), np.zeros((4, 4)),
         np.diag([0.0, 0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0]),
     ))
