@@ -21,6 +21,7 @@ from .tensor import (
     PAULI_Y,
     PAULI_Z,
     hermitian_eig,
+    kron,
     kron_all,
     require_hermitian,
 )
@@ -142,44 +143,57 @@ def ghz_vector(label: BellOutcomeLabel) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def bell_coefficients(label: BellOutcomeLabel) -> np.ndarray:
-    """The Bell expression of ``label`` as a sparse (4,)*N coefficient tensor.
+def bell_terms(n: int):
+    """The whole family as one read-only (support, coeffs) table.
 
-    Same index basis as ``CorrelationTable.correlator_tensor``: index j < 3
-    selects A_j, index 3 the identity, and party 1's indices 0 and 1 select
-    the rotated pair (A_0 -+ A_1)/sqrt2.  The expression is
+    ``support`` is (2N-1, N): row k holds the correlator-tensor indices of
+    term k, in the index basis of ``CorrelationTable.correlator_tensor``
+    (j < 3 selects A_j, 3 the identity; party 1's 0 and 1 select the rotated
+    pair (A_0 -+ A_1)/sqrt2).  Row 0 is the P term (1, ..., 1), rows
+    1..N-1 the R_i terms (0 on parties 1 and i, 3 elsewhere), rows N..2N-2
+    the Q_i terms (2 on parties 1 and i, 1 elsewhere).  ``coeffs`` is
+    (2^N, 2N-1): label l weighs them by (N-1) s_1, s_1 s_i and -s_i, with
+    s_i = (-1)^{l_i}, so expression l is
     (-1)^{l_1} [(N-1) A~_{1,1} prod_{i>1} A_{i,1}
                 + sum_{i>1} (-1)^{l_i} A~_{1,0} A_{i,0}]
     - sum_{i>1} (-1)^{l_i} A_{1,2} A_{i,2} prod_{j>1, j != i} A_{j,1}.
     """
-    n = label.n
-    bits = label.bits
-    sign1 = (-1) ** bits[0]
-    b = np.zeros((4,) * n)
-    b[(1,) * n] = sign1 * (n - 1)
+    support = np.ones((2 * n - 1, n), dtype=int)
     for i in range(1, n):
-        pair = [3] * n
-        pair[0] = pair[i] = 0
-        b[tuple(pair)] = sign1 * (-1) ** bits[i]
-        ys = [1] * n
-        ys[0] = ys[i] = 2
-        b[tuple(ys)] = -((-1) ** bits[i])
-    b.flags.writeable = False
-    return b
+        support[i] = 3
+        support[i, [0, i]] = 0
+        support[n - 1 + i, [0, i]] = 2
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    s = (1 - 2 * bits).astype(float)
+    coeffs = np.concatenate([(n - 1) * s[:, :1], s[:, :1] * s[:, 1:], -s[:, 1:]], axis=1)
+    support.flags.writeable = False
+    coeffs.flags.writeable = False
+    return support, coeffs
+
+
+def bell_values(table: CorrelationTable, e: int = 0) -> np.ndarray:
+    """Bell values of the first min(2^N, K_e) labels on outcomes of Eve's input e.
+
+    Label l's value is its coefficient row dotted with the support entries of
+    the correlator tensor of outcome l, divided by P(l | e); it is NaN where
+    P(l | e) is too small to condition on.
+    """
+    support, coeffs = bell_terms(table.n)
+    t = table.correlator_tensor(e)
+    k = min(len(coeffs), t.shape[0])
+    raw = (t[:k][(slice(None), *support.T)] * coeffs[:k]).sum(axis=1)
+    weights = table.outcome_weights(e)[:k]
+    values = np.full(k, np.nan)
+    np.divide(raw, weights, out=values, where=weights > table.tol.probability)
+    return values
 
 
 def bell_value(table: CorrelationTable, label: BellOutcomeLabel, e: int = 0) -> float:
-    """Bell expression value on correlators conditioned on Eve's outcome l.
-
-    The dot product of the label's coefficient tensor with the correlator
-    tensor of outcome l, divided by P(l | e).
-    """
-    n = table.n
-    if label.n != n:
-        raise DimensionError(f"label has {label.n} bits, table has N={n}")
-    p = table.conditioning_weight(label.value, e)
-    t = table.correlator_tensor(e)[label.value]
-    return float(np.dot(bell_coefficients(label).ravel(), t.ravel())) / p
+    """Bell value of one label, raising ConditioningError where ``bell_values`` is NaN."""
+    if label.n != table.n:
+        raise DimensionError(f"label has {label.n} bits, table has N={table.n}")
+    table.conditioning_weight(label.value, e)
+    return float(bell_values(table, e)[label.value])
 
 
 @dataclass(frozen=True)
@@ -208,18 +222,17 @@ def classical_bound_bruteforce(n: int) -> ClassicalBoundResult:
     if not 2 <= n <= 5:
         raise DimensionError("exhaustive classical bound supports 2 <= N <= 5")
     s = _deterministic_values(n)
-    # A strategy's value contracts each label's coefficient tensor with the
-    # outcome products; slots[t, i, j] is party i's index-j value (party 1
-    # rotated, index 3 the identity's 1).
+    # A strategy's value contracts the family's terms with the outcome
+    # products; slots[t, i, j] is party i's index-j value (party 1 rotated,
+    # index 3 the identity's 1).
     slots = np.concatenate([s, np.ones((8**n, n, 1))], axis=2)
     slots[:, 0, 0] = (s[:, 0, 0] - s[:, 0, 1]) / SQRT2
     slots[:, 0, 1] = (s[:, 0, 0] + s[:, 0, 1]) / SQRT2
-    coeffs = np.stack([bell_coefficients(label).ravel() for label in all_labels(n)])
-    support = np.flatnonzero(np.any(coeffs, axis=0))
+    support, coeffs = bell_terms(n)
     terms = np.ones((8**n, len(support)))
-    for i, js in enumerate(np.unravel_index(support, (4,) * n)):
+    for i, js in enumerate(support.T):
         terms *= slots[:, i, js]
-    values = terms @ coeffs[:, support].T
+    values = terms @ coeffs.T
     per_label = values.max(axis=0)
     best = int(np.argmax(values[:, 0]))
     return ClassicalBoundResult(
@@ -229,12 +242,15 @@ def classical_bound_bruteforce(n: int) -> ClassicalBoundResult:
     )
 
 
-def _embed(ops_by_party: dict, dims) -> np.ndarray:
-    """Operator acting as ops_by_party[i] on slot i and identity elsewhere."""
-    factors = [
-        ops_by_party.get(i, np.eye(d, dtype=complex)) for i, d in enumerate(dims)
-    ]
-    return kron_all(factors)
+def _party_slots(observables):
+    """Per party (A_0, A_1, A_2, 1) in correlator-tensor index order; party 1 rotated."""
+    slots = []
+    for i, triple in enumerate(observables):
+        a0, a1, a2 = triple.observables()
+        if i == 0:
+            a0, a1 = tilde_observables(a0, a1)
+        slots.append((a0, a1, a2, np.eye(triple.dim, dtype=complex)))
+    return slots
 
 
 def bell_operator(label: BellOutcomeLabel, observables) -> np.ndarray:
@@ -243,28 +259,20 @@ def bell_operator(label: BellOutcomeLabel, observables) -> np.ndarray:
     n = len(observables)
     if label.n != n:
         raise DimensionError(f"label has {label.n} bits, got {n} observable triples")
-    dims = [t.dim for t in observables]
-    bits = label.bits
-    a1_tilde_minus, a1_tilde_plus = tilde_observables(observables[0].a0, observables[0].a1)
-
-    op = (n - 1) * (-1) ** bits[0] * _embed(
-        {0: a1_tilde_plus, **{i: observables[i].a1 for i in range(1, n)}}, dims
+    support, coeffs = bell_terms(n)
+    slots = _party_slots(observables)
+    return sum(
+        c * kron_all([slots[i][j] for i, j in enumerate(row)])
+        for c, row in zip(coeffs[label.value], support)
     )
-    for i in range(1, n):
-        op = op + (-1) ** (bits[0] + bits[i]) * _embed(
-            {0: a1_tilde_minus, i: observables[i].a0}, dims
-        )
-    for i in range(1, n):
-        slots = {0: observables[0].a2, i: observables[i].a2}
-        for j in range(1, n):
-            if j != i:
-                slots[j] = observables[j].a1
-        op = op - (-1) ** bits[i] * _embed(slots, dims)
-    return op
 
 
 def sos_residuals(label: BellOutcomeLabel, observables, state: np.ndarray) -> SosResiduals:
-    """Norms of the SOS operators applied to a joint Alice state."""
+    """Norms of the SOS operators applied to a joint Alice state.
+
+    Term k of ``bell_terms`` gives sign(c_k) X_k (x) 1 - 1 (x) Y_k, with X_k
+    party 1's factor and Y_k the product of the others.
+    """
     observables = list(observables)
     n = len(observables)
     dims = [t.dim for t in observables]
@@ -273,30 +281,15 @@ def sos_residuals(label: BellOutcomeLabel, observables, state: np.ndarray) -> So
         raise DimensionError(
             f"state dim {state.size} does not match joint observable dim {int(np.prod(dims))}"
         )
-    bits = label.bits
-    a1_tilde_minus, a1_tilde_plus = tilde_observables(observables[0].a0, observables[0].a1)
-
-    p_op = (-1) ** bits[0] * _embed({0: a1_tilde_plus}, dims) - _embed(
-        {i: observables[i].a1 for i in range(1, n)}, dims
-    )
-    r_norms = []
-    q_norms = []
-    for i in range(1, n):
-        r_op = (-1) ** (bits[0] + bits[i]) * _embed({0: a1_tilde_minus}, dims) - _embed(
-            {i: observables[i].a0}, dims
-        )
-        slots = {i: observables[i].a2}
-        for j in range(1, n):
-            if j != i:
-                slots[j] = observables[j].a1
-        q_op = (-1) ** bits[i] * _embed({0: observables[0].a2}, dims) + _embed(slots, dims)
-        r_norms.append(float(np.linalg.norm(r_op @ state)))
-        q_norms.append(float(np.linalg.norm(q_op @ state)))
-    return SosResiduals(
-        p_norm=float(np.linalg.norm(p_op @ state)),
-        r_norms=tuple(r_norms),
-        q_norms=tuple(q_norms),
-    )
+    support, coeffs = bell_terms(n)
+    slots = _party_slots(observables)
+    eye_rest = np.eye(state.size // dims[0], dtype=complex)
+    norms = []
+    for c, row in zip(coeffs[label.value], support):
+        y = kron_all([slots[i][j] for i, j in enumerate(row) if i > 0])
+        op = np.sign(c) * kron(slots[0][row[0]], eye_rest) - kron(slots[0][3], y)
+        norms.append(float(np.linalg.norm(op @ state)))
+    return SosResiduals(p_norm=norms[0], r_norms=tuple(norms[1:n]), q_norms=tuple(norms[n:]))
 
 
 def operator_diagnostics(observables):
@@ -319,13 +312,10 @@ def operator_diagnostics(observables):
     return report
 
 
-def evaluate_bell(table: CorrelationTable, label: BellOutcomeLabel,
-                  tol: Tolerances = DEFAULT_TOL) -> BellEvaluation:
-    """Bell value of one label packaged with its bounds and verdict flags."""
-    n = table.n
-    value = bell_value(table, label)
-    beta_c = classical_bound_formula(n)
-    beta_q = quantum_bound(n)
+def _evaluation(label: BellOutcomeLabel, value: float, tol: Tolerances) -> BellEvaluation:
+    """One label's value with its bounds and verdict flags; NaN flags neither."""
+    beta_c = classical_bound_formula(label.n)
+    beta_q = quantum_bound(label.n)
     return BellEvaluation(
         label=label,
         value=value,
@@ -334,6 +324,12 @@ def evaluate_bell(table: CorrelationTable, label: BellOutcomeLabel,
         violated=value > beta_c + tol.acceptance,
         maximal=abs(value - beta_q) <= tol.acceptance,
     )
+
+
+def evaluate_bell(table: CorrelationTable, label: BellOutcomeLabel,
+                  tol: Tolerances = DEFAULT_TOL) -> BellEvaluation:
+    """Bell value of one label packaged with its bounds and verdict flags."""
+    return _evaluation(label, bell_value(table, label), tol)
 
 
 def max_bell_eigenvalue(label: BellOutcomeLabel, observables,

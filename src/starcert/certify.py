@@ -19,13 +19,7 @@ from string import ascii_letters
 
 import numpy as np
 
-from .bell import (
-    BellEvaluation,
-    all_labels,
-    classical_bound_formula,
-    evaluate_bell,
-    quantum_bound,
-)
+from .bell import _evaluation, all_labels, bell_values
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ConditioningError, DimensionError
 from .measurements import (
@@ -65,7 +59,7 @@ class ConjugationBranch:
 
 @dataclass(frozen=True)
 class Part1Report:
-    evaluations: tuple          # one BellEvaluation per label, value None on conditioning failure
+    evaluations: tuple          # one BellEvaluation per label, value NaN on conditioning failure
     pbar: tuple                 # P(l | e=0) per label
     bell_passed: bool
     pbar_passed: bool
@@ -117,29 +111,18 @@ def check_part1(table: CorrelationTable, n: int, tol: Tolerances = DEFAULT_TOL) 
     """Maximal violation of every Bell expression with uniform P(l | e=0)."""
     if table.n != n:
         raise DimensionError(f"table has N={table.n}, expected {n}")
-    beta_q = quantum_bound(n)
-    evaluations = []
-    pbar = []
-    bell_passed = True
-    for label in all_labels(n):
-        pbar.append(table.pbar(label.value, 0))
-        try:
-            ev = evaluate_bell(table, label, tol)
-        except ConditioningError:
-            # a vanishing outcome cannot certify anything; report as failure
-            ev = BellEvaluation(
-                label=label, value=float("nan"),
-                classical_bound=classical_bound_formula(n),
-                quantum_bound=beta_q, violated=False, maximal=False,
-            )
-        bell_passed = bell_passed and ev.maximal
-        evaluations.append(ev)
-    pbar_passed = all(abs(p - 2.0**-n) <= tol.acceptance for p in pbar)
+    if table.outcome_count(0) != 2**n:
+        raise DimensionError(f"table has {table.outcome_count(0)} e=0 outcomes, expected {2**n}")
+    # a vanishing outcome cannot certify anything: its NaN value is not maximal
+    evaluations = tuple(
+        _evaluation(label, v, tol) for label, v in zip(all_labels(n), bell_values(table).tolist())
+    )
+    pbar = table.outcome_weights(0)
     return Part1Report(
-        evaluations=tuple(evaluations),
-        pbar=tuple(pbar),
-        bell_passed=bell_passed,
-        pbar_passed=pbar_passed,
+        evaluations=evaluations,
+        pbar=tuple(pbar.tolist()),
+        bell_passed=all(ev.maximal for ev in evaluations),
+        pbar_passed=bool(np.all(np.abs(pbar - 2.0**-n) <= tol.acceptance)),
     )
 
 
@@ -438,18 +421,10 @@ def _scan_report(model: str, n: int, levels, tables, reference_effects, mode: st
         f_tensors = reference_coeff_tensors(reference_effects, n, tol)
         if mode == "projective":
             ranks = reference_ranks(reference_effects, tol)
-    labels = all_labels(n)
     rows = []
     for v, table in zip(levels, tables):
-        values = []
-        for label in labels:
-            try:
-                values.append(evaluate_bell(table, label, tol).value)
-            except ConditioningError:
-                values.append(float("nan"))
-        pbar_dev = max(
-            abs(table.pbar(l, 0) - 2.0**-n) for l in range(2**n)
-        )
+        values = bell_values(table)
+        pbar_dev = float(np.max(np.abs(table.outcome_weights(0) - 2.0**-n)))
         part2_res = None
         if f_tensors is not None:
             if mode == "projective":
@@ -459,7 +434,7 @@ def _scan_report(model: str, n: int, levels, tables, reference_effects, mode: st
             part2_res = min(max(part2.residuals_plain), max(part2.residuals_conjugate))
         rows.append(ScanRow(
             level=v,
-            bell_values=tuple(values),
+            bell_values=tuple(values.tolist()),
             min_bell=float(np.nanmin(values)),
             pbar_deviation=pbar_dev,
             part2_max_residual=part2_res,

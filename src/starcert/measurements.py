@@ -296,6 +296,8 @@ class MixedStateSpec:
         vectors = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in self.vectors)
         if len(weights) != len(vectors):
             raise ValidationError("need one weight per eigenvector")
+        if not all(np.isfinite(weights)):
+            raise ValidationError(f"weights must be finite, got {weights}")
         if any(w <= 0 for w in weights):
             raise ValidationError("weights must be strictly positive")
         if abs(sum(weights) - 1) > 1e-12:

@@ -252,12 +252,15 @@ class CorrelationTable:
             raise DimensionError(f"outcome l={l} out of range for e={e}")
         return float(t[a, l, x])
 
+    def outcome_weights(self, e: int) -> np.ndarray:
+        """P(l | e) for every outcome l of Eve's input e."""
+        return self._table(e)[:, :, 0].sum(axis=0)
+
     def pbar(self, l: int, e: int) -> float:
         """Probability that Eve observes outcome l under input e."""
-        t = self._table(e)
-        if not 0 <= l < t.shape[1]:
+        if not 0 <= l < self.outcome_count(e):
             raise DimensionError(f"outcome l={l} out of range for e={e}")
-        return float(t[:, l, 0].sum())
+        return float(self.outcome_weights(e)[l])
 
     def correlator_tensor(self, e: int) -> np.ndarray:
         """T[l, j_1..j_N] = <A~_{1,j_1} A_{2,j_2} ... A_{N,j_N} R_{l|e}>, built once per e.

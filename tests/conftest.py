@@ -5,8 +5,9 @@ combination and never touches the steering-operator fast path; the
 post-measurement oracle projects the dense joint state and traces Eve out
 instead of contracting source by source; the noise-scan oracle builds and
 validates the noisy scenario and its Born table at every level instead of
-mixing the expanded factors of its two endpoints.  Each pair of routes
-checks the other.
+mixing the expanded factors of its two endpoints; the Bell-operator and
+SOS oracles expand every term of the family by hand instead of reading
+``bell.bell_terms``.  Each pair of routes checks the other.
 """
 
 from itertools import product
@@ -14,8 +15,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from starcert.bell import BellOutcomeLabel, SosResiduals, tilde_observables
 from starcert.certify import NOISE_MODELS, _scan_report
 from starcert.config import DEFAULT_TOL
+from starcert.errors import DimensionError
 from starcert.measurements import Povm
 from starcert.network import (
     Scenario,
@@ -73,6 +76,76 @@ def noise_scan_oracle(scenario: Scenario, model: str, grid, reference_effects=No
     levels = sorted(float(v) for v in grid)
     tables = (born_table(NOISE_MODELS[model](scenario, v), tol) for v in levels)
     return _scan_report(model, scenario.n_parties, levels, tables, reference_effects, mode, tol)
+
+
+def _embed(ops_by_party: dict, dims) -> np.ndarray:
+    """Operator acting as ops_by_party[i] on slot i and identity elsewhere."""
+    factors = [
+        ops_by_party.get(i, np.eye(d, dtype=complex)) for i, d in enumerate(dims)
+    ]
+    return kron_all(factors)
+
+
+def bell_operator_oracle(label: BellOutcomeLabel, observables) -> np.ndarray:
+    """The Bell expression as a Hermitian operator on the joint Alice space."""
+    observables = list(observables)
+    n = len(observables)
+    if label.n != n:
+        raise DimensionError(f"label has {label.n} bits, got {n} observable triples")
+    dims = [t.dim for t in observables]
+    bits = label.bits
+    a1_tilde_minus, a1_tilde_plus = tilde_observables(observables[0].a0, observables[0].a1)
+
+    op = (n - 1) * (-1) ** bits[0] * _embed(
+        {0: a1_tilde_plus, **{i: observables[i].a1 for i in range(1, n)}}, dims
+    )
+    for i in range(1, n):
+        op = op + (-1) ** (bits[0] + bits[i]) * _embed(
+            {0: a1_tilde_minus, i: observables[i].a0}, dims
+        )
+    for i in range(1, n):
+        slots = {0: observables[0].a2, i: observables[i].a2}
+        for j in range(1, n):
+            if j != i:
+                slots[j] = observables[j].a1
+        op = op - (-1) ** bits[i] * _embed(slots, dims)
+    return op
+
+
+def sos_residuals_oracle(label: BellOutcomeLabel, observables, state: np.ndarray) -> SosResiduals:
+    """Norms of the SOS operators applied to a joint Alice state."""
+    observables = list(observables)
+    n = len(observables)
+    dims = [t.dim for t in observables]
+    state = np.asarray(state, dtype=complex).reshape(-1)
+    if state.size != int(np.prod(dims)):
+        raise DimensionError(
+            f"state dim {state.size} does not match joint observable dim {int(np.prod(dims))}"
+        )
+    bits = label.bits
+    a1_tilde_minus, a1_tilde_plus = tilde_observables(observables[0].a0, observables[0].a1)
+
+    p_op = (-1) ** bits[0] * _embed({0: a1_tilde_plus}, dims) - _embed(
+        {i: observables[i].a1 for i in range(1, n)}, dims
+    )
+    r_norms = []
+    q_norms = []
+    for i in range(1, n):
+        r_op = (-1) ** (bits[0] + bits[i]) * _embed({0: a1_tilde_minus}, dims) - _embed(
+            {i: observables[i].a0}, dims
+        )
+        slots = {i: observables[i].a2}
+        for j in range(1, n):
+            if j != i:
+                slots[j] = observables[j].a1
+        q_op = (-1) ** bits[i] * _embed({0: observables[0].a2}, dims) + _embed(slots, dims)
+        r_norms.append(float(np.linalg.norm(r_op @ state)))
+        q_norms.append(float(np.linalg.norm(q_op @ state)))
+    return SosResiduals(
+        p_norm=float(np.linalg.norm(p_op @ state)),
+        r_norms=tuple(r_norms),
+        q_norms=tuple(q_norms),
+    )
 
 
 def random_scenario_with_dims(alice_dims, eve_dims, rng):

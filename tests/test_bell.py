@@ -1,13 +1,16 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starcert.bell import (
     BellOutcomeLabel,
     all_labels,
-    bell_coefficients,
     bell_operator,
+    bell_terms,
     bell_value,
+    bell_values,
     classical_bound_bruteforce,
     classical_bound_formula,
     evaluate_bell,
@@ -20,12 +23,21 @@ from starcert.bell import (
     tilde_observables,
 )
 from starcert.certify import post_measurement_state
-from starcert.measurements import ghz_basis_measurement
-from starcert.network import born_table
+from starcert.measurements import Povm, ghz_basis_measurement
+from starcert.network import Scenario, born_table
 from starcert.presets import (
     ideal_scenario,
     random_observable_triple,
+    random_scenario,
     random_state_vector,
+)
+from starcert.tensor import reorder_factors
+
+from conftest import (
+    bell_operator_oracle,
+    post_measurement_oracle,
+    random_scenario_with_dims,
+    sos_residuals_oracle,
 )
 
 SQRT2 = np.sqrt(2)
@@ -119,44 +131,32 @@ def test_max_bell_eigenvalue_ideal():
     ) == pytest.approx(3.0, abs=1e-9)
 
 
-def operator_from_coefficients(coeffs, observables):
-    """sum_j B[j] A~_{1,j_1} (x) ... (x) A_{N,j_N}, index 3 the identity."""
-    slots = []
-    for i, triple in enumerate(observables):
-        a0, a1, a2 = triple.observables()
-        if i == 0:
-            a0, a1 = (a0 - a1) / SQRT2, (a0 + a1) / SQRT2
-        slots.append((a0, a1, a2, np.eye(triple.dim)))
-    op = 0
-    for idx in zip(*np.nonzero(coeffs)):
-        factor = slots[0][idx[0]]
-        for i, j in enumerate(idx[1:], start=1):
-            factor = np.kron(factor, slots[i][j])
-        op = op + coeffs[idx] * factor
-    return op
-
-
 def test_bell_coefficients_reproduce_max_eigenvalue_on_ideal():
     for n in (2, 3):
+        support, coeffs = bell_terms(n)
+        assert support.shape == (2 * n - 1, n)
+        assert len({tuple(row) for row in support}) == 2 * n - 1
+        assert coeffs.shape == (2**n, 2 * n - 1)
         scen = ideal_scenario(n)
         table = born_table(scen)
         for lab in all_labels(n):
-            coeffs = bell_coefficients(lab)
-            assert np.count_nonzero(coeffs) == 2 * n - 1
             top = max_bell_eigenvalue(lab, scen.alice_observables)
-            op = operator_from_coefficients(coeffs, scen.alice_observables)
-            assert np.linalg.eigvalsh(op)[-1] == pytest.approx(top, abs=1e-9)
             assert bell_value(table, lab) == pytest.approx(top, abs=1e-9)
 
 
 def test_bell_coefficients_match_operator_on_random_observables(rng):
-    for n in (2, 3):
-        obs = [random_observable_triple(2, rng) for _ in range(n)]
-        for lab in all_labels(n):
+    for dims in ((2, 2), (2, 2, 2), (3, 2, 4)):
+        obs = [random_observable_triple(d, rng) for d in dims]
+        psi = random_state_vector(int(np.prod(dims)), rng)
+        for lab in all_labels(len(dims)):
             npt.assert_allclose(
-                operator_from_coefficients(bell_coefficients(lab), obs),
-                bell_operator(lab, obs),
-                atol=1e-12,
+                bell_operator(lab, obs), bell_operator_oracle(lab, obs), rtol=0, atol=1e-12
+            )
+            got, want = sos_residuals(lab, obs, psi), sos_residuals_oracle(lab, obs, psi)
+            npt.assert_allclose(
+                (got.p_norm,) + got.r_norms + got.q_norms,
+                (want.p_norm,) + want.r_norms + want.q_norms,
+                rtol=0, atol=1e-12,
             )
 
 
@@ -194,3 +194,81 @@ def test_bell_value_with_noneve_outcome_conditioning():
     table = born_table(ideal_scenario(2, eve_second=ghz_basis_measurement(2)))
     lab = BellOutcomeLabel((0, 0))
     assert bell_value(table, lab, e=1) == pytest.approx(3.0, abs=1e-9)
+
+
+def zero_effect_scenario(rng):
+    """Random N = 2 scenario whose two Eve measurements both have a zero effect at l = 1."""
+    scen = random_scenario_with_dims((2, 2), (2, 2), rng)
+    eve = Povm((np.diag([1.0, 1.0, 0.0, 0.0]), np.zeros((4, 4)),
+                np.diag([0.0, 0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0])))
+    return Scenario(n_parties=2, sources=scen.sources,
+                    alice_observables=scen.alice_observables, eve=(eve, eve))
+
+
+BATCHED_CASES = {
+    "random-n2": lambda rng: random_scenario(2, rng),
+    "random-n3": lambda rng: random_scenario(3, rng),
+    "dims-23-42": lambda rng: random_scenario_with_dims((2, 3), (4, 2), rng),
+    "dims-32-23": lambda rng: random_scenario_with_dims((3, 2), (2, 3), rng),
+    "dims-222-322": lambda rng: random_scenario_with_dims((2, 2, 2), (3, 2, 2), rng),
+    "zero-effect-n2": zero_effect_scenario,
+}
+
+
+@pytest.mark.parametrize("name", list(BATCHED_CASES))
+def test_bell_values_match_operator_on_post_measurement_states(name, rng):
+    # batched correlator route against Tr[B_l rho_l] on the dense joint state
+    scen = BATCHED_CASES[name](rng)
+    table = born_table(scen)
+    labels = all_labels(scen.n_parties)
+    for e in (0, 1):
+        values = bell_values(table, e)
+        effects = scen.eve[e].effects
+        assert len(values) == min(len(labels), len(effects))
+        for l, value in enumerate(values):
+            if not np.any(effects[l]):
+                assert np.isnan(value)
+                continue
+            op = bell_operator_oracle(labels[l], scen.alice_observables)
+            white = np.trace(op @ post_measurement_oracle(scen, l, e)).real
+            assert value == pytest.approx(white, abs=1e-10)
+
+
+def relabel_parties(scen, perm):
+    """``scen`` with party k played by its party perm[k] (perm[0] = 0), and the
+    e = 0 effects moved to the matching permutation of the label bits."""
+    n = scen.n_parties
+
+    def move(m):
+        return reorder_factors(m, scen.eve_dims, perm)
+
+    def relabel(l):
+        bits = [(l >> (n - 1 - i)) & 1 for i in range(n)]
+        return sum(bits[p] << (n - 1 - k) for k, p in enumerate(perm))
+
+    effects0 = [None] * 2**n
+    for l, m in enumerate(scen.eve[0].effects):
+        effects0[relabel(l)] = move(m)
+    relabelled = Scenario(
+        n_parties=n,
+        sources=tuple(scen.sources[p] for p in perm),
+        alice_observables=tuple(scen.alice_observables[p] for p in perm),
+        eve=(Povm(tuple(effects0)), Povm(tuple(map(move, scen.eve[1].effects)))),
+    )
+    return relabelled, [relabel(l) for l in range(2**n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_bell_values_invariant_under_relabelling_parties(seed, data):
+    n = data.draw(st.sampled_from([2, 3, 4]), label="n")
+    perm = [0] + data.draw(st.permutations(range(1, n)), label="perm")
+    rng = np.random.default_rng(seed)
+    dims = [data.draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
+            for _ in range(2)]
+    scen = random_scenario_with_dims(dims[0], dims[1], rng)
+    relabelled, moved = relabel_parties(scen, perm)
+    table, other = born_table(scen), born_table(relabelled)
+    npt.assert_allclose(bell_values(other)[moved], bell_values(table), rtol=0, atol=1e-12)
+    npt.assert_allclose(other.outcome_weights(0)[moved], table.outcome_weights(0),
+                        rtol=0, atol=1e-12)

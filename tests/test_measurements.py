@@ -180,6 +180,14 @@ def test_mixed_state_spec_validation():
         MixedStateSpec(2, (1.5, -0.5), (v0, v1))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_mixed_state_spec_rejects_non_finite_weights(bad):
+    v0 = np.array([1.0, 0.0])
+    v1 = np.array([0.0, 1.0])
+    with pytest.raises(ValidationError, match="finite"):
+        MixedStateSpec(2, (bad, 0.5), (v0, v1))
+
+
 def test_trine_povm_structure(rng):
     spec = random_mixed_state_spec(2, rng)
     povm = trine_povm(spec)
