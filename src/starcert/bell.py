@@ -171,21 +171,29 @@ def bell_terms(n: int):
     return support, coeffs
 
 
+def _bell_values(n: int, t: np.ndarray, weights: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Bell values of correlator tensors t (..., K, 4, ..., 4) with weights P(l|e) (..., K).
+
+    Covers the first min(2^N, K) labels.  Label l's value is its coefficient
+    row dotted with the support entries of the correlator tensor of outcome
+    l, divided by P(l | e); it is NaN where P(l | e) is too small to
+    condition on.
+    """
+    support, coeffs = bell_terms(n)
+    k = min(len(coeffs), weights.shape[-1])
+    raw = (t[(Ellipsis, slice(k), *support.T)] * coeffs[:k]).sum(axis=-1)
+    weights = weights[..., :k]
+    values = np.full(raw.shape, np.nan)
+    np.divide(raw, weights, out=values, where=weights > tol.probability)
+    return values
+
+
 def bell_values(table: CorrelationTable, e: int = 0) -> np.ndarray:
     """Bell values of the first min(2^N, K_e) labels on outcomes of Eve's input e.
 
-    Label l's value is its coefficient row dotted with the support entries of
-    the correlator tensor of outcome l, divided by P(l | e); it is NaN where
-    P(l | e) is too small to condition on.
+    Label l's value is NaN where P(l | e) is too small to condition on.
     """
-    support, coeffs = bell_terms(table.n)
-    t = table.correlator_tensor(e)
-    k = min(len(coeffs), t.shape[0])
-    raw = (t[:k][(slice(None), *support.T)] * coeffs[:k]).sum(axis=1)
-    weights = table.outcome_weights(e)[:k]
-    values = np.full(k, np.nan)
-    np.divide(raw, weights, out=values, where=weights > table.tol.probability)
-    return values
+    return _bell_values(table.n, table.correlator_tensor(e), table.outcome_weights(e), table.tol)
 
 
 def bell_value(table: CorrelationTable, label: BellOutcomeLabel, e: int = 0) -> float:

@@ -19,7 +19,7 @@ from string import ascii_letters
 
 import numpy as np
 
-from .bell import _evaluation, all_labels, bell_values
+from .bell import _bell_values, _evaluation, all_labels, bell_values
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ConditioningError, DimensionError
 from .measurements import (
@@ -30,9 +30,13 @@ from .measurements import (
     trine_preparation_outcomes,
 )
 from .network import (
+    _CHUNK_ENTRIES,
     CorrelationTable,
     Scenario,
     _born_factors,
+    _check_tables,
+    _correlators,
+    _outcome_weights,
     _table_from_factors,
     born_table,
 )
@@ -144,23 +148,39 @@ def _branch_from_residuals(plain, conjugate, tol: Tolerances) -> tuple:
     return NO_BRANCH, False
 
 
-def _part2(mode: str, table: CorrelationTable, f_tensors, residuals,
-           tol: Tolerances) -> Part2Report:
-    """Per-outcome residuals of the plain and the conjugated coefficients.
+def _part2_residuals(mode: str, n: int, t: np.ndarray, f_tensors, ranks) -> tuple:
+    """Plain and conjugated residuals (..., K) of e = 1 correlator tensors t (..., K, 4, ..., 4).
 
-    ``residuals(coeffs, t)`` maps the (K, 4^N) coefficients and correlator
-    tensor of e = 1 to one residual per outcome.
+    Projective mode compares each outcome's coefficient-weighted expectation
+    sum with r_l / 2^N; povm mode matches every Pauli coefficient.
     """
-    k_out = table.outcome_count(1)
+    k_out = t.shape[-n - 1]
+    if ranks is not None and len(ranks) != k_out:
+        raise DimensionError(f"need one rank per e=1 outcome ({k_out}), got {len(ranks)}")
     if len(f_tensors) != k_out:
         raise DimensionError(
             f"need one coefficient tensor per e=1 outcome ({k_out}), got {len(f_tensors)}"
         )
-    t = table.correlator_tensor(1).reshape(k_out, -1)
+    t = t.reshape(t.shape[:-n] + (-1,))
+
+    def residuals(coeffs):
+        if mode == "projective":
+            sums = np.where(np.abs(coeffs) > 1e-14, coeffs * t, 0.0).sum(axis=-1)
+            return np.abs(sums - np.asarray(ranks) / 2.0**n)
+        return np.abs(t - coeffs).max(axis=-1)
+
     plain = np.stack([f.coeffs.ravel() for f in f_tensors])
     conj = np.stack([f.conjugated().coeffs.ravel() for f in f_tensors])
-    res_plain = tuple(float(r) for r in residuals(plain, t))
-    res_conj = tuple(float(r) for r in residuals(conj, t))
+    return residuals(plain), residuals(conj)
+
+
+def _part2(mode: str, table: CorrelationTable, f_tensors, ranks,
+           tol: Tolerances) -> Part2Report:
+    """Per-outcome residuals of the plain and the conjugated coefficients."""
+    res_plain, res_conj = (
+        tuple(r.tolist())
+        for r in _part2_residuals(mode, table.n, table.correlator_tensor(1), f_tensors, ranks)
+    )
     branch, passed = _branch_from_residuals(res_plain, res_conj, tol)
     return Part2Report(
         mode=mode,
@@ -174,23 +194,13 @@ def _part2(mode: str, table: CorrelationTable, f_tensors, residuals,
 def check_projective_conditions(table: CorrelationTable, f_tensors, ranks,
                                 tol: Tolerances = DEFAULT_TOL) -> Part2Report:
     """Coefficient-weighted expectation sums against r_l / 2^N, per outcome."""
-    if len(ranks) != table.outcome_count(1):
-        raise DimensionError(
-            f"need one rank per e=1 outcome ({table.outcome_count(1)}), got {len(ranks)}"
-        )
-    target = np.asarray(ranks) / 2.0**table.n
-
-    def residuals(coeffs, t):
-        return np.abs(np.where(np.abs(coeffs) > 1e-14, coeffs * t, 0.0).sum(axis=1) - target)
-
-    return _part2("projective", table, f_tensors, residuals, tol)
+    return _part2("projective", table, f_tensors, ranks, tol)
 
 
 def check_povm_conditions(table: CorrelationTable, f_tensors,
                           tol: Tolerances = DEFAULT_TOL) -> Part2Report:
     """Per-tuple expectation match against every Pauli coefficient."""
-    return _part2("povm", table, f_tensors,
-                  lambda coeffs, t: np.abs(t - coeffs).max(axis=1), tol)
+    return _part2("povm", table, f_tensors, None, tol)
 
 
 def post_measurement_state(scenario: Scenario, l: int, e: int,
@@ -412,38 +422,6 @@ NOISE_MODELS = {
 }
 
 
-def _scan_report(model: str, n: int, levels, tables, reference_effects, mode: str,
-                 tol: Tolerances) -> ScanReport:
-    """Part-1 (and optionally part-2) metrics of one table per level."""
-    f_tensors = None
-    ranks = None
-    if reference_effects is not None:
-        f_tensors = reference_coeff_tensors(reference_effects, n, tol)
-        if mode == "projective":
-            ranks = reference_ranks(reference_effects, tol)
-    rows = []
-    for v, table in zip(levels, tables):
-        values = bell_values(table)
-        pbar_dev = float(np.max(np.abs(table.outcome_weights(0) - 2.0**-n)))
-        part2_res = None
-        if f_tensors is not None:
-            if mode == "projective":
-                part2 = check_projective_conditions(table, f_tensors, ranks, tol)
-            else:
-                part2 = check_povm_conditions(table, f_tensors, tol)
-            part2_res = min(max(part2.residuals_plain), max(part2.residuals_conjugate))
-        rows.append(ScanRow(
-            level=v,
-            bell_values=tuple(values.tolist()),
-            min_bell=float(np.nanmin(values)),
-            pbar_deviation=pbar_dev,
-            part2_max_residual=part2_res,
-        ))
-    mins = [r.min_bell for r in rows]
-    monotone = all(b >= a - tol.acceptance for a, b in zip(mins, mins[1:]))
-    return ScanReport(model=model, rows=tuple(rows), bell_monotone=monotone)
-
-
 def noise_scan(scenario: Scenario, model: str, grid,
                reference_effects=None, mode: str = "projective",
                tol: Tolerances = DEFAULT_TOL) -> ScanReport:
@@ -451,7 +429,9 @@ def noise_scan(scenario: Scenario, model: str, grid,
 
     The scenario and its v = 0 image are built and expanded once; the table
     at level v is built from the mixed factors v f_1 + (1 - v) f_0, which
-    are those of the noisy scenario (see ``NOISE_MODELS``).
+    are those of the noisy scenario (see ``NOISE_MODELS``).  The sorted grid
+    is walked in chunks of levels, and each chunk's tables are built,
+    checked and contracted as one stack.
     """
     if model not in NOISE_MODELS:
         raise DimensionError(f"unknown noise model {model!r}")
@@ -464,13 +444,36 @@ def noise_scan(scenario: Scenario, model: str, grid,
     levels = sorted(grid)
     c1, w1 = _born_factors(scenario)
     c0, w0 = _born_factors(NOISE_MODELS[model](scenario, 0.0))
-    tables = (
-        _table_from_factors(
-            n,
-            [v * a + (1 - v) * b for a, b in zip(c1, c0)],
-            [v * a + (1 - v) * b for a, b in zip(w1, w0)],
-            tol,
+    f_tensors = ranks = None
+    if reference_effects is not None:
+        f_tensors = reference_coeff_tensors(reference_effects, n, tol)
+        if mode == "projective":
+            ranks = reference_ranks(reference_effects, tol)
+    # levels per chunk: one level's two tables hold (K_0 + K_1) 6^N entries
+    step = max(1, _CHUNK_ENTRIES // (sum(len(c) for c in c1) * 6**n))
+    rows = []
+    for s in range(0, len(levels), step):
+        v = np.array(levels[s:s + step])
+        coeffs, w_maps = (
+            [np.multiply.outer(v, a) + np.multiply.outer(1 - v, b) for a, b in zip(f1, f0)]
+            for f1, f0 in ((c1, c0), (w1, w0))
         )
-        for v in levels
-    )
-    return _scan_report(model, n, levels, tables, reference_effects, mode, tol)
+        p0, p1 = _table_from_factors(n, coeffs, w_maps)
+        _check_tables(n, p0, p1, tol)
+        weights = _outcome_weights(p0)
+        values = _bell_values(n, _correlators(n, p0), weights, tol)
+        part2 = [None] * len(v)
+        if f_tensors is not None:
+            res_plain, res_conj = _part2_residuals(mode, n, _correlators(n, p1), f_tensors, ranks)
+            part2 = np.minimum(res_plain.max(axis=-1), res_conj.max(axis=-1)).tolist()
+        lows = np.nanmin(values, axis=-1).tolist()
+        devs = np.abs(weights - 2.0**-n).max(axis=-1).tolist()
+        rows += [
+            ScanRow(level=level, bell_values=tuple(row), min_bell=low, pbar_deviation=dev,
+                    part2_max_residual=res)
+            for level, row, low, dev, res in zip(levels[s:s + step], values.tolist(), lows,
+                                                 devs, part2)
+        ]
+    mins = [r.min_bell for r in rows]
+    monotone = all(b >= a - tol.acceptance for a, b in zip(mins, mins[1:]))
+    return ScanReport(model=model, rows=tuple(rows), bell_monotone=monotone)

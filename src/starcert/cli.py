@@ -2,8 +2,9 @@
 
 Subcommands: bounds, certify, prepare-state, scan, validate.  Exit codes:
 0 success / certified, 1 certification failure or inconclusive, 2 invalid
-input or usage.  Structured output is JSON with floats printed at 17
-significant digits (round-trip exact for double precision).
+input or usage.  Structured output is strict JSON: floats print as the
+shortest repr that reads back to the same double, and NaN and infinities as
+null.
 """
 
 from __future__ import annotations
@@ -79,11 +80,9 @@ class RunConfig:
 
 
 def _f(x) -> float | None:
-    """Normalize a float to 17 significant digits; NaN and inf become None (JSON null)."""
+    """A finite float as itself; NaN and inf become None (JSON null)."""
     x = float(x)
-    if not math.isfinite(x):
-        return None
-    return float(format(x, ".17g"))
+    return x if math.isfinite(x) else None
 
 
 def _unconditionable(values, n: int) -> list:

@@ -184,18 +184,93 @@ _ROTATED_MAP = _party_map(rotated=True)
 
 
 def _contract_parties(t: np.ndarray, maps) -> np.ndarray:
-    """out[l, m_1..m_N] = sum_k t[l, k_1..k_N] prod_i maps[i][m_i, k_i].
+    """out[..., l, m_1..m_N] = sum_k t[..., l, k_1..k_N] prod_i maps[i][..., m_i, k_i].
 
-    One batched matmul per party on the (lead, k_i, rest) view of ``t``; the
-    new axis m_i goes to the end, so after N steps the axes are back in party
-    order without a transpose in between.  ``t`` may be any array whose axes
-    after the first flatten to (k_1, ..., k_N); a non-contiguous one is copied
-    by the first step only, and that copy is freed after it.
+    Each map is (m_i, k_i), or (L, m_i, k_i) with one map per level; ``t``
+    has as many leading level axes as the maps, then the axis l.  One
+    batched matmul per party on the (..., l, k_i, rest) view of ``t``; the
+    new axis m_i goes to the end, so after N steps the axes are back in
+    party order without a transpose in between.  The axes of ``t`` after l
+    may be any that flatten to (k_1, ..., k_N); a non-contiguous ``t`` is
+    copied by the first step only, and that copy is freed after it.
     """
-    lead = t.shape[0]
+    lead = t.shape[:maps[0].ndim - 1]
     for m in maps:
-        t = np.matmul(t.reshape(lead, m.shape[1], -1).swapaxes(1, 2), m.T)
-    return t.reshape((lead,) + tuple(m.shape[0] for m in maps))
+        t = np.matmul(t.reshape(lead + (m.shape[-1], -1)).swapaxes(-1, -2),
+                      m.swapaxes(-1, -2)[..., None, :, :])
+    return t.reshape(lead + tuple(m.shape[-2] for m in maps))
+
+
+# A noise scan's stack of levels and a correlator's chunk of outcomes hold
+# about this many table entries (512 KB of float64): enough that 33 levels
+# at N = 3 share the fixed cost of each numpy call, while the transposed copy
+# a correlator contraction makes stays small however many outcomes Eve has
+# (the e = 0 table alone is 286 MB at N = 7).
+_CHUNK_ENTRIES = 2**16
+
+
+def _check_tables(n: int, p0: np.ndarray, p1: np.ndarray, tol: Tolerances) -> None:
+    """The checks of ``CorrelationTable`` on (L, 2^N, K, 3^N) stacks, all levels at once.
+
+    Raises what the tables of the levels, built one at a time, would raise
+    first: the first failing check, in the order below, of the first
+    failing level.
+    """
+    first, error = len(p0), None
+
+    def check(failed, make_error):
+        nonlocal first, error
+        if failed[:first].any():
+            first = int(np.argmax(failed))
+            error = make_error(first)
+
+    for e, p in enumerate((p0, p1)):
+        if p.shape[1] != 2**n or p.shape[3] != 3**n:
+            # the same at every level, so it fails at level 0
+            check(np.ones(1, bool),
+                  lambda i: DimensionError(f"table for e={e} has wrong shape {p.shape[1:]}"))
+            break
+        low = p.min(axis=(1, 2, 3))
+        check(low < -tol.probability,
+              lambda i: ValidationError(f"negative probability {low[i]:.3e} in table e={e}"))
+        totals = p.sum(axis=(1, 2))
+        check(np.abs(totals - 1).max(axis=1) > tol.structural,
+              lambda i: ValidationError(f"probabilities for e={e} do not sum to 1 per input"))
+        # Eve's marginal must not depend on the Alice inputs
+        pbar = p.sum(axis=1)
+        check(np.abs(pbar - pbar[..., :1]).max(axis=(1, 2)) > tol.structural,
+              lambda i: ValidationError(f"signaling to Eve detected in table e={e}"))
+    else:
+        # Alice marginals must not depend on Eve's input
+        check(np.abs(p0.sum(axis=2) - p1.sum(axis=2)).max(axis=(1, 2)) > tol.structural,
+              lambda i: ValidationError("Alice marginals depend on Eve's input (signaling)"))
+    if error is not None:
+        raise error
+
+
+def _outcome_weights(p: np.ndarray) -> np.ndarray:
+    """P(l | e) of a (..., 2^N, K, 3^N) table stack, from the Alice input 0."""
+    return p[..., 0].sum(axis=-2)
+
+
+def _correlators(n: int, p: np.ndarray) -> np.ndarray:
+    """Correlator tensors T[v, l, j_1..j_N] of an (L, 2^N, K, 3^N) table stack.
+
+    Contracts as many outcomes l at a time as fit in ``_CHUNK_ENTRIES`` table
+    entries, and at least one, so it never copies the whole table.
+    """
+    levels, k = p.shape[0], p.shape[2]
+    step = max(1, _CHUNK_ENTRIES // (levels * 6**n))
+    # (v, a_1..a_N, l, x_1..x_N) -> (v, l, x_1, a_1, ..., x_N, a_N)
+    perm = [0, n + 1] + [ax for i in range(n) for ax in (n + 2 + i, 1 + i)]
+    view = p.reshape((levels,) + (2,) * n + (k,) + (3,) * n)
+    maps = [_ROTATED_MAP] + [_PARTY_MAP] * (n - 1)
+    out = np.empty((levels, k) + (4,) * n)
+    for s in range(0, k, step):
+        raw = view[(slice(None),) * (n + 1) + (slice(s, s + step),)].transpose(perm)
+        tensor = _contract_parties(raw.reshape((-1,) + raw.shape[2:]), maps)
+        out[:, s:s + step] = tensor.reshape((levels, -1) + (4,) * n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -215,24 +290,7 @@ class CorrelationTable:
     _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        for e, p in enumerate((self.p0, self.p1)):
-            if p.shape[0] != 2**n or p.shape[2] != 3**n:
-                raise DimensionError(f"table for e={e} has wrong shape {p.shape}")
-            if p.min() < -self.tol.probability:
-                raise ValidationError(f"negative probability {p.min():.3e} in table e={e}")
-            totals = p.sum(axis=(0, 1))
-            if np.max(np.abs(totals - 1)) > self.tol.structural:
-                raise ValidationError(f"probabilities for e={e} do not sum to 1 per input")
-            # Eve's marginal must not depend on the Alice inputs
-            pbar = p.sum(axis=0)
-            if np.max(np.abs(pbar - pbar[:, :1])) > self.tol.structural:
-                raise ValidationError(f"signaling to Eve detected in table e={e}")
-        # Alice marginals must not depend on Eve's input
-        m0 = self.p0.sum(axis=1)
-        m1 = self.p1.sum(axis=1)
-        if np.max(np.abs(m0 - m1)) > self.tol.structural:
-            raise ValidationError("Alice marginals depend on Eve's input (signaling)")
+        _check_tables(self.n, self.p0[None], self.p1[None], self.tol)
 
     def _table(self, e: int) -> np.ndarray:
         if e == 0:
@@ -254,7 +312,7 @@ class CorrelationTable:
 
     def outcome_weights(self, e: int) -> np.ndarray:
         """P(l | e) for every outcome l of Eve's input e."""
-        return self._table(e)[:, :, 0].sum(axis=0)
+        return _outcome_weights(self._table(e))
 
     def pbar(self, l: int, e: int) -> float:
         """Probability that Eve observes outcome l under input e."""
@@ -270,11 +328,7 @@ class CorrelationTable:
         Party 1 is rotated: its indices 0 and 1 select (A_0 -+ A_1)/sqrt2.
         """
         if e not in self._tensors:
-            n, t = self.n, self._table(e)
-            # (a_1..a_N, l, x_1..x_N) -> (l, x_1, a_1, ..., x_N, a_N), copied by the first step
-            perm = [n] + [ax for i in range(n) for ax in (n + 1 + i, i)]
-            raw = t.reshape((2,) * n + t.shape[1:2] + (3,) * n).transpose(perm)
-            tensor = _contract_parties(raw, [_ROTATED_MAP] + [_PARTY_MAP] * (n - 1))
+            tensor = _correlators(self.n, self._table(e)[None])[0]
             tensor.flags.writeable = False
             self._tensors[e] = tensor
         return self._tensors[e]
@@ -384,19 +438,23 @@ def _born_factors(scenario: Scenario):
     return coeffs, w_maps
 
 
-def _table_from_factors(n: int, coeffs, w_maps, tol: Tolerances) -> CorrelationTable:
-    """p = sum_b c_{l,b} prod_i w_{i,b_i}, party 1 first; one transpose gives (a, l, x)."""
-    # (l, (x_1 a_1), ..., (x_N a_N)) -> (a_1..a_N, l, x_1..x_N)
-    order = [2 + 2 * i for i in range(n)] + [0] + [1 + 2 * i for i in range(n)]
+def _table_from_factors(n: int, coeffs, w_maps) -> list:
+    """Zero-cut (L, 2^N, K_e, 3^N) stacks p = sum_b c_{l,b} prod_i w_{i,b_i}, one per e.
+
+    Every factor has a leading level axis of length L; party 1 is
+    contracted first, and one transpose gives the (v, a, l, x) layout.
+    """
+    # (v, l, (x_1 a_1), ..., (x_N a_N)) -> (v, a_1..a_N, l, x_1..x_N)
+    order = [0] + [3 + 2 * i for i in range(n)] + [1] + [2 + 2 * i for i in range(n)]
     tables = []
     for c in coeffs:
-        n_out = c.shape[0]
-        raw = _contract_parties(c, w_maps).reshape((n_out,) + (3, 2) * n)
-        table = raw.transpose(order).reshape(2**n, n_out, 3**n)
+        levels, n_out = c.shape[:2]
+        raw = _contract_parties(c, w_maps).reshape((levels, n_out) + (3, 2) * n)
+        table = raw.transpose(order).reshape(levels, 2**n, n_out, 3**n)
         del raw  # at N = 7 it is as large as the table
         table[np.abs(table) < 1e-16] = 0.0
         tables.append(table)
-    return CorrelationTable(n=n, p0=tables[0], p1=tables[1], tol=tol)
+    return tables
 
 
 def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> CorrelationTable:
@@ -406,7 +464,10 @@ def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> Correlation
     with the steering operators W living on Eve's factors only.  Each W and
     each R_l is expanded in the orthonormal Hermitian product basis of
     ``_hermitian_basis`` (``_born_factors``), so p is a real contraction of
-    the coefficients (``_table_from_factors``).
+    the coefficients (``_table_from_factors``, here on a stack of one level).
     """
     coeffs, w_maps = _born_factors(scenario)
-    return _table_from_factors(scenario.n_parties, coeffs, w_maps, tol)
+    p0, p1 = _table_from_factors(
+        scenario.n_parties, [c[None] for c in coeffs], [w[None] for w in w_maps]
+    )
+    return CorrelationTable(n=scenario.n_parties, p0=p0[0], p1=p1[0], tol=tol)

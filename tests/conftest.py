@@ -4,20 +4,30 @@ The Born oracle builds the full joint operator for every (a, l, x, e)
 combination and never touches the steering-operator fast path; the
 post-measurement oracle projects the dense joint state and traces Eve out
 instead of contracting source by source; the noise-scan oracle builds and
-validates the noisy scenario and its Born table at every level instead of
-mixing the expanded factors of its two endpoints; the Bell-operator and
+validates the noisy scenario and its Born table at every level, and reads
+each table on its own, instead of mixing the expanded factors of its two
+endpoints and reading stacks of levels; the Bell-operator and
 SOS oracles expand every term of the family by hand instead of reading
 ``bell.bell_terms``.  Each pair of routes checks the other.
 """
 
+import importlib
 from itertools import product
 
 import numpy as np
 import pytest
 
-from starcert.bell import BellOutcomeLabel, SosResiduals, tilde_observables
-from starcert.certify import NOISE_MODELS, _scan_report
-from starcert.config import DEFAULT_TOL
+from starcert.bell import BellOutcomeLabel, SosResiduals, bell_values, tilde_observables
+from starcert.certify import (
+    NOISE_MODELS,
+    ScanReport,
+    ScanRow,
+    check_povm_conditions,
+    check_projective_conditions,
+    reference_coeff_tensors,
+    reference_ranks,
+)
+from starcert.config import DEFAULT_TOL, Tolerances
 from starcert.errors import DimensionError
 from starcert.measurements import Povm
 from starcert.network import (
@@ -68,6 +78,38 @@ def post_measurement_oracle(scenario: Scenario, l: int, e: int) -> np.ndarray:
     dims = list(scenario.alice_dims) + list(scenario.eve_dims)
     reduced = partial_trace(projected, dims, keep=range(n))
     return reduced / np.trace(reduced).real
+
+
+def _scan_report(model: str, n: int, levels, tables, reference_effects, mode: str,
+                 tol: Tolerances) -> ScanReport:
+    """Part-1 (and optionally part-2) metrics of one table per level."""
+    f_tensors = None
+    ranks = None
+    if reference_effects is not None:
+        f_tensors = reference_coeff_tensors(reference_effects, n, tol)
+        if mode == "projective":
+            ranks = reference_ranks(reference_effects, tol)
+    rows = []
+    for v, table in zip(levels, tables):
+        values = bell_values(table)
+        pbar_dev = float(np.max(np.abs(table.outcome_weights(0) - 2.0**-n)))
+        part2_res = None
+        if f_tensors is not None:
+            if mode == "projective":
+                part2 = check_projective_conditions(table, f_tensors, ranks, tol)
+            else:
+                part2 = check_povm_conditions(table, f_tensors, tol)
+            part2_res = min(max(part2.residuals_plain), max(part2.residuals_conjugate))
+        rows.append(ScanRow(
+            level=v,
+            bell_values=tuple(values.tolist()),
+            min_bell=float(np.nanmin(values)),
+            pbar_deviation=pbar_dev,
+            part2_max_residual=part2_res,
+        ))
+    mins = [r.min_bell for r in rows]
+    monotone = all(b >= a - tol.acceptance for a, b in zip(mins, mins[1:]))
+    return ScanReport(model=model, rows=tuple(rows), bell_monotone=monotone)
 
 
 def noise_scan_oracle(scenario: Scenario, model: str, grid, reference_effects=None,
@@ -165,3 +207,10 @@ def random_scenario_with_dims(alice_dims, eve_dims, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def one_entry_chunks(monkeypatch):
+    """Cut every noise-scan stack to one level and every correlator contraction to one outcome."""
+    for module in ("starcert.network", "starcert.certify"):
+        monkeypatch.setattr(importlib.import_module(module), "_CHUNK_ENTRIES", 1)

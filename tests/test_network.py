@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import born_oracle, random_scenario_with_dims
+from starcert.config import DEFAULT_TOL
 from starcert.errors import ConditioningError, DimensionError, ValidationError
 from starcert.jsonio import (
     load_scenario,
@@ -20,6 +21,7 @@ from starcert.network import (
     BinaryObservableTriple,
     CorrelationTable,
     Scenario,
+    _check_tables,
     assemble_joint_state,
     born_table,
     effects_from_observable,
@@ -208,6 +210,29 @@ def test_correlator_tensor_matches_dense_trace_oracle(n, rng):
             npt.assert_allclose(
                 table.correlator_tensor(e), dense_correlator_oracle(scen, e), atol=1e-12
             )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_correlator_tensor_matches_dense_trace_oracle_one_outcome_at_a_time(
+        one_entry_chunks, n, rng):
+    test_correlator_tensor_matches_dense_trace_oracle(n, rng)
+
+
+def test_stacked_table_checks_report_the_first_failing_level():
+    table = born_table(ideal_scenario(2))
+    p0, p1 = np.stack([table.p0] * 4), np.stack([table.p1] * 4)
+    p0[3, 0, 0, 0] = -0.5  # an earlier check fails on a later level
+    # level 2 moves mass between Eve's outcomes for one input: totals and
+    # Alice marginals hold, Eve's marginal now depends on x
+    p0[2, 0, 0, 1] -= 0.01
+    p0[2, 0, 1, 1] += 0.01
+    with pytest.raises(ValidationError, match="signaling to Eve detected in table e=0"):
+        _check_tables(2, p0, p1, DEFAULT_TOL)
+    with pytest.raises(ValidationError, match="signaling to Eve detected in table e=0"):
+        CorrelationTable(n=2, p0=p0[2], p1=p1[2])
+    with pytest.raises(ValidationError, match=r"negative probability -5\.000e-01 in table e=0"):
+        _check_tables(2, p0[3:], p1[3:], DEFAULT_TOL)
+    _check_tables(2, p0[:2], p1[:2], DEFAULT_TOL)
 
 
 def test_conditional_correlator_raises_on_zero_probability():

@@ -1,5 +1,6 @@
 """noise_scan, which mixes the expanded factors of a scenario and its v = 0
-image, against the per-level route of ``noise_scan_oracle``."""
+image and reads chunks of levels as stacks, against the per-level route of
+``noise_scan_oracle``."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import starcert.network
 from starcert.certify import NOISE_MODELS, noise_scan
+from starcert.config import Tolerances
+from starcert.errors import StarcertError
 from starcert.measurements import Povm, ghz_basis_measurement
 from starcert.network import Scenario
 from starcert.presets import ideal_scenario, random_projective_measurement, random_scenario
@@ -15,6 +19,7 @@ from starcert.presets import ideal_scenario, random_projective_measurement, rand
 from conftest import noise_scan_oracle, random_scenario_with_dims
 
 GRID = (1.0, 0.0, 0.35, 0.8)
+GRID_41 = np.linspace(0.0, 1.0, 41)
 
 
 def assert_same_scan(report, oracle):
@@ -35,14 +40,13 @@ def assert_same_scan(report, oracle):
                                 rtol=0, atol=1e-12)
 
 
-def zero_effect_scenario():
-    """N = 2 with a zero e = 0 effect, so label 01 is unconditionable at every level."""
-    scen = ideal_scenario(2, eve_second=ghz_basis_measurement(2))
-    eve0 = Povm((
-        np.diag([1.0, 1.0, 0.0, 0.0]), np.zeros((4, 4)),
-        np.diag([0.0, 0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0]),
-    ))
-    return Scenario(n_parties=2, sources=scen.sources,
+def zero_effect_scenario(n=2):
+    """A zero e = 0 effect, so label 0...01 is unconditionable at every level."""
+    scen = ideal_scenario(n, eve_second=ghz_basis_measurement(n))
+    units = np.eye(2**n)
+    eve0 = Povm((np.diag(units[0] + units[1]), np.zeros((2**n, 2**n)))
+                + tuple(np.diag(u) for u in units[2:]))
+    return Scenario(n_parties=n, sources=scen.sources,
                     alice_observables=scen.alice_observables, eve=(eve0, scen.eve[1]))
 
 
@@ -81,6 +85,42 @@ def test_noise_scan_matches_per_level_oracle(model, name, mode, rng):
         kwargs = {"reference_effects": reference_for(scen, rng), "mode": mode}
     assert_same_scan(noise_scan(scen, model, GRID, **kwargs),
                      noise_scan_oracle(scen, model, GRID, **kwargs))
+
+
+@pytest.mark.parametrize("mode", [None, "projective", "povm"])
+@pytest.mark.parametrize("name", list(SCENARIOS))
+@pytest.mark.parametrize("model", sorted(NOISE_MODELS))
+def test_noise_scan_matches_per_level_oracle_one_entry_chunks(one_entry_chunks, model, name,
+                                                              mode, rng):
+    test_noise_scan_matches_per_level_oracle(model, name, mode, rng)
+
+
+@pytest.mark.parametrize("mode", [None, "povm"])
+@pytest.mark.parametrize("make", [ghz_scenario, zero_effect_scenario],
+                         ids=["ghz-n3", "zero-effect-n3"])
+@pytest.mark.parametrize("model", sorted(NOISE_MODELS))
+def test_noise_scan_41_levels_over_several_chunks(model, make, mode, rng):
+    scen = make(3)
+    levels_per_chunk = starcert.network._CHUNK_ENTRIES // (
+        6**3 * (scen.eve[0].outcome_count + scen.eve[1].outcome_count))
+    assert 1 < levels_per_chunk < len(GRID_41)
+    kwargs = {}
+    if mode is not None:
+        kwargs = {"reference_effects": reference_for(scen, rng), "mode": mode}
+    assert_same_scan(noise_scan(scen, model, GRID_41, **kwargs),
+                     noise_scan_oracle(scen, model, GRID_41, **kwargs))
+
+
+@pytest.mark.parametrize("model", sorted(NOISE_MODELS))
+def test_noise_scan_raises_like_oracle_under_tight_tolerance(model):
+    scen, tol = ghz_scenario(3), Tolerances(structural=1e-17)
+    with pytest.raises(StarcertError) as expected:
+        noise_scan_oracle(scen, model, GRID_41, tol=tol)
+    with pytest.raises(expected.type) as raised:
+        noise_scan(scen, model, GRID_41, tol=tol)
+    assert str(raised.value) == str(expected.value)
+    # both routes share the table checks, so pin the error of the first level too
+    assert str(expected.value) == "probabilities for e=0 do not sum to 1 per input"
 
 
 @settings(max_examples=30, deadline=None)
