@@ -34,10 +34,9 @@ from .network import (
     CorrelationTable,
     Scenario,
     _born_factors,
-    _check_tables,
+    _check_factors,
     _correlators,
     _outcome_weights,
-    _table_from_factors,
     born_table,
 )
 from .presets import depolarize_sources
@@ -427,11 +426,11 @@ def noise_scan(scenario: Scenario, model: str, grid,
                tol: Tolerances = DEFAULT_TOL) -> ScanReport:
     """Part-1 (and optionally part-2) metrics along a noise grid.
 
-    The scenario and its v = 0 image are built and expanded once; the table
-    at level v is built from the mixed factors v f_1 + (1 - v) f_0, which
-    are those of the noisy scenario (see ``NOISE_MODELS``).  The sorted grid
-    is walked in chunks of levels, and each chunk's tables are built,
-    checked and contracted as one stack.
+    The scenario and its v = 0 image are built and expanded once; level v
+    is read from the mixed Born factors v f_1 + (1 - v) f_0, which are those
+    of the noisy scenario (see ``NOISE_MODELS``).  The sorted grid
+    is walked in chunks of levels, and each chunk's mixed factors are
+    checked and contracted as one stack, with no (a, l, x) table.
     """
     if model not in NOISE_MODELS:
         raise DimensionError(f"unknown noise model {model!r}")
@@ -449,7 +448,8 @@ def noise_scan(scenario: Scenario, model: str, grid,
         f_tensors = reference_coeff_tensors(reference_effects, n, tol)
         if mode == "projective":
             ranks = reference_ranks(reference_effects, tol)
-    # levels per chunk: one level's two tables hold (K_0 + K_1) 6^N entries
+    # levels per chunk: the non-negativity check expands one level's factors
+    # to (K_0 + K_1) 6^N entries
     step = max(1, _CHUNK_ENTRIES // (sum(len(c) for c in c1) * 6**n))
     rows = []
     for s in range(0, len(levels), step):
@@ -458,13 +458,14 @@ def noise_scan(scenario: Scenario, model: str, grid,
             [np.multiply.outer(v, a) + np.multiply.outer(1 - v, b) for a, b in zip(f1, f0)]
             for f1, f0 in ((c1, c0), (w1, w0))
         )
-        p0, p1 = _table_from_factors(n, coeffs, w_maps)
-        _check_tables(n, p0, p1, tol)
-        weights = _outcome_weights(p0)
-        values = _bell_values(n, _correlators(n, p0), weights, tol)
+        _check_factors(n, coeffs, w_maps, tol)
+        t0 = _correlators(coeffs[0], w_maps)
+        weights = _outcome_weights(n, t0)
+        values = _bell_values(n, t0, weights, tol)
         part2 = [None] * len(v)
         if f_tensors is not None:
-            res_plain, res_conj = _part2_residuals(mode, n, _correlators(n, p1), f_tensors, ranks)
+            res_plain, res_conj = _part2_residuals(mode, n, _correlators(coeffs[1], w_maps),
+                                                  f_tensors, ranks)
             part2 = np.minimum(res_plain.max(axis=-1), res_conj.max(axis=-1)).tolist()
         lows = np.nanmin(values, axis=-1).tolist()
         devs = np.abs(weights - 2.0**-n).max(axis=-1).tolist()

@@ -48,10 +48,11 @@ def _check_parties(n: int) -> None:
             "needs at least two parties"
         )
     if n > MAX_PARTIES:
-        gb = 2**n * 6**n * 8 / 1e9
+        gb = 2 * 8**n * 16 / 1e9
         raise ValidationError(
-            f"N={n} is above the largest supported N={MAX_PARTIES}: the e=0 Born "
-            f"table alone would hold 2^N * 6^N float64 entries ({gb:.1f} GB)"
+            f"N={n} is above the largest supported N={MAX_PARTIES}: Eve's two measurements "
+            f"of 2^N effects, each 2^N x 2^N, alone would hold 2 * 8^N complex entries "
+            f"({gb:.1f} GB) before any check runs"
         )
 
 

@@ -2,10 +2,11 @@
 
 Every reader and writer of the formats lives here; ``network`` and
 ``measurements`` know nothing about files.  Decoding is strict: each
-number must be finite, each integer a JSON integer, each list a list, and
-every failure is a ``ValidationError`` whose message starts with the path
-of the offending node inside the document (``scenario.sources[1]``,
-``povm.effects[0]``, ...).
+number must be a finite JSON number (a string or a boolean is not one),
+each integer a JSON integer, each list a list, and every failure is a
+``ValidationError`` whose message starts with the path of the offending
+node inside the document (``scenario.sources[1]``, ``povm.effects[0]``,
+...).
 
 A matrix is ``{"dim": d, "entries": [[re, im], ...]}`` in row-major order.
 """
@@ -13,6 +14,7 @@ A matrix is ``{"dim": d, "entries": [[re, im], ...]}`` in row-major order.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -53,15 +55,33 @@ def _int(value, path: str) -> int:
     return value
 
 
-def _finite_array(values, path: str, row_shape: tuple = ()) -> np.ndarray:
-    """``np.asarray(values, float)``, required to have shape (count,) + row_shape and finite entries."""
+def _finite_array(values, path: str, pairs: bool = False) -> np.ndarray:
+    """A list of numbers, or with ``pairs`` of [re, im] pairs, as a flat float vector.
+
+    Each number must be a JSON number (an ``int`` or a ``float``, so not a
+    string or a boolean) and finite.  The checks run on the type and length
+    sets of the lists, so decoding stays one pass of ``np.fromiter``.
+    """
+    what = "[re, im] pairs" if pairs else "numbers"
+    if not isinstance(values, list):
+        raise ValidationError(
+            f"{path}: malformed numbers: expected a list of {what}, got {type(values).__name__}"
+        )
+    flat = values
+    if pairs:
+        if set(map(type, values)) != {list} or set(map(len, values)) != {2}:
+            raise ValidationError(f"{path}: expected a non-empty list of {what}")
+        flat = list(chain.from_iterable(values))
+    kinds = set(map(type, flat)) - {int, float}
+    if kinds:
+        names = ", ".join(sorted(t.__name__ for t in kinds))
+        raise ValidationError(
+            f"{path}: malformed numbers: entries must be JSON numbers, got {names}"
+        )
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        arr = np.fromiter(flat, float, len(flat))
+    except OverflowError as exc:
         raise ValidationError(f"{path}: malformed numbers ({exc})") from None
-    if arr.ndim != 1 + len(row_shape) or arr.shape[1:] != row_shape:
-        what = "[re, im] pairs" if row_shape else "numbers"
-        raise ValidationError(f"{path}: expected a list of {what}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{path}: entries must be finite numbers")
     return arr
@@ -69,7 +89,7 @@ def _finite_array(values, path: str, row_shape: tuple = ()) -> np.ndarray:
 
 def _complex_entries(values, path: str) -> np.ndarray:
     """A list of [re, im] pairs as a complex vector, decoded in one vectorised step."""
-    return _finite_array(values, path, (2,)).view(complex).reshape(-1)
+    return _finite_array(values, path, pairs=True).view(complex)
 
 
 def _pairs_to_json(values) -> list:

@@ -3,7 +3,11 @@
 A scenario has N external parties ("Alices"), each holding three dichotomic
 observables, a central party ("Eve") with two measurements, and N independent
 bipartite sources, one per Alice-Eve pair.  ``born_table`` evaluates the full
-behavior p(a, l | x, e) exactly.
+behavior p(a, l | x, e) exactly, as Born factors: real coefficients c_e of
+each Eve effect and per-party maps w_i of the steering operators, with
+p = sum_b c_e[l, b] prod_i w_i[(x_i, a_i), b_i].  Every check and every
+correlator tensor is a contraction of these factors; the (a, l, x) table,
+2^N 6^N entries per outcome, is materialised only when a caller reads it.
 
 Conventions:
   * tensor factor 0 is the most significant index block (big-endian),
@@ -18,7 +22,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -201,22 +205,34 @@ def _contract_parties(t: np.ndarray, maps) -> np.ndarray:
     return t.reshape(lead + tuple(m.shape[-2] for m in maps))
 
 
-# A noise scan's stack of levels and a correlator's chunk of outcomes hold
-# about this many table entries (512 KB of float64): enough that 33 levels
-# at N = 3 share the fixed cost of each numpy call, while the transposed copy
-# a correlator contraction makes stays small however many outcomes Eve has
-# (the e = 0 table alone is 286 MB at N = 7).
+# The non-negativity check expands a chunk of outcomes (and a noise scan's
+# stack of levels) to about this many entries of the (a, l, x) layout
+# (512 KB of float64): enough that 33 levels at N = 3 share the fixed cost
+# of each numpy call, while the check never holds a whole table however many
+# outcomes Eve has (the e = 0 table alone would be 286 MB at N = 7).
 _CHUNK_ENTRIES = 2**16
 
 
-def _check_tables(n: int, p0: np.ndarray, p1: np.ndarray, tol: Tolerances) -> None:
-    """The checks of ``CorrelationTable`` on (L, 2^N, K, 3^N) stacks, all levels at once.
+def _correlators(c: np.ndarray, w_maps) -> np.ndarray:
+    """T[..., l, j_1..j_N] = sum_b c[..., l, b] prod_i (M_i w_i)[..., j_i, b_i] of Born factors."""
+    maps = [_ROTATED_MAP] + [_PARTY_MAP] * (len(w_maps) - 1)
+    return _contract_parties(c, [m @ w for m, w in zip(maps, w_maps)])
 
-    Raises what the tables of the levels, built one at a time, would raise
-    first: the first failing check, in the order below, of the first
-    failing level.
+
+def _outcome_weights(n: int, t: np.ndarray) -> np.ndarray:
+    """P(l | e) of correlator tensors t (..., K, 4, ..., 4): every party marginalized."""
+    return t[(Ellipsis,) + (3,) * n]
+
+
+def _check_factors(n: int, coeffs, w_maps, tol: Tolerances) -> None:
+    """The checks of ``CorrelationTable`` on stacks of L levels, read from the Born factors.
+
+    ``coeffs[e]`` is (L, K_e, D_1, ..., D_N) and ``w_maps[i]`` is (L, 6, D_i),
+    or (1, 6, D_i) for maps shared by every level.  Raises what the tables of
+    the levels, built and checked one at a time, would raise first: the first
+    failing check, in the order below, of the first failing level.
     """
-    first, error = len(p0), None
+    first, error = len(coeffs[0]), None
 
     def check(failed, make_error):
         nonlocal first, error
@@ -224,95 +240,131 @@ def _check_tables(n: int, p0: np.ndarray, p1: np.ndarray, tol: Tolerances) -> No
             first = int(np.argmax(failed))
             error = make_error(first)
 
-    for e, p in enumerate((p0, p1)):
-        if p.shape[1] != 2**n or p.shape[3] != 3**n:
-            # the same at every level, so it fails at level 0
-            check(np.ones(1, bool),
-                  lambda i: DimensionError(f"table for e={e} has wrong shape {p.shape[1:]}"))
-            break
-        low = p.min(axis=(1, 2, 3))
+    # u_i[..., x, b] = sum_a w_i[..., (x, a), b]: each party's outcome summed out
+    sums = [w.reshape(w.shape[:-2] + (3, 2, w.shape[-1])).sum(axis=-2) for w in w_maps]
+    for e, c in enumerate(coeffs):
+        levels, k = c.shape[:2]
+        step = max(1, _CHUNK_ENTRIES // (levels * 6**n))
+        low = np.min([_contract_parties(c[:, s:s + step], w_maps).reshape(levels, -1).min(axis=1)
+                      for s in range(0, k, step)], axis=0)
+        low[np.abs(low) < 1e-16] = 0.0  # the zero cut of the (a, l, x) view
         check(low < -tol.probability,
               lambda i: ValidationError(f"negative probability {low[i]:.3e} in table e={e}"))
-        totals = p.sum(axis=(1, 2))
-        check(np.abs(totals - 1).max(axis=1) > tol.structural,
+        # pbar[v, l, x] = sum_a p(a, l | x, e): Eve's marginal per Alice input
+        pbar = _contract_parties(c, sums).reshape(levels, k, -1)
+        check(np.abs(pbar.sum(axis=1) - 1).max(axis=1) > tol.structural,
               lambda i: ValidationError(f"probabilities for e={e} do not sum to 1 per input"))
-        # Eve's marginal must not depend on the Alice inputs
-        pbar = p.sum(axis=1)
         check(np.abs(pbar - pbar[..., :1]).max(axis=(1, 2)) > tol.structural,
               lambda i: ValidationError(f"signaling to Eve detected in table e={e}"))
-    else:
-        # Alice marginals must not depend on Eve's input
-        check(np.abs(p0.sum(axis=2) - p1.sum(axis=2)).max(axis=(1, 2)) > tol.structural,
-              lambda i: ValidationError("Alice marginals depend on Eve's input (signaling)"))
+    # Alice marginals must not depend on Eve's input
+    alice = [_contract_parties(c.sum(axis=1, keepdims=True), w_maps).reshape(len(c), -1)
+             for c in coeffs]
+    check(np.abs(alice[0] - alice[1]).max(axis=1) > tol.structural,
+          lambda i: ValidationError("Alice marginals depend on Eve's input (signaling)"))
     if error is not None:
         raise error
 
 
-def _outcome_weights(p: np.ndarray) -> np.ndarray:
-    """P(l | e) of a (..., 2^N, K, 3^N) table stack, from the Alice input 0."""
-    return p[..., 0].sum(axis=-2)
+def _dense_factors(n: int, p: np.ndarray) -> np.ndarray:
+    """Born factors c (K, 6, ..., 6) of a (2^N, K, 3^N) table, for identity maps w_i.
 
-
-def _correlators(n: int, p: np.ndarray) -> np.ndarray:
-    """Correlator tensors T[v, l, j_1..j_N] of an (L, 2^N, K, 3^N) table stack.
-
-    Contracts as many outcomes l at a time as fit in ``_CHUNK_ENTRIES`` table
-    entries, and at least one, so it never copies the whole table.
+    Party i's axis packs (x_i, a_i) as 2 x_i + a_i, the row order of ``w_i``.
     """
-    levels, k = p.shape[0], p.shape[2]
-    step = max(1, _CHUNK_ENTRIES // (levels * 6**n))
-    # (v, a_1..a_N, l, x_1..x_N) -> (v, l, x_1, a_1, ..., x_N, a_N)
-    perm = [0, n + 1] + [ax for i in range(n) for ax in (n + 2 + i, 1 + i)]
-    view = p.reshape((levels,) + (2,) * n + (k,) + (3,) * n)
-    maps = [_ROTATED_MAP] + [_PARTY_MAP] * (n - 1)
-    out = np.empty((levels, k) + (4,) * n)
-    for s in range(0, k, step):
-        raw = view[(slice(None),) * (n + 1) + (slice(s, s + step),)].transpose(perm)
-        tensor = _contract_parties(raw.reshape((-1,) + raw.shape[2:]), maps)
-        out[:, s:s + step] = tensor.reshape((levels, -1) + (4,) * n)
-    return out
+    k = p.shape[1]
+    # (a_1..a_N, l, x_1..x_N) -> (l, x_1, a_1, ..., x_N, a_N)
+    perm = [n] + [ax for i in range(n) for ax in (n + 1 + i, i)]
+    view = p.reshape((2,) * n + (k,) + (3,) * n).transpose(perm)
+    return np.ascontiguousarray(view).reshape((k,) + (6,) * n)
 
 
-@dataclass(frozen=True)
+def _dense_table(n: int, c: np.ndarray, w_maps) -> np.ndarray:
+    """The zero-cut, read-only (2^N, K, 3^N) table of one Eve input's Born factors.
+
+    p[a, l, x] = sum_b c[l, b] prod_i w_i[(x_i, a_i), b_i].
+    """
+    k = len(c)
+    raw = _contract_parties(c, w_maps).reshape((k,) + (3, 2) * n)
+    # (l, x_1, a_1, ..., x_N, a_N) -> (a_1..a_N, l, x_1..x_N)
+    order = [2 + 2 * i for i in range(n)] + [0] + [1 + 2 * i for i in range(n)]
+    table = np.ascontiguousarray(raw.transpose(order)).reshape(2**n, k, 3**n)
+    table[np.abs(table) < 1e-16] = 0.0
+    table.flags.writeable = False
+    return table
+
+
 class CorrelationTable:
-    """The behavior p(a, l | x, e) for all inputs and outcomes.
+    """The behavior p(a, l | x, e) for all inputs and outcomes, held as Born factors.
 
-    ``p0`` has shape (2^N, 2^N, 3^N) indexed by (a, l, x) for e = 0, ``p1``
-    has shape (2^N, K, 3^N) for e = 1.  The ``a`` index packs the Alice
+    Per Eve input e it holds real coefficients ``c_e`` (K_e, D_1, ..., D_N),
+    and per party a map ``w_i`` (6, D_i) shared by both inputs, with
+    p(a, l | x, e) = sum_b c_e[l, b] prod_i w_i[(x_i, a_i), b_i].
+    ``born_table`` stores the Hermitian-basis expansion of ``_born_factors``.
+    The constructor takes dense tables ``p0`` (2^N, 2^N, 3^N) for e = 0 and
+    ``p1`` (2^N, K, 3^N) for e = 1, indexed by (a, l, x), and stores them the
+    same way: c_e is the table transposed to (l, (x_1 a_1), ..., (x_N a_N))
+    and every w_i is the 6 x 6 identity.  The ``a`` index packs the Alice
     outcome bits with party 1 most significant; ``x`` packs the inputs in
     base 3 the same way.
+
+    The checks and the correlator tensors read the factors.  ``p0``, ``p1``
+    and ``prob`` read the (a, l, x) view, which is materialised (zero-cut,
+    read-only) only when first read.
     """
 
-    n: int
-    p0: np.ndarray
-    p1: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
-    _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, n: int, p0, p1, tol: Tolerances = DEFAULT_TOL):
+        coeffs = []
+        for e, p in enumerate((p0, p1)):
+            p = np.asarray(p, dtype=float)
+            if p.ndim != 3 or p.shape[0] != 2**n or p.shape[2] != 3**n:
+                raise DimensionError(f"table for e={e} has wrong shape {p.shape}")
+            coeffs.append(_dense_factors(n, p))
+        self._init(n, coeffs, [np.eye(6)] * n, tol)
 
-    def __post_init__(self):
-        _check_tables(self.n, self.p0[None], self.p1[None], self.tol)
+    @classmethod
+    def _from_factors(cls, n: int, coeffs, w_maps, tol: Tolerances = DEFAULT_TOL):
+        table = cls.__new__(cls)
+        table._init(n, coeffs, w_maps, tol)
+        return table
+
+    def _init(self, n, coeffs, w_maps, tol):
+        _check_factors(n, [c[None] for c in coeffs], [w[None] for w in w_maps], tol)
+        for a in (*coeffs, *w_maps):
+            a.flags.writeable = False
+        self.n, self.tol = n, tol
+        self._coeffs, self._w_maps = tuple(coeffs), tuple(w_maps)
+        self._tensors, self._tables = {}, {}
+
+    def _factors(self, e: int) -> np.ndarray:
+        if e not in (0, 1):
+            raise DimensionError(f"Eve input e={e} out of range")
+        return self._coeffs[e]
 
     def _table(self, e: int) -> np.ndarray:
-        if e == 0:
-            return self.p0
-        if e == 1:
-            return self.p1
-        raise DimensionError(f"Eve input e={e} out of range")
+        if e not in self._tables:
+            self._tables[e] = _dense_table(self.n, self._factors(e), self._w_maps)
+        return self._tables[e]
+
+    @property
+    def p0(self) -> np.ndarray:
+        return self._table(0)
+
+    @property
+    def p1(self) -> np.ndarray:
+        return self._table(1)
 
     def outcome_count(self, e: int) -> int:
-        return self._table(e).shape[1]
+        return len(self._factors(e))
 
     def prob(self, a_bits, l: int, x_inputs, e: int) -> float:
         a = _pack(a_bits, 2, self.n)
         x = _pack(x_inputs, 3, self.n)
-        t = self._table(e)
-        if not 0 <= l < t.shape[1]:
+        if not 0 <= l < self.outcome_count(e):
             raise DimensionError(f"outcome l={l} out of range for e={e}")
-        return float(t[a, l, x])
+        return float(self._table(e)[a, l, x])
 
     def outcome_weights(self, e: int) -> np.ndarray:
         """P(l | e) for every outcome l of Eve's input e."""
-        return _outcome_weights(self._table(e))
+        return _outcome_weights(self.n, self.correlator_tensor(e))
 
     def pbar(self, l: int, e: int) -> float:
         """Probability that Eve observes outcome l under input e."""
@@ -328,7 +380,7 @@ class CorrelationTable:
         Party 1 is rotated: its indices 0 and 1 select (A_0 -+ A_1)/sqrt2.
         """
         if e not in self._tensors:
-            tensor = _correlators(self.n, self._table(e)[None])[0]
+            tensor = _correlators(self._factors(e), self._w_maps)
             tensor.flags.writeable = False
             self._tensors[e] = tensor
         return self._tensors[e]
@@ -438,36 +490,15 @@ def _born_factors(scenario: Scenario):
     return coeffs, w_maps
 
 
-def _table_from_factors(n: int, coeffs, w_maps) -> list:
-    """Zero-cut (L, 2^N, K_e, 3^N) stacks p = sum_b c_{l,b} prod_i w_{i,b_i}, one per e.
-
-    Every factor has a leading level axis of length L; party 1 is
-    contracted first, and one transpose gives the (v, a, l, x) layout.
-    """
-    # (v, l, (x_1 a_1), ..., (x_N a_N)) -> (v, a_1..a_N, l, x_1..x_N)
-    order = [0] + [3 + 2 * i for i in range(n)] + [1] + [2 + 2 * i for i in range(n)]
-    tables = []
-    for c in coeffs:
-        levels, n_out = c.shape[:2]
-        raw = _contract_parties(c, w_maps).reshape((levels, n_out) + (3, 2) * n)
-        table = raw.transpose(order).reshape(levels, 2**n, n_out, 3**n)
-        del raw  # at N = 7 it is as large as the table
-        table[np.abs(table) < 1e-16] = 0.0
-        tables.append(table)
-    return tables
-
-
 def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> CorrelationTable:
     """Exact behavior of the scenario via Born's rule.
 
     Exploits source independence: p = Tr[(prod_i W^{(i)}_{a_i|x_i}) R_{l|e}]
     with the steering operators W living on Eve's factors only.  Each W and
     each R_l is expanded in the orthonormal Hermitian product basis of
-    ``_hermitian_basis`` (``_born_factors``), so p is a real contraction of
-    the coefficients (``_table_from_factors``, here on a stack of one level).
+    ``_hermitian_basis`` (``_born_factors``), and the table holds those real
+    coefficients: its checks and correlators contract them directly, and no
+    (a, l, x) table is formed unless ``p0``/``p1`` are read.
     """
     coeffs, w_maps = _born_factors(scenario)
-    p0, p1 = _table_from_factors(
-        scenario.n_parties, [c[None] for c in coeffs], [w[None] for w in w_maps]
-    )
-    return CorrelationTable(n=scenario.n_parties, p0=p0[0], p1=p1[0], tol=tol)
+    return CorrelationTable._from_factors(scenario.n_parties, coeffs, w_maps, tol)

@@ -3,7 +3,10 @@
 The Born oracle builds the full joint operator for every (a, l, x, e)
 combination and never touches the steering-operator fast path; the
 post-measurement oracle projects the dense joint state and traces Eve out
-instead of contracting source by source; the noise-scan oracle builds and
+instead of contracting source by source; the dense-table oracle builds the
+(a, l, x) table of the Born factors, checks it entry by entry and
+contracts its correlators from the transposed table, instead of reading
+the factors; the noise-scan oracle builds and
 validates the noisy scenario and its Born table at every level, and reads
 each table on its own, instead of mixing the expanded factors of its two
 endpoints and reading stacks of levels; the Bell-operator and
@@ -28,10 +31,13 @@ from starcert.certify import (
     reference_ranks,
 )
 from starcert.config import DEFAULT_TOL, Tolerances
-from starcert.errors import DimensionError
+from starcert.errors import DimensionError, ValidationError
 from starcert.measurements import Povm
 from starcert.network import (
+    _PARTY_MAP,
+    _ROTATED_MAP,
     Scenario,
+    _contract_parties,
     assemble_joint_state,
     born_table,
     effects_from_observable,
@@ -78,6 +84,43 @@ def post_measurement_oracle(scenario: Scenario, l: int, e: int) -> np.ndarray:
     dims = list(scenario.alice_dims) + list(scenario.eve_dims)
     reduced = partial_trace(projected, dims, keep=range(n))
     return reduced / np.trace(reduced).real
+
+
+def dense_table_oracle(n: int, coeffs, w_maps, tol: Tolerances = DEFAULT_TOL):
+    """Tables p_e (2^N, K_e, 3^N), correlator tensors T_e and P(l | e) of Born factors.
+
+    The (a, l, x) route: each zero-cut table is built, checked entry by
+    entry (raising the first failing check) and transposed back for its
+    correlators.
+    """
+    # (l, x_1, a_1, ..., x_N, a_N) -> (a_1..a_N, l, x_1..x_N)
+    order = [2 + 2 * i for i in range(n)] + [0] + [1 + 2 * i for i in range(n)]
+    tables = []
+    for c in coeffs:
+        raw = _contract_parties(c, w_maps).reshape((len(c),) + (3, 2) * n)
+        p = raw.transpose(order).reshape(2**n, len(c), 3**n)
+        p[np.abs(p) < 1e-16] = 0.0
+        tables.append(p)
+    for e, p in enumerate(tables):
+        if p.min() < -tol.probability:
+            raise ValidationError(f"negative probability {p.min():.3e} in table e={e}")
+        if np.abs(p.sum(axis=(0, 1)) - 1).max() > tol.structural:
+            raise ValidationError(f"probabilities for e={e} do not sum to 1 per input")
+        pbar = p.sum(axis=0)
+        if np.abs(pbar - pbar[:, :1]).max() > tol.structural:
+            raise ValidationError(f"signaling to Eve detected in table e={e}")
+    if np.abs(tables[0].sum(axis=1) - tables[1].sum(axis=1)).max() > tol.structural:
+        raise ValidationError("Alice marginals depend on Eve's input (signaling)")
+    tensors = [correlators_from_table(n, p) for p in tables]
+    return tables, tensors, [p[..., 0].sum(axis=0) for p in tables]
+
+
+def correlators_from_table(n: int, p: np.ndarray) -> np.ndarray:
+    """Correlator tensor T[l, j_1..j_N] of a (2^N, K, 3^N) table, contracted from its transpose."""
+    # (a_1..a_N, l, x_1..x_N) -> (l, x_1, a_1, ..., x_N, a_N)
+    perm = [n] + [ax for i in range(n) for ax in (n + 1 + i, i)]
+    raw = p.reshape((2,) * n + (p.shape[1],) + (3,) * n).transpose(perm)
+    return _contract_parties(raw, [_ROTATED_MAP] + [_PARTY_MAP] * (n - 1))
 
 
 def _scan_report(model: str, n: int, levels, tables, reference_effects, mode: str,
@@ -211,6 +254,6 @@ def rng():
 
 @pytest.fixture
 def one_entry_chunks(monkeypatch):
-    """Cut every noise-scan stack to one level and every correlator contraction to one outcome."""
+    """Cut every noise-scan stack to one level and every non-negativity chunk to one outcome."""
     for module in ("starcert.network", "starcert.certify"):
         monkeypatch.setattr(importlib.import_module(module), "_CHUNK_ENTRIES", 1)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import starcert.network
 from starcert import cli
 from starcert.cli import main
 from starcert.config import Tolerances
@@ -143,7 +144,24 @@ def test_scenario_file_above_limit_is_rejected_before_construction(monkeypatch, 
     assert main(["scan", "--scenario", IDEAL, "--grid", "0,1"]) == 2
     err = capsys.readouterr().err
     assert err.count(f"N={n} is above the largest supported N={cli.MAX_PARTIES}") == 2
-    assert "2^N * 6^N float64 entries (3.4 GB)" in err
+    assert "2 * 8^N complex entries (0.5 GB)" in err
+
+
+def test_production_paths_build_no_dense_table(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an (a, l, x) table was built")
+
+    monkeypatch.setattr(starcert.network, "_dense_table", forbidden)
+    with pytest.raises(AssertionError):
+        starcert.network.born_table(ideal_scenario(2)).p0
+    for mode in ("projective", "povm"):
+        assert main(["certify", "--scenario", IDEAL, "--reference", GHZ_REF, "--mode", mode]) == 0
+    assert main(["certify", "--scenario", TAMPERED, "--reference", GHZ_REF]) == 1
+    assert main(["prepare-state", "--n", "3", "--state-spec", MIXED_SPEC]) == 0
+    for noise in ("isotropic", "effects"):
+        assert main(["scan", "--scenario", IDEAL, "--noise", noise, "--grid", "0,0.5,1",
+                     "--reference", GHZ_REF, "--mode", "povm"]) == 0
+    assert main(["scan", "--n", "3", "--noise", "effects", "--grid", "0,1"]) == 0
 
 
 def test_scan_rejects_n_that_disagrees_with_scenario(capsys):

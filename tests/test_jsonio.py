@@ -116,7 +116,11 @@ def test_fixture_reserialises_identically(name):
     ([[1.0, 0.0]] * 3 + [[10**400, 0.0]], "malformed"),
     ("abcd", "malformed"),
     (7, r"\[re, im\] pairs"),
-], ids=["nan", "triple", "string", "overflow", "not-a-list", "scalar"])
+    ([["1.0", "0"], [0, 0], [0, 0], [1, 0]], "JSON numbers, got str"),
+    ([[1, 0], [0, 0], [0, 0], [True, 0]], "JSON numbers, got bool"),
+    ([[1, 0], [0, 0], [0, 0], 1], r"\[re, im\] pairs"),
+], ids=["nan", "triple", "string", "overflow", "not-a-list", "scalar", "numeric-string",
+        "boolean", "bare-number"])
 def test_matrix_from_json_rejects_malformed_entries(entries, match):
     with pytest.raises(ValidationError, match=r"^doc\.m\.entries: .*" + match):
         matrix_from_json({"dim": 2, "entries": entries}, "doc.m")
@@ -132,4 +136,12 @@ def test_mixed_state_spec_rejects_non_finite_weight():
     doc = mixed_state_spec_to_json(load_mixed_state_spec(fixture_path("mixed_demo.statespec.json")))
     doc["weights"][0] = float("nan")
     with pytest.raises(ValidationError, match=r"^state spec\.weights: .*finite"):
+        mixed_state_spec_from_json(doc)
+
+
+@pytest.mark.parametrize("weight", ["0.5", True, None])
+def test_mixed_state_spec_rejects_non_number_weight(weight):
+    doc = mixed_state_spec_to_json(load_mixed_state_spec(fixture_path("mixed_demo.statespec.json")))
+    doc["weights"][0] = weight
+    with pytest.raises(ValidationError, match=r"^state spec\.weights: malformed .*JSON numbers"):
         mixed_state_spec_from_json(doc)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -5,7 +6,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import born_oracle, random_scenario_with_dims
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    born_oracle,
+    correlators_from_table,
+    dense_table_oracle,
+    random_scenario_with_dims,
+)
 from starcert.config import DEFAULT_TOL
 from starcert.errors import ConditioningError, DimensionError, ValidationError
 from starcert.jsonio import (
@@ -21,7 +30,9 @@ from starcert.network import (
     BinaryObservableTriple,
     CorrelationTable,
     Scenario,
-    _check_tables,
+    _born_factors,
+    _check_factors,
+    _dense_factors,
     assemble_joint_state,
     born_table,
     effects_from_observable,
@@ -133,6 +144,93 @@ def test_born_table_invariant_under_conjugation(alice_dims, eve_dims, rng):
     npt.assert_allclose(conj.p1, table.p1, atol=1e-12)
 
 
+# (N, mixed): a qutrit factor at N = 3 would take the dense oracle over a second
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from([(2, False), (2, True), (3, False)]))
+def test_born_table_matches_born_oracle_on_random_scenarios(seed, case):
+    (n, mixed), rng = case, np.random.default_rng(seed)
+    alice_dims, eve_dims = [2] * n, [2] * n
+    if mixed:
+        alice_dims[rng.integers(n)] = 3
+        eve_dims[rng.integers(n)] = 3
+    scen = random_scenario_with_dims(tuple(alice_dims), tuple(eve_dims), rng)
+    table = born_table(scen)
+    for e, got in ((0, table.p0), (1, table.p1)):
+        expected = born_oracle(scen, e)
+        npt.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        npt.assert_allclose(table.correlator_tensor(e),
+                            correlators_from_table(n, expected), rtol=0, atol=1e-12)
+
+
+def _tampered(kind, e, coeffs, w_maps):
+    """Born factors with one defect that makes exactly the check ``kind`` fail first."""
+    coeffs, w_maps = [c.copy() for c in coeffs], [w.copy() for w in w_maps]
+    eps = 1e-6
+    if kind == "negated-row":
+        coeffs[e][1] *= -1
+    elif kind == "scaled-row":
+        coeffs[e][1] *= 1.5
+    elif kind == "w-row":
+        # party 1's W[x=1, a=0] gains an off-diagonal basis component: the
+        # effects' sum has none, so only Eve's marginal per input moves
+        d = int(np.sqrt(w_maps[0].shape[1]))
+        w_maps[0][2, d] += eps
+    elif kind == "alice-marginal":
+        # a direction of party 1 that its a-summed maps (all the reduced
+        # state of its Eve factor) cannot see, times the identity elsewhere
+        w, u = w_maps[0][0], w_maps[0][0] + w_maps[0][1]
+        delta = [w - (w @ u) / (u @ u) * u]
+        for m in w_maps[1:]:
+            d = int(np.sqrt(m.shape[1]))
+            delta.append((np.arange(d * d) < d).astype(float))
+        coeffs[e][0] += eps * functools.reduce(np.multiply.outer, delta).reshape(
+            coeffs[e].shape[1:])
+    return coeffs, w_maps
+
+
+TAMPERS = [
+    pytest.param(None, None, None, id="intact"),
+    pytest.param("negated-row", 0, "negative probability", id="negated-row-e0"),
+    pytest.param("negated-row", 1, "negative probability", id="negated-row-e1"),
+    pytest.param("scaled-row", 0, "do not sum to 1", id="scaled-row-e0"),
+    pytest.param("scaled-row", 1, "do not sum to 1", id="scaled-row-e1"),
+    pytest.param("w-row", None, "signaling to Eve detected in table e=0", id="w-row"),
+    pytest.param("alice-marginal", 1, "Alice marginals depend", id="alice-marginal-e1"),
+]
+
+CROSS_ROUTE_DIMS = [
+    *(pytest.param((2,) * n, (2,) * n, id=f"qubits-n{n}") for n in (2, 3, 4, 5)),
+    *NON_QUBIT_DIMS,
+]
+
+
+@pytest.mark.parametrize("kind, e, message", TAMPERS)
+@pytest.mark.parametrize("alice_dims, eve_dims", CROSS_ROUTE_DIMS)
+def test_factor_route_matches_dense_table_oracle(alice_dims, eve_dims, kind, e, message, rng):
+    scen = random_scenario_with_dims(alice_dims, eve_dims, rng)
+    n = scen.n_parties
+    coeffs, w_maps = _tampered(kind, e, *_born_factors(scen))
+    if message is not None:
+        with pytest.raises(ValidationError, match=message) as expected:
+            dense_table_oracle(n, coeffs, w_maps)
+        with pytest.raises(ValidationError) as raised:
+            CorrelationTable._from_factors(n, coeffs, w_maps)
+        assert str(raised.value) == str(expected.value)
+        return
+    table = CorrelationTable._from_factors(n, coeffs, w_maps)
+    for e, (p, tensor, weights) in enumerate(zip(*dense_table_oracle(n, coeffs, w_maps))):
+        npt.assert_allclose(table.correlator_tensor(e), tensor, rtol=0, atol=1e-12)
+        npt.assert_allclose(table.outcome_weights(e), weights, rtol=0, atol=1e-12)
+        npt.assert_allclose((table.p0, table.p1)[e], p, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, e, message", TAMPERS[:3])
+@pytest.mark.parametrize("alice_dims, eve_dims", CROSS_ROUTE_DIMS[:2] + NON_QUBIT_DIMS[-1:])
+def test_factor_route_matches_dense_table_oracle_one_outcome_chunks(
+        one_entry_chunks, alice_dims, eve_dims, kind, e, message, rng):
+    test_factor_route_matches_dense_table_oracle(alice_dims, eve_dims, kind, e, message, rng)
+
+
 def test_born_table_matches_oracle_ideal():
     scen = ideal_scenario(2, eve_second=ghz_basis_measurement(2))
     table = born_table(scen)
@@ -218,6 +316,12 @@ def test_correlator_tensor_matches_dense_trace_oracle_one_outcome_at_a_time(
     test_correlator_tensor_matches_dense_trace_oracle(n, rng)
 
 
+def check_stacks(p0, p1):
+    """The factor checks on (L, 2^N, K, 3^N) stacks, stored as ``CorrelationTable`` stores them."""
+    coeffs = [np.stack([_dense_factors(2, p) for p in stack]) for stack in (p0, p1)]
+    _check_factors(2, coeffs, [np.eye(6)[None]] * 2, DEFAULT_TOL)
+
+
 def test_stacked_table_checks_report_the_first_failing_level():
     table = born_table(ideal_scenario(2))
     p0, p1 = np.stack([table.p0] * 4), np.stack([table.p1] * 4)
@@ -227,12 +331,12 @@ def test_stacked_table_checks_report_the_first_failing_level():
     p0[2, 0, 0, 1] -= 0.01
     p0[2, 0, 1, 1] += 0.01
     with pytest.raises(ValidationError, match="signaling to Eve detected in table e=0"):
-        _check_tables(2, p0, p1, DEFAULT_TOL)
+        check_stacks(p0, p1)
     with pytest.raises(ValidationError, match="signaling to Eve detected in table e=0"):
         CorrelationTable(n=2, p0=p0[2], p1=p1[2])
     with pytest.raises(ValidationError, match=r"negative probability -5\.000e-01 in table e=0"):
-        _check_tables(2, p0[3:], p1[3:], DEFAULT_TOL)
-    _check_tables(2, p0[:2], p1[:2], DEFAULT_TOL)
+        check_stacks(p0[3:], p1[3:])
+    check_stacks(p0[:2], p1[:2])
 
 
 def test_conditional_correlator_raises_on_zero_probability():
