@@ -13,6 +13,7 @@ A matrix is ``{"dim": d, "entries": [[re, im], ...]}`` in row-major order.
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain
 
@@ -32,6 +33,21 @@ def _read_json(path):
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _load(from_json, path):
+    """``from_json(_read_json(path))`` with Python's cyclic garbage collector paused."""
+    # The pause is process-wide, so an application that embeds starcert sees
+    # it.  A decoded document is a tree of dicts, lists, strings and numbers
+    # with no reference cycle, so a collection over its [re, im] lists could
+    # free nothing; they are freed by reference counting before GC resumes.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return from_json(_read_json(path))
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _require_object(doc, path: str, keys) -> None:
@@ -113,8 +129,10 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(doc, path: str) -> np.ndarray:
     _require_object(doc, path, ("dim", "entries"))
     dim = _int(doc["dim"], f"{path}.dim")
+    if dim < 1:
+        raise ValidationError(f"{path}.dim: must be at least 1")
     entries = _complex_entries(doc["entries"], f"{path}.entries")
-    if dim < 1 or entries.size != dim * dim:
+    if entries.size != dim * dim:
         raise ValidationError(
             f"{path}: expected {dim * dim} entries for dim {dim}, got {entries.size}"
         )
@@ -167,7 +185,13 @@ def scenario_from_json(doc) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return scenario_from_json(_read_json(path))
+    """Read and validate a scenario file.
+
+    Python's cyclic garbage collector is paused, process-wide, while the
+    file is decoded and validated: the decoded document holds no reference
+    cycle, so a collection could free nothing (see ``_load``).
+    """
+    return _load(scenario_from_json, path)
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -194,7 +218,13 @@ def povm_from_json(doc) -> Povm:
 
 
 def load_povm(path) -> Povm:
-    return povm_from_json(_read_json(path))
+    """Read and validate a reference measurement file.
+
+    Python's cyclic garbage collector is paused, process-wide, while the
+    file is decoded and validated: the decoded document holds no reference
+    cycle, so a collection could free nothing (see ``_load``).
+    """
+    return _load(povm_from_json, path)
 
 
 # ---------------------------------------------------------------------------
@@ -221,4 +251,10 @@ def mixed_state_spec_from_json(doc) -> MixedStateSpec:
 
 
 def load_mixed_state_spec(path) -> MixedStateSpec:
-    return mixed_state_spec_from_json(_read_json(path))
+    """Read and validate a target state spec file.
+
+    Python's cyclic garbage collector is paused, process-wide, while the
+    file is decoded and validated: the decoded document holds no reference
+    cycle, so a collection could free nothing (see ``_load``).
+    """
+    return _load(mixed_state_spec_from_json, path)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -17,10 +18,11 @@ from starcert.jsonio import (
     mixed_state_spec_to_json,
     povm_from_json,
     povm_to_json,
+    save_scenario,
     scenario_from_json,
     scenario_to_json,
 )
-from starcert.measurements import Povm, validate_povm
+from starcert.measurements import Povm, ghz_basis_measurement, validate_povm
 from starcert.presets import ideal_scenario
 
 TOL = DEFAULT_TOL.structural
@@ -145,3 +147,76 @@ def test_mixed_state_spec_rejects_non_number_weight(weight):
     doc["weights"][0] = weight
     with pytest.raises(ValidationError, match=r"^state spec\.weights: malformed .*JSON numbers"):
         mixed_state_spec_from_json(doc)
+
+
+@pytest.mark.parametrize("dim", [0, -2])
+def test_matrix_from_json_rejects_a_non_positive_dim(dim):
+    with pytest.raises(ValidationError, match=r"^doc\.m\.dim: must be at least 1$"):
+        matrix_from_json({"dim": dim, "entries": [[1.0, 0.0]] * 4}, "doc.m")
+
+
+@pytest.fixture
+def ghz_files(tmp_path):
+    """An N = 4 GHZ scenario file and its GHZ reference, as the CLI reads them."""
+    ghz = ghz_basis_measurement(4)
+    scenario, reference = tmp_path / "ideal_n4.scenario.json", tmp_path / "ghz_n4.povm.json"
+    save_scenario(ideal_scenario(4, eve_second=ghz), scenario)
+    reference.write_text(json.dumps(povm_to_json(ghz)))
+    return scenario, reference
+
+
+@pytest.fixture
+def gc_enabled():
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_enabled:
+        gc.disable()
+
+
+def _collections_during(call):
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+    return len(started)
+
+
+def test_loaders_run_no_garbage_collection(ghz_files, gc_enabled):
+    scenario, reference = ghz_files
+    # The same documents decoded with the collector running do trigger collections.
+    assert _collections_during(lambda: scenario_from_json(json.loads(scenario.read_text()))) > 0
+    assert _collections_during(lambda: load_scenario(scenario)) == 0
+    assert _collections_during(lambda: load_povm(reference)) == 0
+    assert gc.isenabled()
+
+
+def _nan_reference(tmp_path):
+    doc = povm_to_json(ghz_basis_measurement(2))
+    doc["effects"][0]["entries"][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.povm.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loaders_restore_the_garbage_collector_state(tmp_path, ghz_files, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_scenario(ghz_files[0])
+        assert gc.isenabled() is enabled
+        load_mixed_state_spec(fixture_path("mixed_demo.statespec.json"))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValidationError, match=r"^povm\.effects\[0\]\.entries: .*finite"):
+            load_povm(_nan_reference(tmp_path))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
