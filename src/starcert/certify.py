@@ -14,7 +14,8 @@ match (real references) the tie resolves to Plain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from string import ascii_letters
 
 import numpy as np
@@ -202,6 +203,12 @@ def check_povm_conditions(table: CorrelationTable, f_tensors,
     return _part2("povm", table, f_tensors, None, tol)
 
 
+@lru_cache(maxsize=None)
+def _einsum_path(spec: str, *shapes) -> list:
+    """``einsum``'s contraction order for ``spec`` on operands of these shapes, searched once."""
+    return np.einsum_path(spec, *map(np.empty, shapes), optimize=True)[0]
+
+
 def post_measurement_state(scenario: Scenario, l: int, e: int,
                            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Normalized Alice state conditioned on Eve's outcome l under input e.
@@ -209,21 +216,28 @@ def post_measurement_state(scenario: Scenario, l: int, e: int,
     Contracts Eve's effect R with each source in turn,
     rho_A[a_1..a_N, b_1..b_N] = sum_{r,c} R[r, c] prod_i rho_i[a_i c_i, b_i r_i]
     with r and c running over Eve's row and column indices, so no operator
-    on the joint Alice-Eve space is formed.
+    on the joint Alice-Eve space is formed.  A rank-one R = v v^dagger
+    enters as its two vector legs v[r] and conj(v[c]).
     """
     if e not in (0, 1):
         raise DimensionError(f"Eve input e={e} out of range")
-    effects = scenario.eve[e].effects
-    if not 0 <= l < len(effects):
+    meas = scenario.eve[e]
+    if not 0 <= l < meas.outcome_count:
         raise DimensionError(f"outcome l={l} out of range for e={e}")
     n = scenario.n_parties
     d_as, d_es = scenario.alice_dims, scenario.eve_dims
     a, b, r, c = (ascii_letters[k * n:(k + 1) * n] for k in range(4))
-    spec = f"{r}{c}," + ",".join(map("".join, zip(a, c, b, r))) + f"->{a}{b}"
+    if meas.vectors is None:
+        legs, effect = f"{r}{c},", [meas.effects[l].reshape(d_es * 2)]
+    else:
+        v = meas.vectors[l].reshape(d_es)
+        legs, effect = f"{r},{c},", [v, v.conj()]
+    spec = legs + ",".join(map("".join, zip(a, c, b, r))) + f"->{a}{b}"
     sources = [rho.reshape((da, de) * 2) for rho, da, de in zip(scenario.sources, d_as, d_es)]
     dim = int(np.prod(d_as))
-    rho = np.einsum(spec, effects[l].reshape(d_es * 2), *sources,
-                    optimize=True).reshape(dim, dim)
+    operands = effect + sources
+    path = _einsum_path(spec, *(op.shape for op in operands))
+    rho = np.einsum(spec, *operands, optimize=path).reshape(dim, dim)
     p = float(np.trace(rho).real)
     if p <= tol.probability:
         raise ConditioningError(f"outcome l={l}, e={e} has probability {p:.3e}")
@@ -358,15 +372,8 @@ def certify(scenario: Scenario, reference_effects, mode: str,
         part3 = certify_state_preparation(scenario, state_spec, table, tol)
         if part3.branch.matched() and part2.passed and part3.branch.branch != part2.branch:
             # inconsistent branches across pipeline stages cannot certify
-            part3 = Part3Report(
-                outcomes=part3.outcomes,
-                probabilities=part3.probabilities,
-                expected_probabilities=part3.expected_probabilities,
-                total_probability=part3.total_probability,
-                branch=ConjugationBranch(NO_BRANCH, part3.branch.distance),
-                prob_passed=part3.prob_passed,
-                state_passed=False,
-            )
+            part3 = replace(part3, branch=ConjugationBranch(NO_BRANCH, part3.branch.distance),
+                            state_passed=False)
     verdict = _resolve_verdict(part1, part2, part3)
     return CertificationReport(
         part1=part1, part2=part2, part3=part3, verdict=verdict, tolerances=tol
@@ -394,20 +401,13 @@ class ScanReport:
 
 
 def _depolarize_effects(scenario: Scenario, v: float) -> Scenario:
+    """Mix every Eve effect with white noise of its trace: v R + (1 - v) Tr[R] 1/d."""
     eve = []
     for meas in scenario.eve:
-        dim = meas.dim
-        effects = tuple(
-            v * m + (1 - v) * (np.trace(m).real / dim) * np.eye(dim)
-            for m in meas.effects
-        )
+        eye = np.eye(meas.dim)
+        effects = tuple(v * m + (1 - v) * (np.trace(m).real / meas.dim) * eye for m in meas.effects)
         eve.append(Povm(effects, meas.tol))
-    return Scenario(
-        n_parties=scenario.n_parties,
-        sources=scenario.sources,
-        alice_observables=scenario.alice_observables,
-        eve=tuple(eve),
-    )
+    return replace(scenario, eve=tuple(eve))
 
 
 # Each model maps (scenario, v) to the scenario with every source (isotropic)

@@ -25,6 +25,7 @@ from .bell import (
 )
 from .certify import (
     CertificationReport,
+    Part3Report,
     certify,
     certify_state_preparation,
     check_part1,
@@ -150,17 +151,20 @@ def _report_body(report: CertificationReport) -> dict:
             "passed": report.part2.passed,
         }
     if report.part3 is not None:
-        p3 = report.part3
-        body["part3"] = {
-            "outcomes": list(p3.outcomes),
-            "probabilities": [_f(p) for p in p3.probabilities],
-            "expected_probabilities": [_f(p) for p in p3.expected_probabilities],
-            "total_probability": _f(p3.total_probability),
-            "branch": p3.branch.branch,
-            "distance": _f(p3.branch.distance),
-            "passed": p3.passed,
-        }
+        body["part3"] = {"outcomes": list(report.part3.outcomes), **_part3_body(report.part3)}
     return body
+
+
+def _part3_body(p3: Part3Report) -> dict:
+    """The part-3 block that ``certify`` and ``prepare-state`` share."""
+    return {
+        "probabilities": [_f(p) for p in p3.probabilities],
+        "expected_probabilities": [_f(p) for p in p3.expected_probabilities],
+        "total_probability": _f(p3.total_probability),
+        "branch": p3.branch.branch,
+        "distance": _f(p3.branch.distance),
+        "passed": p3.passed,
+    }
 
 
 def _report_text(report: CertificationReport) -> str:
@@ -262,14 +266,7 @@ def cmd_prepare_state(config: RunConfig) -> int:
     body = {
         "n": n,
         "part1_passed": part1.passed,
-        "part3": {
-            "probabilities": [_f(p) for p in part3.probabilities],
-            "expected_probabilities": [_f(p) for p in part3.expected_probabilities],
-            "total_probability": _f(part3.total_probability),
-            "branch": part3.branch.branch,
-            "distance": _f(part3.branch.distance),
-            "passed": part3.passed,
-        },
+        "part3": _part3_body(part3),
         "verdict": "Certified" if passed else "Failed",
     }
     _emit(config, text, _envelope(config, body))

@@ -36,11 +36,14 @@ def _read_json(path):
 
 
 def _load(from_json, path):
-    """``from_json(_read_json(path))`` with Python's cyclic garbage collector paused."""
-    # The pause is process-wide, so an application that embeds starcert sees
-    # it.  A decoded document is a tree of dicts, lists, strings and numbers
-    # with no reference cycle, so a collection over its [re, im] lists could
-    # free nothing; they are freed by reference counting before GC resumes.
+    """``from_json(_read_json(path))`` with Python's cyclic garbage collector paused.
+
+    Every loader reads through here.  The pause is process-wide, so an
+    application that embeds starcert sees it.  A decoded document is a tree
+    of dicts, lists, strings and numbers with no reference cycle, so a
+    collection over its [re, im] lists could free nothing; they are freed by
+    reference counting before GC resumes.
+    """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -185,12 +188,7 @@ def scenario_from_json(doc) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario file.
-
-    Python's cyclic garbage collector is paused, process-wide, while the
-    file is decoded and validated: the decoded document holds no reference
-    cycle, so a collection could free nothing (see ``_load``).
-    """
+    """Read and validate a scenario file (see ``_load``)."""
     return _load(scenario_from_json, path)
 
 
@@ -218,12 +216,7 @@ def povm_from_json(doc) -> Povm:
 
 
 def load_povm(path) -> Povm:
-    """Read and validate a reference measurement file.
-
-    Python's cyclic garbage collector is paused, process-wide, while the
-    file is decoded and validated: the decoded document holds no reference
-    cycle, so a collection could free nothing (see ``_load``).
-    """
+    """Read and validate a reference measurement file (see ``_load``)."""
     return _load(povm_from_json, path)
 
 
@@ -251,10 +244,5 @@ def mixed_state_spec_from_json(doc) -> MixedStateSpec:
 
 
 def load_mixed_state_spec(path) -> MixedStateSpec:
-    """Read and validate a target state spec file.
-
-    Python's cyclic garbage collector is paused, process-wide, while the
-    file is decoded and validated: the decoded document holds no reference
-    cycle, so a collection could free nothing (see ``_load``).
-    """
+    """Read and validate a target state spec file (see ``_load``)."""
     return _load(mixed_state_spec_from_json, path)

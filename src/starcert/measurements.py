@@ -25,6 +25,7 @@ from .tensor import (
     PAULI_Y,
     PAULI_Z,
     as_operator,
+    as_state,
     hermitian_eig,
     require_hermitian,
 )
@@ -87,36 +88,68 @@ def reconstruct_from_coeffs(f: PauliCoeffTensor) -> np.ndarray:
     return t.reshape(2**f.n, 2**f.n)
 
 
-@dataclass(frozen=True)
 class Povm:
     """A generalized measurement: Hermitian PSD effects summing to the identity.
 
     This is the one measurement type: references, the embedded and trine
-    POVMs, and both of Eve's measurements in a ``Scenario``.
+    POVMs, and both of Eve's measurements in a ``Scenario``.  It holds either
+    dense ``effects`` or, built by ``rank_one``, the read-only rows
+    ``vectors`` (K, d) of a rank-one factor with R_l = v_l v_l^dagger; then
+    ``effects`` is a read-only view built on first read, and ``vectors`` is
+    None for a dense ``Povm``.
     """
 
-    effects: tuple
-    tol: Tolerances = DEFAULT_TOL
-
-    def __post_init__(self):
-        effects = tuple(as_operator(m) for m in self.effects)
-        diag = validate_povm(effects, self.tol)
+    def __init__(self, effects, tol: Tolerances = DEFAULT_TOL):
+        effects = tuple(as_operator(m) for m in effects)
+        diag = validate_povm(effects, tol)
         if not diag.passed:
             raise ValidationError(
                 f"invalid POVM: Hermiticity defect {max(diag.hermiticity_defects):.3e}, "
                 f"min eigenvalue {min(diag.min_eigenvalues):.3e}, "
                 f"completeness residual {diag.completeness_residual:.3e} "
-                f"(tolerance {self.tol.structural:.1e})"
+                f"(tolerance {tol.structural:.1e})"
             )
-        object.__setattr__(self, "effects", effects)
+        self._effects, self.vectors, self.tol = effects, None, tol
+
+    @classmethod
+    def rank_one(cls, vectors, tol: Tolerances = DEFAULT_TOL) -> "Povm":
+        """The POVM R_l = v_l v_l^dagger of the rows of ``vectors`` (K, d).
+
+        Each v v^dagger is Hermitian with eigenvalues ||v||^2 and 0, so it is
+        PSD by construction; finite entries and completeness,
+        ||V^T V^* - 1|| = ||sum_l v_l v_l^dagger - 1|| within
+        ``tol.structural``, are all that is left to check.
+        """
+        v = np.array(vectors, dtype=complex)
+        if v.ndim != 2:
+            raise DimensionError(f"rank-one factor must be (outcomes, dim), got shape {v.shape}")
+        as_state(v, None, "rank-one factor")
+        residual = float(np.linalg.norm(v.T @ v.conj() - np.eye(v.shape[1])))
+        if residual > tol.structural:
+            raise ValidationError(
+                f"invalid POVM: rank-one factor, completeness residual {residual:.3e} "
+                f"(tolerance {tol.structural:.1e})"
+            )
+        v.flags.writeable = False
+        povm = cls.__new__(cls)
+        povm._effects, povm.vectors, povm.tol = None, v, tol
+        return povm
+
+    @property
+    def effects(self) -> tuple:
+        if self._effects is None:
+            dense = self.vectors[:, :, None] * self.vectors.conj()[:, None, :]
+            dense.flags.writeable = False
+            self._effects = tuple(dense)
+        return self._effects
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects[0].shape[0] if self.vectors is None else self.vectors.shape[1]
 
     @property
     def outcome_count(self) -> int:
-        return len(self.effects)
+        return len(self.effects if self.vectors is None else self.vectors)
 
 
 @dataclass(frozen=True)
@@ -161,11 +194,7 @@ def ghz_basis_measurement(n: int) -> Povm:
 
     if n < 2:
         raise DimensionError("GHZ basis needs at least two parties")
-    effects = []
-    for label in all_labels(n):
-        v = ghz_vector(label)
-        effects.append(np.outer(v, v.conj()))
-    return Povm(tuple(effects))
+    return Povm.rank_one([ghz_vector(label) for label in all_labels(n)])
 
 
 def _embed_block(m: np.ndarray, dim: int) -> np.ndarray:
@@ -205,48 +234,20 @@ def embed_projective(effects, n: int, tol: Tolerances = DEFAULT_TOL) -> Povm:
     return Povm(tuple(embedded), tol)
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the largest-magnitude component is real positive."""
-    k = int(np.argmax(np.abs(v)))
-    phase = v[k] / abs(v[k])
-    return v / phase
-
-
-def _complement_projectors(embedded_sum: np.ndarray, count: int,
-                           tol: Tolerances = DEFAULT_TOL):
-    """Rank-one projectors spanning the kernel-of-coverage of an embedded POVM."""
-    dim = embedded_sum.shape[0]
-    gap = np.eye(dim) - embedded_sum
-    vals, vecs = hermitian_eig(gap, tol)
-    ones = [i for i, v in enumerate(vals) if abs(v - 1) <= 100 * tol.structural]
-    if len(ones) != count:
-        raise ContractViolation(
-            f"expected {count} unit eigenvalues in the embedding complement, got {len(ones)}"
-        )
-    projectors = []
-    for i in ones:
-        v = _fix_phase(vecs[:, i])
-        projectors.append(np.outer(v, v.conj()))
-    return projectors
-
-
 def embed_rank1_povm(povm: Povm, n: int, tol: Tolerances = DEFAULT_TOL) -> Povm:
-    """Embed a complete rank-one POVM on C^D into n qubits.
+    """Embed a complete rank-one POVM on C^D into n qubits, as a rank-one factor.
 
-    Appends 2^n - D mutually orthogonal rank-one projectors on the unused
-    subspace; the completed measurement stays extremal whenever the input is.
+    Pads each v_l with zeros and appends the unused basis vectors
+    e_{2^n - 1}, ..., e_D, which span the complement of the embedded block;
+    the completed measurement stays extremal whenever the input is.
     """
     d = povm.dim
     dim = 2**n
     if d > dim:
         raise DimensionError(f"cannot embed dim {d} into 2^{n} = {dim}")
-    # rank-one and completeness preconditions
-    is_extremal_rank1(povm, tol)  # raises on a non-rank-one effect
-    embedded = [_embed_block(m, dim) for m in povm.effects]
-    if d == dim:
-        return Povm(tuple(embedded), tol)
-    extra = _complement_projectors(sum(embedded), dim - d, tol)
-    return Povm(tuple(embedded) + tuple(extra), tol)
+    v = np.zeros((povm.outcome_count, dim), dtype=complex)
+    v[:, :d] = _rank_one_factor(povm, tol)  # raises on a non-rank-one or zero effect
+    return Povm.rank_one(np.concatenate([v, np.eye(dim)[::-1][:dim - d]]), tol)
 
 
 @dataclass(frozen=True)
@@ -258,28 +259,42 @@ class ExtremalityCertificate:
         return self.extremal
 
 
+def _rank_one_factor(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Rows v_l (K, d) with R_l = v_l v_l^dagger, raising on an effect that is not rank-one or zero.
+
+    A dense ``Povm`` is factored through each effect's eigendecomposition:
+    v_l is the top eigenvector scaled by the square root of its eigenvalue.
+    """
+    v = povm.vectors
+    if v is None:
+        rows = []
+        for i, m in enumerate(povm.effects):
+            vals, vecs = hermitian_eig(m, tol)
+            if len(vals) > 1 and abs(vals[1]) >= tol.rank:
+                raise ContractViolation(
+                    f"effect {i} is not rank-one (second eigenvalue {vals[1]:.3e})"
+                )
+            rows.append(np.sqrt(max(vals[0], 0.0)) * vecs[:, 0])
+        v = np.array(rows)
+    zero = np.linalg.norm(v, axis=1) ** 2 <= tol.rank  # ||v v^dagger|| = ||v||^2
+    if zero.any():
+        raise ContractViolation(f"effect {int(np.argmax(zero))} is numerically zero")
+    return v
+
+
 def is_extremal_rank1(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> ExtremalityCertificate:
     """Extremality test for a rank-one POVM.
 
     A rank-one POVM is extremal iff its effects are linearly independent as
-    operators; the certificate is the minimal eigenvalue of the Gram matrix
-    of the Frobenius-normalized, vectorized effects.
+    operators.  Since Tr[(v_k v_k^dagger)(v_l v_l^dagger)] = |<v_k|v_l>|^2,
+    the Gram matrix of the Frobenius-normalized effects is
+    |<v_k|v_l>|^2 / (||v_k||^2 ||v_l||^2), read from the rank-one factor; the
+    certificate is its minimal eigenvalue.
     """
-    vectors = []
-    for i, m in enumerate(povm.effects):
-        vals, _ = hermitian_eig(m, tol)
-        if len(vals) > 1 and abs(vals[1]) >= tol.rank:
-            raise ContractViolation(
-                f"effect {i} is not rank-one (second eigenvalue {vals[1]:.3e})"
-            )
-        vec = m.reshape(-1)
-        norm = np.linalg.norm(vec)
-        if norm <= tol.rank:
-            raise ContractViolation(f"effect {i} is numerically zero")
-        vectors.append(vec / norm)
-    gram = np.array([[np.vdot(u, v) for v in vectors] for u in vectors])
-    vals, _ = hermitian_eig(gram, tol)
-    min_eig = float(vals[-1])
+    v = _rank_one_factor(povm, tol)
+    sq = np.linalg.norm(v, axis=1) ** 2
+    gram = np.abs(v.conj() @ v.T) ** 2 / np.outer(sq, sq)
+    min_eig = float(np.linalg.eigvalsh(gram)[0])
     return ExtremalityCertificate(extremal=min_eig > tol.rank, gram_min_eigenvalue=min_eig)
 
 
@@ -293,7 +308,7 @@ class MixedStateSpec:
 
     def __post_init__(self):
         weights = tuple(float(w) for w in self.weights)
-        vectors = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in self.vectors)
+        vectors = tuple(as_state(v, None, f"vector {k}") for k, v in enumerate(self.vectors))
         if len(weights) != len(vectors):
             raise ValidationError("need one weight per eigenvector")
         if not all(np.isfinite(weights)):
@@ -336,7 +351,7 @@ def trine_povm(spec: MixedStateSpec, tol: Tolerances = DEFAULT_TOL) -> Povm:
         )
     d = spec.d
     dim = 2 * d
-    effects = []
+    rows = []
     for k, (p, v) in enumerate(zip(spec.weights, spec.vectors)):
         if p <= tol.probability:
             raise ValidationError(f"weight p_{k} = {p} too small for the trine construction")
@@ -344,10 +359,9 @@ def trine_povm(spec: MixedStateSpec, tol: Tolerances = DEFAULT_TOL) -> Povm:
         phi = np.concatenate([np.zeros(d, dtype=complex), v])
         tau2 = np.sqrt((1 - p) / (2 - p)) * psi + np.sqrt(1 / (2 - p)) * phi
         tau3 = -np.sqrt((1 - p) / (2 - p)) * psi + np.sqrt(1 / (2 - p)) * phi
-        effects.append(p * np.outer(psi, psi.conj()))
-        effects.append((2 - p) / 2 * np.outer(tau2, tau2.conj()))
-        effects.append((2 - p) / 2 * np.outer(tau3, tau3.conj()))
-    return Povm(tuple(effects), tol)
+        # effects p |psi><psi| and (2 - p)/2 |tau><tau|
+        rows += [np.sqrt(p) * psi, np.sqrt((2 - p) / 2) * tau2, np.sqrt((2 - p) / 2) * tau3]
+    return Povm.rank_one(rows, tol)
 
 
 def trine_preparation_outcomes(spec: MixedStateSpec):

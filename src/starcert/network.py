@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ConditioningError, DimensionError, ValidationError
-from .tensor import as_operator, is_psd, kron_all, reorder_factors, require_hermitian
+from .tensor import as_operator, as_state, is_psd, kron_all, reorder_factors, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def _as_density_operator(state, path: str) -> np.ndarray:
     """Accept a pure-state vector or a density matrix; return a density matrix."""
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
-        norm = np.linalg.norm(arr)
+        norm = np.linalg.norm(as_state(arr, None, f"{path}: state vector"))
         if abs(norm - 1) > 1e-10:
             raise ValidationError(f"{path}: state vector norm {norm} deviates from 1")
         return np.outer(arr, arr.conj())
@@ -473,6 +473,9 @@ def _born_factors(scenario: Scenario):
     ``c_e[l, b_1..b_N]`` expands Eve's effect R_{l|e}, party by party in
     complex arithmetic with the real part kept; ``w_maps[i][(x, a), b]``
     expands party i's steering operator W[x, a].  The table is linear in each.
+    A rank-one measurement enters as its two vector legs: R_l[f, e] =
+    v_l[f] conj(v_l[e]) is formed by one broadcast product straight in the
+    pair layout the contraction reads, so its dense effects are never built.
     """
     n = scenario.n_parties
     d_es = scenario.eve_dims
@@ -483,9 +486,16 @@ def _born_factors(scenario: Scenario):
     ]
     # R[l, f_1..f_N, e_1..e_N] -> R[l, (f_1 e_1), ..., (f_N e_N)]
     pairs = [0] + [ax for i in range(n) for ax in (1 + i, 1 + n + i)]
+    # a vector on the row legs f_i, and one on the column legs e_i, of the pairs
+    rows = [x for d in d_es for x in (d, 1)]
+    cols = [x for d in d_es for x in (1, d)]
     coeffs = []
     for meas in scenario.eve:
-        r = np.stack(meas.effects).reshape((meas.outcome_count,) + d_es * 2).transpose(pairs)
+        k, v = meas.outcome_count, meas.vectors
+        if v is None:
+            r = np.stack(meas.effects).reshape((k,) + d_es * 2).transpose(pairs)
+        else:
+            r = v.reshape([k] + rows) * v.conj().reshape([k] + cols)
         coeffs.append(np.ascontiguousarray(_contract_parties(r, bases).real))
     return coeffs, w_maps
 

@@ -8,6 +8,8 @@ and Eve's first measurement is the GHZ-like basis.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .bell import SQRT2, ideal_observables
@@ -67,12 +69,7 @@ def flip_observable_sign(scenario: Scenario, party: int, which: int) -> Scenario
     obs = list(triples[party].observables())
     obs[which] = -obs[which]
     triples[party] = BinaryObservableTriple(*obs)
-    return Scenario(
-        n_parties=scenario.n_parties,
-        sources=scenario.sources,
-        alice_observables=tuple(triples),
-        eve=scenario.eve,
-    )
+    return replace(scenario, alice_observables=tuple(triples))
 
 
 def swap_eve_effects(scenario: Scenario, e: int, i: int, j: int) -> Scenario:
@@ -81,12 +78,7 @@ def swap_eve_effects(scenario: Scenario, e: int, i: int, j: int) -> Scenario:
     effects = list(eve[e].effects)
     effects[i], effects[j] = effects[j], effects[i]
     eve[e] = Povm(tuple(effects), eve[e].tol)
-    return Scenario(
-        n_parties=scenario.n_parties,
-        sources=scenario.sources,
-        alice_observables=scenario.alice_observables,
-        eve=tuple(eve),
-    )
+    return replace(scenario, eve=tuple(eve))
 
 
 def computational_eve0(scenario: Scenario) -> Scenario:
@@ -95,12 +87,7 @@ def computational_eve0(scenario: Scenario) -> Scenario:
     effects = tuple(
         np.diag((np.arange(dim) == k).astype(complex)) for k in range(dim)
     )
-    return Scenario(
-        n_parties=scenario.n_parties,
-        sources=scenario.sources,
-        alice_observables=scenario.alice_observables,
-        eve=(Povm(effects), scenario.eve[1]),
-    )
+    return replace(scenario, eve=(Povm(effects), scenario.eve[1]))
 
 
 def depolarize_sources(scenario: Scenario, visibility: float, parties=None) -> Scenario:
@@ -109,12 +96,7 @@ def depolarize_sources(scenario: Scenario, visibility: float, parties=None) -> S
     for i in range(scenario.n_parties) if parties is None else parties:
         d = sources[i].shape[0]
         sources[i] = visibility * sources[i] + (1 - visibility) * np.eye(d) / d
-    return Scenario(
-        n_parties=scenario.n_parties,
-        sources=tuple(sources),
-        alice_observables=scenario.alice_observables,
-        eve=scenario.eve,
-    )
+    return replace(scenario, sources=tuple(sources))
 
 
 def depolarize_one_source(scenario: Scenario, i: int, visibility: float) -> Scenario:
@@ -193,11 +175,7 @@ def random_rank1_extremal_povm(d: int, n_outcomes: int, rng: np.random.Generator
     s = sum(np.outer(v, v.conj()) for v in vectors)
     vals, vecs = np.linalg.eigh(s)
     s_inv_half = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
-    effects = []
-    for v in vectors:
-        w = s_inv_half @ v
-        effects.append(np.outer(w, w.conj()))
-    return Povm(tuple(effects))
+    return Povm.rank_one([s_inv_half @ v for v in vectors])
 
 
 def random_povm(d: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
@@ -241,9 +219,5 @@ def random_scenario(n: int, rng: np.random.Generator) -> Scenario:
 
 def symmetric_trine_qubit_povm() -> Povm:
     """The three-outcome symmetric rank-one POVM on one qubit."""
-    effects = []
-    for k in range(3):
-        theta = 2 * np.pi * k / 3
-        v = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
-        effects.append(2 / 3 * np.outer(v, v.conj()))
-    return Povm(tuple(effects))
+    theta = 2 * np.pi * np.arange(3) / 3
+    return Povm.rank_one(np.sqrt(2 / 3) * np.stack([np.cos(theta / 2), np.sin(theta / 2)], axis=1))

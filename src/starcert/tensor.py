@@ -35,15 +35,19 @@ def as_operator(entries) -> np.ndarray:
     return m
 
 
-def as_state(amplitudes, tol: float = 1e-12) -> np.ndarray:
-    """Validate a unit vector (norm 1 within ``tol``)."""
+def as_state(amplitudes, tol: float | None = 1e-12, what: str = "state vector") -> np.ndarray:
+    """Validate a flattened vector of finite entries, of norm 1 within ``tol`` unless it is None.
+
+    The one finite-vector check: NaN fails every comparison, so a norm or
+    Gram test alone never rejects a NaN entry.
+    """
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if v.size < 1:
-        raise DimensionError("state vector must have at least one amplitude")
-    if not np.all(np.isfinite(v.view(float))):
-        raise ContractViolation("state vector contains NaN or Inf entries")
+        raise DimensionError(f"{what} must have at least one amplitude")
+    if not np.isfinite(v).all():
+        raise ContractViolation(f"{what} contains NaN or Inf entries")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
+    if tol is not None and abs(norm - 1.0) > tol:
         raise ContractViolation(f"state vector norm {norm} deviates from 1 beyond {tol}")
     return v
 
