@@ -9,21 +9,25 @@
 * ``prepare-state`` for N = 2..6 on the bundled state spec;
 * ``scan`` in both noise models with ``--n`` 2..5, and on the bundled
   scenarios with and without a matching reference;
-* ``bounds`` for N = 2..4 and ``validate`` on every bundled file;
+* ``bounds`` for N = 2..5 and ``validate`` on every bundled file;
 * seeded random rank-one, trine, conjugated, visibility-0.9, zero-effect,
-  random and non-qubit scenarios at N = 2..4, through ``certify`` (both
+  random and non-qubit scenarios at N = 2..5, through ``certify`` (both
   modes, with part 3 where a state spec applies), ``check_part1``,
   ``noise_scan`` (with and without a reference), ``post_measurement_state``
   and ``is_extremal_rank1``.
 
 It records every float, verdict, branch, NaN position, exit code and
-exception (class and message).  CLI runs use ``--format structured
---reproducible``; input paths are reduced to their SHA-256 or file name.
+exception (class and message).  Every CLI run is made twice with
+``--reproducible``, from the fixture directory so that input paths are file
+names: ``--format structured``, with each input reduced to its SHA-256, and
+``--format text``, whose stdout is stored verbatim.  A dump
+holds 984 cases and takes about 9 s with one BLAS thread.
 
 ``compare`` prints the largest absolute float difference, overall and with
 its case, and every discrete difference (a verdict, branch, string, exit
 code, exception, NaN position or structure).  It exits 1 when a float
 differs by more than 1e-12 or anything discrete differs, and 0 otherwise.
+Text output is a string, so any change of a printed digit is discrete.
 """
 
 from __future__ import annotations
@@ -80,29 +84,43 @@ def _run(fn):
 
 
 def _cli(argv):
+    """One run per output format, each with its exit code and stderr.
+
+    The structured report is parsed, each input reduced to its SHA-256; the
+    text report is stdout verbatim.
+    """
     from starcert.cli import main
 
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--format", "structured", "--reproducible"])
-    doc = json.loads(out.getvalue()) if out.getvalue() else None
+    def run(fmt):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--format", fmt, "--reproducible"])
+        return {"exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+    structured = run("structured")
+    doc = json.loads(structured["stdout"]) if structured["stdout"] else None
     if doc is not None:
         doc["inputs"] = {k: v["sha256"] for k, v in doc.get("inputs", {}).items()}
-        for entry in doc.get("validated", ()):
-            entry["path"] = os.path.basename(entry["path"])
-    return {"exit_code": code, "output": _plain(doc), "stderr": err.getvalue()}
+    return {"exit_code": structured["exit_code"], "output": _plain(doc),
+            "stderr": structured["stderr"], "text": run("text")}
 
 
 def _cli_cases(cases):
+    """The CLI runs, from the fixture directory so that every path they print is a file name."""
     from starcert.fixtures import fixture_path
 
+    with contextlib.chdir(os.path.dirname(str(fixture_path("mixed_demo.statespec.json")))):
+        _cli_runs(cases)
+
+
+def _cli_runs(cases):
     def scen(name):
-        return str(fixture_path(f"{name}.scenario.json"))
+        return f"{name}.scenario.json"
 
     def ref(name):
-        return str(fixture_path(f"{name}.povm.json"))
+        return f"{name}.povm.json"
 
-    spec = str(fixture_path("mixed_demo.statespec.json"))
+    spec = "mixed_demo.statespec.json"
     for s in SCENARIOS:
         for r in REFERENCES:
             for mode in ("projective", "povm"):
@@ -122,7 +140,7 @@ def _cli_cases(cases):
             for mode in ("projective", "povm"):
                 cases[f"cli scan {model} {s} {r} {mode}"] = _cli(
                     base + ["--reference", ref(r), "--mode", mode])
-    for n in range(2, 5):
+    for n in range(2, 6):
         cases[f"cli bounds n={n}"] = _cli(["bounds", "--n", str(n)])
     for s in SCENARIOS:
         cases[f"cli validate {s}"] = _cli(["validate", "--scenario", scen(s)])
@@ -177,7 +195,7 @@ def _api_cases(cases):
 
     cases["api symmetric trine extremality"] = _run(
         lambda: is_extremal_rank1(symmetric_trine_qubit_povm()))
-    for n in range(2, 5):
+    for n in range(2, 6):
         rng = np.random.default_rng([2026, n])
         d = 2**n
         # a random rank-one reference on C^d, and one embedded from C^3

@@ -16,7 +16,6 @@ from .bell import (
     bell_value,
     classical_bound_bruteforce,
     classical_bound_formula,
-    evaluate_bell,
     ghz_vector,
     ideal_observables,
     max_bell_eigenvalue,

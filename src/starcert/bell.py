@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionError
+from .errors import ConditioningError, DimensionError
 from .network import BinaryObservableTriple, CorrelationTable
 from .tensor import (
     PAULI_X,
@@ -200,7 +200,11 @@ def bell_value(table: CorrelationTable, label: BellOutcomeLabel, e: int = 0) -> 
     """Bell value of one label, raising ConditioningError where ``bell_values`` is NaN."""
     if label.n != table.n:
         raise DimensionError(f"label has {label.n} bits, table has N={table.n}")
-    table.conditioning_weight(label.value, e)
+    p = table.pbar(label.value, e)
+    if p <= table.tol.probability:
+        raise ConditioningError(
+            f"cannot condition on outcome l={label.value}, e={e}: probability {p:.3e}"
+        )
     return float(bell_values(table, e)[label.value])
 
 
@@ -300,26 +304,6 @@ def sos_residuals(label: BellOutcomeLabel, observables, state: np.ndarray) -> So
     return SosResiduals(p_norm=norms[0], r_norms=tuple(norms[1:n]), q_norms=tuple(norms[n:]))
 
 
-def operator_diagnostics(observables):
-    """Per-party algebraic diagnostics: anticommutator and unitarity defects.
-
-    At the quantum bound both must vanish: {A_0, A_1} = 0 and A_j^2 = 1.
-    """
-    report = []
-    for triple in observables:
-        a0, a1, a2 = triple.observables()
-        eye = np.eye(triple.dim)
-        report.append(
-            {
-                "anticommutator_norm": float(np.linalg.norm(a0 @ a1 + a1 @ a0)),
-                "unitarity_defects": tuple(
-                    float(np.linalg.norm(a @ a - eye)) for a in (a0, a1, a2)
-                ),
-            }
-        )
-    return report
-
-
 def _evaluation(label: BellOutcomeLabel, value: float, tol: Tolerances) -> BellEvaluation:
     """One label's value with its bounds and verdict flags; NaN flags neither."""
     beta_c = classical_bound_formula(label.n)
@@ -332,12 +316,6 @@ def _evaluation(label: BellOutcomeLabel, value: float, tol: Tolerances) -> BellE
         violated=value > beta_c + tol.acceptance,
         maximal=abs(value - beta_q) <= tol.acceptance,
     )
-
-
-def evaluate_bell(table: CorrelationTable, label: BellOutcomeLabel,
-                  tol: Tolerances = DEFAULT_TOL) -> BellEvaluation:
-    """Bell value of one label packaged with its bounds and verdict flags."""
-    return _evaluation(label, bell_value(table, label), tol)
 
 
 def max_bell_eigenvalue(label: BellOutcomeLabel, observables,

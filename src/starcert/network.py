@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import ConditioningError, DimensionError, ValidationError
+from .errors import DimensionError, ValidationError
 from .tensor import as_operator, as_state, is_psd, kron_all, reorder_factors, require_hermitian
 
 
@@ -265,18 +265,6 @@ def _check_factors(n: int, coeffs, w_maps, tol: Tolerances) -> None:
         raise error
 
 
-def _dense_factors(n: int, p: np.ndarray) -> np.ndarray:
-    """Born factors c (K, 6, ..., 6) of a (2^N, K, 3^N) table, for identity maps w_i.
-
-    Party i's axis packs (x_i, a_i) as 2 x_i + a_i, the row order of ``w_i``.
-    """
-    k = p.shape[1]
-    # (a_1..a_N, l, x_1..x_N) -> (l, x_1, a_1, ..., x_N, a_N)
-    perm = [n] + [ax for i in range(n) for ax in (n + 1 + i, i)]
-    view = p.reshape((2,) * n + (k,) + (3,) * n).transpose(perm)
-    return np.ascontiguousarray(view).reshape((k,) + (6,) * n)
-
-
 def _dense_table(n: int, c: np.ndarray, w_maps) -> np.ndarray:
     """The zero-cut, read-only (2^N, K, 3^N) table of one Eve input's Born factors.
 
@@ -295,38 +283,21 @@ def _dense_table(n: int, c: np.ndarray, w_maps) -> np.ndarray:
 class CorrelationTable:
     """The behavior p(a, l | x, e) for all inputs and outcomes, held as Born factors.
 
-    Per Eve input e it holds real coefficients ``c_e`` (K_e, D_1, ..., D_N),
-    and per party a map ``w_i`` (6, D_i) shared by both inputs, with
+    Per Eve input e it holds real coefficients c_e = ``coeffs[e]`` (K_e, D_1, ..., D_N),
+    and per party a map w_i = ``w_maps[i]`` (6, D_i) shared by both inputs, with
     p(a, l | x, e) = sum_b c_e[l, b] prod_i w_i[(x_i, a_i), b_i].
-    ``born_table`` stores the Hermitian-basis expansion of ``_born_factors``.
-    The constructor takes dense tables ``p0`` (2^N, 2^N, 3^N) for e = 0 and
-    ``p1`` (2^N, K, 3^N) for e = 1, indexed by (a, l, x), and stores them the
-    same way: c_e is the table transposed to (l, (x_1 a_1), ..., (x_N a_N))
-    and every w_i is the 6 x 6 identity.  The ``a`` index packs the Alice
-    outcome bits with party 1 most significant; ``x`` packs the inputs in
-    base 3 the same way.
+    ``born_table`` builds it from the Hermitian-basis expansion of
+    ``_born_factors``.  The constructor checks the factors and marks them
+    read-only.
 
-    The checks and the correlator tensors read the factors.  ``p0``, ``p1``
-    and ``prob`` read the (a, l, x) view, which is materialised (zero-cut,
-    read-only) only when first read.
+    The checks, the correlator tensors and the outcome weights read the
+    factors.  ``p0`` and ``p1`` are the (a, l, x) view, (2^N, K_e, 3^N),
+    materialised (zero-cut, read-only) only when first read: ``a`` packs the
+    Alice outcome bits with party 1 most significant, and ``x`` packs the
+    inputs in base 3 the same way.
     """
 
-    def __init__(self, n: int, p0, p1, tol: Tolerances = DEFAULT_TOL):
-        coeffs = []
-        for e, p in enumerate((p0, p1)):
-            p = np.asarray(p, dtype=float)
-            if p.ndim != 3 or p.shape[0] != 2**n or p.shape[2] != 3**n:
-                raise DimensionError(f"table for e={e} has wrong shape {p.shape}")
-            coeffs.append(_dense_factors(n, p))
-        self._init(n, coeffs, [np.eye(6)] * n, tol)
-
-    @classmethod
-    def _from_factors(cls, n: int, coeffs, w_maps, tol: Tolerances = DEFAULT_TOL):
-        table = cls.__new__(cls)
-        table._init(n, coeffs, w_maps, tol)
-        return table
-
-    def _init(self, n, coeffs, w_maps, tol):
+    def __init__(self, n: int, coeffs, w_maps, tol: Tolerances = DEFAULT_TOL):
         _check_factors(n, [c[None] for c in coeffs], [w[None] for w in w_maps], tol)
         for a in (*coeffs, *w_maps):
             a.flags.writeable = False
@@ -355,13 +326,6 @@ class CorrelationTable:
     def outcome_count(self, e: int) -> int:
         return len(self._factors(e))
 
-    def prob(self, a_bits, l: int, x_inputs, e: int) -> float:
-        a = _pack(a_bits, 2, self.n)
-        x = _pack(x_inputs, 3, self.n)
-        if not 0 <= l < self.outcome_count(e):
-            raise DimensionError(f"outcome l={l} out of range for e={e}")
-        return float(self._table(e)[a, l, x])
-
     def outcome_weights(self, e: int) -> np.ndarray:
         """P(l | e) for every outcome l of Eve's input e."""
         return _outcome_weights(self.n, self.correlator_tensor(e))
@@ -384,50 +348,6 @@ class CorrelationTable:
             tensor.flags.writeable = False
             self._tensors[e] = tensor
         return self._tensors[e]
-
-    def correlator(self, settings, l: int, e: int) -> float:
-        """<prod_i A_{i, settings[i]} R_{l|e}>; ``None`` entries mean identity.
-
-        Parties with setting ``None`` are marginalized (their input is
-        irrelevant by no-signaling and fixed to 0 here).
-        """
-        if len(settings) != self.n:
-            raise DimensionError(f"need {self.n} settings, got {len(settings)}")
-        if not 0 <= l < self.outcome_count(e):
-            raise DimensionError(f"outcome l={l} out of range for e={e}")
-        _pack([0 if s is None else s for s in settings], 3, self.n)  # range check
-        idx = tuple(3 if s is None else int(s) for s in settings)
-        t = self.correlator_tensor(e)[l]
-        if idx[0] >= 2:
-            return float(t[idx])
-        # undo party 1's rotation: A_0 = (A~_1 + A~_0)/sqrt2, A_1 = (A~_1 - A~_0)/sqrt2
-        return float((t[(1,) + idx[1:]] + (-1) ** idx[0] * t[(0,) + idx[1:]]) / np.sqrt(2.0))
-
-    def conditioning_weight(self, l: int, e: int) -> float:
-        """P(l|e), raising ConditioningError when it is too small to divide by."""
-        p = self.pbar(l, e)
-        if p <= self.tol.probability:
-            raise ConditioningError(
-                f"cannot condition on outcome l={l}, e={e}: probability {p:.3e}"
-            )
-        return p
-
-    def conditional_correlator(self, settings, l: int, e: int) -> float:
-        """Correlator conditioned on Eve's outcome l (division by P(l|e))."""
-        return self.correlator(settings, l, e) / self.conditioning_weight(l, e)
-
-
-def _pack(digits, base: int, n: int) -> int:
-    digits = list(digits)
-    if len(digits) != n:
-        raise DimensionError(f"expected {n} digits, got {len(digits)}")
-    out = 0
-    for d in digits:
-        d = int(d)
-        if not 0 <= d < base:
-            raise DimensionError(f"digit {d} out of range for base {base}")
-        out = out * base + d
-    return out
 
 
 def _steering_operators(scenario: Scenario):
@@ -511,4 +431,4 @@ def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> Correlation
     (a, l, x) table is formed unless ``p0``/``p1`` are read.
     """
     coeffs, w_maps = _born_factors(scenario)
-    return CorrelationTable._from_factors(scenario.n_parties, coeffs, w_maps, tol)
+    return CorrelationTable(scenario.n_parties, coeffs, w_maps, tol)

@@ -127,24 +127,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(m, dtype=complex)).T
 
 
-def conjugate(m: np.ndarray) -> np.ndarray:
-    """Entrywise complex conjugate (an involution)."""
-    return np.conj(np.asarray(m, dtype=complex))
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL.structural) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return bool(np.linalg.norm(m - dagger(m)) <= tol)
-
-
 def require_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL.structural, what: str = "matrix") -> np.ndarray:
     m = as_operator(m)
     defect = float(np.linalg.norm(m - dagger(m)))
@@ -181,11 +163,6 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL.structural) -> bool:
         return True
     except np.linalg.LinAlgError:
         return False
-
-
-def min_eigenvalue(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
-    vals, _ = hermitian_eig(m, tol)
-    return float(vals[-1])
 
 
 def numerical_rank(m: np.ndarray, threshold: float = DEFAULT_TOL.rank,

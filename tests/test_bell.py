@@ -13,16 +13,15 @@ from starcert.bell import (
     bell_values,
     classical_bound_bruteforce,
     classical_bound_formula,
-    evaluate_bell,
     ghz_vector,
     ideal_observables,
     max_bell_eigenvalue,
-    operator_diagnostics,
     quantum_bound,
     sos_residuals,
     tilde_observables,
 )
-from starcert.certify import post_measurement_state
+from starcert.certify import check_part1, post_measurement_state
+from starcert.errors import DimensionError
 from starcert.measurements import Povm, ghz_basis_measurement
 from starcert.network import Scenario, born_table
 from starcert.presets import (
@@ -74,10 +73,12 @@ def test_tilde_observables():
 
 
 def test_ideal_observables_algebra():
+    # at the quantum bound {A_0, A_1} = 0 and A_j^2 = 1
     for triple in ideal_observables(3):
-        for report in operator_diagnostics([triple]):
-            assert report["anticommutator_norm"] < 1e-12
-            assert max(report["unitarity_defects"]) < 1e-12
+        a0, a1, a2 = triple.observables()
+        assert np.linalg.norm(a0 @ a1 + a1 @ a0) < 1e-12
+        for a in (a0, a1, a2):
+            assert np.linalg.norm(a @ a - np.eye(triple.dim)) < 1e-12
 
 
 def test_ghz_vectors_orthonormal():
@@ -181,12 +182,20 @@ def test_sos_residuals_vanish_on_ideal():
 
 
 def test_evaluate_bell_flags():
-    table = born_table(ideal_scenario(2))
-    ev = evaluate_bell(table, BellOutcomeLabel((0, 0)))
+    ev = check_part1(born_table(ideal_scenario(2)), 2).evaluations[0]
+    assert ev.label == BellOutcomeLabel((0, 0))
     assert ev.violated and ev.maximal
-    noisy = born_table(ideal_scenario(2, visibility=0.5))
-    ev2 = evaluate_bell(noisy, BellOutcomeLabel((0, 0)))
+    ev2 = check_part1(born_table(ideal_scenario(2, visibility=0.5)), 2).evaluations[0]
     assert not ev2.violated and not ev2.maximal
+
+
+def test_bell_value_rejects_labels_outside_the_table():
+    table = born_table(ideal_scenario(2))
+    # e = 1 is the one-outcome measurement: label 01 has value 1 >= K_1
+    with pytest.raises(DimensionError, match="outcome l=1 out of range for e=1"):
+        bell_value(table, BellOutcomeLabel((0, 1)), e=1)
+    with pytest.raises(DimensionError, match="label has 3 bits, table has N=2"):
+        bell_value(table, BellOutcomeLabel((0, 0, 0)))
 
 
 def test_bell_value_with_noneve_outcome_conditioning():

@@ -1,6 +1,5 @@
 import functools
 import itertools
-import json
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +14,7 @@ from conftest import (
     dense_table_oracle,
     random_scenario_with_dims,
 )
+from starcert.bell import BellOutcomeLabel, bell_value
 from starcert.config import DEFAULT_TOL
 from starcert.errors import ConditioningError, DimensionError, ValidationError
 from starcert.jsonio import (
@@ -32,7 +32,6 @@ from starcert.network import (
     Scenario,
     _born_factors,
     _check_factors,
-    _dense_factors,
     assemble_joint_state,
     born_table,
     effects_from_observable,
@@ -214,10 +213,10 @@ def test_factor_route_matches_dense_table_oracle(alice_dims, eve_dims, kind, e, 
         with pytest.raises(ValidationError, match=message) as expected:
             dense_table_oracle(n, coeffs, w_maps)
         with pytest.raises(ValidationError) as raised:
-            CorrelationTable._from_factors(n, coeffs, w_maps)
+            CorrelationTable(n, coeffs, w_maps)
         assert str(raised.value) == str(expected.value)
         return
-    table = CorrelationTable._from_factors(n, coeffs, w_maps)
+    table = CorrelationTable(n, coeffs, w_maps)
     for e, (p, tensor, weights) in enumerate(zip(*dense_table_oracle(n, coeffs, w_maps))):
         npt.assert_allclose(table.correlator_tensor(e), tensor, rtol=0, atol=1e-12)
         npt.assert_allclose(table.outcome_weights(e), weights, rtol=0, atol=1e-12)
@@ -238,6 +237,24 @@ def test_born_table_matches_oracle_ideal():
     npt.assert_allclose(table.p1, born_oracle(scen, 1), atol=1e-12)
 
 
+def _dense_factors(n: int, p: np.ndarray) -> np.ndarray:
+    """Born factors c (K, 6, ..., 6) of a (2^N, K, 3^N) table, for identity maps w_i.
+
+    Party i's axis packs (x_i, a_i) as 2 x_i + a_i, the row order of ``w_i``.
+    """
+    k = p.shape[1]
+    # (a_1..a_N, l, x_1..x_N) -> (l, x_1, a_1, ..., x_N, a_N)
+    perm = [n] + [ax for i in range(n) for ax in (n + 1 + i, i)]
+    view = p.reshape((2,) * n + (k,) + (3,) * n).transpose(perm)
+    return np.ascontiguousarray(view).reshape((k,) + (6,) * n)
+
+
+def dense_table(n: int, p0, p1) -> CorrelationTable:
+    """A ``CorrelationTable`` of (2^N, K_e, 3^N) tables: c_e is the transposed table, w_i = 1."""
+    return CorrelationTable(n, [_dense_factors(n, np.asarray(p, dtype=float)) for p in (p0, p1)],
+                            [np.eye(6)] * n)
+
+
 def test_table_validation_flags_signaling():
     scen = ideal_scenario(2)
     table = born_table(scen)
@@ -246,31 +263,7 @@ def test_table_validation_flags_signaling():
     bad[0, 0, 0] += 0.2
     bad[1, 0, 0] -= 0.2
     with pytest.raises(ValidationError):
-        CorrelationTable(n=2, p0=bad, p1=table.p1)
-
-
-def test_correlator_against_direct_sum(rng):
-    scen = random_scenario(2, rng)
-    table = born_table(scen)
-    # <A_{1,0} A_{2,2} R_{1|0}> by explicit signed sum
-    expected = 0.0
-    for a1 in (0, 1):
-        for a2 in (0, 1):
-            sign = (-1) ** (a1 + a2)
-            expected += sign * table.prob([a1, a2], 1, [0, 2], 0)
-    assert table.correlator([0, 2], 1, 0) == pytest.approx(expected, abs=1e-12)
-
-
-def test_correlator_marginalizes_none(rng):
-    scen = random_scenario(2, rng)
-    table = born_table(scen)
-    # identity slot: result independent of the marginalized party's input
-    by_sum = sum(
-        (-1) ** a1 * sum(table.prob([a1, a2], 0, [1, x2], 0) for a2 in (0, 1))
-        for a1 in (0, 1)
-        for x2 in (0,)
-    )
-    assert table.correlator([1, None], 0, 0) == pytest.approx(by_sum, abs=1e-12)
+        dense_table(2, bad, table.p1)
 
 
 def dense_correlator_oracle(scenario: Scenario, e: int) -> np.ndarray:
@@ -333,21 +326,17 @@ def test_stacked_table_checks_report_the_first_failing_level():
     with pytest.raises(ValidationError, match="signaling to Eve detected in table e=0"):
         check_stacks(p0, p1)
     with pytest.raises(ValidationError, match="signaling to Eve detected in table e=0"):
-        CorrelationTable(n=2, p0=p0[2], p1=p1[2])
+        dense_table(2, p0[2], p1[2])
     with pytest.raises(ValidationError, match=r"negative probability -5\.000e-01 in table e=0"):
         check_stacks(p0[3:], p1[3:])
     check_stacks(p0[:2], p1[:2])
 
 
 def test_conditional_correlator_raises_on_zero_probability():
-    scen = ideal_scenario(2)
-    # e=1 is the trivial single-outcome measurement; build a zero-weight case
-    table = born_table(scen)
-    p1 = np.zeros((4, 2, 9))
-    p1[:, 0, :] = table.p1[:, 0, :]
-    table2 = CorrelationTable(n=2, p0=table.p0, p1=p1)
-    with pytest.raises(ConditioningError):
-        table2.conditional_correlator([0, 0], 1, 1)
+    # e=1 outcome l=1 has the zero effect, so its Bell value cannot be conditioned
+    table = born_table(ideal_scenario(2, eve_second=(np.eye(4), np.zeros((4, 4)))))
+    with pytest.raises(ConditioningError, match="cannot condition on outcome l=1, e=1"):
+        bell_value(table, BellOutcomeLabel((0, 1)), e=1)
 
 
 def test_pbar_uniform_for_ideal():

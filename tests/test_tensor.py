@@ -4,20 +4,14 @@ import pytest
 
 from starcert.errors import CapacityError, ContractViolation, DimensionError
 from starcert.tensor import (
-    PAULI_X,
     PAULI_Y,
-    PAULI_Z,
     as_operator,
     as_state,
-    conjugate,
     dagger,
-    frobenius_distance,
     hermitian_eig,
-    is_hermitian,
     is_psd,
     kron,
     kron_all,
-    min_eigenvalue,
     numerical_rank,
     partial_trace,
     reorder_factors,
@@ -109,8 +103,6 @@ def test_reorder_factors_rejects_bad_permutation():
 
 def test_dagger_conjugate():
     npt.assert_allclose(dagger(PAULI_Y), PAULI_Y)
-    npt.assert_allclose(conjugate(PAULI_Y), -PAULI_Y)
-    npt.assert_allclose(conjugate(conjugate(PAULI_Y)), PAULI_Y)
 
 
 def test_hermitian_eig_reconstructs(rng):
@@ -130,20 +122,6 @@ def test_is_psd():
     assert is_psd(np.diag([1.0, 0.0, 2.0]))
     assert not is_psd(np.diag([1.0, -0.1]))
     assert is_psd(np.diag([1.0, -1e-12]))  # within slack
-
-
-def test_min_eigenvalue():
-    assert min_eigenvalue(np.diag([3.0, -2.0, 1.0])) == pytest.approx(-2.0)
-
-
-def test_is_hermitian():
-    assert is_hermitian(PAULI_X)
-    assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_frobenius_distance():
-    assert frobenius_distance(PAULI_Z, PAULI_Z) == 0.0
-    assert frobenius_distance(PAULI_Z, -PAULI_Z) == pytest.approx(np.sqrt(8))
 
 
 def test_numerical_rank():
