@@ -106,6 +106,16 @@ def test_validate_povm_reports_negativity():
     assert min(diag.min_eigenvalues) == pytest.approx(-0.2, abs=1e-12)
 
 
+def test_validate_povm_reports_hermiticity_defects():
+    # complete, but each effect is off Hermitian by ||M - M^dagger|| = 0.1 sqrt2
+    skew = np.array([[0.0, 0.1], [0.0, 0.0]])
+    diag = validate_povm((np.diag([1.0, 0.0]) + skew, np.diag([0.0, 1.0]) - skew))
+    assert not diag.passed
+    npt.assert_allclose(diag.hermiticity_defects, [0.1 * np.sqrt(2)] * 2, rtol=0, atol=1e-15)
+    assert diag.completeness_residual == 0.0
+    assert validate_povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))).hermiticity_defects == (0.0, 0.0)
+
+
 def test_embed_projective_complement():
     effects = [np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]
     povm = embed_projective(effects, 2)

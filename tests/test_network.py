@@ -266,6 +266,41 @@ def test_table_validation_flags_signaling():
         dense_table(2, bad, table.p1)
 
 
+def signed_sum(p: np.ndarray, l: int, x) -> float:
+    """<A_{1,x_1} A_{2,x_2} R_l> of a (4, K, 9) table by an explicit signed sum over a."""
+    return sum((-1) ** (a1 + a2) * p[2 * a1 + a2, l, 3 * x[0] + x[1]]
+               for a1 in (0, 1) for a2 in (0, 1))
+
+
+def test_correlator_against_direct_sum(rng):
+    table = born_table(random_scenario(2, rng))
+    for e, p in enumerate((table.p0, table.p1)):
+        tensor = table.correlator_tensor(e)
+        for l in range(table.outcome_count(e)):
+            for x2 in range(3):
+                # party 1 is rotated: (A_0 -+ A_1)/sqrt2, then A_2
+                e0, e1 = signed_sum(p, l, (0, x2)), signed_sum(p, l, (1, x2))
+                assert tensor[l, 0, x2] == pytest.approx((e0 - e1) / np.sqrt(2), abs=1e-12)
+                assert tensor[l, 1, x2] == pytest.approx((e0 + e1) / np.sqrt(2), abs=1e-12)
+                assert tensor[l, 2, x2] == pytest.approx(signed_sum(p, l, (2, x2)), abs=1e-12)
+
+
+def test_correlator_marginalizes_none(rng):
+    table = born_table(random_scenario(2, rng))
+    p = table.p0
+    tensor = table.correlator_tensor(0)
+    for l in range(table.outcome_count(0)):
+        # slot 3 sums the party's outcomes; every input gives the same sum (no signaling)
+        for x1 in range(3):
+            by_sum = sum((-1) ** a2 * p[2 * a1 + a2, l, 3 * x1 + 2]
+                         for a1 in (0, 1) for a2 in (0, 1))
+            assert tensor[l, 3, 2] == pytest.approx(by_sum, abs=1e-12)
+        for x2 in range(3):
+            weight = sum(p[a, l, x2] for a in range(4))
+            assert tensor[l, 3, 3] == pytest.approx(weight, abs=1e-12)
+    npt.assert_allclose(table.outcome_weights(0), tensor[:, 3, 3], rtol=0, atol=0)
+
+
 def dense_correlator_oracle(scenario: Scenario, e: int) -> np.ndarray:
     """T[l, j_1..j_N] by direct traces against the assembled joint state.
 

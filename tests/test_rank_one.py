@@ -63,6 +63,18 @@ def assert_close(a, b, where="report"):
         assert a == b, where
 
 
+def outcome(run, *args, **kwargs):
+    """What ``run`` returns, or the message of the ``ContractViolation`` it raises.
+
+    A random reference effect can hold an eigenvalue too close to the rank
+    threshold to call; both forms must then raise the same error.
+    """
+    try:
+        return run(*args, **kwargs)
+    except ContractViolation as err:
+        return ("ContractViolation", str(err))
+
+
 def scenario_pair(n, eve_dims, rng):
     """A random scenario with a rank-one e = 1 measurement, held as V and held dense."""
     d_e = int(np.prod(eve_dims))
@@ -88,10 +100,12 @@ def test_vector_and_dense_povms_give_the_same_reports(seed, data):
     vec, dense = scenario_pair(n, eve_dims, rng)
     reference = random_povm(2**n, vec.eve[1].outcome_count, rng).effects
     for mode in ("projective", "povm"):
-        assert_close(certify(vec, reference, mode), certify(dense, reference, mode))
+        assert_close(outcome(certify, vec, reference, mode),
+                     outcome(certify, dense, reference, mode))
     for model in ("isotropic", "effects"):
-        assert_close(noise_scan(vec, model, [0.0, 0.4, 1.0], reference_effects=reference),
-                     noise_scan(dense, model, [0.0, 0.4, 1.0], reference_effects=reference))
+        assert_close(outcome(noise_scan, vec, model, [0.0, 0.4, 1.0], reference_effects=reference),
+                     outcome(noise_scan, dense, model, [0.0, 0.4, 1.0],
+                             reference_effects=reference))
     for l in range(vec.eve[1].outcome_count):
         npt.assert_allclose(post_measurement_state(vec, l, 1),
                             post_measurement_state(dense, l, 1), rtol=0, atol=1e-12)

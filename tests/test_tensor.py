@@ -4,6 +4,7 @@ import pytest
 
 from starcert.errors import CapacityError, ContractViolation, DimensionError
 from starcert.tensor import (
+    PAULI_X,
     PAULI_Y,
     as_operator,
     as_state,
@@ -15,6 +16,7 @@ from starcert.tensor import (
     numerical_rank,
     partial_trace,
     reorder_factors,
+    require_hermitian,
 )
 
 
@@ -122,6 +124,14 @@ def test_is_psd():
     assert is_psd(np.diag([1.0, 0.0, 2.0]))
     assert not is_psd(np.diag([1.0, -0.1]))
     assert is_psd(np.diag([1.0, -1e-12]))  # within slack
+
+
+def test_require_hermitian():
+    npt.assert_array_equal(require_hermitian(PAULI_X), PAULI_X)
+    # ||M - M^dagger|| of [[0, 1], [0, 0]] is sqrt2
+    with pytest.raises(ContractViolation, match=r"effect is not Hermitian \(defect 1\.414e\+00"):
+        require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), what="effect")
+    require_hermitian(PAULI_Y + 1e-13 * PAULI_X @ PAULI_Y)  # within the default slack
 
 
 def test_numerical_rank():
