@@ -25,7 +25,6 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import ConditioningError, DimensionError
 from .measurements import (
     MixedStateSpec,
-    Povm,
     _embed_block,
     pauli_coeffs,
     trine_preparation_outcomes,
@@ -40,7 +39,7 @@ from .network import (
     _outcome_weights,
     born_table,
 )
-from .presets import depolarize_sources
+from .presets import depolarize_effects, depolarize_sources
 from .tensor import kron, numerical_rank, partial_trace
 
 PLAIN = "Plain"
@@ -400,16 +399,6 @@ class ScanReport:
     bell_monotone: bool         # min Bell value non-decreasing in the level
 
 
-def _depolarize_effects(scenario: Scenario, v: float) -> Scenario:
-    """Mix every Eve effect with white noise of its trace: v R + (1 - v) Tr[R] 1/d."""
-    eve = []
-    for meas in scenario.eve:
-        eye = np.eye(meas.dim)
-        effects = tuple(v * m + (1 - v) * (np.trace(m).real / meas.dim) * eye for m in meas.effects)
-        eve.append(Povm(effects, meas.tol))
-    return replace(scenario, eve=tuple(eve))
-
-
 # Each model maps (scenario, v) to the scenario with every source (isotropic)
 # or every Eve effect (effects) X replaced by the convex mixture
 # v X + (1 - v) X_0, where X_0 depends on X alone.  noise_scan relies on this:
@@ -417,7 +406,7 @@ def _depolarize_effects(scenario: Scenario, v: float) -> Scenario:
 # v = 0 image once and mixes their factors at each level.
 NOISE_MODELS = {
     "isotropic": depolarize_sources,
-    "effects": _depolarize_effects,
+    "effects": depolarize_effects,
 }
 
 
@@ -441,8 +430,7 @@ def noise_scan(scenario: Scenario, model: str, grid,
         raise DimensionError("noise levels must lie in [0, 1]")
     n = scenario.n_parties
     levels = sorted(grid)
-    c1, w1 = _born_factors(scenario)
-    c0, w0 = _born_factors(NOISE_MODELS[model](scenario, 0.0))
+    ends = _born_factors(scenario), _born_factors(NOISE_MODELS[model](scenario, 0.0))
     f_tensors = ranks = None
     if reference_effects is not None:
         f_tensors = reference_coeff_tensors(reference_effects, n, tol)
@@ -450,15 +438,16 @@ def noise_scan(scenario: Scenario, model: str, grid,
             ranks = reference_ranks(reference_effects, tol)
     # levels per chunk: the non-negativity check expands one level's factors
     # to (K_0 + K_1) 6^N entries
-    step = max(1, _CHUNK_ENTRIES // (sum(len(c) for c in c1) * 6**n))
+    step = max(1, _CHUNK_ENTRIES // (sum(len(c) for c in ends[0][0]) * 6**n))
     rows = []
     for s in range(0, len(levels), step):
         v = np.array(levels[s:s + step])
-        coeffs, w_maps = (
+        # the factors, and the spectra that bound them, of each level: v f_1 + (1 - v) f_0
+        coeffs, w_maps, spectra = (
             [np.multiply.outer(v, a) + np.multiply.outer(1 - v, b) for a, b in zip(f1, f0)]
-            for f1, f0 in ((c1, c0), (w1, w0))
+            for f1, f0 in zip(*ends)
         )
-        _check_factors(n, coeffs, w_maps, tol)
+        _check_factors(n, coeffs, w_maps, tol, spectra)
         t0 = _correlators(coeffs[0], w_maps)
         weights = _outcome_weights(n, t0)
         values = _bell_values(n, t0, weights, tol)

@@ -96,12 +96,14 @@ class Povm:
     dense ``effects`` or, built by ``rank_one``, the read-only rows
     ``vectors`` (K, d) of a rank-one factor with R_l = v_l v_l^dagger; then
     ``effects`` is a read-only view built on first read, and ``vectors`` is
-    None for a dense ``Povm``.
+    None for a dense ``Povm``.  ``extreme_eigenvalues`` (K, 2), read-only,
+    holds the least and the greatest eigenvalue of each effect's Hermitian
+    part, as the validation found them; dense effects are a read-only copy,
+    so the two cannot drift apart.
     """
 
     def __init__(self, effects, tol: Tolerances = DEFAULT_TOL):
-        effects = tuple(as_operator(m) for m in effects)
-        diag = validate_povm(effects, tol)
+        stack, diag = _validated_stack(effects, tol)
         if not diag.passed:
             raise ValidationError(
                 f"invalid POVM: Hermiticity defect {max(diag.hermiticity_defects):.3e}, "
@@ -109,7 +111,11 @@ class Povm:
                 f"completeness residual {diag.completeness_residual:.3e} "
                 f"(tolerance {tol.structural:.1e})"
             )
-        self._effects, self.vectors, self.tol = effects, None, tol
+        extremes = np.array([diag.min_eigenvalues, diag.max_eigenvalues]).T
+        for a in (stack, extremes):
+            a.flags.writeable = False
+        self._effects, self.vectors, self.tol = tuple(stack), None, tol
+        self.extreme_eigenvalues = extremes
 
     @classmethod
     def rank_one(cls, vectors, tol: Tolerances = DEFAULT_TOL) -> "Povm":
@@ -130,9 +136,13 @@ class Povm:
                 f"invalid POVM: rank-one factor, completeness residual {residual:.3e} "
                 f"(tolerance {tol.structural:.1e})"
             )
-        v.flags.writeable = False
+        extremes = np.zeros((len(v), 2))
+        extremes[:, 1] = np.linalg.norm(v, axis=1) ** 2
+        for a in (v, extremes):
+            a.flags.writeable = False
         povm = cls.__new__(cls)
         povm._effects, povm.vectors, povm.tol = None, v, tol
+        povm.extreme_eigenvalues = extremes
         return povm
 
     @property
@@ -149,25 +159,31 @@ class Povm:
 
     @property
     def outcome_count(self) -> int:
-        return len(self.effects if self.vectors is None else self.vectors)
+        return len(self.extreme_eigenvalues)
 
 
 @dataclass(frozen=True)
 class PovmDiagnostics:
     hermiticity_defects: tuple
     min_eigenvalues: tuple
+    max_eigenvalues: tuple
     completeness_residual: float
     passed: bool
 
 
 def validate_povm(effects, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
-    """Per-effect Hermiticity defect and minimal eigenvalue, and the completeness residual.
+    """Per-effect Hermiticity defect and extreme eigenvalues, and the completeness residual.
 
     The effects are stacked once: one batched norm gives every Frobenius
     defect ||M - M^dagger||, and one batched ``eigvalsh`` of the Hermitian
-    parts every minimal eigenvalue.  Each of the three must lie within
-    ``tol.structural``.
+    parts every least and greatest eigenvalue.  The defects, minus the least
+    eigenvalues and the residual must each lie within ``tol.structural``.
     """
+    return _validated_stack(effects, tol)[1]
+
+
+def _validated_stack(effects, tol: Tolerances):
+    """The effects stacked into a new (K, d, d) array, and ``validate_povm``'s diagnostics."""
     effects = [as_operator(m) for m in effects]
     if not effects:
         raise ValidationError("POVM needs at least one effect")
@@ -178,14 +194,15 @@ def validate_povm(effects, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
     stack = np.stack(effects)
     adjoint = stack.conj().swapaxes(1, 2)
     defects = np.linalg.norm((stack - adjoint).reshape(len(effects), -1), axis=1)
-    min_eigs = np.linalg.eigvalsh((stack + adjoint) / 2)[:, 0]
+    eigs = np.linalg.eigvalsh((stack + adjoint) / 2)
     residual = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
     passed = bool(
         defects.max() <= tol.structural
-        and min_eigs.min() >= -tol.structural
+        and eigs[:, 0].min() >= -tol.structural
         and residual <= tol.structural
     )
-    return PovmDiagnostics(tuple(defects.tolist()), tuple(min_eigs.tolist()), residual, passed)
+    return stack, PovmDiagnostics(tuple(defects.tolist()), tuple(eigs[:, 0].tolist()),
+                                  tuple(eigs[:, -1].tolist()), residual, passed)
 
 
 def ghz_basis_measurement(n: int) -> Povm:

@@ -6,8 +6,10 @@ bipartite sources, one per Alice-Eve pair.  ``born_table`` evaluates the full
 behavior p(a, l | x, e) exactly, as Born factors: real coefficients c_e of
 each Eve effect and per-party maps w_i of the steering operators, with
 p = sum_b c_e[l, b] prod_i w_i[(x_i, a_i), b_i].  Every check and every
-correlator tensor is a contraction of these factors; the (a, l, x) table,
-2^N 6^N entries per outcome, is materialised only when a caller reads it.
+correlator tensor is a contraction of these factors, save non-negativity,
+which ``born_table`` proves from the spectra of its validated inputs when
+it can; the (a, l, x) table, 2^N 6^N entries per outcome, is materialised
+only when a caller reads it.
 
 Conventions:
   * tensor factor 0 is the most significant index block (big-endian),
@@ -224,13 +226,66 @@ def _outcome_weights(n: int, t: np.ndarray) -> np.ndarray:
     return t[(Ellipsis,) + (3,) * n]
 
 
-def _check_factors(n: int, coeffs, w_maps, tol: Tolerances) -> None:
+def _least_entries(c: np.ndarray, w_maps) -> np.ndarray:
+    """min over (a, l, x) of each level's table, (L,), streamed over chunks of outcomes."""
+    levels, k = c.shape[:2]
+    step = max(1, _CHUNK_ENTRIES // (levels * 6**len(w_maps)))
+    return np.min([_contract_parties(c[:, s:s + step], w_maps).reshape(levels, -1).min(axis=1)
+                   for s in range(0, k, step)], axis=0)
+
+
+def _lower_bounds(w_maps, spectra) -> list:
+    """Per Eve input, a lower bound (L,) on each level's least computed table entry.
+
+    ``spectra`` is ``_born_factors``' third item with a leading level axis:
+    s (L, 3, N, 6) holds Tr W_+, Tr W_- and ||W||_F of each party's steering
+    operators W = W_+ - W_- (Jordan parts), and r_e (L, 2, K_e) holds
+    min(0, lambda_min(R_l)) and max(0, lambda_max(R_l)) of Eve's effects, all
+    of Hermitian parts.  X = prod_i W_i[x_i, a_i] has the Jordan parts
+    X_+- = the sum of the products with an even (odd) number of factors
+    W_{i,-}, so Tr X_+- grows with every Tr W_{i,+-} and is at most its value
+    at P_i = max_{x,a} Tr W_{i,+} and M_i = max_{x,a} Tr W_{i,-}; then
+    p = Tr[X R] >= min(0, lambda_min) Tr X_+ - max(0, lambda_max) Tr X_-.
+    Every input is convex in a noise scan's level (Weyl's inequality, the
+    triangle inequality), so mixing two endpoints' spectra bounds each level.
+
+    The rounding allowance gamma_k sqrt(d_E) ||R_l||_2 prod_i max ||W_i||_F,
+    gamma_k = k u / (1 - k u), k = N (D + 1) + d_E with D the largest local
+    basis size and d_E Eve's dimension, is subtracted.  The contraction of
+    the factors errs by at most gamma_{N (D + 1)} ||R||_F prod_i ||W_i||_F,
+    and ||R||_F <= sqrt(d_E) ||R||_2; the basis expansions and the
+    eigenvalues err by order d_E u ||R||_2 prod_i ||W_i||_1, and
+    ||W_i||_1 <= sqrt(d_i) ||W_i||_F.  So the bound holds for the computed
+    table, not only the exact one.
+    """
+    s, *r = spectra
+    plus, minus, fro = s.max(axis=-1).transpose(1, 2, 0)
+    positive, negative = 1.0, 0.0
+    for p_i, m_i in zip(plus, minus):
+        positive, negative = positive * p_i + negative * m_i, positive * m_i + negative * p_i
+    dims = [w.shape[-1] for w in w_maps]
+    d_e = float(np.prod(np.sqrt(dims)))
+    k = len(dims) * (max(dims) + 1) + d_e
+    u = np.finfo(float).eps / 2
+    allowance = k * u / (1 - k * u) * np.sqrt(d_e) * fro.prod(axis=0)
+    # ||R_l||_2 = max(-min(0, lambda_min), max(0, lambda_max))
+    return [(low * positive[:, None] - high * negative[:, None]
+             - allowance[:, None] * np.maximum(-low, high)).min(axis=-1)
+            for low, high in (r_e.transpose(1, 0, 2) for r_e in r)]
+
+
+def _check_factors(n: int, coeffs, w_maps, tol: Tolerances, spectra=None) -> None:
     """The checks of ``CorrelationTable`` on stacks of L levels, read from the Born factors.
 
     ``coeffs[e]`` is (L, K_e, D_1, ..., D_N) and ``w_maps[i]`` is (L, 6, D_i),
     or (1, 6, D_i) for maps shared by every level.  Raises what the tables of
     the levels, built and checked one at a time, would raise first: the first
     failing check, in the order below, of the first failing level.
+
+    Non-negativity streams every table entry (``_least_entries``) unless
+    ``spectra``, which only ``born_table`` and ``noise_scan`` pass for
+    factors they expanded from validated objects, give a lower bound
+    (``_lower_bounds``) that clears -``tol.probability`` on every level.
     """
     first, error = len(coeffs[0]), None
 
@@ -240,16 +295,16 @@ def _check_factors(n: int, coeffs, w_maps, tol: Tolerances) -> None:
             first = int(np.argmax(failed))
             error = make_error(first)
 
+    bounds = None if spectra is None else _lower_bounds(w_maps, spectra)
     # u_i[..., x, b] = sum_a w_i[..., (x, a), b]: each party's outcome summed out
     sums = [w.reshape(w.shape[:-2] + (3, 2, w.shape[-1])).sum(axis=-2) for w in w_maps]
     for e, c in enumerate(coeffs):
         levels, k = c.shape[:2]
-        step = max(1, _CHUNK_ENTRIES // (levels * 6**n))
-        low = np.min([_contract_parties(c[:, s:s + step], w_maps).reshape(levels, -1).min(axis=1)
-                      for s in range(0, k, step)], axis=0)
-        low[np.abs(low) < 1e-16] = 0.0  # the zero cut of the (a, l, x) view
-        check(low < -tol.probability,
-              lambda i: ValidationError(f"negative probability {low[i]:.3e} in table e={e}"))
+        if bounds is None or (bounds[e] < -tol.probability).any():
+            low = _least_entries(c, w_maps)
+            low[np.abs(low) < 1e-16] = 0.0  # the zero cut of the (a, l, x) view
+            check(low < -tol.probability,
+                  lambda i: ValidationError(f"negative probability {low[i]:.3e} in table e={e}"))
         # pbar[v, l, x] = sum_a p(a, l | x, e): Eve's marginal per Alice input
         pbar = _contract_parties(c, sums).reshape(levels, k, -1)
         check(np.abs(pbar.sum(axis=1) - 1).max(axis=1) > tol.structural,
@@ -288,7 +343,8 @@ class CorrelationTable:
     p(a, l | x, e) = sum_b c_e[l, b] prod_i w_i[(x_i, a_i), b_i].
     ``born_table`` builds it from the Hermitian-basis expansion of
     ``_born_factors``.  The constructor checks the factors and marks them
-    read-only.
+    read-only; only ``born_table`` passes ``_spectra``, which lets the check
+    prove non-negativity from the spectra instead of streaming every entry.
 
     The checks, the correlator tensors and the outcome weights read the
     factors.  ``p0`` and ``p1`` are the (a, l, x) view, (2^N, K_e, 3^N),
@@ -297,8 +353,8 @@ class CorrelationTable:
     inputs in base 3 the same way.
     """
 
-    def __init__(self, n: int, coeffs, w_maps, tol: Tolerances = DEFAULT_TOL):
-        _check_factors(n, [c[None] for c in coeffs], [w[None] for w in w_maps], tol)
+    def __init__(self, n: int, coeffs, w_maps, tol: Tolerances = DEFAULT_TOL, *, _spectra=None):
+        _check_factors(n, [c[None] for c in coeffs], [w[None] for w in w_maps], tol, _spectra)
         for a in (*coeffs, *w_maps):
             a.flags.writeable = False
         self.n, self.tol = n, tol
@@ -350,19 +406,23 @@ class CorrelationTable:
         return self._tensors[e]
 
 
-def _steering_operators(scenario: Scenario):
-    """Per party: W[x, a] = Tr_A[rho_i (M_{a|x} (x) 1_E)], an operator on E_i."""
-    out = []
-    for rho, triple, d_a, d_e in zip(
-        scenario.sources, scenario.alice_observables, scenario.alice_dims, scenario.eve_dims
+def _steering_operators(scenario: Scenario) -> np.ndarray:
+    """W[i, (x, a)] = Tr_A[rho_i (M_{a|x} (x) 1_E)], party i's operators on E_i, as (N, 6, d, d).
+
+    Each is zero-padded to the largest Eve factor d, so that one batched
+    ``eigvalsh`` reads them all; padding adds only zero eigenvalues.
+    """
+    d_max = max(scenario.eve_dims)
+    out = np.zeros((scenario.n_parties, 3, 2, d_max, d_max), dtype=complex)
+    for w, rho, triple, d_a, d_e in zip(
+        out, scenario.sources, scenario.alice_observables, scenario.alice_dims,
+        scenario.eve_dims
     ):
         r4 = rho.reshape(d_a, d_e, d_a, d_e)
-        w = np.empty((3, 2, d_e, d_e), dtype=complex)
         for x, a_obs in enumerate(triple.observables()):
             for a, m in enumerate(effects_from_observable(a_obs)):
-                w[x, a] = np.einsum("aebf,ba->ef", r4, m)
-        out.append(w)
-    return out
+                w[x, a, :d_e, :d_e] = np.einsum("aebf,ba->ef", r4, m)
+    return out.reshape(scenario.n_parties, 6, d_max, d_max)
 
 
 @lru_cache(maxsize=None)
@@ -388,7 +448,7 @@ def _hermitian_basis(d: int) -> np.ndarray:
 
 
 def _born_factors(scenario: Scenario):
-    """Real Hermitian-basis coefficients of the Born table: ([c_0, c_1], w_maps).
+    """Real Hermitian-basis coefficients of the Born table: ([c_0, c_1], w_maps, spectra).
 
     ``c_e[l, b_1..b_N]`` expands Eve's effect R_{l|e}, party by party in
     complex arithmetic with the real part kept; ``w_maps[i][(x, a), b]``
@@ -396,14 +456,21 @@ def _born_factors(scenario: Scenario):
     A rank-one measurement enters as its two vector legs: R_l[f, e] =
     v_l[f] conj(v_l[e]) is formed by one broadcast product straight in the
     pair layout the contraction reads, so its dense effects are never built.
+    ``spectra`` are the inputs of ``_lower_bounds``: the Jordan-part traces
+    and norms of the steering operators from one batched ``eigvalsh``, and per
+    Eve input the extreme eigenvalues its ``Povm`` was validated with.
     """
     n = scenario.n_parties
     d_es = scenario.eve_dims
     bases = [_hermitian_basis(d) for d in d_es]
+    ops = _steering_operators(scenario)
     w_maps = [
-        np.ascontiguousarray((w.reshape(6, d * d) @ basis.T).real)
-        for w, basis, d in zip(_steering_operators(scenario), bases, d_es)
+        np.ascontiguousarray((w[:, :d, :d].reshape(6, d * d) @ basis.T).real)
+        for w, basis, d in zip(ops, bases, d_es)
     ]
+    eigs = np.linalg.eigvalsh((ops + ops.conj().swapaxes(-1, -2)) / 2)
+    spectra = [np.stack([np.maximum(eigs, 0.0).sum(axis=-1), np.maximum(-eigs, 0.0).sum(axis=-1),
+                         np.sqrt((eigs**2).sum(axis=-1))])]
     # R[l, f_1..f_N, e_1..e_N] -> R[l, (f_1 e_1), ..., (f_N e_N)]
     pairs = [0] + [ax for i in range(n) for ax in (1 + i, 1 + n + i)]
     # a vector on the row legs f_i, and one on the column legs e_i, of the pairs
@@ -417,7 +484,9 @@ def _born_factors(scenario: Scenario):
         else:
             r = v.reshape([k] + rows) * v.conj().reshape([k] + cols)
         coeffs.append(np.ascontiguousarray(_contract_parties(r, bases).real))
-    return coeffs, w_maps
+        lowest, highest = meas.extreme_eigenvalues.T
+        spectra.append(np.stack([np.minimum(lowest, 0.0), np.maximum(highest, 0.0)]))
+    return coeffs, w_maps, spectra
 
 
 def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> CorrelationTable:
@@ -430,5 +499,6 @@ def born_table(scenario: Scenario, tol: Tolerances = DEFAULT_TOL) -> Correlation
     coefficients: its checks and correlators contract them directly, and no
     (a, l, x) table is formed unless ``p0``/``p1`` are read.
     """
-    coeffs, w_maps = _born_factors(scenario)
-    return CorrelationTable(scenario.n_parties, coeffs, w_maps, tol)
+    coeffs, w_maps, spectra = _born_factors(scenario)
+    return CorrelationTable(scenario.n_parties, coeffs, w_maps, tol,
+                            _spectra=[s[None] for s in spectra])

@@ -29,18 +29,17 @@ def ideal_scenario(n: int, eve_second=None, visibility: float = 1.0) -> Scenario
     """
     if not 0 <= visibility <= 1:
         raise DimensionError(f"visibility {visibility} outside [0, 1]")
-    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    rho = visibility * rho + (1 - visibility) * np.eye(4) / 4
     if eve_second is None:
         eve_second = (np.eye(2**n, dtype=complex),)
     if not isinstance(eve_second, Povm):
         eve_second = Povm(tuple(eve_second))
-    return Scenario(
+    scenario = Scenario(
         n_parties=n,
-        sources=(rho,) * n,
+        sources=(np.outer(PHI_PLUS, PHI_PLUS.conj()),) * n,
         alice_observables=tuple(ideal_observables(n)),
         eve=(ghz_basis_measurement(n), eve_second),
     )
+    return scenario if visibility == 1 else depolarize_sources(scenario, visibility)
 
 
 def conjugate_scenario(scenario: Scenario) -> Scenario:
@@ -53,7 +52,8 @@ def conjugate_scenario(scenario: Scenario) -> Scenario:
             for t in scenario.alice_observables
         ),
         eve=tuple(
-            Povm(tuple(np.conj(m) for m in meas.effects), meas.tol)
+            Povm(tuple(np.conj(m) for m in meas.effects), meas.tol) if meas.vectors is None
+            else Povm.rank_one(np.conj(meas.vectors), meas.tol)
             for meas in scenario.eve
         ),
     )
@@ -97,6 +97,17 @@ def depolarize_sources(scenario: Scenario, visibility: float, parties=None) -> S
         d = sources[i].shape[0]
         sources[i] = visibility * sources[i] + (1 - visibility) * np.eye(d) / d
     return replace(scenario, sources=tuple(sources))
+
+
+def depolarize_effects(scenario: Scenario, visibility: float) -> Scenario:
+    """Mix every Eve effect with white noise of its trace: v R + (1 - v) Tr[R] 1/d."""
+    eve = []
+    for meas in scenario.eve:
+        eye = np.eye(meas.dim)
+        effects = tuple(visibility * m + (1 - visibility) * (np.trace(m).real / meas.dim) * eye
+                        for m in meas.effects)
+        eve.append(Povm(effects, meas.tol))
+    return replace(scenario, eve=tuple(eve))
 
 
 def depolarize_one_source(scenario: Scenario, i: int, visibility: float) -> Scenario:

@@ -15,7 +15,15 @@ SOS oracles expand every term of the family by hand instead of reading
 """
 
 import importlib
+import os
 from itertools import product
+
+# One BLAS thread, as in CI, unless the caller chose otherwise: the dense
+# oracles multiply thousands of small matrices, which a second thread slows
+# badly when another process holds the other core.  BLAS reads these when
+# numpy is first imported, so they are set before that.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 import pytest

@@ -28,6 +28,7 @@ from starcert.measurements import (
 )
 from starcert.network import Scenario
 from starcert.presets import (
+    conjugate_scenario,
     ideal_scenario,
     random_density_matrix,
     random_mixed_state_spec,
@@ -123,6 +124,25 @@ def test_trine_preparation_from_vectors_matches_dense(n, rng):
         assert got.part3.passed and got.part3.branch.branch == "Conjugate"
         assert (got.verdict == "Certified") == (mode == "povm")  # the trine is not projective
         assert_close(got, certify(dense, trine.effects, mode, state_spec=spec))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_conjugation_keeps_rank_one_measurements(n, rng):
+    spec = random_mixed_state_spec(2, rng)
+    trine = embed_rank1_povm(trine_povm(spec), n)
+    scen = ideal_scenario(n, eve_second=trine)
+    conj = conjugate_scenario(scen)
+    for meas, base in zip(conj.eve, scen.eve):
+        npt.assert_array_equal(meas.vectors, np.conj(base.vectors))
+    # the dense route: a Povm of the entrywise conjugate of every dense effect
+    dense = dataclasses.replace(conj, eve=tuple(Povm(tuple(np.conj(m) for m in meas.effects))
+                                                for meas in scen.eve))
+    for mode in ("projective", "povm"):
+        assert_close(certify(conj, trine.effects, mode, state_spec=spec),
+                     certify(dense, trine.effects, mode, state_spec=spec))
+    for model in ("isotropic", "effects"):
+        assert_close(noise_scan(conj, model, [0.0, 0.4, 1.0], reference_effects=trine.effects),
+                     noise_scan(dense, model, [0.0, 0.4, 1.0], reference_effects=trine.effects))
 
 
 def test_effects_are_a_read_only_view_built_on_first_read(rng):
