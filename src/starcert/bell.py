@@ -265,17 +265,20 @@ def _party_slots(observables):
     return slots
 
 
+def _label_terms(label: BellOutcomeLabel, observables: list):
+    """``bell_terms``' support, the label's coefficient row and the party slots."""
+    if label.n != len(observables):
+        raise DimensionError(f"label has {label.n} bits, got {len(observables)} observable triples")
+    support, coeffs = bell_terms(label.n)
+    return support, coeffs[label.value], _party_slots(observables)
+
+
 def bell_operator(label: BellOutcomeLabel, observables) -> np.ndarray:
     """The Bell expression as a Hermitian operator on the joint Alice space."""
-    observables = list(observables)
-    n = len(observables)
-    if label.n != n:
-        raise DimensionError(f"label has {label.n} bits, got {n} observable triples")
-    support, coeffs = bell_terms(n)
-    slots = _party_slots(observables)
+    support, coeffs, slots = _label_terms(label, list(observables))
     return sum(
         c * kron_all([slots[i][j] for i, j in enumerate(row)])
-        for c, row in zip(coeffs[label.value], support)
+        for c, row in zip(coeffs, support)
     )
 
 
@@ -286,21 +289,20 @@ def sos_residuals(label: BellOutcomeLabel, observables, state: np.ndarray) -> So
     party 1's factor and Y_k the product of the others.
     """
     observables = list(observables)
-    n = len(observables)
+    support, coeffs, slots = _label_terms(label, observables)
     dims = [t.dim for t in observables]
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.size != int(np.prod(dims)):
         raise DimensionError(
             f"state dim {state.size} does not match joint observable dim {int(np.prod(dims))}"
         )
-    support, coeffs = bell_terms(n)
-    slots = _party_slots(observables)
     eye_rest = np.eye(state.size // dims[0], dtype=complex)
     norms = []
-    for c, row in zip(coeffs[label.value], support):
+    for c, row in zip(coeffs, support):
         y = kron_all([slots[i][j] for i, j in enumerate(row) if i > 0])
         op = np.sign(c) * kron(slots[0][row[0]], eye_rest) - kron(slots[0][3], y)
         norms.append(float(np.linalg.norm(op @ state)))
+    n = label.n
     return SosResiduals(p_norm=norms[0], r_norms=tuple(norms[1:n]), q_norms=tuple(norms[n:]))
 
 

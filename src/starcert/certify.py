@@ -135,16 +135,16 @@ def reference_coeff_tensors(effects, n: int, tol: Tolerances = DEFAULT_TOL):
 
 
 def reference_ranks(effects, tol: Tolerances = DEFAULT_TOL):
-    return [numerical_rank(m, tol.rank, tol) for m in effects]
+    return [numerical_rank(m, tol) for m in effects]
 
 
-def _branch_from_residuals(plain, conjugate, tol: Tolerances) -> tuple:
+def _branch_from_residuals(plain, conjugate, tol: Tolerances) -> str:
     """Resolve a single branch for all outcomes; ties go to Plain."""
     if max(plain) <= tol.acceptance:
-        return PLAIN, True
+        return PLAIN
     if max(conjugate) <= tol.acceptance:
-        return CONJUGATE, True
-    return NO_BRANCH, False
+        return CONJUGATE
+    return NO_BRANCH
 
 
 def _part2_residuals(mode: str, n: int, t: np.ndarray, f_tensors, ranks) -> tuple:
@@ -160,6 +160,12 @@ def _part2_residuals(mode: str, n: int, t: np.ndarray, f_tensors, ranks) -> tupl
         raise DimensionError(
             f"need one coefficient tensor per e=1 outcome ({k_out}), got {len(f_tensors)}"
         )
+    for i, f in enumerate(f_tensors):
+        if f.n != n:
+            raise DimensionError(
+                f"coefficient tensor {i} has shape {f.coeffs.shape}, expected {(4,) * n} "
+                f"for N={n}"
+            )
     t = t.reshape(t.shape[:-n] + (-1,))
 
     def residuals(coeffs):
@@ -180,13 +186,13 @@ def _part2(mode: str, table: CorrelationTable, f_tensors, ranks,
         tuple(r.tolist())
         for r in _part2_residuals(mode, table.n, table.correlator_tensor(1), f_tensors, ranks)
     )
-    branch, passed = _branch_from_residuals(res_plain, res_conj, tol)
+    branch = _branch_from_residuals(res_plain, res_conj, tol)
     return Part2Report(
         mode=mode,
         residuals_plain=res_plain,
         residuals_conjugate=res_conj,
         branch=branch,
-        passed=passed,
+        passed=branch != NO_BRANCH,
     )
 
 
@@ -264,11 +270,9 @@ def match_up_to_conjugation(actual: np.ndarray, reference: np.ndarray,
         candidates = [kron(ref_n, junk), kron(ref_n.conj(), junk)]
     d_plain = float(np.linalg.norm(actual - candidates[0]))
     d_conj = float(np.linalg.norm(actual - candidates[1]))
-    if d_plain <= tol.acceptance:
-        return ConjugationBranch(PLAIN, d_plain)
-    if d_conj <= tol.acceptance:
-        return ConjugationBranch(CONJUGATE, d_conj)
-    return ConjugationBranch(NO_BRANCH, min(d_plain, d_conj))
+    branch = _branch_from_residuals([d_plain], [d_conj], tol)
+    distance = {PLAIN: d_plain, CONJUGATE: d_conj}.get(branch, min(d_plain, d_conj))
+    return ConjugationBranch(branch, distance)
 
 
 def _part3_from_outcomes(scenario: Scenario, table: CorrelationTable, outcomes,
@@ -276,6 +280,11 @@ def _part3_from_outcomes(scenario: Scenario, table: CorrelationTable, outcomes,
                          tol: Tolerances) -> Part3Report:
     """Shared part-3 core: outcome probabilities plus weighted state average."""
     n = scenario.n_parties
+    d_a = int(np.prod(scenario.alice_dims))
+    if reference.shape[0] > d_a:
+        raise DimensionError(
+            f"target state dim {reference.shape[0]} exceeds the Alice space dim {d_a}"
+        )
     probs = [table.pbar(l, 1) for l in outcomes]
     prob_passed = all(
         abs(p - q) <= tol.acceptance for p, q in zip(probs, expected_probs)
@@ -283,7 +292,6 @@ def _part3_from_outcomes(scenario: Scenario, table: CorrelationTable, outcomes,
     total = float(sum(probs))
     if abs(total - 2.0**-n) > tol.acceptance:
         prob_passed = False
-    d_a = int(np.prod(scenario.alice_dims))
     avg = np.zeros((d_a, d_a), dtype=complex)
     for l, p in zip(outcomes, probs):
         avg += p * post_measurement_state(scenario, l, 1, tol)

@@ -24,6 +24,8 @@ from .bell import (
     quantum_bound,
 )
 from .certify import (
+    CERTIFIED,
+    FAILED,
     CertificationReport,
     Part3Report,
     certify,
@@ -57,28 +59,13 @@ def _check_parties(n: int) -> None:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scenario: str | None = None
-    reference: str | None = None
-    mode: str = "projective"
-    state_spec: str | None = None
-    n: int | None = None
-    tol: float | None = None
-    noise: str = "isotropic"
-    grid: tuple = ()
-    out: str | None = None
-    fmt: str = "text"
-    reproducible: bool = False
-
-    def tolerances(self) -> Tolerances:
-        if self.tol is None:
-            return DEFAULT_TOL
-        try:
-            return dataclasses.replace(DEFAULT_TOL, acceptance=self.tol)
-        except ValueError as exc:
-            raise ValidationError(f"--tol: {exc}") from None
+def _tolerances(config: argparse.Namespace) -> Tolerances:
+    if config.tol is None:
+        return DEFAULT_TOL
+    try:
+        return dataclasses.replace(DEFAULT_TOL, acceptance=config.tol)
+    except ValueError as exc:
+        raise ValidationError(f"--tol: {exc}") from None
 
 
 def _f(x) -> float | None:
@@ -97,18 +84,19 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _envelope(config: RunConfig, body: dict) -> dict:
+# Each input file's namespace attribute, with the loader that decodes and validates it.
+_INPUTS = {"scenario": load_scenario, "reference": load_povm, "state_spec": load_mixed_state_spec}
+
+
+def _envelope(config: argparse.Namespace, body: dict) -> dict:
     doc = {
         "tool": "starcert",
         "version": __version__,
         "command": config.command,
         "inputs": {},
     }
-    for label, path in (
-        ("scenario", config.scenario),
-        ("reference", config.reference),
-        ("state_spec", config.state_spec),
-    ):
+    for label in _INPUTS:
+        path = getattr(config, label, None)
         if path:
             doc["inputs"][label] = {"path": path, "sha256": _sha256(path)}
     if not config.reproducible:
@@ -117,8 +105,8 @@ def _envelope(config: RunConfig, body: dict) -> dict:
     return doc
 
 
-def _emit(config: RunConfig, text: str, structured: dict) -> None:
-    if config.fmt == "structured":
+def _emit(config: argparse.Namespace, text: str, structured: dict) -> None:
+    if config.format == "structured":
         payload = json.dumps(structured, indent=2, sort_keys=True, allow_nan=False)
     else:
         payload = text
@@ -198,7 +186,7 @@ def _report_text(report: CertificationReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_bounds(config: RunConfig) -> int:
+def cmd_bounds(config: argparse.Namespace) -> int:
     n = config.n
     if n is None or not 2 <= n <= 5:
         raise ValidationError("bounds requires --n between 2 and 5")
@@ -222,19 +210,19 @@ def cmd_bounds(config: RunConfig) -> int:
     return 0
 
 
-def cmd_certify(config: RunConfig) -> int:
+def cmd_certify(config: argparse.Namespace) -> int:
     if not config.scenario or not config.reference:
         raise ValidationError("certify requires --scenario and --reference")
     scenario = load_scenario(config.scenario)
     _check_parties(scenario.n_parties)
     reference = load_povm(config.reference)
-    tol = config.tolerances()
+    tol = _tolerances(config)
     report = certify(scenario, reference.effects, config.mode, tol)
     _emit(config, _report_text(report), _envelope(config, _report_body(report)))
-    return 0 if report.verdict == "Certified" else 1
+    return 0 if report.verdict == CERTIFIED else 1
 
 
-def cmd_prepare_state(config: RunConfig) -> int:
+def cmd_prepare_state(config: argparse.Namespace) -> int:
     if not config.state_spec:
         raise ValidationError("prepare-state requires --state-spec")
     spec = load_mixed_state_spec(config.state_spec)
@@ -248,7 +236,7 @@ def cmd_prepare_state(config: RunConfig) -> int:
             f"N={n} gives Eve dimension {2**n} < 2d = {2 * spec.d}"
         )
     _check_parties(n)
-    tol = config.tolerances()
+    tol = _tolerances(config)
     povm = embed_rank1_povm(trine_povm(spec, tol), n, tol)
     scenario = ideal_scenario(n, eve_second=povm)
     table = born_table(scenario, tol)
@@ -256,7 +244,7 @@ def cmd_prepare_state(config: RunConfig) -> int:
     part3 = certify_state_preparation(scenario, spec, table, tol)
     passed = part1.passed and part3.passed
     text = "\n".join([
-        f"verdict: {'Certified' if passed else 'Failed'}",
+        f"verdict: {CERTIFIED if passed else FAILED}",
         f"part1: {'pass' if part1.passed else 'FAIL'}",
         f"part3: {'pass' if part3.passed else 'FAIL'}, branch {part3.branch.branch}, "
         f"distance {part3.branch.distance:.3e}",
@@ -267,13 +255,18 @@ def cmd_prepare_state(config: RunConfig) -> int:
         "n": n,
         "part1_passed": part1.passed,
         "part3": _part3_body(part3),
-        "verdict": "Certified" if passed else "Failed",
+        "verdict": CERTIFIED if passed else FAILED,
     }
     _emit(config, text, _envelope(config, body))
     return 0 if passed else 1
 
 
-def cmd_scan(config: RunConfig) -> int:
+def cmd_scan(config: argparse.Namespace) -> int:
+    if config.reference and not config.scenario:
+        raise ValidationError(
+            "scan --reference requires --scenario: the scenario built from --n has the "
+            "one-outcome identity as its second measurement, with nothing to certify"
+        )
     if not config.grid:
         raise ValidationError("scan requires a non-empty --grid")
     if config.n is not None:
@@ -288,7 +281,7 @@ def cmd_scan(config: RunConfig) -> int:
     else:
         scenario = ideal_scenario(2 if config.n is None else config.n)
     reference = load_povm(config.reference).effects if config.reference else None
-    tol = config.tolerances()
+    tol = _tolerances(config)
     report = noise_scan(scenario, config.noise, config.grid,
                         reference_effects=reference, mode=config.mode, tol=tol)
     lines = ["level\tmin_bell\tpbar_deviation\tpart2_max_residual"]
@@ -314,21 +307,14 @@ def cmd_scan(config: RunConfig) -> int:
     return 0
 
 
-def cmd_validate(config: RunConfig) -> int:
-    checked = []
-    if config.scenario:
-        load_scenario(config.scenario)
-        checked.append(("scenario", config.scenario))
-    if config.reference:
-        load_povm(config.reference)
-        checked.append(("reference", config.reference))
-    if config.state_spec:
-        load_mixed_state_spec(config.state_spec)
-        checked.append(("state_spec", config.state_spec))
+def cmd_validate(config: argparse.Namespace) -> int:
+    checked = [(kind, getattr(config, kind)) for kind in _INPUTS if getattr(config, kind)]
     if not checked:
         raise ValidationError(
             "validate requires at least one of --scenario, --reference, --state-spec"
         )
+    for kind, path in checked:
+        _INPUTS[kind](path)
     text = "\n".join(f"{kind}: {path}: valid" for kind, path in checked)
     body = {"validated": [{"kind": k, "path": p} for k, p in checked]}
     _emit(config, text, _envelope(config, body))
@@ -345,18 +331,18 @@ def _parse_grid(raw: str):
     return values
 
 
-# Every flag, with the RunConfig field it sets as its dest.
+# Every flag; argparse names its namespace attribute, with "-" read as "_".
 _FLAGS = {
     "scenario": dict(help="scenario JSON file"),
     "reference": dict(help="reference measurement JSON file"),
     "mode": dict(choices=["projective", "povm"], default="projective"),
-    "state-spec": dict(dest="state_spec", help="target state JSON file"),
+    "state-spec": dict(help="target state JSON file"),
     "n": dict(type=int, help="number of external parties"),
     "tol": dict(type=float, help="acceptance tolerance override"),
     "noise": dict(choices=["isotropic", "effects"], default="isotropic"),
     "grid": dict(default="", help="comma-separated noise levels in [0,1]"),
     "out": dict(help="write the report to this path instead of stdout"),
-    "format": dict(dest="fmt", choices=["text", "structured"], default="text"),
+    "format": dict(choices=["text", "structured"], default="text"),
     "reproducible": dict(action="store_true",
                          help="suppress the timestamp field for byte-identical output"),
 }
@@ -388,12 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = vars(parser.parse_args(argv))
+    config = build_parser().parse_args(argv)
     try:
-        if "grid" in args:
-            args["grid"] = _parse_grid(args["grid"])
-        config = RunConfig(**args)
+        if "grid" in config:
+            config.grid = _parse_grid(config.grid)
         return COMMANDS[config.command][0](config)
     except (StarcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -92,14 +92,14 @@ class Povm:
     """A generalized measurement: Hermitian PSD effects summing to the identity.
 
     This is the one measurement type: references, the embedded and trine
-    POVMs, and both of Eve's measurements in a ``Scenario``.  It holds either
-    dense ``effects`` or, built by ``rank_one``, the read-only rows
-    ``vectors`` (K, d) of a rank-one factor with R_l = v_l v_l^dagger; then
-    ``effects`` is a read-only view built on first read, and ``vectors`` is
-    None for a dense ``Povm``.  ``extreme_eigenvalues`` (K, 2), read-only,
-    holds the least and the greatest eigenvalue of each effect's Hermitian
-    part, as the validation found them; dense effects are a read-only copy,
-    so the two cannot drift apart.
+    POVMs, and both of Eve's measurements in a ``Scenario``.  ``effects`` is
+    one read-only (K, d, d) array: the validated copy of the input for a
+    dense ``Povm``, or, for one built by ``rank_one`` from the read-only rows
+    ``vectors`` (K, d) of a factor with R_l = v_l v_l^dagger, built on first
+    read.  ``vectors`` is None for a dense ``Povm``.  ``extreme_eigenvalues``
+    (K, 2), read-only, holds the least and the greatest eigenvalue of each
+    effect's Hermitian part, as the validation found them; being read-only,
+    the effects cannot drift from them.
     """
 
     def __init__(self, effects, tol: Tolerances = DEFAULT_TOL):
@@ -114,7 +114,7 @@ class Povm:
         extremes = np.array([diag.min_eigenvalues, diag.max_eigenvalues]).T
         for a in (stack, extremes):
             a.flags.writeable = False
-        self._effects, self.vectors, self.tol = tuple(stack), None, tol
+        self._effects, self.vectors, self.tol = stack, None, tol
         self.extreme_eigenvalues = extremes
 
     @classmethod
@@ -146,16 +146,15 @@ class Povm:
         return povm
 
     @property
-    def effects(self) -> tuple:
+    def effects(self) -> np.ndarray:
         if self._effects is None:
-            dense = self.vectors[:, :, None] * self.vectors.conj()[:, None, :]
-            dense.flags.writeable = False
-            self._effects = tuple(dense)
+            self._effects = self.vectors[:, :, None] * self.vectors.conj()[:, None, :]
+            self._effects.flags.writeable = False
         return self._effects
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0] if self.vectors is None else self.vectors.shape[1]
+        return (self._effects if self.vectors is None else self.vectors).shape[-1]
 
     @property
     def outcome_count(self) -> int:

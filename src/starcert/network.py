@@ -480,7 +480,7 @@ def _born_factors(scenario: Scenario):
     for meas in scenario.eve:
         k, v = meas.outcome_count, meas.vectors
         if v is None:
-            r = np.stack(meas.effects).reshape((k,) + d_es * 2).transpose(pairs)
+            r = meas.effects.reshape((k,) + d_es * 2).transpose(pairs)
         else:
             r = v.reshape([k] + rows) * v.conj().reshape([k] + cols)
         coeffs.append(np.ascontiguousarray(_contract_parties(r, bases).real))

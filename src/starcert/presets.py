@@ -52,7 +52,7 @@ def conjugate_scenario(scenario: Scenario) -> Scenario:
             for t in scenario.alice_observables
         ),
         eve=tuple(
-            Povm(tuple(np.conj(m) for m in meas.effects), meas.tol) if meas.vectors is None
+            Povm(np.conj(meas.effects), meas.tol) if meas.vectors is None
             else Povm.rank_one(np.conj(meas.vectors), meas.tol)
             for meas in scenario.eve
         ),
@@ -103,9 +103,9 @@ def depolarize_effects(scenario: Scenario, visibility: float) -> Scenario:
     """Mix every Eve effect with white noise of its trace: v R + (1 - v) Tr[R] 1/d."""
     eve = []
     for meas in scenario.eve:
-        eye = np.eye(meas.dim)
-        effects = tuple(visibility * m + (1 - visibility) * (np.trace(m).real / meas.dim) * eye
-                        for m in meas.effects)
+        traces = np.trace(meas.effects, axis1=1, axis2=2).real / meas.dim
+        effects = visibility * meas.effects
+        effects += (1 - visibility) * traces[:, None, None] * np.eye(meas.dim)
         eve.append(Povm(effects, meas.tol))
     return replace(scenario, eve=tuple(eve))
 

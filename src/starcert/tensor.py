@@ -165,19 +165,18 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL.structural) -> bool:
         return False
 
 
-def numerical_rank(m: np.ndarray, threshold: float = DEFAULT_TOL.rank,
-                   tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of a Hermitian PSD matrix by eigenvalue thresholding.
+def numerical_rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Rank of a Hermitian PSD matrix by eigenvalue thresholding at ``tol.rank``.
 
-    Raises if an eigenvalue magnitude sits inside (threshold/10, threshold*10),
+    Raises if an eigenvalue magnitude sits inside (tol.rank/10, tol.rank*10),
     i.e. too close to the cut to call.
     """
     vals, _ = hermitian_eig(m, tol)
     mags = np.abs(vals)
-    borderline = (mags > threshold / 10) & (mags < threshold * 10)
+    borderline = (mags > tol.rank / 10) & (mags < tol.rank * 10)
     if np.any(borderline):
         raise ContractViolation(
             f"indeterminate rank: eigenvalue magnitude {mags[borderline][0]:.3e} "
-            f"too close to threshold {threshold:.1e}"
+            f"too close to threshold {tol.rank:.1e}"
         )
-    return int(np.sum(mags >= threshold))
+    return int(np.sum(mags >= tol.rank))

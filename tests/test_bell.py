@@ -281,3 +281,10 @@ def test_bell_values_invariant_under_relabelling_parties(seed, data):
     npt.assert_allclose(bell_values(other)[moved], bell_values(table), rtol=0, atol=1e-12)
     npt.assert_allclose(other.outcome_weights(0)[moved], table.outcome_weights(0),
                         rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bits, n", [((0, 1, 1), 2), ((1, 1, 1), 2), ((1, 0), 3)])
+def test_sos_residuals_rejects_a_label_of_the_wrong_length(bits, n):
+    psi = ghz_vector(BellOutcomeLabel((0,) * n))
+    with pytest.raises(DimensionError, match=f"label has {len(bits)} bits, got {n}"):
+        sos_residuals(BellOutcomeLabel(bits), ideal_observables(n), psi)

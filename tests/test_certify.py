@@ -30,6 +30,7 @@ from starcert.measurements import (
     embed_projective,
     embed_rank1_povm,
     ghz_basis_measurement,
+    pauli_coeffs,
     trine_povm,
 )
 from starcert.network import Scenario, born_table
@@ -285,6 +286,21 @@ def test_certify_pure_preparation(rng):
     ref2 = embed_projective([np.outer(real_psi, real_psi)], n)
     report2 = certify_pure_preparation(ideal_scenario(n, eve_second=ref2), real_psi)
     assert report2.branch.branch == PLAIN
+
+
+def test_certify_pure_preparation_rejects_a_target_larger_than_alice():
+    with pytest.raises(DimensionError, match="target state dim 8 exceeds the Alice space dim 4"):
+        certify_pure_preparation(ideal_scenario(2), np.ones(8) / np.sqrt(8))
+
+
+def test_part2_rejects_coefficient_tensors_for_the_wrong_n():
+    table = born_table(ideal_scenario(2))
+    f_tensors = [pauli_coeffs(np.eye(8) / 8, 3)]
+    message = r"coefficient tensor 0 has shape \(4, 4, 4\), expected \(4, 4\) for N=2"
+    with pytest.raises(DimensionError, match=message):
+        check_povm_conditions(table, f_tensors)
+    with pytest.raises(DimensionError, match=message):
+        check_projective_conditions(table, f_tensors, [8])
 
 
 def test_certify_end_to_end_projective():

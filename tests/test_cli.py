@@ -164,6 +164,18 @@ def test_production_paths_build_no_dense_table(monkeypatch, capsys):
     assert main(["scan", "--n", "3", "--noise", "effects", "--grid", "0,1"]) == 0
 
 
+@pytest.mark.parametrize("n", [None, "3"])
+def test_scan_reference_without_scenario_is_a_usage_error(n, no_construction, monkeypatch,
+                                                          capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a reference was loaded for a scan that cannot use it")
+
+    monkeypatch.setattr(cli, "load_povm", forbidden)
+    argv = ["scan", "--grid", "0,1", "--reference", GHZ_REF] + ([] if n is None else ["--n", n])
+    assert main(argv) == 2
+    assert "scan --reference requires --scenario" in capsys.readouterr().err
+
+
 def test_scan_rejects_n_that_disagrees_with_scenario(capsys):
     assert main(["scan", "--scenario", IDEAL, "--n", "3", "--grid", "0,1"]) == 2
     assert "--n 3 disagrees with the scenario file's N=2" in capsys.readouterr().err
@@ -258,6 +270,24 @@ def test_structured_report_reproducible_bytes(capsys):
     assert "timestamp" not in doc
     assert doc["verdict"] == "Certified"
     assert doc["inputs"]["scenario"]["sha256"]
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["bounds", "--n", "2"], {}),
+    (["certify", "--scenario", IDEAL, "--reference", GHZ_REF],
+     {"scenario": IDEAL, "reference": GHZ_REF}),
+    (["prepare-state", "--n", "2", "--state-spec", MIXED_SPEC], {"state_spec": MIXED_SPEC}),
+    (["scan", "--n", "2", "--grid", "0,1"], {}),
+    (["scan", "--scenario", IDEAL, "--reference", GHZ_REF, "--grid", "0,1"],
+     {"scenario": IDEAL, "reference": GHZ_REF}),
+    (["validate", "--reference", GHZ_REF], {"reference": GHZ_REF}),
+    (["validate", "--scenario", IDEAL, "--state-spec", MIXED_SPEC],
+     {"scenario": IDEAL, "state_spec": MIXED_SPEC}),
+])
+def test_structured_inputs_list_exactly_the_given_files(argv, given, capsys):
+    assert main(argv + ["--format", "structured", "--reproducible"]) in (0, 1)
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    assert {label: entry["path"] for label, entry in inputs.items()} == given
 
 
 def test_structured_report_has_timestamp(capsys):

@@ -31,6 +31,7 @@ from starcert.measurements import (
 from starcert.presets import (
     random_hermitian,
     random_mixed_state_spec,
+    random_povm,
     random_rank1_extremal_povm,
     symmetric_trine_qubit_povm,
 )
@@ -261,3 +262,17 @@ def test_mixed_state_spec_json_round_trip(tmp_path, rng):
 def test_mixed_state_spec_json_missing_field():
     with pytest.raises(ValidationError, match="weights"):
         mixed_state_spec_from_json({"d": 2, "vectors": []})
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: random_povm(3, 4, rng),
+    lambda rng: random_rank1_extremal_povm(2, 3, rng),
+])
+def test_effects_is_one_read_only_stack(build, rng):
+    povm = build(rng)
+    effects = povm.effects
+    assert isinstance(effects, np.ndarray)
+    assert effects.shape == (povm.outcome_count, povm.dim, povm.dim)
+    assert povm.effects is effects
+    with pytest.raises(ValueError, match="read-only"):
+        effects[0, 0, 0] = 0.0

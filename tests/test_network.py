@@ -36,7 +36,13 @@ from starcert.network import (
     born_table,
     effects_from_observable,
 )
-from starcert.presets import conjugate_scenario, ideal_scenario, random_scenario
+from starcert.presets import (
+    conjugate_scenario,
+    depolarize_effects,
+    ideal_scenario,
+    random_povm,
+    random_scenario,
+)
 from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z, kron_all
 
 
@@ -68,7 +74,7 @@ def test_eve_measurement_requires_psd():
 def test_scenario_rejects_wrong_e0_outcome_count():
     scen = ideal_scenario(2)
     effects = scen.eve[0].effects
-    merged = (effects[0] + effects[1],) + effects[2:]
+    merged = (effects[0] + effects[1], *effects[2:])
     with pytest.raises(ValidationError, match="2\\^N"):
         Scenario(
             n_parties=2,
@@ -420,3 +426,14 @@ def test_scenario_from_json_reports_path():
     doc["sources"][1]["entries"] = doc["sources"][1]["entries"][:-1]
     with pytest.raises(ValidationError, match="sources\\[1\\]"):
         scenario_from_json(doc)
+
+
+def test_conjugate_and_depolarize_match_the_per_effect_expressions(rng):
+    scen = ideal_scenario(2, eve_second=random_povm(4, 3, rng))
+    v = 0.3
+    for e, (conj, noisy) in enumerate(zip(conjugate_scenario(scen).eve,
+                                          depolarize_effects(scen, v).eve)):
+        for l, m in enumerate(scen.eve[e].effects):
+            npt.assert_allclose(conj.effects[l], np.conj(m), rtol=0, atol=1e-15)
+            want = v * m + (1 - v) * np.trace(m).real / 4 * np.eye(4)
+            npt.assert_allclose(noisy.effects[l], want, rtol=0, atol=1e-15)
