@@ -30,8 +30,7 @@ from .certify import (
     certify_pure_preparation,
     certify_state_preparation,
     check_part1,
-    check_povm_conditions,
-    check_projective_conditions,
+    check_part2,
     match_up_to_conjugation,
     noise_scan,
     post_measurement_state,

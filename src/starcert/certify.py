@@ -22,11 +22,13 @@ import numpy as np
 
 from .bell import _bell_values, _evaluation, all_labels, bell_values
 from .config import DEFAULT_TOL, Tolerances
-from .errors import ConditioningError, DimensionError
+from .errors import ConditioningError, ContractViolation, DimensionError
 from .measurements import (
     MixedStateSpec,
+    _conjugation_signs,
     _embed_block,
-    pauli_coeffs,
+    _pauli_stack,
+    _qubit_operator,
     trine_preparation_outcomes,
 )
 from .network import (
@@ -40,7 +42,7 @@ from .network import (
     born_table,
 )
 from .presets import depolarize_effects, depolarize_sources
-from .tensor import kron, numerical_rank, partial_trace
+from .tensor import as_state, kron, numerical_rank, partial_trace
 
 PLAIN = "Plain"
 CONJUGATE = "Conjugate"
@@ -129,15 +131,6 @@ def check_part1(table: CorrelationTable, n: int, tol: Tolerances = DEFAULT_TOL) 
     )
 
 
-def reference_coeff_tensors(effects, n: int, tol: Tolerances = DEFAULT_TOL):
-    """Pauli coefficient tensor of each reference effect on n qubits."""
-    return [pauli_coeffs(m, n, tol) for m in effects]
-
-
-def reference_ranks(effects, tol: Tolerances = DEFAULT_TOL):
-    return [numerical_rank(m, tol) for m in effects]
-
-
 def _branch_from_residuals(plain, conjugate, tol: Tolerances) -> str:
     """Resolve a single branch for all outcomes; ties go to Plain."""
     if max(plain) <= tol.acceptance:
@@ -147,25 +140,29 @@ def _branch_from_residuals(plain, conjugate, tol: Tolerances) -> str:
     return NO_BRANCH
 
 
-def _part2_residuals(mode: str, n: int, t: np.ndarray, f_tensors, ranks) -> tuple:
-    """Plain and conjugated residuals (..., K) of e = 1 correlator tensors t (..., K, 4, ..., 4).
+def _require_mode(mode: str) -> None:
+    if mode not in ("projective", "povm"):
+        raise DimensionError(f"unknown certification mode {mode!r}")
 
-    Projective mode compares each outcome's coefficient-weighted expectation
-    sum with r_l / 2^N; povm mode matches every Pauli coefficient.
+
+def _reference_terms(effects, n: int, k_out: int, mode: str, tol: Tolerances) -> tuple:
+    """Plain and conjugated Pauli coefficient rows (K, 4^N) of the reference, and its ranks.
+
+    Every effect is checked before the counts, and the counts before the
+    one stacked expansion; the ranks are None in povm mode.
     """
-    k_out = t.shape[-n - 1]
-    if ranks is not None and len(ranks) != k_out:
-        raise DimensionError(f"need one rank per e=1 outcome ({k_out}), got {len(ranks)}")
-    if len(f_tensors) != k_out:
-        raise DimensionError(
-            f"need one coefficient tensor per e=1 outcome ({k_out}), got {len(f_tensors)}"
-        )
-    for i, f in enumerate(f_tensors):
-        if f.n != n:
-            raise DimensionError(
-                f"coefficient tensor {i} has shape {f.coeffs.shape}, expected {(4,) * n} "
-                f"for N={n}"
-            )
+    effects = [_qubit_operator(m, n, tol) for m in effects]
+    ranks = [numerical_rank(m, tol) for m in effects] if mode == "projective" else None
+    if len(effects) != k_out:
+        what = "coefficient tensor" if ranks is None else "rank"
+        raise DimensionError(f"need one {what} per e=1 outcome ({k_out}), got {len(effects)}")
+    plain = _pauli_stack(np.stack(effects), n)
+    return plain.reshape(k_out, -1), (plain * _conjugation_signs(n)).reshape(k_out, -1), ranks
+
+
+def _part2_residuals(mode: str, n: int, t: np.ndarray, terms) -> tuple:
+    """Plain and conjugated residuals (..., K) of e = 1 correlator tensors t (..., K, 4, ..., 4)."""
+    plain, conj, ranks = terms
     t = t.reshape(t.shape[:-n] + (-1,))
 
     def residuals(coeffs):
@@ -174,18 +171,20 @@ def _part2_residuals(mode: str, n: int, t: np.ndarray, f_tensors, ranks) -> tupl
             return np.abs(sums - np.asarray(ranks) / 2.0**n)
         return np.abs(t - coeffs).max(axis=-1)
 
-    plain = np.stack([f.coeffs.ravel() for f in f_tensors])
-    conj = np.stack([f.conjugated().coeffs.ravel() for f in f_tensors])
     return residuals(plain), residuals(conj)
 
 
-def _part2(mode: str, table: CorrelationTable, f_tensors, ranks,
-           tol: Tolerances) -> Part2Report:
-    """Per-outcome residuals of the plain and the conjugated coefficients."""
-    res_plain, res_conj = (
-        tuple(r.tolist())
-        for r in _part2_residuals(mode, table.n, table.correlator_tensor(1), f_tensors, ranks)
-    )
+def check_part2(table: CorrelationTable, reference_effects, mode: str,
+                tol: Tolerances = DEFAULT_TOL) -> Part2Report:
+    """Eve's e = 1 measurement against the reference effects, in both branches.
+
+    Projective mode compares each outcome's coefficient-weighted expectation
+    sum with r_l / 2^N; povm mode matches every Pauli coefficient.
+    """
+    _require_mode(mode)
+    terms = _reference_terms(reference_effects, table.n, table.outcome_count(1), mode, tol)
+    residuals = _part2_residuals(mode, table.n, table.correlator_tensor(1), terms)
+    res_plain, res_conj = (tuple(r.tolist()) for r in residuals)
     branch = _branch_from_residuals(res_plain, res_conj, tol)
     return Part2Report(
         mode=mode,
@@ -194,18 +193,6 @@ def _part2(mode: str, table: CorrelationTable, f_tensors, ranks,
         branch=branch,
         passed=branch != NO_BRANCH,
     )
-
-
-def check_projective_conditions(table: CorrelationTable, f_tensors, ranks,
-                                tol: Tolerances = DEFAULT_TOL) -> Part2Report:
-    """Coefficient-weighted expectation sums against r_l / 2^N, per outcome."""
-    return _part2("projective", table, f_tensors, ranks, tol)
-
-
-def check_povm_conditions(table: CorrelationTable, f_tensors,
-                          tol: Tolerances = DEFAULT_TOL) -> Part2Report:
-    """Per-tuple expectation match against every Pauli coefficient."""
-    return _part2("povm", table, f_tensors, None, tol)
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +249,10 @@ def match_up_to_conjugation(actual: np.ndarray, reference: np.ndarray,
             f"actual dim {d_act} is not a multiple of reference dim {d_ref}"
         )
     d_junk = d_act // d_ref
-    ref_n = reference / np.trace(reference)
+    trace = np.trace(reference)
+    if not trace.real > 0:
+        raise ContractViolation(f"reference trace {trace.real:.3e} is not positive")
+    ref_n = reference / trace
     if d_junk == 1:
         candidates = [ref_n, ref_n.conj()]
     else:
@@ -336,10 +326,10 @@ def certify_pure_preparation(scenario: Scenario, psi: np.ndarray,
                              table: CorrelationTable = None,
                              tol: Tolerances = DEFAULT_TOL) -> Part3Report:
     """Pure-state preparation: outcome 0 of an embedded rank-one projection."""
+    psi = as_state(psi, None, "target state")
     if table is None:
         table = born_table(scenario, tol)
     n = scenario.n_parties
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
     reference = np.outer(psi, psi.conj())
     return _part3_from_outcomes(scenario, table, [0], [2.0**-n], reference, tol)
 
@@ -363,17 +353,10 @@ def certify(scenario: Scenario, reference_effects, mode: str,
             tol: Tolerances = DEFAULT_TOL,
             state_spec: MixedStateSpec = None) -> CertificationReport:
     """Full pipeline: part 1, part 2 in the requested mode, optional part 3."""
-    if mode not in ("projective", "povm"):
-        raise DimensionError(f"unknown certification mode {mode!r}")
-    n = scenario.n_parties
+    _require_mode(mode)
     table = born_table(scenario, tol)
-    part1 = check_part1(table, n, tol)
-    f_tensors = reference_coeff_tensors(reference_effects, n, tol)
-    if mode == "projective":
-        ranks = reference_ranks(reference_effects, tol)
-        part2 = check_projective_conditions(table, f_tensors, ranks, tol)
-    else:
-        part2 = check_povm_conditions(table, f_tensors, tol)
+    part1 = check_part1(table, scenario.n_parties, tol)
+    part2 = check_part2(table, reference_effects, mode, tol)
     part3 = None
     if state_spec is not None:
         part3 = certify_state_preparation(scenario, state_spec, table, tol)
@@ -429,6 +412,7 @@ def noise_scan(scenario: Scenario, model: str, grid,
     is walked in chunks of levels, and each chunk's mixed factors are
     checked and contracted as one stack, with no (a, l, x) table.
     """
+    _require_mode(mode)
     if model not in NOISE_MODELS:
         raise DimensionError(f"unknown noise model {model!r}")
     grid = [float(v) for v in grid]
@@ -439,11 +423,9 @@ def noise_scan(scenario: Scenario, model: str, grid,
     n = scenario.n_parties
     levels = sorted(grid)
     ends = _born_factors(scenario), _born_factors(NOISE_MODELS[model](scenario, 0.0))
-    f_tensors = ranks = None
+    terms = None
     if reference_effects is not None:
-        f_tensors = reference_coeff_tensors(reference_effects, n, tol)
-        if mode == "projective":
-            ranks = reference_ranks(reference_effects, tol)
+        terms = _reference_terms(reference_effects, n, scenario.eve[1].outcome_count, mode, tol)
     # levels per chunk: the non-negativity check expands one level's factors
     # to (K_0 + K_1) 6^N entries
     step = max(1, _CHUNK_ENTRIES // (sum(len(c) for c in ends[0][0]) * 6**n))
@@ -460,9 +442,8 @@ def noise_scan(scenario: Scenario, model: str, grid,
         weights = _outcome_weights(n, t0)
         values = _bell_values(n, t0, weights, tol)
         part2 = [None] * len(v)
-        if f_tensors is not None:
-            res_plain, res_conj = _part2_residuals(mode, n, _correlators(coeffs[1], w_maps),
-                                                  f_tensors, ranks)
+        if terms is not None:
+            res_plain, res_conj = _part2_residuals(mode, n, _correlators(coeffs[1], w_maps), terms)
             part2 = np.minimum(res_plain.max(axis=-1), res_conj.max(axis=-1)).tolist()
         lows = np.nanmin(values, axis=-1).tolist()
         devs = np.abs(weights - 2.0**-n).max(axis=-1).tolist()

@@ -373,8 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing fills a new namespace on every call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    config = build_parser().parse_args(argv)
+    config = _PARSER.parse_args(argv)
     try:
         if "grid" in config:
             config.grid = _parse_grid(config.grid)

@@ -14,6 +14,7 @@ A_j; index 3 marginalizes the party.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -48,34 +49,44 @@ class PauliCoeffTensor:
             raise DimensionError(f"coefficient tensor must have shape {(4,) * self.n}")
         object.__setattr__(self, "coeffs", c)
 
-    def __getitem__(self, idx):
-        return float(self.coeffs[idx])
-
     def conjugated(self) -> "PauliCoeffTensor":
         """Coefficients of the entrywise conjugate: Y slots flip sign."""
-        signs = np.ones((4,) * self.n)
-        for axis in range(self.n):
-            sl = [slice(None)] * self.n
-            sl[axis] = 2
-            signs[tuple(sl)] *= -1
-        return PauliCoeffTensor(self.n, self.coeffs * signs)
+        return PauliCoeffTensor(self.n, self.coeffs * _conjugation_signs(self.n))
 
 
-def pauli_coeffs(m: np.ndarray, n: int, tol: Tolerances = DEFAULT_TOL) -> PauliCoeffTensor:
-    """Expand a Hermitian matrix on n qubits in the Pauli basis.
+@lru_cache(maxsize=None)
+def _conjugation_signs(n: int) -> np.ndarray:
+    """Read-only (4,) * n tensor of +-1: -1 for each index with an odd number of Y (2) slots."""
+    signs = reduce(np.multiply.outer, [np.array([1.0, 1.0, -1.0, 1.0])] * n, np.ones(()))
+    signs.flags.writeable = False
+    return signs
 
-    c[j_1..j_n] = Tr[(sigma_{j_1} (x) ... (x) sigma_{j_n}) m] / 2^n, contracted
-    one qubit at a time: each step traces the leading row and column qubit of
-    the remaining operator against the stacked basis.
-    """
+
+def _qubit_operator(m, n: int, tol: Tolerances) -> np.ndarray:
+    """``m`` as a complex Hermitian 2^n x 2^n matrix, raising otherwise."""
     m = require_hermitian(as_operator(m), tol.structural)
     if m.shape[0] != 2**n:
         raise DimensionError(f"matrix dim {m.shape[0]} is not 2^{n}")
-    t = m.reshape((2,) * (2 * n))
+    return m
+
+
+def _pauli_stack(stack: np.ndarray, n: int) -> np.ndarray:
+    """Pauli coefficients (K, 4, ..., 4) of a (K, 2^n, 2^n) stack of Hermitian matrices.
+
+    c[k, j_1..j_n] = Tr[(sigma_{j_1} (x) ... (x) sigma_{j_n}) m_k] / 2^n, contracted
+    one qubit at a time for the whole stack: each step traces the leading row
+    and column qubit of the remaining operators against the stacked basis.
+    """
+    t = stack.reshape((len(stack),) + (2,) * (2 * n))
     for remaining in range(n, 0, -1):
         # Tr(sigma m) = sum_{r,c} m[r, c] sigma[c, r]
-        t = np.tensordot(t, _BASIS, axes=([0, remaining], [2, 1]))
-    return PauliCoeffTensor(n, t.real / 2**n)
+        t = np.tensordot(t, _BASIS, axes=([1, remaining + 1], [2, 1]))
+    return t.real / 2**n
+
+
+def pauli_coeffs(m: np.ndarray, n: int, tol: Tolerances = DEFAULT_TOL) -> PauliCoeffTensor:
+    """Expand a Hermitian matrix on n qubits in the Pauli basis: ``_pauli_stack`` of one matrix."""
+    return PauliCoeffTensor(n, _pauli_stack(_qubit_operator(m, n, tol)[None], n)[0])
 
 
 def reconstruct_from_coeffs(f: PauliCoeffTensor) -> np.ndarray:
@@ -231,6 +242,8 @@ def embed_projective(effects, n: int, tol: Tolerances = DEFAULT_TOL) -> Povm:
     input already resolves the full space.
     """
     effects = [require_hermitian(as_operator(m), tol.structural) for m in effects]
+    if not effects:
+        raise DimensionError("projective measurement needs at least one effect")
     d = effects[0].shape[0]
     dim = 2**n
     if d > dim:

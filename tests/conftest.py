@@ -33,10 +33,7 @@ from starcert.certify import (
     NOISE_MODELS,
     ScanReport,
     ScanRow,
-    check_povm_conditions,
-    check_projective_conditions,
-    reference_coeff_tensors,
-    reference_ranks,
+    check_part2,
 )
 from starcert.config import DEFAULT_TOL, Tolerances
 from starcert.errors import DimensionError, ValidationError
@@ -134,22 +131,13 @@ def correlators_from_table(n: int, p: np.ndarray) -> np.ndarray:
 def _scan_report(model: str, n: int, levels, tables, reference_effects, mode: str,
                  tol: Tolerances) -> ScanReport:
     """Part-1 (and optionally part-2) metrics of one table per level."""
-    f_tensors = None
-    ranks = None
-    if reference_effects is not None:
-        f_tensors = reference_coeff_tensors(reference_effects, n, tol)
-        if mode == "projective":
-            ranks = reference_ranks(reference_effects, tol)
     rows = []
     for v, table in zip(levels, tables):
         values = bell_values(table)
         pbar_dev = float(np.max(np.abs(table.outcome_weights(0) - 2.0**-n)))
         part2_res = None
-        if f_tensors is not None:
-            if mode == "projective":
-                part2 = check_projective_conditions(table, f_tensors, ranks, tol)
-            else:
-                part2 = check_povm_conditions(table, f_tensors, tol)
+        if reference_effects is not None:
+            part2 = check_part2(table, reference_effects, mode, tol)
             part2_res = min(max(part2.residuals_plain), max(part2.residuals_conjugate))
         rows.append(ScanRow(
             level=v,

@@ -16,15 +16,12 @@ from starcert.certify import (
     certify_pure_preparation,
     certify_state_preparation,
     check_part1,
-    check_povm_conditions,
-    check_projective_conditions,
+    check_part2,
     match_up_to_conjugation,
     noise_scan,
     post_measurement_state,
-    reference_coeff_tensors,
-    reference_ranks,
 )
-from starcert.errors import ConditioningError, DimensionError
+from starcert.errors import ConditioningError, ContractViolation, DimensionError, StarcertError
 from starcert.measurements import (
     Povm,
     embed_projective,
@@ -34,14 +31,17 @@ from starcert.measurements import (
     trine_povm,
 )
 from starcert.network import Scenario, born_table
+from starcert.tensor import numerical_rank
 from starcert.presets import (
     computational_eve0,
     conjugate_scenario,
     depolarize_one_source,
+    depolarize_sources,
     flip_observable_sign,
     ideal_scenario,
     random_density_matrix,
     random_mixed_state_spec,
+    random_rank1_extremal_povm,
     swap_eve_effects,
 )
 
@@ -85,10 +85,8 @@ def test_projective_conditions_ghz_reference():
     ref = ghz_reference(n)
     scen = ideal_with_reference(n, ref)
     table = born_table(scen)
-    f = reference_coeff_tensors(ref.effects, n)
-    ranks = reference_ranks(ref.effects)
-    assert ranks == [1, 1, 1, 1]
-    report = check_projective_conditions(table, f, ranks)
+    assert [numerical_rank(m) for m in ref.effects] == [1, 1, 1, 1]
+    report = check_part2(table, ref.effects, "projective")
     assert report.passed and report.branch == PLAIN
     assert report.max_residual() < 1e-9
 
@@ -101,10 +99,8 @@ def test_projective_conditions_rank_two_reference():
     ref = embed_projective([p0, p1], n)
     scen = ideal_with_reference(n, ref)
     table = born_table(scen)
-    f = reference_coeff_tensors(ref.effects, n)
-    ranks = reference_ranks(ref.effects)
-    assert ranks == [2, 2]
-    report = check_projective_conditions(table, f, ranks)
+    assert [numerical_rank(m) for m in ref.effects] == [2, 2]
+    report = check_part2(table, ref.effects, "projective")
     assert report.passed
     # each coefficient-weighted sum hits rank / 2^N = 1/2
     assert report.max_residual() < 1e-9
@@ -116,8 +112,7 @@ def test_projective_conditions_detect_scaled_identity_effects():
     flat = Povm((np.eye(4) / 4,) * 4)
     scen = ideal_scenario(n, eve_second=flat)
     table = born_table(scen)
-    f = reference_coeff_tensors(ref.effects, n)
-    report = check_projective_conditions(table, f, reference_ranks(ref.effects))
+    report = check_part2(table, ref.effects, "projective")
     assert not report.passed
     assert max(report.residuals_plain) >= 0.05
     assert max(report.residuals_conjugate) >= 0.05
@@ -129,7 +124,7 @@ def test_povm_conditions_trine(rng):
     ref = embed_rank1_povm(trine_povm(spec), n)
     scen = ideal_with_reference(n, ref)
     table = born_table(scen)
-    report = check_povm_conditions(table, reference_coeff_tensors(ref.effects, n))
+    report = check_part2(table, ref.effects, "povm")
     assert report.passed and report.branch == PLAIN
     assert report.max_residual() < 1e-9
 
@@ -141,24 +136,20 @@ def test_povm_conditions_identity_tuple_is_marginal(rng):
     ref = embed_rank1_povm(trine_povm(spec), n)
     scen = ideal_with_reference(n, ref)
     table = born_table(scen)
-    f = reference_coeff_tensors(ref.effects, n)
-    for l, fl in enumerate(f):
-        trace = float(np.trace(ref.effects[l]).real)
+    for l, m in enumerate(ref.effects):
+        trace = float(np.trace(m).real)
         assert table.pbar(l, 1) == pytest.approx(trace / 2**n, abs=1e-12)
-        assert fl[3, 3] == pytest.approx(trace / 2**n, abs=1e-12)
+        assert pauli_coeffs(m, n).coeffs[3, 3] == pytest.approx(trace / 2**n, abs=1e-12)
 
 
 def test_povm_conditions_branch_flips_with_conjugation(rng):
     n = 2
     spec = random_mixed_state_spec(2, rng)
     ref = embed_rank1_povm(trine_povm(spec), n)
-    f = reference_coeff_tensors(ref.effects, n)
-    plain = check_povm_conditions(
-        born_table(ideal_with_reference(n, ref, conjugate=True)), f
-    )
-    conj = check_povm_conditions(
-        born_table(ideal_with_reference(n, ref, conjugate=False)), f
-    )
+    plain = check_part2(born_table(ideal_with_reference(n, ref, conjugate=True)), ref.effects,
+                        "povm")
+    conj = check_part2(born_table(ideal_with_reference(n, ref, conjugate=False)), ref.effects,
+                       "povm")
     assert plain.branch == PLAIN
     assert conj.branch == CONJUGATE
 
@@ -293,14 +284,113 @@ def test_certify_pure_preparation_rejects_a_target_larger_than_alice():
         certify_pure_preparation(ideal_scenario(2), np.ones(8) / np.sqrt(8))
 
 
-def test_part2_rejects_coefficient_tensors_for_the_wrong_n():
+def _per_effect_part2_residuals(table, effects, mode):
+    """Part 2's residuals by the per-effect route: one expansion, conjugate and rank per effect."""
+    n = table.n
+    t = table.correlator_tensor(1).reshape(table.outcome_count(1), -1)
+    plain = np.stack([pauli_coeffs(m, n).coeffs.ravel() for m in effects])
+    conj = np.stack([pauli_coeffs(m, n).conjugated().coeffs.ravel() for m in effects])
+    ranks = [numerical_rank(m) for m in effects]
+
+    def residuals(coeffs):
+        if mode == "projective":
+            sums = np.where(np.abs(coeffs) > 1e-14, coeffs * t, 0.0).sum(axis=-1)
+            return np.abs(sums - np.asarray(ranks) / 2.0**n)
+        return np.abs(t - coeffs).max(axis=-1)
+
+    return tuple(residuals(plain).tolist()), tuple(residuals(conj).tolist())
+
+
+PART2_REFERENCES = {
+    "ghz_n2": lambda rng: ghz_reference(2),
+    "ghz_n3": lambda rng: ghz_reference(3),
+    "rank_two_projective": lambda rng: embed_projective(
+        [np.diag([1.0, 0.0, 0.0, 1.0]), np.diag([0.0, 1.0, 1.0, 0.0])], 2),
+    "trine": lambda rng: embed_rank1_povm(trine_povm(random_mixed_state_spec(2, rng)), 2),
+    "random_rank_one": lambda rng: random_rank1_extremal_povm(4, 7, rng),
+}
+
+
+@pytest.mark.parametrize("mode", ["projective", "povm"])
+@pytest.mark.parametrize("name", sorted(PART2_REFERENCES))
+def test_check_part2_matches_the_per_effect_route_bit_for_bit(name, mode, rng):
+    ref = PART2_REFERENCES[name](rng)
+    n = int(np.log2(ref.dim))
+    for conjugate in (True, False):
+        for v in (1.0, 0.9):
+            scen = depolarize_sources(ideal_with_reference(n, ref, conjugate), v)
+            table = born_table(scen)
+            report = check_part2(table, ref.effects, mode)
+            expected = _per_effect_part2_residuals(table, ref.effects, mode)
+            assert (report.residuals_plain, report.residuals_conjugate) == expected
+            assert report.mode == mode
+
+
+@pytest.mark.parametrize("mode, what", [("projective", "rank"), ("povm", "coefficient tensor")])
+def test_check_part2_counts_effects_before_stacking(mode, what):
+    table = born_table(ideal_with_reference(2, ghz_reference(2)))
+    with pytest.raises(DimensionError, match=rf"^need one {what} per e=1 outcome \(4\), got 0$"):
+        check_part2(table, [], mode)
+    with pytest.raises(DimensionError, match=rf"^need one {what} per e=1 outcome \(4\), got 1$"):
+        check_part2(table, [np.eye(4)], mode)
+
+
+@pytest.mark.parametrize("mode", ["projective", "povm"])
+def test_check_part2_checks_each_effect_before_stacking(mode):
+    table = born_table(ideal_with_reference(2, ghz_reference(2)))
+    with pytest.raises(DimensionError, match=r"^matrix dim 2 is not 2\^2$"):
+        check_part2(table, [np.eye(4) / 2, np.eye(2) / 2], mode)
+    with pytest.raises(ContractViolation, match="^matrix is not Hermitian"):
+        check_part2(table, [np.eye(4) / 2, np.triu(np.ones((4, 4)))], mode)
+
+
+def test_check_part2_rejects_an_unknown_mode():
+    ref = ghz_reference(2)
+    table = born_table(ideal_with_reference(2, ref))
+    with pytest.raises(DimensionError, match="unknown certification mode 'bogus'"):
+        check_part2(table, ref.effects, "bogus")
+
+
+@pytest.mark.parametrize("with_reference", [False, True])
+def test_noise_scan_rejects_an_unknown_mode(with_reference):
+    ref = ghz_reference(2)
+    scen = ideal_with_reference(2, ref)
+    reference = ref.effects if with_reference else None
+    with pytest.raises(DimensionError, match="unknown certification mode 'bogus'"):
+        noise_scan(scen, "effects", [1.0], reference_effects=reference, mode="bogus")
+
+
+@pytest.mark.parametrize("psi, error, message", [
+    (np.zeros(2), ContractViolation, "reference trace 0.000e\\+00 is not positive"),
+    ([np.nan, 0.0], ContractViolation, "target state contains NaN or Inf entries"),
+    ([0.0, np.inf], ContractViolation, "target state contains NaN or Inf entries"),
+    ([], DimensionError, "target state must have at least one amplitude"),
+])
+def test_certify_pure_preparation_rejects_a_degenerate_target(psi, error, message):
+    with pytest.raises(error, match=message):
+        certify_pure_preparation(ideal_scenario(2), psi)
+
+
+def test_certify_pure_preparation_normalises_the_target():
+    psi = np.array([0.6, 0.8j])
+    scen = ideal_scenario(2, eve_second=embed_projective([np.outer(psi, psi.conj())], 2))
+    unit = certify_pure_preparation(scen, psi)
+    scaled = certify_pure_preparation(scen, 3 * psi)
+    assert scaled.passed and scaled.branch.branch == unit.branch.branch == CONJUGATE
+    assert scaled.branch.distance == pytest.approx(unit.branch.distance, abs=1e-12)
+
+
+@pytest.mark.parametrize("reference", [np.zeros((2, 2)), -np.eye(2) / 2])
+def test_match_up_to_conjugation_rejects_a_reference_without_positive_trace(reference):
+    with pytest.raises(StarcertError, match="is not positive"):
+        match_up_to_conjugation(np.eye(2) / 2, reference)
+
+
+@pytest.mark.parametrize("mode", ["projective", "povm"])
+def test_part2_rejects_effects_for_the_wrong_n(mode):
     table = born_table(ideal_scenario(2))
-    f_tensors = [pauli_coeffs(np.eye(8) / 8, 3)]
-    message = r"coefficient tensor 0 has shape \(4, 4, 4\), expected \(4, 4\) for N=2"
-    with pytest.raises(DimensionError, match=message):
-        check_povm_conditions(table, f_tensors)
-    with pytest.raises(DimensionError, match=message):
-        check_projective_conditions(table, f_tensors, [8])
+    with pytest.raises(DimensionError, match="matrix dim 8 is not 2\\^2"):
+        check_part2(table, [np.eye(8) / 8], mode)
 
 
 def test_certify_end_to_end_projective():

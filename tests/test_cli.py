@@ -408,6 +408,26 @@ SUBCOMMAND_FLAGS = {
 }
 
 
+def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["bounds", "--n", "2"]) == 0
+    assert main(["bounds", "--n", "3"]) == 0
+    assert "N=3" in capsys.readouterr().out
+
+
+def test_defaults_do_not_leak_between_calls(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["certify", "--scenario", TRINE_SCEN, "--reference", TRINE_REF,
+            "--format", "structured", "--out", str(out)]
+    main(argv + ["--mode", "povm"])
+    assert json.loads(out.read_text())["part2"]["mode"] == "povm"
+    main(argv)
+    assert json.loads(out.read_text())["part2"]["mode"] == "projective"
+
+
 def test_each_subcommand_has_only_its_flags():
     subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
     for name, parser in subparsers.choices.items():

@@ -26,6 +26,8 @@ from starcert.measurements import (
     reconstruct_from_coeffs,
     trine_povm,
     trine_preparation_outcomes,
+    _conjugation_signs,
+    _pauli_stack,
     validate_povm,
 )
 from starcert.presets import (
@@ -81,6 +83,39 @@ def test_conjugated_tensor_matches_conjugated_matrix(rng):
     npt.assert_allclose(f.conjugated().coeffs, g.coeffs, atol=1e-12)
 
 
+def _per_matrix_pauli_coeffs(m, n):
+    """One matrix's expansion, one tensordot per qubit: the reference for the stacked sweep."""
+    basis = np.stack((PAULI_Z, PAULI_X, PAULI_Y, ID2))
+    t = np.asarray(m, dtype=complex).reshape((2,) * (2 * n))
+    for remaining in range(n, 0, -1):
+        t = np.tensordot(t, basis, axes=([0, remaining], [2, 1]))
+    return t.real / 2**n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_stack_rows_match_pauli_coeffs_bit_for_bit(n, rng):
+    ms = [random_hermitian(2**n, rng) for _ in range(2 * n + 3)]
+    rows = _pauli_stack(np.stack(ms), n)
+    assert rows.shape == (len(ms),) + (4,) * n
+    for m, row in zip(ms, rows):
+        assert np.array_equal(pauli_coeffs(m, n).coeffs, row)
+        assert np.array_equal(_per_matrix_pauli_coeffs(m, n), row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_conjugation_signs_are_one_cached_read_only_tensor(n):
+    loop = np.ones((4,) * n)
+    for axis in range(n):
+        sl = [slice(None)] * n
+        sl[axis] = 2
+        loop[tuple(sl)] *= -1
+    signs = _conjugation_signs(n)
+    assert np.array_equal(signs, loop)
+    assert _conjugation_signs(n) is signs
+    with pytest.raises(ValueError, match="read-only"):
+        signs[(0,) * n] = 0.0
+
+
 def test_coeff_tensor_shape_check():
     with pytest.raises(DimensionError):
         PauliCoeffTensor(2, np.zeros((4, 3)))
@@ -122,6 +157,11 @@ def test_embed_projective_complement():
     povm = embed_projective(effects, 2)
     assert povm.outcome_count == 3
     npt.assert_allclose(povm.effects[2], np.diag([0.0, 0.0, 0.0, 1.0]), atol=1e-12)
+
+
+def test_embed_projective_rejects_no_effects():
+    with pytest.raises(DimensionError, match="projective measurement needs at least one effect"):
+        embed_projective([], 2)
 
 
 def test_embed_projective_omits_zero_complement():
