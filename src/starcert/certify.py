@@ -42,7 +42,15 @@ from .network import (
     born_table,
 )
 from .presets import depolarize_effects, depolarize_sources
-from .tensor import as_state, kron, numerical_rank, partial_trace
+from .tensor import (
+    as_state,
+    hermitian_defects,
+    hermitian_part,
+    kron,
+    numerical_ranks,
+    operator_stack,
+    partial_trace,
+)
 
 PLAIN = "Plain"
 CONJUGATE = "Conjugate"
@@ -148,15 +156,25 @@ def _require_mode(mode: str) -> None:
 def _reference_terms(effects, n: int, k_out: int, mode: str, tol: Tolerances) -> tuple:
     """Plain and conjugated Pauli coefficient rows (K, 4^N) of the reference, and its ranks.
 
-    Every effect is checked before the counts, and the counts before the
-    one stacked expansion; the ranks are None in povm mode.
+    The effects are checked as one stack (finite, square, 2^N and one
+    batched Hermitian defect within ``tol.structural``; on a fault, each
+    effect alone, in order, so that the first faulty one names itself), then
+    ranked from one batched ``eigvalsh`` in projective mode, then counted,
+    and only then expanded in one sweep; the ranks are None in povm mode.
     """
-    effects = [_qubit_operator(m, n, tol) for m in effects]
-    ranks = [numerical_rank(m, tol) for m in effects] if mode == "projective" else None
+    effects = effects if isinstance(effects, np.ndarray) else list(effects)
+    stack = operator_stack(effects)
+    if stack is None or stack.shape[1] != 2**n or hermitian_defects(stack).max() > tol.structural:
+        for m in effects:
+            _qubit_operator(m, n, tol)
+    # past the checks, the stack is None only for an empty reference, which the count rejects
+    ranks = None
+    if mode == "projective" and stack is not None:
+        ranks = numerical_ranks(hermitian_part(stack), tol)
     if len(effects) != k_out:
-        what = "coefficient tensor" if ranks is None else "rank"
+        what = "rank" if mode == "projective" else "coefficient tensor"
         raise DimensionError(f"need one {what} per e=1 outcome ({k_out}), got {len(effects)}")
-    plain = _pauli_stack(np.stack(effects), n)
+    plain = _pauli_stack(stack, n)
     return plain.reshape(k_out, -1), (plain * _conjugation_signs(n)).reshape(k_out, -1), ranks
 
 
@@ -168,7 +186,7 @@ def _part2_residuals(mode: str, n: int, t: np.ndarray, terms) -> tuple:
     def residuals(coeffs):
         if mode == "projective":
             sums = np.where(np.abs(coeffs) > 1e-14, coeffs * t, 0.0).sum(axis=-1)
-            return np.abs(sums - np.asarray(ranks) / 2.0**n)
+            return np.abs(sums - ranks / 2.0**n)
         return np.abs(t - coeffs).max(axis=-1)
 
     return residuals(plain), residuals(conj)

@@ -9,6 +9,8 @@ node inside the document (``scenario.sources[1]``, ``povm.effects[0]``,
 ...).
 
 A matrix is ``{"dim": d, "entries": [[re, im], ...]}`` in row-major order.
+Each list of matrices is decoded by one pass over all of its pairs into one
+read-only (K, d, d) array, which the validating classes check as a stack.
 """
 
 from __future__ import annotations
@@ -142,8 +144,46 @@ def matrix_from_json(doc, path: str) -> np.ndarray:
     return entries.reshape(dim, dim)
 
 
-def _matrices_from_json(docs, path: str) -> tuple:
-    return tuple(matrix_from_json(m, f"{path}[{i}]") for i, m in enumerate(_list(docs, path)))
+def _matrices_from_json(docs, path: str):
+    """A list of matrices, decoded with one strict pass over all of its [re, im] pairs.
+
+    The result is one read-only (K, d, d) complex array, or, when the dims
+    differ (sources of unequal parties), a tuple of read-only (d, d) views of
+    one decoded vector.  When the pass fails, each matrix is decoded alone,
+    in document order, so that the first faulty one names itself.
+    """
+    docs = _list(docs, path)
+    stack = _decoded_stack(docs) if docs else ()
+    if stack is None:
+        for i, doc in enumerate(docs):
+            matrix_from_json(doc, f"{path}[{i}]")
+    return stack
+
+
+def _decoded_stack(docs):
+    """``_matrices_from_json``'s result for a non-empty list, or None if any matrix is at fault.
+
+    The checks of ``matrix_from_json`` run on the whole list: the fields of
+    each document, then one ``_complex_entries`` pass over all of the pairs.
+    """
+    dims, pairs = [], []
+    for doc in docs:
+        doc = doc if isinstance(doc, dict) else {}
+        dim, values = doc.get("dim"), doc.get("entries")
+        if (isinstance(dim, bool) or not isinstance(dim, int) or dim < 1
+                or not isinstance(values, list) or len(values) != dim * dim):
+            return None
+        dims.append(dim)
+        pairs += values
+    try:
+        flat = _complex_entries(pairs, "")
+    except ValidationError:
+        return None
+    flat.flags.writeable = False
+    if len(set(dims)) == 1:
+        return flat.reshape(len(dims), dims[0], dims[0])
+    ends = np.cumsum([d * d for d in dims]).tolist()
+    return tuple(flat[e - d * d:e].reshape(d, d) for d, e in zip(dims, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +250,7 @@ def povm_from_json(doc) -> Povm:
     effects = _matrices_from_json(doc["effects"], "povm.effects")
     if "dim" in doc:
         dim = _int(doc["dim"], "povm.dim")
-        if effects and effects[0].shape[0] != dim:
+        if len(effects) and effects[0].shape[0] != dim:
             raise ValidationError("povm.dim: does not match the effect matrices")
     return _build(Povm, "povm", effects)
 

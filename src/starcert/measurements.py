@@ -28,6 +28,9 @@ from .tensor import (
     as_operator,
     as_state,
     hermitian_eig,
+    hermitian_defects,
+    hermitian_part,
+    operator_stack,
     require_hermitian,
 )
 
@@ -104,13 +107,14 @@ class Povm:
 
     This is the one measurement type: references, the embedded and trine
     POVMs, and both of Eve's measurements in a ``Scenario``.  ``effects`` is
-    one read-only (K, d, d) array: the validated copy of the input for a
-    dense ``Povm``, or, for one built by ``rank_one`` from the read-only rows
-    ``vectors`` (K, d) of a factor with R_l = v_l v_l^dagger, built on first
-    read.  ``vectors`` is None for a dense ``Povm``.  ``extreme_eigenvalues``
-    (K, 2), read-only, holds the least and the greatest eigenvalue of each
-    effect's Hermitian part, as the validation found them; being read-only,
-    the effects cannot drift from them.
+    one read-only (K, d, d) array: for a dense ``Povm``, the validated input,
+    copied unless it already is a read-only complex stack (a decoded file's
+    or another ``Povm``'s), or, for one built by ``rank_one`` from the
+    read-only rows ``vectors`` (K, d) of a factor with R_l = v_l v_l^dagger,
+    built on first read.  ``vectors`` is None for a dense ``Povm``.
+    ``extreme_eigenvalues`` (K, 2), read-only, holds the least and the
+    greatest eigenvalue of each effect's Hermitian part, as the validation
+    found them; being read-only, the effects cannot drift from them.
     """
 
     def __init__(self, effects, tol: Tolerances = DEFAULT_TOL):
@@ -193,19 +197,20 @@ def validate_povm(effects, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
 
 
 def _validated_stack(effects, tol: Tolerances):
-    """The effects stacked into a new (K, d, d) array, and ``validate_povm``'s diagnostics."""
-    effects = [as_operator(m) for m in effects]
-    if not effects:
-        raise ValidationError("POVM needs at least one effect")
-    dim = effects[0].shape[0]
-    for i, m in enumerate(effects):
-        if m.shape[0] != dim:
-            raise DimensionError(f"effect {i} has dim {m.shape[0]}, expected {dim}")
-    stack = np.stack(effects)
-    adjoint = stack.conj().swapaxes(1, 2)
-    defects = np.linalg.norm((stack - adjoint).reshape(len(effects), -1), axis=1)
-    eigs = np.linalg.eigvalsh((stack + adjoint) / 2)
-    residual = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
+    """The effects as one (K, d, d) array, see ``operator_stack``, and their diagnostics."""
+    effects = effects if isinstance(effects, np.ndarray) else list(effects)
+    stack = operator_stack(effects)
+    if stack is None:  # each effect alone, in order, so that the first faulty one names itself
+        effects = [as_operator(m) for m in effects]
+        if not effects:
+            raise ValidationError("POVM needs at least one effect")
+        dim = effects[0].shape[0]
+        for i, m in enumerate(effects):
+            if m.shape[0] != dim:
+                raise DimensionError(f"effect {i} has dim {m.shape[0]}, expected {dim}")
+    defects = hermitian_defects(stack)
+    eigs = np.linalg.eigvalsh(hermitian_part(stack))
+    residual = float(np.linalg.norm(stack.sum(axis=0) - np.eye(stack.shape[1])))
     passed = bool(
         defects.max() <= tol.structural
         and eigs[:, 0].min() >= -tol.structural

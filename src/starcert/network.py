@@ -31,7 +31,18 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionError, ValidationError
-from .tensor import as_operator, as_state, is_psd, kron_all, reorder_factors, require_hermitian
+from .tensor import (
+    as_operator,
+    as_state,
+    check_hermitian,
+    hermitian_defects,
+    hermitian_part,
+    kron_all,
+    operator_stack,
+    psd_within,
+    reorder_factors,
+    require_hermitian,
+)
 
 
 @dataclass(frozen=True)
@@ -43,19 +54,18 @@ class BinaryObservableTriple:
     a2: np.ndarray
 
     def __post_init__(self):
-        dims = set()
-        for name in ("a0", "a1", "a2"):
-            m = require_hermitian(as_operator(getattr(self, name)), what=f"observable {name}")
-            object.__setattr__(self, name, m)
-            dims.add(m.shape[0])
-            # dichotomic contract: A = M_0 - M_1 forces spectrum within [-1, 1]
-            top = np.linalg.norm(m, ord=2)
-            if top > 1 + DEFAULT_TOL.spectral:
-                raise ValidationError(
-                    f"observable {name} has spectral radius {top:.6g} > 1"
-                )
-        if len(dims) != 1:
+        names = ("a0", "a1", "a2")
+        stack = operator_stack(self.observables())
+        if stack is None:  # each observable alone, in order: the first faulty one names itself
+            dims = set()
+            for name in names:
+                m = as_operator(getattr(self, name))
+                _check_observables([name], m[None])
+                dims.add(m.shape[0])
             raise DimensionError(f"observables of one party must share a dimension, got {dims}")
+        _check_observables(names, stack)
+        for name, m in zip(names, stack):
+            object.__setattr__(self, name, m)
 
     @property
     def dim(self) -> int:
@@ -63,6 +73,20 @@ class BinaryObservableTriple:
 
     def observables(self):
         return (self.a0, self.a1, self.a2)
+
+
+def _check_observables(names, stack: np.ndarray) -> None:
+    """Hermiticity and the dichotomic contract of a stack of observables, one batched norm each.
+
+    A = M_0 - M_1 forces the spectrum within [-1, 1]; the first faulty
+    observable in order raises.
+    """
+    defects = hermitian_defects(stack)
+    tops = np.linalg.norm(stack, ord=2, axis=(1, 2))
+    for name, defect, top in zip(names, defects, tops):
+        check_hermitian(defect, DEFAULT_TOL.structural, f"observable {name}")
+        if top > 1 + DEFAULT_TOL.spectral:
+            raise ValidationError(f"observable {name} has spectral radius {top:.6g} > 1")
 
 
 def _as_density_operator(state, path: str) -> np.ndarray:
@@ -73,10 +97,10 @@ def _as_density_operator(state, path: str) -> np.ndarray:
         if abs(norm - 1) > 1e-10:
             raise ValidationError(f"{path}: state vector norm {norm} deviates from 1")
         return np.outer(arr, arr.conj())
-    rho = require_hermitian(as_operator(arr), what=path)
+    rho = require_hermitian(arr, what=path)
     if abs(np.trace(rho).real - 1) > DEFAULT_TOL.structural:
         raise ValidationError(f"{path}: density operator trace {np.trace(rho).real} is not 1")
-    if not is_psd(rho, DEFAULT_TOL.structural):
+    if not psd_within(hermitian_part(rho[None])[0], DEFAULT_TOL.structural):
         raise ValidationError(f"{path}: density operator is not positive semi-definite")
     return rho
 

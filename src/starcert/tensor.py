@@ -15,6 +15,11 @@ from .errors import CapacityError, ContractViolation, DimensionError
 # Largest operator this kernel will build: 2^24 entries (dim 4096).
 MAX_ENTRIES = 2**24
 
+# Entries per step of a batched check (256 KB of complex128), so that a
+# step's temporaries stay in cache: one step over a large stack, such as
+# 128 effects at N = 7, is bound by memory traffic instead.
+_STEP_ENTRIES = 2**14
+
 # Single-qubit constants.
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -33,6 +38,46 @@ def as_operator(entries) -> np.ndarray:
     if not np.all(np.isfinite(m.view(float))):
         raise ContractViolation("matrix contains NaN or Inf entries")
     return m
+
+
+def operator_stack(matrices) -> np.ndarray | None:
+    """Square matrices of one dimension with finite entries as one complex (K, d, d) array.
+
+    One conversion and one finiteness check for the whole stack.  A read-only
+    complex array, such as a decoded file's or a ``Povm``'s, is taken as it
+    is; anything else is copied once.  None means that there is no matrix,
+    that some matrix fails ``as_operator``, or that the dimensions differ: a
+    caller then checks the matrices one at a time, in order, so that the
+    first faulty one raises its own error.
+    """
+    if not (isinstance(matrices, np.ndarray) and matrices.dtype == complex
+            and not matrices.flags.writeable):
+        try:
+            matrices = np.array(matrices, dtype=complex)
+        except (TypeError, ValueError):
+            return None
+    if matrices.ndim != 3 or 0 in matrices.shape or matrices.shape[1] != matrices.shape[2]:
+        return None
+    return matrices if np.isfinite(matrices).all() else None
+
+
+def hermitian_defects(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms ||M - M^dagger|| (K,) of a non-empty (K, d, d) stack.
+
+    One batched norm per step of at most ``_STEP_ENTRIES`` entries, or of
+    one matrix.  Each norm reduces its own row, so a single matrix, the
+    stack ``m[None]``, gets the same defect as inside any stack.
+    """
+    step = max(1, _STEP_ENTRIES // stack[0].size)
+    return np.concatenate([
+        np.linalg.norm((s - s.conj().swapaxes(-1, -2)).reshape(len(s), -1), axis=1)
+        for s in (stack[k:k + step] for k in range(0, len(stack), step))
+    ])
+
+
+def hermitian_part(stack: np.ndarray) -> np.ndarray:
+    """(M + M^dagger)/2 of each matrix of a (K, d, d) stack."""
+    return (stack + stack.conj().swapaxes(-1, -2)) / 2
 
 
 def as_state(amplitudes, tol: float | None = 1e-12, what: str = "state vector") -> np.ndarray:
@@ -129,10 +174,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def require_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL.structural, what: str = "matrix") -> np.ndarray:
     m = as_operator(m)
-    defect = float(np.linalg.norm(m - dagger(m)))
+    check_hermitian(hermitian_defects(m[None])[0], tol, what)
+    return m
+
+
+def check_hermitian(defect: float, tol: float, what: str) -> None:
+    """Raise if a Hermiticity defect from ``hermitian_defects`` exceeds ``tol``."""
     if defect > tol:
         raise ContractViolation(f"{what} is not Hermitian (defect {defect:.3e} > {tol:.1e})")
-    return m
 
 
 def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -156,27 +205,37 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL.structural) -> bool:
     Much cheaper than a full eigendecomposition for large matrices.
     """
     m = require_hermitian(m, max(tol, 1e-8))
-    h = (m + dagger(m)) / 2
-    shifted = h + 10 * tol * np.eye(h.shape[0])
+    return psd_within((m + dagger(m)) / 2, tol)
+
+
+def psd_within(h: np.ndarray, tol: float) -> bool:
+    """Whether the Hermitian matrix ``h`` is PSD within ``tol``: Cholesky of h + 10 tol 1."""
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(h + 10 * tol * np.eye(h.shape[0]))
         return True
     except np.linalg.LinAlgError:
         return False
 
 
 def numerical_rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of a Hermitian PSD matrix by eigenvalue thresholding at ``tol.rank``.
+    """Rank of a Hermitian PSD matrix: ``numerical_ranks`` of its Hermitian part alone."""
+    m = require_hermitian(m, tol.structural)
+    return int(numerical_ranks(hermitian_part(m[None]), tol)[0])
 
-    Raises if an eigenvalue magnitude sits inside (tol.rank/10, tol.rank*10),
-    i.e. too close to the cut to call.
+
+def numerical_ranks(hermitian: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Ranks (K,) of a (K, d, d) stack of Hermitian PSD matrices, thresholding at ``tol.rank``.
+
+    One batched ``eigvalsh``.  Raises if an eigenvalue magnitude sits inside
+    (tol.rank/10, tol.rank*10), i.e. too close to the cut to call: the first
+    such matrix in order names its greatest such eigenvalue.
     """
-    vals, _ = hermitian_eig(m, tol)
-    mags = np.abs(vals)
+    mags = np.abs(np.linalg.eigvalsh(hermitian)[:, ::-1])
     borderline = (mags > tol.rank / 10) & (mags < tol.rank * 10)
-    if np.any(borderline):
+    if borderline.any():
+        k = int(np.argmax(borderline.any(axis=1)))
         raise ContractViolation(
-            f"indeterminate rank: eigenvalue magnitude {mags[borderline][0]:.3e} "
+            f"indeterminate rank: eigenvalue magnitude {mags[k][borderline[k]][0]:.3e} "
             f"too close to threshold {tol.rank:.1e}"
         )
-    return int(np.sum(mags >= tol.rank))
+    return (mags >= tol.rank).sum(axis=1)

@@ -22,6 +22,8 @@ from starcert.certify import (
     post_measurement_state,
 )
 from starcert.errors import ConditioningError, ContractViolation, DimensionError, StarcertError
+from starcert.fixtures import fixture_path
+from starcert.jsonio import load_mixed_state_spec
 from starcert.measurements import (
     Povm,
     embed_projective,
@@ -386,6 +388,31 @@ def test_match_up_to_conjugation_rejects_a_reference_without_positive_trace(refe
         match_up_to_conjugation(np.eye(2) / 2, reference)
 
 
+@pytest.mark.parametrize("spectra, magnitude", [
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 3e-8), (0, 0, 0, 1)], "3.000e-08"),
+    ([(1, 0, 0, 0), (0, 1, 2e-8, 0), (0, 0, 1, 0), (5e-8, 0, 0, 1)], "2.000e-08"),
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (2e-8, 0, 5e-8, 1)], "5.000e-08"),
+], ids=["one-effect", "first-of-two-effects", "greatest-of-two-eigenvalues"])
+def test_check_part2_names_a_borderline_rank_as_numerical_rank_does(spectra, magnitude, rng):
+    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    effects = [q @ np.diag(s) @ q.conj().T for s in spectra]
+    culprit = next(k for k, m in enumerate(effects) if _rank_error(m) is not None)
+    assert culprit > 0
+    table = born_table(ideal_with_reference(2, ghz_reference(2)))
+    with pytest.raises(ContractViolation) as raised:
+        check_part2(table, effects, "projective")
+    assert str(raised.value) == _rank_error(effects[culprit])
+    assert str(raised.value).startswith(f"indeterminate rank: eigenvalue magnitude {magnitude} ")
+
+
+def _rank_error(m):
+    try:
+        numerical_rank(m)
+    except ContractViolation as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("mode", ["projective", "povm"])
 def test_part2_rejects_effects_for_the_wrong_n(mode):
     table = born_table(ideal_scenario(2))
@@ -411,6 +438,18 @@ def test_certify_detects_tamperings():
         depolarize_one_source(scen, 0, 0.8),
     ):
         assert certify(tampered, ref.effects, "projective").verdict == FAILED
+
+
+def test_certify_fails_when_part3_matches_the_other_branch():
+    # the scenario holds the trine itself, the reference its conjugate: part 2 matches Plain,
+    # while the prepared states match the target on the Conjugate branch only
+    spec = load_mixed_state_spec(fixture_path("mixed_demo.statespec.json"))
+    trine = trine_povm(spec)
+    report = certify(ideal_scenario(2, eve_second=trine), np.conj(trine.effects), "povm",
+                     state_spec=spec)
+    assert report.part2.passed and report.part2.branch == PLAIN
+    assert report.part3.branch.branch == NO_BRANCH and not report.part3.state_passed
+    assert report.verdict == FAILED
 
 
 def test_verdict_resolution_inconclusive():

@@ -4,7 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import starcert.bell
+import starcert.measurements
 import starcert.network
+import starcert.tensor
 from starcert import cli
 from starcert.cli import main
 from starcert.config import Tolerances
@@ -162,6 +165,20 @@ def test_production_paths_build_no_dense_table(monkeypatch, capsys):
         assert main(["scan", "--scenario", IDEAL, "--noise", noise, "--grid", "0,0.5,1",
                      "--reference", GHZ_REF, "--mode", "povm"]) == 0
     assert main(["scan", "--n", "3", "--noise", "effects", "--grid", "0,1"]) == 0
+
+
+def test_certify_never_calls_hermitian_eig(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hermitian_eig was called")
+
+    for module in (starcert.tensor, starcert.measurements, starcert.bell):
+        monkeypatch.setattr(module, "hermitian_eig", forbidden)
+    for mode in ("projective", "povm"):
+        assert main(["certify", "--scenario", IDEAL, "--reference", GHZ_REF, "--mode", mode]) == 0
+        assert main(["certify", "--scenario", TAMPERED, "--reference", GHZ_REF,
+                     "--mode", mode]) == 1
+    assert main(["certify", "--scenario", TRINE_SCEN, "--reference", TRINE_REF,
+                 "--mode", "povm"]) == 0
 
 
 @pytest.mark.parametrize("n", [None, "3"])

@@ -1,14 +1,19 @@
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+import starcert.jsonio
+import starcert.measurements
+import starcert.network
 from starcert.config import DEFAULT_TOL
 from starcert.errors import ValidationError
 from starcert.fixtures import fixture_path
 from starcert.jsonio import (
+    _matrices_from_json,
     load_mixed_state_spec,
     load_povm,
     load_scenario,
@@ -220,3 +225,120 @@ def test_loaders_restore_the_garbage_collector_state(tmp_path, ghz_files, enable
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def _fixture_doc(name):
+    return json.loads(fixture_path(name).read_text())
+
+
+def _entries(doc, *keys):
+    for key in keys:
+        doc = doc[key]
+    return doc["entries"]
+
+
+# (file, mutation of its document, the exact error): each fault sits in a later matrix of its list
+LATER_FAULTS = {
+    "string-in-a-later-eve-effect": (
+        "ideal_n2_trine.scenario.json",
+        lambda d: _entries(d, "eve_measurements", 1, 5)[7].__setitem__(0, "0.5"),
+        "scenario.eve_measurements[1][5].entries: malformed numbers: "
+        "entries must be JSON numbers, got str"),
+    "boolean-in-a-later-reference-effect": (
+        "trine_n2.povm.json",
+        lambda d: _entries(d, "effects", 3)[0].__setitem__(1, True),
+        "povm.effects[3].entries: malformed numbers: entries must be JSON numbers, got bool"),
+    "three-element-pair-in-a-later-observable": (
+        "ideal_n2_trine.scenario.json",
+        lambda d: _entries(d, "alice_observables", 1, 2).__setitem__(1, [0.0, 0.0, 0.0]),
+        "scenario.alice_observables[1][2].entries: expected a non-empty list of [re, im] pairs"),
+    "entry-count-of-a-later-source": (
+        "ideal_n2_trine.scenario.json",
+        lambda d: _entries(d, "sources", 1).pop(),
+        "scenario.sources[1]: expected 16 entries for dim 4, got 15"),
+    "overflow-in-a-later-reference-effect": (
+        "trine_n2.povm.json",
+        lambda d: _entries(d, "effects", 2)[3].__setitem__(1, -10**400),
+        "povm.effects[2].entries: malformed numbers (int too large to convert to float)"),
+    "earlier-non-finite-before-later-string": (
+        "trine_n2.povm.json",
+        lambda d: (_entries(d, "effects", 1)[2].__setitem__(0, float("nan")),
+                   _entries(d, "effects", 4)[0].__setitem__(0, "x")),
+        "povm.effects[1].entries: entries must be finite numbers"),
+    "earlier-boolean-before-later-entry-count": (
+        "trine_n2.povm.json",
+        lambda d: (_entries(d, "effects", 0)[5].__setitem__(1, False),
+                   d["effects"][2].__setitem__("dim", 3)),
+        "povm.effects[0].entries: malformed numbers: entries must be JSON numbers, got bool"),
+    "earlier-entry-count-before-later-boolean": (
+        "trine_n2.povm.json",
+        lambda d: (_entries(d, "effects", 1).pop(),
+                   _entries(d, "effects", 3)[0].__setitem__(0, True)),
+        "povm.effects[1]: expected 16 entries for dim 4, got 15"),
+}
+
+
+@pytest.mark.parametrize("case", LATER_FAULTS)
+def test_a_fault_in_a_later_matrix_names_its_node(case):
+    name, mutate, message = LATER_FAULTS[case]
+    doc = _fixture_doc(name)
+    mutate(doc)
+    decode = scenario_from_json if name.endswith(".scenario.json") else povm_from_json
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        decode(doc)
+
+
+# Replacements for one number, one [re, im] pair, one dim or one matrix document
+JUNK = ["x", True, None, float("nan"), -float("inf"), 10**400, 1.0, [0.0], [0.0, 0.0, 0.0],
+        {}, 3, 0, -1]
+
+
+def _decoded(decode):
+    try:
+        return decode()
+    except Exception as exc:  # noqa: BLE001 - the exception is the result compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_a_matrix_list_decodes_as_its_matrices_one_at_a_time(seed):
+    rng = np.random.default_rng([16, seed])
+    dims = [int(rng.integers(1, 4))] * 5 if seed % 3 else rng.integers(1, 4, 5).tolist()
+    docs = [matrix_to_json(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            for d in dims]
+    for _ in range(int(rng.integers(0, 3))):
+        k, junk = int(rng.integers(len(docs))), JUNK[int(rng.integers(len(JUNK)))]
+        entries = docs[k].get("entries") if isinstance(docs[k], dict) else None
+        where = int(rng.integers(5))
+        if where == 0 and isinstance(entries, list) and entries:
+            entries[int(rng.integers(len(entries)))][int(rng.integers(2))] = junk
+        elif where == 1 and isinstance(entries, list) and entries:
+            entries[int(rng.integers(len(entries)))] = junk
+        elif where == 2 and isinstance(docs[k], dict):
+            docs[k]["dim"] = junk
+        elif where == 3 and isinstance(entries, list) and entries:
+            entries.pop()
+        else:
+            docs[k] = junk
+    expected = _decoded(lambda: [matrix_from_json(m, f"m[{i}]") for i, m in enumerate(docs)])
+    actual = _decoded(lambda: _matrices_from_json(docs, "m"))
+    if isinstance(expected, tuple):
+        assert actual == expected
+    else:
+        assert [np.asarray(m).tolist() for m in actual] == [m.tolist() for m in expected]
+        assert all(not m.flags.writeable for m in actual)
+
+
+def test_loaders_decode_and_validate_each_list_as_one_stack(monkeypatch, ghz_files):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a matrix was decoded or validated alone")
+
+    # the routes that check one effect or one observable at a time; each source is checked once
+    monkeypatch.setattr(starcert.jsonio, "matrix_from_json", forbidden)
+    monkeypatch.setattr(starcert.measurements, "as_operator", forbidden)
+    monkeypatch.setattr(starcert.measurements, "require_hermitian", forbidden)
+    monkeypatch.setattr(starcert.network, "as_operator", forbidden)
+    scenario, reference = ghz_files
+    assert load_scenario(scenario).n_parties == 4
+    assert load_povm(reference).outcome_count == 16
+    assert load_scenario(fixture_path("ideal_n2_trine.scenario.json")).eve[1].outcome_count == 6

@@ -231,6 +231,11 @@ def test_mixed_state_spec_validation():
         MixedStateSpec(2, (1.5, -0.5), (v0, v1))
 
 
+def test_mixed_state_spec_rejects_weights_just_off_one():
+    with pytest.raises(ValidationError, match=r"^weights sum to 1\.000001, expected 1$"):
+        MixedStateSpec(1, (1 + 1e-6,), ([1],))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_mixed_state_spec_rejects_non_finite_weights(bad):
     v0 = np.array([1.0, 0.0])

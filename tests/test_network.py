@@ -96,6 +96,14 @@ def test_scenario_accepts_vector_sources():
     npt.assert_allclose(s.sources[0], np.outer(phi, phi), atol=1e-12)
 
 
+def test_scenario_rejects_a_pure_source_just_off_unit_norm():
+    scen = ideal_scenario(2)
+    with pytest.raises(ValidationError,
+                       match=r"^sources\[0\]: state vector norm 1\.000001 deviates from 1$"):
+        Scenario(n_parties=2, sources=(np.array([1 + 1e-6, 0, 0, 0]), scen.sources[1]),
+                 alice_observables=scen.alice_observables, eve=scen.eve)
+
+
 def test_effects_from_observable():
     m0, m1 = effects_from_observable(PAULI_Z)
     npt.assert_allclose(m0, np.diag([1.0, 0.0]))
