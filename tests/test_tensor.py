@@ -9,11 +9,13 @@ from starcert.tensor import (
     as_operator,
     as_state,
     dagger,
+    hermitian_defects,
     hermitian_eig,
     is_psd,
     kron,
     kron_all,
     numerical_rank,
+    operator_stack,
     partial_trace,
     reorder_factors,
     require_hermitian,
@@ -138,3 +140,32 @@ def test_numerical_rank():
     assert numerical_rank(np.diag([1.0, 0.5, 0.0, 0.0])) == 2
     with pytest.raises(ContractViolation, match="indeterminate"):
         numerical_rank(np.diag([1.0, 1e-8]))
+
+
+def test_operator_stack_takes_a_read_only_stack_and_copies_anything_else(rng):
+    frozen = random_complex(rng, (3, 4, 4))
+    frozen.flags.writeable = False
+    assert operator_stack(frozen) is frozen
+    writeable = random_complex(rng, (3, 4, 4))
+    copied = operator_stack(writeable)
+    assert copied is not writeable and not np.shares_memory(copied, writeable)
+    npt.assert_array_equal(copied, writeable)
+    npt.assert_array_equal(operator_stack([np.eye(2), PAULI_X]), np.stack([np.eye(2), PAULI_X]))
+
+
+@pytest.mark.parametrize("matrices", [
+    [], [np.eye(2), np.eye(3)], [np.zeros((2, 3))], [np.eye(2)[0]], [np.diag([1.0, np.nan])],
+    np.zeros((2, 0, 0)), "ab",
+], ids=["empty", "mixed-dims", "non-square", "vector", "nan", "zero-dim", "string"])
+def test_operator_stack_refuses_what_as_operator_or_one_dim_refuses(matrices):
+    assert operator_stack(matrices) is None
+
+
+@pytest.mark.parametrize("k, d", [(9, 64), (3, 200), (20, 16)],
+                         ids=["steps-of-4", "steps-of-1", "one-step"])
+def test_hermitian_defects_of_a_stack_match_each_matrix_alone(k, d, rng):
+    stack = random_complex(rng, (k, d, d))
+    stack = stack + stack.conj().swapaxes(1, 2) + 1e-9 * random_complex(rng, (k, d, d))
+    defects = hermitian_defects(stack)
+    assert defects.tolist() == [hermitian_defects(m[None])[0] for m in stack]
+    npt.assert_allclose(defects, [np.linalg.norm(m - m.conj().T) for m in stack], rtol=1e-12)
