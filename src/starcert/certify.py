@@ -25,9 +25,10 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import ConditioningError, ContractViolation, DimensionError
 from .measurements import (
     MixedStateSpec,
+    Povm,
     _conjugation_signs,
     _embed_block,
-    _pauli_stack,
+    _pauli_expansion,
     _qubit_operator,
     trine_preparation_outcomes,
 )
@@ -153,28 +154,38 @@ def _require_mode(mode: str) -> None:
         raise DimensionError(f"unknown certification mode {mode!r}")
 
 
-def _reference_terms(effects, n: int, k_out: int, mode: str, tol: Tolerances) -> tuple:
+def _reference_terms(reference, n: int, k_out: int, mode: str, tol: Tolerances) -> tuple:
     """Plain and conjugated Pauli coefficient rows (K, 4^N) of the reference, and its ranks.
 
-    The effects are checked as one stack (finite, square, 2^N and one
-    batched Hermitian defect within ``tol.structural``; on a fault, each
-    effect alone, in order, so that the first faulty one names itself), then
-    ranked from one batched ``eigvalsh`` in projective mode, then counted,
-    and only then expanded in one sweep; the ranks are None in povm mode.
+    A ``Povm`` or a sequence of effects is checked (2^N, and one batched
+    Hermitian defect of dense effects; on a fault, each effect alone, so that
+    the first faulty one names itself), ranked in projective mode from the
+    ``Povm``'s spectrum or one ``eigvalsh``, counted, and only then expanded.
     """
-    effects = effects if isinstance(effects, np.ndarray) else list(effects)
-    stack = operator_stack(effects)
-    if stack is None or stack.shape[1] != 2**n or hermitian_defects(stack).max() > tol.structural:
-        for m in effects:
+    if isinstance(reference, Povm):
+        held, count, spectrum = reference, reference.outcome_count, reference.spectrum
+        # a rank-one effect v v^dagger is Hermitian by construction
+        stack = reference.effects if reference.vectors is None else None
+        faulty = reference.dim != 2**n
+    else:
+        reference = reference if isinstance(reference, np.ndarray) else list(reference)
+        held = stack = operator_stack(reference)
+        count, spectrum, faulty = len(reference), None, held is None or held.shape[1] != 2**n
+    if faulty or (stack is not None and hermitian_defects(stack).max() > tol.structural):
+        for m in (reference.effects if isinstance(reference, Povm) else reference):
             _qubit_operator(m, n, tol)
-    # past the checks, the stack is None only for an empty reference, which the count rejects
+    # past the checks, held is None only for an empty reference, which the count rejects
     ranks = None
-    if mode == "projective" and stack is not None:
-        ranks = numerical_ranks(hermitian_part(stack), tol)
-    if len(effects) != k_out:
+    if mode == "projective" and held is not None:
+        if spectrum is None:
+            spectrum = np.linalg.eigvalsh(hermitian_part(held))
+        ranks = numerical_ranks(spectrum, tol)
+    if count != k_out:
         what = "rank" if mode == "projective" else "coefficient tensor"
-        raise DimensionError(f"need one {what} per e=1 outcome ({k_out}), got {len(effects)}")
-    plain = _pauli_stack(stack, n)
+        raise DimensionError(f"need one {what} per e=1 outcome ({k_out}), got {count}")
+    plain = _pauli_expansion(held, n)
+    if mode == "projective":  # its sums weigh only the coefficients above 1e-14
+        plain[np.abs(plain) <= 1e-14] = 0.0
     return plain.reshape(k_out, -1), (plain * _conjugation_signs(n)).reshape(k_out, -1), ranks
 
 
@@ -182,19 +193,14 @@ def _part2_residuals(mode: str, n: int, t: np.ndarray, terms) -> tuple:
     """Plain and conjugated residuals (..., K) of e = 1 correlator tensors t (..., K, 4, ..., 4)."""
     plain, conj, ranks = terms
     t = t.reshape(t.shape[:-n] + (-1,))
-
-    def residuals(coeffs):
-        if mode == "projective":
-            sums = np.where(np.abs(coeffs) > 1e-14, coeffs * t, 0.0).sum(axis=-1)
-            return np.abs(sums - ranks / 2.0**n)
-        return np.abs(t - coeffs).max(axis=-1)
-
-    return residuals(plain), residuals(conj)
+    if mode == "projective":
+        return tuple(np.abs((c * t).sum(axis=-1) - ranks / 2.0**n) for c in (plain, conj))
+    return tuple(np.abs(t - c).max(axis=-1) for c in (plain, conj))
 
 
 def check_part2(table: CorrelationTable, reference_effects, mode: str,
                 tol: Tolerances = DEFAULT_TOL) -> Part2Report:
-    """Eve's e = 1 measurement against the reference effects, in both branches.
+    """Eve's e = 1 measurement against the reference, a ``Povm`` or its effects, in both branches.
 
     Projective mode compares each outcome's coefficient-weighted expectation
     sum with r_l / 2^N; povm mode matches every Pauli coefficient.
@@ -204,13 +210,8 @@ def check_part2(table: CorrelationTable, reference_effects, mode: str,
     residuals = _part2_residuals(mode, table.n, table.correlator_tensor(1), terms)
     res_plain, res_conj = (tuple(r.tolist()) for r in residuals)
     branch = _branch_from_residuals(res_plain, res_conj, tol)
-    return Part2Report(
-        mode=mode,
-        residuals_plain=res_plain,
-        residuals_conjugate=res_conj,
-        branch=branch,
-        passed=branch != NO_BRANCH,
-    )
+    return Part2Report(mode=mode, residuals_plain=res_plain, residuals_conjugate=res_conj,
+                       branch=branch, passed=branch != NO_BRANCH)
 
 
 @lru_cache(maxsize=None)
@@ -441,9 +442,8 @@ def noise_scan(scenario: Scenario, model: str, grid,
     n = scenario.n_parties
     levels = sorted(grid)
     ends = _born_factors(scenario), _born_factors(NOISE_MODELS[model](scenario, 0.0))
-    terms = None
-    if reference_effects is not None:
-        terms = _reference_terms(reference_effects, n, scenario.eve[1].outcome_count, mode, tol)
+    terms = None if reference_effects is None else _reference_terms(
+        reference_effects, n, scenario.eve[1].outcome_count, mode, tol)
     # levels per chunk: the non-negativity check expands one level's factors
     # to (K_0 + K_1) 6^N entries
     step = max(1, _CHUNK_ENTRIES // (sum(len(c) for c in ends[0][0]) * 6**n))

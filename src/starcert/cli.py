@@ -215,9 +215,7 @@ def cmd_certify(config: argparse.Namespace) -> int:
         raise ValidationError("certify requires --scenario and --reference")
     scenario = load_scenario(config.scenario)
     _check_parties(scenario.n_parties)
-    reference = load_povm(config.reference)
-    tol = _tolerances(config)
-    report = certify(scenario, reference.effects, config.mode, tol)
+    report = certify(scenario, load_povm(config.reference), config.mode, _tolerances(config))
     _emit(config, _report_text(report), _envelope(config, _report_body(report)))
     return 0 if report.verdict == CERTIFIED else 1
 
@@ -280,7 +278,7 @@ def cmd_scan(config: argparse.Namespace) -> int:
             )
     else:
         scenario = ideal_scenario(2 if config.n is None else config.n)
-    reference = load_povm(config.reference).effects if config.reference else None
+    reference = load_povm(config.reference) if config.reference else None
     tol = _tolerances(config)
     report = noise_scan(scenario, config.noise, config.grid,
                         reference_effects=reference, mode=config.mode, tol=tol)

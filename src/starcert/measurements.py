@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ContractViolation, DimensionError, ValidationError
+from .network import _contract_parties, _pair_layout
 from .tensor import (
     ID2,
     PAULI_X,
@@ -34,9 +35,10 @@ from .tensor import (
     require_hermitian,
 )
 
-PAULI_BASIS = (PAULI_Z, PAULI_X, PAULI_Y, ID2)
-# Stacked basis, indexed [j, row, column].
-_BASIS = np.stack(PAULI_BASIS)
+# The Pauli basis, indexed [j, row, column].
+_BASIS = np.stack((PAULI_Z, PAULI_X, PAULI_Y, ID2))
+# Row j is sigma_j^T flattened, over 2: it sends a flattened X to Tr[sigma_j X] / 2.
+_PAULI_MAP = _BASIS.transpose(0, 2, 1).reshape(4, 4) / 2
 
 
 @dataclass(frozen=True)
@@ -73,33 +75,22 @@ def _qubit_operator(m, n: int, tol: Tolerances) -> np.ndarray:
     return m
 
 
-def _pauli_stack(stack: np.ndarray, n: int) -> np.ndarray:
-    """Pauli coefficients (K, 4, ..., 4) of a (K, 2^n, 2^n) stack of Hermitian matrices.
-
-    c[k, j_1..j_n] = Tr[(sigma_{j_1} (x) ... (x) sigma_{j_n}) m_k] / 2^n, contracted
-    one qubit at a time for the whole stack: each step traces the leading row
-    and column qubit of the remaining operators against the stacked basis.
-    """
-    t = stack.reshape((len(stack),) + (2,) * (2 * n))
-    for remaining in range(n, 0, -1):
-        # Tr(sigma m) = sum_{r,c} m[r, c] sigma[c, r]
-        t = np.tensordot(t, _BASIS, axes=([1, remaining + 1], [2, 1]))
-    return t.real / 2**n
+def _pauli_expansion(meas, n: int) -> np.ndarray:
+    """Pauli coefficients (K, 4, ..., 4) of a (K, 2^n, 2^n) stack or a ``Povm`` on n qubits."""
+    return _contract_parties(_pair_layout(meas, (2,) * n), [_PAULI_MAP] * n).real
 
 
 def pauli_coeffs(m: np.ndarray, n: int, tol: Tolerances = DEFAULT_TOL) -> PauliCoeffTensor:
-    """Expand a Hermitian matrix on n qubits in the Pauli basis: ``_pauli_stack`` of one matrix."""
-    return PauliCoeffTensor(n, _pauli_stack(_qubit_operator(m, n, tol)[None], n)[0])
+    """Expand a Hermitian matrix on n qubits in the Pauli basis: its ``_pauli_expansion``."""
+    return PauliCoeffTensor(n, _pauli_expansion(_qubit_operator(m, n, tol)[None], n)[0])
 
 
 def reconstruct_from_coeffs(f: PauliCoeffTensor) -> np.ndarray:
-    """Inverse of ``pauli_coeffs``."""
-    t = f.coeffs.astype(complex)
-    for _ in range(f.n):
-        t = np.tensordot(t, _BASIS, axes=([0], [0]))
-    # axes are now (row_1, col_1, ..., row_n, col_n)
-    t = t.transpose(list(range(0, 2 * f.n, 2)) + list(range(1, 2 * f.n, 2)))
-    return t.reshape(2**f.n, 2**f.n)
+    """Inverse of ``pauli_coeffs``: the inverse map, row (r c) and column j sigma_j[r, c]."""
+    n = f.n
+    t = _contract_parties(f.coeffs[None], [_BASIS.reshape(4, 4).T] * n).reshape((2, 2) * n)
+    # axes (row_1, col_1, ..., row_n, col_n) -> (rows, columns)
+    return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(2**n, 2**n)
 
 
 class Povm:
@@ -112,13 +103,13 @@ class Povm:
     or another ``Povm``'s), or, for one built by ``rank_one`` from the
     read-only rows ``vectors`` (K, d) of a factor with R_l = v_l v_l^dagger,
     built on first read.  ``vectors`` is None for a dense ``Povm``.
-    ``extreme_eigenvalues`` (K, 2), read-only, holds the least and the
-    greatest eigenvalue of each effect's Hermitian part, as the validation
-    found them; being read-only, the effects cannot drift from them.
+    ``spectrum``, read-only, holds the ascending eigenvalues the validation
+    found: the (K, d) ``eigvalsh`` of the Hermitian parts of dense effects,
+    or the (K, 2) rows (0, ||v_l||^2).  The effects cannot drift from it.
     """
 
     def __init__(self, effects, tol: Tolerances = DEFAULT_TOL):
-        stack, diag = _validated_stack(effects, tol)
+        stack, spectrum, diag = _validated_stack(effects, tol)
         if not diag.passed:
             raise ValidationError(
                 f"invalid POVM: Hermiticity defect {max(diag.hermiticity_defects):.3e}, "
@@ -126,11 +117,7 @@ class Povm:
                 f"completeness residual {diag.completeness_residual:.3e} "
                 f"(tolerance {tol.structural:.1e})"
             )
-        extremes = np.array([diag.min_eigenvalues, diag.max_eigenvalues]).T
-        for a in (stack, extremes):
-            a.flags.writeable = False
-        self._effects, self.vectors, self.tol = stack, None, tol
-        self.extreme_eigenvalues = extremes
+        self._effects, self.vectors, self.tol, self.spectrum = stack, None, tol, spectrum
 
     @classmethod
     def rank_one(cls, vectors, tol: Tolerances = DEFAULT_TOL) -> "Povm":
@@ -151,13 +138,11 @@ class Povm:
                 f"invalid POVM: rank-one factor, completeness residual {residual:.3e} "
                 f"(tolerance {tol.structural:.1e})"
             )
-        extremes = np.zeros((len(v), 2))
-        extremes[:, 1] = np.linalg.norm(v, axis=1) ** 2
-        for a in (v, extremes):
+        spectrum = np.stack([np.zeros(len(v)), np.linalg.norm(v, axis=1) ** 2], axis=1)
+        for a in (v, spectrum):
             a.flags.writeable = False
         povm = cls.__new__(cls)
-        povm._effects, povm.vectors, povm.tol = None, v, tol
-        povm.extreme_eigenvalues = extremes
+        povm._effects, povm.vectors, povm.tol, povm.spectrum = None, v, tol, spectrum
         return povm
 
     @property
@@ -173,7 +158,14 @@ class Povm:
 
     @property
     def outcome_count(self) -> int:
-        return len(self.extreme_eigenvalues)
+        return len(self.spectrum)
+
+    @property
+    def extreme_eigenvalues(self) -> np.ndarray:
+        """(K, 2), read-only: the least and the greatest eigenvalue of each effect."""
+        extremes = self.spectrum[:, [0, -1]]
+        extremes.flags.writeable = False
+        return extremes
 
 
 @dataclass(frozen=True)
@@ -193,11 +185,11 @@ def validate_povm(effects, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
     parts every least and greatest eigenvalue.  The defects, minus the least
     eigenvalues and the residual must each lie within ``tol.structural``.
     """
-    return _validated_stack(effects, tol)[1]
+    return _validated_stack(effects, tol)[2]
 
 
 def _validated_stack(effects, tol: Tolerances):
-    """The effects as one (K, d, d) array, see ``operator_stack``, and their diagnostics."""
+    """The effects as one (K, d, d) array (``operator_stack``), their spectra and diagnostics."""
     effects = effects if isinstance(effects, np.ndarray) else list(effects)
     stack = operator_stack(effects)
     if stack is None:  # each effect alone, in order, so that the first faulty one names itself
@@ -216,8 +208,10 @@ def _validated_stack(effects, tol: Tolerances):
         and eigs[:, 0].min() >= -tol.structural
         and residual <= tol.structural
     )
-    return stack, PovmDiagnostics(tuple(defects.tolist()), tuple(eigs[:, 0].tolist()),
-                                  tuple(eigs[:, -1].tolist()), residual, passed)
+    for a in (stack, eigs):
+        a.flags.writeable = False
+    return stack, eigs, PovmDiagnostics(tuple(defects.tolist()), tuple(eigs[:, 0].tolist()),
+                                        tuple(eigs[:, -1].tolist()), residual, passed)
 
 
 def ghz_basis_measurement(n: int) -> Povm:

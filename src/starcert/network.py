@@ -471,20 +471,33 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
+def _pair_layout(meas, dims: tuple) -> np.ndarray:
+    """R[l, (f_1 e_1), ..., (f_N e_N)] of the effects R_l[f, e] of a (K, d, d) stack or a ``Povm``.
+
+    ``dims`` factor d.  A rank-one ``Povm`` is one broadcast product of its
+    vector legs v_l[f] and conj(v_l[e]), so its dense effects are never built.
+    """
+    n, v = len(dims), getattr(meas, "vectors", None)
+    if v is None:
+        stack = getattr(meas, "effects", meas)
+        pairs = [0] + [ax for i in range(n) for ax in (1 + i, 1 + n + i)]
+        return stack.reshape((len(stack),) + dims * 2).transpose(pairs)
+    rows = [x for d in dims for x in (d, 1)]
+    cols = [x for d in dims for x in (1, d)]
+    return v.reshape([len(v)] + rows) * v.conj().reshape([len(v)] + cols)
+
+
 def _born_factors(scenario: Scenario):
     """Real Hermitian-basis coefficients of the Born table: ([c_0, c_1], w_maps, spectra).
 
     ``c_e[l, b_1..b_N]`` expands Eve's effect R_{l|e}, party by party in
     complex arithmetic with the real part kept; ``w_maps[i][(x, a), b]``
     expands party i's steering operator W[x, a].  The table is linear in each.
-    A rank-one measurement enters as its two vector legs: R_l[f, e] =
-    v_l[f] conj(v_l[e]) is formed by one broadcast product straight in the
-    pair layout the contraction reads, so its dense effects are never built.
+    Each measurement enters in its ``_pair_layout``.
     ``spectra`` are the inputs of ``_lower_bounds``: the Jordan-part traces
     and norms of the steering operators from one batched ``eigvalsh``, and per
     Eve input the extreme eigenvalues its ``Povm`` was validated with.
     """
-    n = scenario.n_parties
     d_es = scenario.eve_dims
     bases = [_hermitian_basis(d) for d in d_es]
     ops = _steering_operators(scenario)
@@ -495,19 +508,9 @@ def _born_factors(scenario: Scenario):
     eigs = np.linalg.eigvalsh((ops + ops.conj().swapaxes(-1, -2)) / 2)
     spectra = [np.stack([np.maximum(eigs, 0.0).sum(axis=-1), np.maximum(-eigs, 0.0).sum(axis=-1),
                          np.sqrt((eigs**2).sum(axis=-1))])]
-    # R[l, f_1..f_N, e_1..e_N] -> R[l, (f_1 e_1), ..., (f_N e_N)]
-    pairs = [0] + [ax for i in range(n) for ax in (1 + i, 1 + n + i)]
-    # a vector on the row legs f_i, and one on the column legs e_i, of the pairs
-    rows = [x for d in d_es for x in (d, 1)]
-    cols = [x for d in d_es for x in (1, d)]
     coeffs = []
     for meas in scenario.eve:
-        k, v = meas.outcome_count, meas.vectors
-        if v is None:
-            r = meas.effects.reshape((k,) + d_es * 2).transpose(pairs)
-        else:
-            r = v.reshape([k] + rows) * v.conj().reshape([k] + cols)
-        coeffs.append(np.ascontiguousarray(_contract_parties(r, bases).real))
+        coeffs.append(np.ascontiguousarray(_contract_parties(_pair_layout(meas, d_es), bases).real))
         lowest, highest = meas.extreme_eigenvalues.T
         spectra.append(np.stack([np.minimum(lowest, 0.0), np.maximum(highest, 0.0)]))
     return coeffs, w_maps, spectra

@@ -218,19 +218,19 @@ def psd_within(h: np.ndarray, tol: float) -> bool:
 
 
 def numerical_rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of a Hermitian PSD matrix: ``numerical_ranks`` of its Hermitian part alone."""
+    """Rank of a Hermitian PSD matrix: ``numerical_ranks`` of its Hermitian part's spectrum."""
     m = require_hermitian(m, tol.structural)
-    return int(numerical_ranks(hermitian_part(m[None]), tol)[0])
+    return int(numerical_ranks(np.linalg.eigvalsh(hermitian_part(m[None])), tol)[0])
 
 
-def numerical_ranks(hermitian: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Ranks (K,) of a (K, d, d) stack of Hermitian PSD matrices, thresholding at ``tol.rank``.
+def numerical_ranks(eigenvalues: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Ranks (K,) of Hermitian PSD matrices from ascending spectra (K, d), cut at ``tol.rank``.
 
-    One batched ``eigvalsh``.  Raises if an eigenvalue magnitude sits inside
-    (tol.rank/10, tol.rank*10), i.e. too close to the cut to call: the first
-    such matrix in order names its greatest such eigenvalue.
+    Raises if an eigenvalue magnitude sits inside (tol.rank/10, tol.rank*10),
+    i.e. too close to the cut to call: the first such matrix in order names
+    its greatest such eigenvalue.
     """
-    mags = np.abs(np.linalg.eigvalsh(hermitian)[:, ::-1])
+    mags = np.abs(eigenvalues[:, ::-1])
     borderline = (mags > tol.rank / 10) & (mags < tol.rank * 10)
     if borderline.any():
         k = int(np.argmax(borderline.any(axis=1)))

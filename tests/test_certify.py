@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from starcert.bell import ghz_vector, BellOutcomeLabel
 from starcert.certify import (
+    CERTIFIED,
     CONJUGATE,
     FAILED,
     INCONCLUSIVE,
@@ -21,6 +24,7 @@ from starcert.certify import (
     noise_scan,
     post_measurement_state,
 )
+from starcert.config import DEFAULT_TOL, Tolerances
 from starcert.errors import ConditioningError, ContractViolation, DimensionError, StarcertError
 from starcert.fixtures import fixture_path
 from starcert.jsonio import load_mixed_state_spec
@@ -74,6 +78,19 @@ def test_check_part1_fails_under_noise():
     assert not report.bell_passed
     assert all(ev.value < 3.0 - 1e-6 for ev in report.evaluations)
     assert report.pbar_passed  # isotropic noise keeps the weights uniform
+
+
+def test_check_part1_flags_outcome_weights_just_off_uniform():
+    # R_0 + 1e-6 R_1 and (1 - 1e-6) R_1 in Eve's first measurement move P(0|0) and P(1|0)
+    # by 1e-6 / 8, inside 1e-3 but beyond tol.acceptance
+    scen = ideal_scenario(3)
+    effects = np.array(scen.eve[0].effects)
+    effects[0] += 1e-6 * effects[1]
+    effects[1] *= 1 - 1e-6
+    scen = dataclasses.replace(scen, eve=(Povm(effects), scen.eve[1]))
+    report = check_part1(born_table(scen), 3)
+    assert np.abs(np.array(report.pbar) - 1 / 8).max() == pytest.approx(1.25e-7, rel=1e-6)
+    assert not report.pbar_passed
 
 
 def test_check_part1_fails_on_computational_eve():
@@ -322,10 +339,51 @@ def test_check_part2_matches_the_per_effect_route_bit_for_bit(name, mode, rng):
         for v in (1.0, 0.9):
             scen = depolarize_sources(ideal_with_reference(n, ref, conjugate), v)
             table = born_table(scen)
-            report = check_part2(table, ref.effects, mode)
             expected = _per_effect_part2_residuals(table, ref.effects, mode)
-            assert (report.residuals_plain, report.residuals_conjugate) == expected
-            assert report.mode == mode
+            # the Povm as it is held (a rank-one one as vectors), and its effects as an array
+            for reference in (ref, ref.effects):
+                report = check_part2(table, reference, mode)
+                assert (report.residuals_plain, report.residuals_conjugate) == expected
+                assert report.mode == mode
+
+
+def test_part2_builds_no_dense_effect_of_a_rank_one_reference():
+    ghz = ghz_basis_measurement(3)
+    scen = ideal_scenario(3, eve_second=ghz_basis_measurement(3))
+    for mode in ("projective", "povm"):
+        assert certify(scen, ghz, mode).verdict == CERTIFIED
+        rows = noise_scan(scen, "effects", [0.5, 1.0], reference_effects=ghz, mode=mode).rows
+        assert rows[-1].part2_max_residual < 1e-9 < rows[0].part2_max_residual
+    assert ghz._effects is None
+
+
+def test_part2_ranks_a_dense_povm_from_its_spectrum(monkeypatch):
+    ref = PART2_REFERENCES["rank_two_projective"](None)
+    assert ref.vectors is None
+    table = born_table(ideal_with_reference(2, ref, conjugate=False))
+    expected = check_part2(table, ref.effects, "projective")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("part 2 ran an eigvalsh of its own on a Povm")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    assert check_part2(table, ref, "projective") == expected
+    assert expected.passed
+
+
+def test_check_part2_checks_a_dense_povm_at_the_run_tolerance():
+    # a Hermiticity defect of 1e-8: within a loose Povm's 1e-6, beyond the default 1e-10
+    clean = PART2_REFERENCES["rank_two_projective"](None)
+    effects = np.array(clean.effects)
+    effects[0, 0, 1] = 1e-8 / np.sqrt(2)
+    ref = Povm(effects, Tolerances(structural=1e-6))
+    table = born_table(ideal_with_reference(2, clean, conjugate=False))
+    for mode in ("projective", "povm"):
+        with pytest.raises(ContractViolation, match="^matrix is not Hermitian") as from_povm:
+            check_part2(table, ref, mode)
+        with pytest.raises(ContractViolation, match="^matrix is not Hermitian") as from_array:
+            check_part2(table, ref.effects, mode, DEFAULT_TOL)
+        assert str(from_povm.value) == str(from_array.value)
 
 
 @pytest.mark.parametrize("mode, what", [("projective", "rank"), ("povm", "coefficient tensor")])

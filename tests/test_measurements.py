@@ -27,7 +27,7 @@ from starcert.measurements import (
     trine_povm,
     trine_preparation_outcomes,
     _conjugation_signs,
-    _pauli_stack,
+    _pauli_expansion,
     validate_povm,
 )
 from starcert.presets import (
@@ -95,11 +95,14 @@ def _per_matrix_pauli_coeffs(m, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pauli_stack_rows_match_pauli_coeffs_bit_for_bit(n, rng):
     ms = [random_hermitian(2**n, rng) for _ in range(2 * n + 3)]
-    rows = _pauli_stack(np.stack(ms), n)
+    rows = _pauli_expansion(np.stack(ms), n)
     assert rows.shape == (len(ms),) + (4,) * n
     for m, row in zip(ms, rows):
         assert np.array_equal(pauli_coeffs(m, n).coeffs, row)
         assert np.array_equal(_per_matrix_pauli_coeffs(m, n), row)
+    # a rank-one Povm is expanded from its vectors, as its dense effects are
+    povm = random_rank1_extremal_povm(2**n, 2**n + 1, rng)
+    assert np.array_equal(_pauli_expansion(povm, n), _pauli_expansion(povm.effects, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
