@@ -161,11 +161,15 @@ def _reference_terms(reference, n: int, k_out: int, mode: str, tol: Tolerances) 
     Hermitian defect of dense effects; on a fault, each effect alone, so that
     the first faulty one names itself), ranked in projective mode from the
     ``Povm``'s spectrum or one ``eigvalsh``, counted, and only then expanded.
+    A ``Povm``'s defects are checked only when its validation allowed more
+    than the run's ``tol.structural``.
     """
     if isinstance(reference, Povm):
         held, count, spectrum = reference, reference.outcome_count, reference.spectrum
-        # a rank-one effect v v^dagger is Hermitian by construction
-        stack = reference.effects if reference.vectors is None else None
+        # a rank-one effect v v^dagger is Hermitian by construction, and the
+        # validation of a dense one bounded each defect by its own tol.structural
+        stack = None if (reference.vectors is not None
+                         or reference.tol.structural <= tol.structural) else reference.effects
         faulty = reference.dim != 2**n
     else:
         reference = reference if isinstance(reference, np.ndarray) else list(reference)

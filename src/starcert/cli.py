@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -79,16 +78,12 @@ def _unconditionable(values, n: int) -> list:
     return [format(l, f"0{n}b") for l, v in enumerate(values) if math.isnan(v)]
 
 
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 # Each input file's namespace attribute, with the loader that decodes and validates it.
 _INPUTS = {"scenario": load_scenario, "reference": load_povm, "state_spec": load_mixed_state_spec}
 
 
 def _envelope(config: argparse.Namespace, body: dict) -> dict:
+    """The report's common fields; each input's SHA-256 is of the bytes its loader read."""
     doc = {
         "tool": "starcert",
         "version": __version__,
@@ -98,7 +93,7 @@ def _envelope(config: argparse.Namespace, body: dict) -> dict:
     for label in _INPUTS:
         path = getattr(config, label, None)
         if path:
-            doc["inputs"][label] = {"path": path, "sha256": _sha256(path)}
+            doc["inputs"][label] = {"path": path, "sha256": config.sha256[path]}
     if not config.reproducible:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     doc.update(body)
@@ -213,9 +208,10 @@ def cmd_bounds(config: argparse.Namespace) -> int:
 def cmd_certify(config: argparse.Namespace) -> int:
     if not config.scenario or not config.reference:
         raise ValidationError("certify requires --scenario and --reference")
-    scenario = load_scenario(config.scenario)
+    scenario = load_scenario(config.scenario, config.sha256)
     _check_parties(scenario.n_parties)
-    report = certify(scenario, load_povm(config.reference), config.mode, _tolerances(config))
+    reference = load_povm(config.reference, config.sha256)
+    report = certify(scenario, reference, config.mode, _tolerances(config))
     _emit(config, _report_text(report), _envelope(config, _report_body(report)))
     return 0 if report.verdict == CERTIFIED else 1
 
@@ -223,7 +219,7 @@ def cmd_certify(config: argparse.Namespace) -> int:
 def cmd_prepare_state(config: argparse.Namespace) -> int:
     if not config.state_spec:
         raise ValidationError("prepare-state requires --state-spec")
-    spec = load_mixed_state_spec(config.state_spec)
+    spec = load_mixed_state_spec(config.state_spec, config.sha256)
     n = config.n
     if n is None:
         n = 2
@@ -270,7 +266,7 @@ def cmd_scan(config: argparse.Namespace) -> int:
     if config.n is not None:
         _check_parties(config.n)
     if config.scenario:
-        scenario = load_scenario(config.scenario)
+        scenario = load_scenario(config.scenario, config.sha256)
         _check_parties(scenario.n_parties)
         if config.n is not None and config.n != scenario.n_parties:
             raise ValidationError(
@@ -278,7 +274,7 @@ def cmd_scan(config: argparse.Namespace) -> int:
             )
     else:
         scenario = ideal_scenario(2 if config.n is None else config.n)
-    reference = load_povm(config.reference) if config.reference else None
+    reference = load_povm(config.reference, config.sha256) if config.reference else None
     tol = _tolerances(config)
     report = noise_scan(scenario, config.noise, config.grid,
                         reference_effects=reference, mode=config.mode, tol=tol)
@@ -312,7 +308,7 @@ def cmd_validate(config: argparse.Namespace) -> int:
             "validate requires at least one of --scenario, --reference, --state-spec"
         )
     for kind, path in checked:
-        _INPUTS[kind](path)
+        _INPUTS[kind](path, config.sha256)
     text = "\n".join(f"{kind}: {path}: valid" for kind, path in checked)
     body = {"validated": [{"kind": k, "path": p} for k, p in checked]}
     _emit(config, text, _envelope(config, body))
@@ -377,6 +373,7 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     config = _PARSER.parse_args(argv)
+    config.sha256 = {}  # each input path's digest, filled by its loader
     try:
         if "grid" in config:
             config.grid = _parse_grid(config.grid)

@@ -26,9 +26,13 @@ from .measurements import MixedStateSpec, Povm
 from .network import BinaryObservableTriple, Scenario
 
 
-def _read_json(path):
+def _read_json(path, digests):
     with open(path, "rb") as f:
         raw = f.read()
+    if digests is not None:
+        import hashlib  # its OpenSSL library, about 4 MB of RSS, loads only for a caller that asks
+
+        digests[path] = hashlib.sha256(raw).hexdigest()
     try:
         return json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -37,10 +41,12 @@ def _read_json(path):
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 
 
-def _load(from_json, path):
-    """``from_json(_read_json(path))`` with Python's cyclic garbage collector paused.
+def _load(from_json, path, digests):
+    """``from_json(_read_json(path, digests))`` with Python's cyclic garbage collector paused.
 
-    Every loader reads through here.  The pause is process-wide, so an
+    Every loader reads through here, and a ``digests`` dict, when given,
+    receives the SHA-256 hex digest of the bytes read, under ``path``: the
+    file is read once for both.  The pause is process-wide, so an
     application that embeds starcert sees it.  A decoded document is a tree
     of dicts, lists, strings and numbers with no reference cycle, so a
     collection over its [re, im] lists could free nothing; they are freed by
@@ -49,7 +55,7 @@ def _load(from_json, path):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return from_json(_read_json(path))
+        return from_json(_read_json(path, digests))
     finally:
         if was_enabled:
             gc.enable()
@@ -227,9 +233,9 @@ def scenario_from_json(doc) -> Scenario:
                   alice_observables=tuple(triples), eve=tuple(eve))
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, digests: dict | None = None) -> Scenario:
     """Read and validate a scenario file (see ``_load``)."""
-    return _load(scenario_from_json, path)
+    return _load(scenario_from_json, path, digests)
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -255,9 +261,9 @@ def povm_from_json(doc) -> Povm:
     return _build(Povm, "povm", effects)
 
 
-def load_povm(path) -> Povm:
+def load_povm(path, digests: dict | None = None) -> Povm:
     """Read and validate a reference measurement file (see ``_load``)."""
-    return _load(povm_from_json, path)
+    return _load(povm_from_json, path, digests)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +289,6 @@ def mixed_state_spec_from_json(doc) -> MixedStateSpec:
     return _build(MixedStateSpec, "state spec", d=d, weights=weights, vectors=vectors)
 
 
-def load_mixed_state_spec(path) -> MixedStateSpec:
+def load_mixed_state_spec(path, digests: dict | None = None) -> MixedStateSpec:
     """Read and validate a target state spec file (see ``_load``)."""
-    return _load(mixed_state_spec_from_json, path)
+    return _load(mixed_state_spec_from_json, path, digests)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ContractViolation, DimensionError, ValidationError
-from .network import _contract_parties, _pair_layout
+from .network import _basis_expansion, _contract_parties
 from .tensor import (
     ID2,
     PAULI_X,
@@ -39,6 +39,7 @@ from .tensor import (
 _BASIS = np.stack((PAULI_Z, PAULI_X, PAULI_Y, ID2))
 # Row j is sigma_j^T flattened, over 2: it sends a flattened X to Tr[sigma_j X] / 2.
 _PAULI_MAP = _BASIS.transpose(0, 2, 1).reshape(4, 4) / 2
+_PAULI_MAP.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,18 @@ def _qubit_operator(m, n: int, tol: Tolerances) -> np.ndarray:
     return m
 
 
+def _pauli_map(d: int) -> np.ndarray:
+    """``_PAULI_MAP``, the one-qubit map of ``_pauli_expansion`` (d = 2)."""
+    return _PAULI_MAP
+
+
 def _pauli_expansion(meas, n: int) -> np.ndarray:
-    """Pauli coefficients (K, 4, ..., 4) of a (K, 2^n, 2^n) stack or a ``Povm`` on n qubits."""
-    return _contract_parties(_pair_layout(meas, (2,) * n), [_PAULI_MAP] * n).real
+    """Pauli coefficients (K, 4, ..., 4) of a (K, 2^n, 2^n) stack or a ``Povm`` on n qubits.
+
+    The ``_basis_expansion`` with ``_PAULI_MAP`` on every qubit, in real
+    arithmetic: rows Z, X and identity are real, and row Y is imaginary.
+    """
+    return _basis_expansion(meas, (2,) * n, _pauli_map)
 
 
 def pauli_coeffs(m: np.ndarray, n: int, tol: Tolerances = DEFAULT_TOL) -> PauliCoeffTensor:

@@ -26,12 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionError, ValidationError
 from .tensor import (
+    _STEP_ENTRIES,
+    _hermitian_basis,
+    _pair_layout,
     as_operator,
     as_state,
     check_hermitian,
@@ -174,8 +178,8 @@ class Scenario:
 
 
 def effects_from_observable(a: np.ndarray):
-    """Dichotomic effects (M_0, M_1) = ((1 + A)/2, (1 - A)/2)."""
-    eye = np.eye(a.shape[0])
+    """Dichotomic effects (M_0, M_1) = ((1 + A)/2, (1 - A)/2), of one A or of each of a stack."""
+    eye = np.eye(a.shape[-1])
     return (eye + a) / 2, (eye - a) / 2
 
 
@@ -213,22 +217,24 @@ _PARTY_MAP = _party_map(rotated=False)
 _ROTATED_MAP = _party_map(rotated=True)
 
 
-def _contract_parties(t: np.ndarray, maps) -> np.ndarray:
-    """out[..., l, m_1..m_N] = sum_k t[..., l, k_1..k_N] prod_i maps[i][..., m_i, k_i].
+def _contract_parties(t: np.ndarray, maps, trailing: tuple = ()) -> np.ndarray:
+    """out[..., l, r, m_1..m_N] = sum_k t[..., l, k_1..k_N, r] prod_i maps[i][..., m_i, k_i].
 
     Each map is (m_i, k_i), or (L, m_i, k_i) with one map per level; ``t``
     has as many leading level axes as the maps, then the axis l.  One
     batched matmul per party on the (..., l, k_i, rest) view of ``t``; the
     new axis m_i goes to the end, so after N steps the axes are back in
     party order without a transpose in between.  The axes of ``t`` after l
-    may be any that flatten to (k_1, ..., k_N); a non-contiguous ``t`` is
-    copied by the first step only, and that copy is freed after it.
+    may be any that flatten to (k_1, ..., k_N) and then the ``trailing``
+    axes r, such as the (re, im) pair of a complex array's float view; r
+    comes out ahead of the m axes.  A non-contiguous ``t`` is copied by the
+    first step only, and that copy is freed after it.
     """
     lead = t.shape[:maps[0].ndim - 1]
     for m in maps:
         t = np.matmul(t.reshape(lead + (m.shape[-1], -1)).swapaxes(-1, -2),
                       m.swapaxes(-1, -2)[..., None, :, :])
-    return t.reshape(lead + tuple(m.shape[-2] for m in maps))
+    return t.reshape(lead + trailing + tuple(m.shape[-2] for m in maps))
 
 
 # The non-negativity check expands a chunk of outcomes (and a noise scan's
@@ -433,84 +439,99 @@ class CorrelationTable:
 def _steering_operators(scenario: Scenario) -> np.ndarray:
     """W[i, (x, a)] = Tr_A[rho_i (M_{a|x} (x) 1_E)], party i's operators on E_i, as (N, 6, d, d).
 
-    Each is zero-padded to the largest Eve factor d, so that one batched
+    One ``einsum`` per party over its six effects M_{a|x}, stacked.  Each W
+    is zero-padded to the largest Eve factor d, so that one batched
     ``eigvalsh`` reads them all; padding adds only zero eigenvalues.
     """
     d_max = max(scenario.eve_dims)
-    out = np.zeros((scenario.n_parties, 3, 2, d_max, d_max), dtype=complex)
+    out = np.zeros((scenario.n_parties, 6, d_max, d_max), dtype=complex)
     for w, rho, triple, d_a, d_e in zip(
         out, scenario.sources, scenario.alice_observables, scenario.alice_dims,
         scenario.eve_dims
     ):
-        r4 = rho.reshape(d_a, d_e, d_a, d_e)
-        for x, a_obs in enumerate(triple.observables()):
-            for a, m in enumerate(effects_from_observable(a_obs)):
-                w[x, a, :d_e, :d_e] = np.einsum("aebf,ba->ef", r4, m)
-    return out.reshape(scenario.n_parties, 6, d_max, d_max)
+        effects = np.stack(effects_from_observable(np.stack(triple.observables())), axis=1)
+        w[:, :d_e, :d_e] = np.einsum("aebf,kba->kef", rho.reshape(d_a, d_e, d_a, d_e),
+                                     effects.reshape(6, d_a, d_a))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis B_b of d x d operators, as a read-only (d^2, d^2) map.
+def _real_maps(basis, dims: tuple):
+    """Real forms of the maps ``basis(d)`` of the factors ``dims``, for ``_basis_expansion``.
 
-    Row b is conj(B_b) flattened, so it sends a flattened operator X to
-    Tr[B_b X]: X[k, k] for the diagonal units, then sqrt2 Re X[j, k] and
-    sqrt2 Im X[j, k] for each j < k.  These coefficients are real for
-    Hermitian X, and Tr[X Y] is their dot product.
+    Row m of each complex map is purely real or purely imaginary: it is D[m]
+    or i D[m] with D real.  So prod_i basis(d_i)[m_i, k_i] is i^s(m) times
+    prod_i D_i[m_i, k_i], where s(m) counts the imaginary rows among the
+    m_i, and Re(i^s (X + iY)) is X, -Y, -X or Y for s = 0, 1, 2, 3 mod 4.
+    Returns the maps D_i, and per flattened m the index into the (re, im)
+    pair of the real contraction (``select``) and the sign, all read-only.
+    The tables are built once per dims in plain Python: numpy's integer and
+    outer ufuncs would page in about 0.2 MB of library code that no other
+    step of a run executes.
     """
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    b = d
-    for j in range(d):
-        for k in range(j + 1, d):
-            basis[b, j, k] = basis[b, k, j] = 1 / np.sqrt(2.0)
-            basis[b + 1, j, k], basis[b + 1, k, j] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
-            b += 2
-    basis = basis.reshape(d * d, d * d)
-    basis.flags.writeable = False
-    return basis
+    maps, imaginary = [], []
+    for d in dims:
+        imaginary.append([not row.real.any() for row in basis(d)])
+        maps.append(np.array([row.imag if i else row.real
+                              for row, i in zip(basis(d), imaginary[-1])]))
+    s = [sum(rows) for rows in product(*imaginary)]
+    select = np.array([m + s_m % 2 * len(s) for m, s_m in enumerate(s)])
+    sign = np.array([1.0 if (s_m + 1) % 4 < 2 else -1.0 for s_m in s])
+    for a in (*maps, select, sign):
+        a.flags.writeable = False
+    return maps, select, sign
 
 
-def _pair_layout(meas, dims: tuple) -> np.ndarray:
-    """R[l, (f_1 e_1), ..., (f_N e_N)] of the effects R_l[f, e] of a (K, d, d) stack or a ``Povm``.
+def _basis_expansion(meas, dims: tuple, basis) -> np.ndarray:
+    """Real coefficients c[l, m_1..m_N] = Re sum_k R_l[k] prod_i basis(d_i)[m_i, k_i].
 
-    ``dims`` factor d.  A rank-one ``Povm`` is one broadcast product of its
-    vector legs v_l[f] and conj(v_l[e]), so its dense effects are never built.
+    ``meas`` is a (K, d, d) stack or a ``Povm``, ``dims`` factor d, and
+    ``basis(d_i)`` is a cached (m_i, d_i^2) complex map whose rows are each
+    purely real or purely imaginary (``_real_maps``).  The work is real: the
+    float view (re, im) of each outcome's ``_pair_layout`` is contracted
+    party by party with the real maps, and each coefficient keeps the part
+    and sign that its count of imaginary rows picks.  That is the real part
+    of the complex contraction, product for product.  Outcomes go in chunks
+    whose float layouts hold at most ``_STEP_ENTRIES`` entries (128 KB; one
+    chunk at N <= 4 for up to 32 outcomes), so that a chunk's temporaries
+    stay in cache and are reused from the heap instead of faulting in fresh
+    pages; each chunk writes its rows of the one output array.
     """
-    n, v = len(dims), getattr(meas, "vectors", None)
-    if v is None:
-        stack = getattr(meas, "effects", meas)
-        pairs = [0] + [ax for i in range(n) for ax in (1 + i, 1 + n + i)]
-        return stack.reshape((len(stack),) + dims * 2).transpose(pairs)
-    rows = [x for d in dims for x in (d, 1)]
-    cols = [x for d in dims for x in (1, d)]
-    return v.reshape([len(v)] + rows) * v.conj().reshape([len(v)] + cols)
+    maps, select, sign = _real_maps(basis, dims)
+    k = len(getattr(meas, "spectrum", meas))  # a Povm's outcome count, or the stack's
+    out = np.empty((k, len(sign)))
+    # a basis is square, so a layout row has one (re, im) pair per coefficient
+    step = max(1, _STEP_ENTRIES // (2 * len(sign)))
+    for s in range(0, k, step):
+        t = _contract_parties(_pair_layout(meas, dims, slice(s, s + step)).view(float), maps, (2,))
+        np.take(t.reshape(len(t), -1), select, axis=1, out=out[s:s + step])
+    out *= sign
+    return out.reshape((k,) + tuple(len(m) for m in maps))
 
 
 def _born_factors(scenario: Scenario):
     """Real Hermitian-basis coefficients of the Born table: ([c_0, c_1], w_maps, spectra).
 
-    ``c_e[l, b_1..b_N]`` expands Eve's effect R_{l|e}, party by party in
-    complex arithmetic with the real part kept; ``w_maps[i][(x, a), b]``
-    expands party i's steering operator W[x, a].  The table is linear in each.
-    Each measurement enters in its ``_pair_layout``.
+    ``c_e[l, b_1..b_N]`` expands Eve's effect R_{l|e} in the product basis
+    of ``_hermitian_basis`` (``_basis_expansion``, in real arithmetic), and
+    ``w_maps[i][(x, a), b]`` expands party i's steering operator W[x, a] in
+    the basis of its Eve factor.  The table is linear in each.
     ``spectra`` are the inputs of ``_lower_bounds``: the Jordan-part traces
     and norms of the steering operators from one batched ``eigvalsh``, and per
     Eve input the extreme eigenvalues its ``Povm`` was validated with.
     """
     d_es = scenario.eve_dims
-    bases = [_hermitian_basis(d) for d in d_es]
     ops = _steering_operators(scenario)
     w_maps = [
-        np.ascontiguousarray((w[:, :d, :d].reshape(6, d * d) @ basis.T).real)
-        for w, basis, d in zip(ops, bases, d_es)
+        np.ascontiguousarray((w[:, :d, :d].reshape(6, d * d) @ _hermitian_basis(d).T).real)
+        for w, d in zip(ops, d_es)
     ]
     eigs = np.linalg.eigvalsh((ops + ops.conj().swapaxes(-1, -2)) / 2)
     spectra = [np.stack([np.maximum(eigs, 0.0).sum(axis=-1), np.maximum(-eigs, 0.0).sum(axis=-1),
                          np.sqrt((eigs**2).sum(axis=-1))])]
     coeffs = []
     for meas in scenario.eve:
-        coeffs.append(np.ascontiguousarray(_contract_parties(_pair_layout(meas, d_es), bases).real))
+        coeffs.append(_basis_expansion(meas, d_es, _hermitian_basis))
         lowest, highest = meas.extreme_eigenvalues.T
         spectra.append(np.stack([np.minimum(lowest, 0.0), np.maximum(highest, 0.0)]))
     return coeffs, w_maps, spectra

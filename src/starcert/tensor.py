@@ -2,10 +2,15 @@
 
 All functions are pure: they accept and return plain ``numpy`` arrays with
 dtype complex128 and never mutate their arguments.  Operators are square
-row-major matrices, states are one-dimensional unit vectors.
+row-major matrices, states are one-dimensional unit vectors.  The operator
+bases and the pair layout of operators on a product space, which the
+Born factors and the Pauli expansion are contracted from, live here too;
+``_pair_layout`` also reads a ``Povm``'s rank-one vectors.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,9 +20,10 @@ from .errors import CapacityError, ContractViolation, DimensionError
 # Largest operator this kernel will build: 2^24 entries (dim 4096).
 MAX_ENTRIES = 2**24
 
-# Entries per step of a batched check (256 KB of complex128), so that a
-# step's temporaries stay in cache: one step over a large stack, such as
-# 128 effects at N = 7, is bound by memory traffic instead.
+# Entries per step of a batched check (256 KB of complex128), or per chunk
+# of the real basis expansion (128 KB of float64), so that a step's
+# temporaries stay in cache: one step over a large stack, such as 128
+# effects at N = 7, is bound by memory traffic instead.
 _STEP_ENTRIES = 2**14
 
 # Single-qubit constants.
@@ -239,3 +245,63 @@ def numerical_ranks(eigenvalues: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> n
             f"too close to threshold {tol.rank:.1e}"
         )
     return (mags >= tol.rank).sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis B_b of d x d operators, as a read-only (d^2, d^2) map.
+
+    Row b is conj(B_b) flattened, so it sends a flattened operator X to
+    Tr[B_b X]: X[k, k] for the diagonal units, then sqrt2 Re X[j, k] and
+    sqrt2 Im X[j, k] for each j < k.  These coefficients are real for
+    Hermitian X, and Tr[X Y] is their dot product.  Each row is purely real
+    or purely imaginary, as ``network._real_maps`` needs.
+    """
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    b = d
+    for j in range(d):
+        for k in range(j + 1, d):
+            basis[b, j, k] = basis[b, k, j] = 1 / np.sqrt(2.0)
+            basis[b + 1, j, k], basis[b + 1, k, j] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+            b += 2
+    basis = basis.reshape(d * d, d * d)
+    basis.flags.writeable = False
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(dims: tuple):
+    """Read-only gather indices of the pair layout of operators on the factors ``dims``.
+
+    Position ((f_1 e_1), ..., (f_N e_N)) of the layout holds entry (f, e) of
+    the d x d operator, d = prod(dims): ``order`` is its flat index f d + e,
+    and ``rows`` and ``cols`` are f and e.
+    """
+    n, d = len(dims), int(np.prod(dims))
+    pairs = [ax for i in range(n) for ax in (i, n + i)]
+    order = np.arange(d * d).reshape(dims * 2).transpose(pairs).reshape(-1)
+    rows, cols = np.divmod(order, d)
+    for a in (order, rows, cols):
+        a.flags.writeable = False
+    return order, rows, cols
+
+
+def _pair_layout(meas, dims: tuple, outcomes: slice) -> np.ndarray:
+    """R[l, (f_1 e_1) ... (f_N e_N)], flattened and contiguous, of the ``outcomes`` of ``meas``.
+
+    ``meas`` is a (K, d, d) stack or a ``Povm`` of effects R_l[f, e], and
+    ``dims`` factor d.  Each row is gathered through ``_pair_indices``: a
+    dense effect's entries in pair order, or, for a rank-one ``Povm``, the
+    products v_l[f] conj(v_l[e]) of its vector legs, so that its dense
+    effects are never built.
+    """
+    order, rows, cols = _pair_indices(dims)
+    v = getattr(meas, "vectors", None)
+    if v is None:
+        stack = getattr(meas, "effects", meas)
+        return np.take(stack.reshape(len(stack), -1)[outcomes], order, axis=1)
+    v = v[outcomes]
+    layout = np.take(v, rows, axis=1)
+    layout *= np.take(v.conj(), cols, axis=1)
+    return layout

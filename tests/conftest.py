@@ -28,6 +28,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+import starcert.network
 from starcert.bell import BellOutcomeLabel, SosResiduals, bell_values, tilde_observables
 from starcert.certify import (
     NOISE_MODELS,
@@ -49,6 +50,7 @@ from starcert.network import (
 )
 from starcert.presets import (
     random_density_matrix,
+    random_hermitian,
     random_observable_triple,
     random_povm,
     random_projective_measurement,
@@ -241,6 +243,28 @@ def random_scenario_with_dims(alice_dims, eve_dims, rng):
         eve=(Povm(tuple(random_projective_measurement(d_e, ranks, rng))),
              Povm(random_povm(d_e, 3, rng).effects)),
     )
+
+
+def expansion_measurements(d: int, rng):
+    """(K, kind, measurement, its dense effects) on C^d for the basis-expansion tests.
+
+    K is 1 and just below, at and above a boundary between the outcome chunks
+    of ``network._basis_expansion``: the first boundary past d outcomes, so
+    that a complete rank-one ``Povm`` with K outcomes exists.  Each K gives a
+    dense stack of random Hermitian matrices and, for K >= d, a rank-one
+    ``Povm`` (the rows of a random isometry) and the dense ``Povm`` of its
+    effects.
+    """
+    step = max(1, starcert.network._STEP_ENTRIES // (2 * d * d))
+    edge = step * -(-(d + 1) // step)
+    for k in (1, edge - 1, edge, edge + 1):
+        stack = np.array([random_hermitian(d, rng) for _ in range(k)])
+        yield k, "dense stack", stack, stack
+        if k >= d:
+            z = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+            rank_one = Povm.rank_one(np.linalg.qr(z)[0])
+            yield k, "rank-one Povm", rank_one, rank_one.effects
+            yield k, "dense Povm", Povm(rank_one.effects), rank_one.effects
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from starcert.certify import (
     PLAIN,
     Part1Report,
     Part2Report,
+    _part3_from_outcomes,
     _resolve_verdict,
     certify,
     certify_pure_preparation,
@@ -35,6 +36,7 @@ from starcert.measurements import (
     ghz_basis_measurement,
     pauli_coeffs,
     trine_povm,
+    trine_preparation_outcomes,
 )
 from starcert.network import Scenario, born_table
 from starcert.tensor import numerical_rank
@@ -269,6 +271,23 @@ def test_certify_state_preparation_conjugate_branch(rng):
     for p, q in zip(report.probabilities, report.expected_probabilities):
         assert p == pytest.approx(q, abs=1e-12)
     assert report.total_probability == pytest.approx(2.0**-n, abs=1e-12)
+
+
+def test_part3_fails_a_total_probability_off_target_with_each_outcome_exact(rng):
+    # one of two preparation outcomes: its probability is exact, the total
+    # misses 2^-N by the other's p_1 / 2^N
+    n = 2
+    spec = random_mixed_state_spec(2, rng)
+    scen = ideal_scenario(n, eve_second=embed_rank1_povm(trine_povm(spec), n))
+    table = born_table(scen)
+    first = trine_preparation_outcomes(spec)[:1]
+    report = _part3_from_outcomes(scen, table, first, [spec.weights[0] / 2**n],
+                                  spec.density_matrix(), DEFAULT_TOL)
+    assert report.probabilities[0] == pytest.approx(spec.weights[0] / 2**n, abs=1e-12)
+    assert report.total_probability == pytest.approx(spec.weights[0] / 2**n, abs=1e-12)
+    assert spec.weights[1] / 2**n > DEFAULT_TOL.acceptance
+    assert not report.prob_passed
+    assert certify_state_preparation(scen, spec, table).prob_passed
 
 
 def test_certify_state_preparation_maximally_mixed_is_plain():

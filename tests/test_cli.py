@@ -140,7 +140,7 @@ def test_scenario_file_above_limit_is_rejected_before_construction(monkeypatch, 
     def forbidden(*args, **kwargs):
         raise AssertionError("a Born table was built past the N limit")
 
-    monkeypatch.setattr(cli, "load_scenario", lambda path: SimpleNamespace(n_parties=n))
+    monkeypatch.setattr(cli, "load_scenario", lambda path, digests: SimpleNamespace(n_parties=n))
     for name in ("born_table", "certify", "noise_scan"):
         monkeypatch.setattr(cli, name, forbidden)
     assert main(["certify", "--scenario", IDEAL, "--reference", GHZ_REF]) == 2
@@ -165,6 +165,28 @@ def test_production_paths_build_no_dense_table(monkeypatch, capsys):
         assert main(["scan", "--scenario", IDEAL, "--noise", noise, "--grid", "0,0.5,1",
                      "--reference", GHZ_REF, "--mode", "povm"]) == 0
     assert main(["scan", "--n", "3", "--noise", "effects", "--grid", "0,1"]) == 0
+
+
+def test_contract_parties_gets_only_real_operands(monkeypatch, capsys):
+    # the Born factors and the Pauli expansions are contracted in real arithmetic
+    contract, calls = starcert.network._contract_parties, []
+
+    def real_only(t, maps, *args):
+        assert not any(np.iscomplexobj(a) for a in (t, *maps)), "a complex operand"
+        calls.append(t.shape)
+        return contract(t, maps, *args)
+
+    for module in (starcert.network, starcert.measurements):
+        monkeypatch.setattr(module, "_contract_parties", real_only)
+    for mode in ("projective", "povm"):
+        assert main(["certify", "--scenario", IDEAL, "--reference", GHZ_REF, "--mode", mode]) == 0
+        assert main(["scan", "--scenario", IDEAL, "--noise", "effects", "--grid", "0,1",
+                     "--reference", GHZ_REF, "--mode", mode]) == 0
+    assert main(["certify", "--scenario", TRINE_SCEN, "--reference", TRINE_REF,
+                 "--mode", "povm"]) == 0
+    assert main(["prepare-state", "--n", "3", "--state-spec", MIXED_SPEC]) == 0
+    assert main(["scan", "--n", "3", "--noise", "isotropic", "--grid", "0,0.5,1"]) == 0
+    assert calls
 
 
 def test_certify_never_calls_hermitian_eig(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import expansion_measurements
 from starcert.bell import BellOutcomeLabel, ghz_vector
 from starcert.errors import ContractViolation, DimensionError, ValidationError
 from starcert.jsonio import (
@@ -92,17 +93,16 @@ def _per_matrix_pauli_coeffs(m, n):
     return t.real / 2**n
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_pauli_stack_rows_match_pauli_coeffs_bit_for_bit(n, rng):
-    ms = [random_hermitian(2**n, rng) for _ in range(2 * n + 3)]
-    rows = _pauli_expansion(np.stack(ms), n)
-    assert rows.shape == (len(ms),) + (4,) * n
-    for m, row in zip(ms, rows):
-        assert np.array_equal(pauli_coeffs(m, n).coeffs, row)
-        assert np.array_equal(_per_matrix_pauli_coeffs(m, n), row)
-    # a rank-one Povm is expanded from its vectors, as its dense effects are
-    povm = random_rank1_extremal_povm(2**n, 2**n + 1, rng)
-    assert np.array_equal(_pauli_expansion(povm, n), _pauli_expansion(povm.effects, n))
+    # stacks, dense and rank-one Povms, with K around a chunk boundary
+    for k, kind, meas, effects in expansion_measurements(2**n, rng):
+        rows = _pauli_expansion(meas, n)
+        assert rows.shape == (k,) + (4,) * n
+        want = np.array([_per_matrix_pauli_coeffs(m, n) for m in effects])
+        assert np.array_equal(rows, want), (k, kind)
+    for m in effects[:3]:
+        assert np.array_equal(pauli_coeffs(m, n).coeffs, _per_matrix_pauli_coeffs(m, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

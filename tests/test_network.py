@@ -12,6 +12,7 @@ from conftest import (
     born_oracle,
     correlators_from_table,
     dense_table_oracle,
+    expansion_measurements,
     random_scenario_with_dims,
 )
 from starcert.bell import BellOutcomeLabel, bell_value
@@ -30,6 +31,7 @@ from starcert.network import (
     BinaryObservableTriple,
     CorrelationTable,
     Scenario,
+    _basis_expansion,
     _born_factors,
     _check_factors,
     assemble_joint_state,
@@ -43,7 +45,7 @@ from starcert.presets import (
     random_povm,
     random_scenario,
 )
-from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z, kron_all
+from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z, _hermitian_basis, kron_all
 
 
 def test_observable_triple_rejects_nonhermitian():
@@ -445,3 +447,42 @@ def test_conjugate_and_depolarize_match_the_per_effect_expressions(rng):
             npt.assert_allclose(conj.effects[l], np.conj(m), rtol=0, atol=1e-15)
             want = v * m + (1 - v) * np.trace(m).real / 4 * np.eye(4)
             npt.assert_allclose(noisy.effects[l], want, rtol=0, atol=1e-15)
+
+
+def _per_matrix_coefficients(m, dims):
+    """One operator's Hermitian-basis coefficients, one complex tensordot per factor."""
+    t = np.asarray(m, dtype=complex).reshape(dims * 2)
+    for remaining, d in zip(range(len(dims), 0, -1), dims):
+        t = np.tensordot(t, _hermitian_basis(d).reshape(d * d, d, d), axes=([0, remaining], [1, 2]))
+    return t.real
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2), (2, 2, 2, 2), (2,) * 5,
+                                  (3,), (2, 3), (3, 3)])
+def test_born_factor_expansion_matches_a_complex_tensordot(dims, rng):
+    # Two or more factors match bit for bit.  One factor is a two-row real
+    # matmul against the reference's complex vector product, and the two BLAS
+    # kernels may fuse a multiply-add differently (seen at d = 2): one
+    # rounding of each term's size is allowed there.
+    for k, kind, meas, effects in expansion_measurements(int(np.prod(dims)), rng):
+        rows = _basis_expansion(meas, dims, _hermitian_basis)
+        assert rows.shape == (k,) + tuple(d * d for d in dims)
+        want = np.array([_per_matrix_coefficients(m, dims) for m in effects])
+        if len(dims) > 1:
+            assert np.array_equal(rows, want), (k, kind)
+        else:
+            allowed = 2 * np.finfo(float).eps * np.linalg.norm(effects, axis=(1, 2))
+            assert (np.abs(rows - want).max(axis=1) <= allowed).all(), (k, kind)
+
+
+@pytest.mark.parametrize("alice_dims, eve_dims", [((2, 2), (2, 3)), ((2, 2, 2), (2, 2, 2))])
+def test_born_factors_expand_each_eve_measurement(alice_dims, eve_dims, rng):
+    scenarios = [random_scenario_with_dims(alice_dims, eve_dims, rng)]
+    if len(set(eve_dims)) == 1:  # rank-one measurements on both inputs
+        scenarios.append(ideal_scenario(len(eve_dims), eve_second=ghz_basis_measurement(3)))
+    for scen in scenarios:
+        coeffs = _born_factors(scen)[0]
+        for c, meas in zip(coeffs, scen.eve):
+            for row, m in zip(c, meas.effects):
+                assert np.array_equal(row, _per_matrix_coefficients(m, eve_dims))
+
