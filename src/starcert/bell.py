@@ -20,7 +20,7 @@ from .tensor import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    hermitian_eig,
+    hermitian_part,
     kron,
     kron_all,
     require_hermitian,
@@ -322,6 +322,5 @@ def _evaluation(label: BellOutcomeLabel, value: float, tol: Tolerances) -> BellE
 
 def max_bell_eigenvalue(label: BellOutcomeLabel, observables,
                         tol: Tolerances = DEFAULT_TOL) -> float:
-    op = bell_operator(label, observables)
-    vals, _ = hermitian_eig(op, tol)
-    return float(vals[0])
+    op = require_hermitian(bell_operator(label, observables), tol.structural)
+    return float(np.linalg.eigh(hermitian_part(op[None]))[0][0, -1])

@@ -28,8 +28,8 @@ from .measurements import (
     Povm,
     _conjugation_signs,
     _embed_block,
+    _check_effects_hermitian,
     _pauli_expansion,
-    _qubit_operator,
     trine_preparation_outcomes,
 )
 from .network import (
@@ -45,7 +45,6 @@ from .network import (
 from .presets import depolarize_effects, depolarize_sources
 from .tensor import (
     as_state,
-    hermitian_defects,
     hermitian_part,
     kron,
     numerical_ranks,
@@ -157,33 +156,29 @@ def _require_mode(mode: str) -> None:
 def _reference_terms(reference, n: int, k_out: int, mode: str, tol: Tolerances) -> tuple:
     """Plain and conjugated Pauli coefficient rows (K, 4^N) of the reference, and its ranks.
 
-    A ``Povm`` or a sequence of effects is checked (2^N, and one batched
-    Hermitian defect of dense effects; on a fault, each effect alone, so that
-    the first faulty one names itself), ranked in projective mode from the
-    ``Povm``'s spectrum or one ``eigvalsh``, counted, and only then expanded.
-    A ``Povm``'s defects are checked only when its validation allowed more
-    than the run's ``tol.structural``.
+    A ``Povm`` supplies itself and its spectrum; a sequence of effects, its
+    ``operator_stack`` (the first faulty effect raises its own error) and,
+    in projective mode, one ``eigvalsh``.  Both then run one check
+    sequence: 2^N, Hermiticity (``_check_effects_hermitian``), the ranks in
+    projective mode, the count, and only then the expansion.  An empty
+    sequence has nothing to stack: the count alone rejects it.
     """
     if isinstance(reference, Povm):
         held, count, spectrum = reference, reference.outcome_count, reference.spectrum
-        # a rank-one effect v v^dagger is Hermitian by construction, and the
-        # validation of a dense one bounded each defect by its own tol.structural
-        stack = None if (reference.vectors is not None
-                         or reference.tol.structural <= tol.structural) else reference.effects
-        faulty = reference.dim != 2**n
     else:
         reference = reference if isinstance(reference, np.ndarray) else list(reference)
-        held = stack = operator_stack(reference)
-        count, spectrum, faulty = len(reference), None, held is None or held.shape[1] != 2**n
-    if faulty or (stack is not None and hermitian_defects(stack).max() > tol.structural):
-        for m in (reference.effects if isinstance(reference, Povm) else reference):
-            _qubit_operator(m, n, tol)
-    # past the checks, held is None only for an empty reference, which the count rejects
+        count, spectrum = len(reference), None
+        held = operator_stack(reference, "effect") if count else None
     ranks = None
-    if mode == "projective" and held is not None:
-        if spectrum is None:
-            spectrum = np.linalg.eigvalsh(hermitian_part(held))
-        ranks = numerical_ranks(spectrum, tol)
+    if held is not None:
+        dim = held.dim if isinstance(held, Povm) else held.shape[1]
+        if dim != 2**n:
+            raise DimensionError(f"matrix dim {dim} is not 2^{n}")
+        _check_effects_hermitian(held, tol)
+        if mode == "projective":
+            if spectrum is None:
+                spectrum = np.linalg.eigvalsh(hermitian_part(held))
+            ranks = numerical_ranks(spectrum, tol)
     if count != k_out:
         what = "rank" if mode == "projective" else "coefficient tensor"
         raise DimensionError(f"need one {what} per e=1 outcome ({k_out}), got {count}")
@@ -349,7 +344,7 @@ def certify_pure_preparation(scenario: Scenario, psi: np.ndarray,
                              table: CorrelationTable = None,
                              tol: Tolerances = DEFAULT_TOL) -> Part3Report:
     """Pure-state preparation: outcome 0 of an embedded rank-one projection."""
-    psi = as_state(psi, None, "target state")
+    psi = as_state(psi, "target state")
     if table is None:
         table = born_table(scenario, tol)
     n = scenario.n_parties

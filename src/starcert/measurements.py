@@ -26,9 +26,8 @@ from .tensor import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    as_operator,
     as_state,
-    hermitian_eig,
+    check_hermitian,
     hermitian_defects,
     hermitian_part,
     operator_stack,
@@ -68,14 +67,6 @@ def _conjugation_signs(n: int) -> np.ndarray:
     return signs
 
 
-def _qubit_operator(m, n: int, tol: Tolerances) -> np.ndarray:
-    """``m`` as a complex Hermitian 2^n x 2^n matrix, raising otherwise."""
-    m = require_hermitian(as_operator(m), tol.structural)
-    if m.shape[0] != 2**n:
-        raise DimensionError(f"matrix dim {m.shape[0]} is not 2^{n}")
-    return m
-
-
 def _pauli_map(d: int) -> np.ndarray:
     """``_PAULI_MAP``, the one-qubit map of ``_pauli_expansion`` (d = 2)."""
     return _PAULI_MAP
@@ -92,7 +83,10 @@ def _pauli_expansion(meas, n: int) -> np.ndarray:
 
 def pauli_coeffs(m: np.ndarray, n: int, tol: Tolerances = DEFAULT_TOL) -> PauliCoeffTensor:
     """Expand a Hermitian matrix on n qubits in the Pauli basis: its ``_pauli_expansion``."""
-    return PauliCoeffTensor(n, _pauli_expansion(_qubit_operator(m, n, tol)[None], n)[0])
+    m = require_hermitian(m, tol.structural)
+    if m.shape[0] != 2**n:
+        raise DimensionError(f"matrix dim {m.shape[0]} is not 2^{n}")
+    return PauliCoeffTensor(n, _pauli_expansion(m[None], n)[0])
 
 
 def reconstruct_from_coeffs(f: PauliCoeffTensor) -> np.ndarray:
@@ -141,7 +135,7 @@ class Povm:
         v = np.array(vectors, dtype=complex)
         if v.ndim != 2:
             raise DimensionError(f"rank-one factor must be (outcomes, dim), got shape {v.shape}")
-        as_state(v, None, "rank-one factor")
+        as_state(v, "rank-one factor")
         residual = float(np.linalg.norm(v.T @ v.conj() - np.eye(v.shape[1])))
         if residual > tol.structural:
             raise ValidationError(
@@ -201,15 +195,9 @@ def validate_povm(effects, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
 def _validated_stack(effects, tol: Tolerances):
     """The effects as one (K, d, d) array (``operator_stack``), their spectra and diagnostics."""
     effects = effects if isinstance(effects, np.ndarray) else list(effects)
-    stack = operator_stack(effects)
-    if stack is None:  # each effect alone, in order, so that the first faulty one names itself
-        effects = [as_operator(m) for m in effects]
-        if not effects:
-            raise ValidationError("POVM needs at least one effect")
-        dim = effects[0].shape[0]
-        for i, m in enumerate(effects):
-            if m.shape[0] != dim:
-                raise DimensionError(f"effect {i} has dim {m.shape[0]}, expected {dim}")
+    if not len(effects):
+        raise ValidationError("POVM needs at least one effect")
+    stack = operator_stack(effects, "effect")
     defects = hermitian_defects(stack)
     eigs = np.linalg.eigvalsh(hermitian_part(stack))
     residual = float(np.linalg.norm(stack.sum(axis=0) - np.eye(stack.shape[1])))
@@ -250,16 +238,16 @@ def embed_projective(effects, n: int, tol: Tolerances = DEFAULT_TOL) -> Povm:
     Appends the complement projector M_perp = 1 - sum(embedded) unless the
     input already resolves the full space.
     """
-    effects = [require_hermitian(as_operator(m), tol.structural) for m in effects]
-    if not effects:
+    effects = effects if isinstance(effects, np.ndarray) else list(effects)
+    if not len(effects):
         raise DimensionError("projective measurement needs at least one effect")
-    d = effects[0].shape[0]
+    effects = operator_stack(effects, "effect")
+    check_hermitian(effects, tol.structural)
+    d = effects.shape[1]
     dim = 2**n
     if d > dim:
         raise DimensionError(f"cannot embed dim {d} into 2^{n} = {dim}")
     for i, p in enumerate(effects):
-        if p.shape[0] != d:
-            raise DimensionError(f"effect {i} has dim {p.shape[0]}, expected {d}")
         if np.linalg.norm(p @ p - p) > 100 * tol.structural:
             raise ContractViolation(f"effect {i} is not a projection")
         for j in range(i):
@@ -297,23 +285,38 @@ class ExtremalityCertificate:
         return self.extremal
 
 
+def _check_effects_hermitian(meas, tol: Tolerances) -> None:
+    """Check a (K, d, d) stack, or a held ``Povm``'s effects, for Hermiticity at ``tol.structural``.
+
+    A rank-one ``Povm`` is Hermitian by construction, and the validation of
+    a dense one bounded each defect by its own ``tol.structural``, so a
+    ``Povm`` is checked again only when that was looser than the run's.
+    """
+    if not isinstance(meas, Povm):
+        check_hermitian(meas, tol.structural)
+    elif meas.vectors is None and meas.tol.structural > tol.structural:
+        check_hermitian(meas.effects, tol.structural)
+
+
 def _rank_one_factor(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Rows v_l (K, d) with R_l = v_l v_l^dagger, raising on an effect that is not rank-one or zero.
 
-    A dense ``Povm`` is factored through each effect's eigendecomposition:
-    v_l is the top eigenvector scaled by the square root of its eigenvalue.
+    A dense ``Povm`` (``_check_effects_hermitian``) is factored through one
+    batched eigendecomposition of its effects' Hermitian parts: v_l is the
+    top eigenvector scaled by the square root of its eigenvalue.
     """
     v = povm.vectors
     if v is None:
-        rows = []
-        for i, m in enumerate(povm.effects):
-            vals, vecs = hermitian_eig(m, tol)
-            if len(vals) > 1 and abs(vals[1]) >= tol.rank:
-                raise ContractViolation(
-                    f"effect {i} is not rank-one (second eigenvalue {vals[1]:.3e})"
-                )
-            rows.append(np.sqrt(max(vals[0], 0.0)) * vecs[:, 0])
-        v = np.array(rows)
+        _check_effects_hermitian(povm, tol)
+        vals, vecs = np.linalg.eigh(hermitian_part(povm.effects))
+        # each effect's second-largest eigenvalue; a 1 x 1 effect has none
+        faulty = (np.abs(vals[:, -2:-1]) >= tol.rank).any(axis=1)
+        if faulty.any():
+            i = int(np.argmax(faulty))
+            raise ContractViolation(
+                f"effect {i} is not rank-one (second eigenvalue {vals[i, -2]:.3e})"
+            )
+        v = np.sqrt(np.maximum(vals[:, -1], 0.0))[:, None] * vecs[:, :, -1]
     zero = np.linalg.norm(v, axis=1) ** 2 <= tol.rank  # ||v v^dagger|| = ||v||^2
     if zero.any():
         raise ContractViolation(f"effect {int(np.argmax(zero))} is numerically zero")
@@ -346,7 +349,7 @@ class MixedStateSpec:
 
     def __post_init__(self):
         weights = tuple(float(w) for w in self.weights)
-        vectors = tuple(as_state(v, None, f"vector {k}") for k, v in enumerate(self.vectors))
+        vectors = tuple(as_state(v, f"vector {k}") for k, v in enumerate(self.vectors))
         if len(weights) != len(vectors):
             raise ValidationError("need one weight per eigenvector")
         if not all(np.isfinite(weights)):

@@ -36,10 +36,8 @@ from .tensor import (
     _STEP_ENTRIES,
     _hermitian_basis,
     _pair_layout,
-    as_operator,
     as_state,
     check_hermitian,
-    hermitian_defects,
     hermitian_part,
     kron_all,
     operator_stack,
@@ -58,17 +56,9 @@ class BinaryObservableTriple:
     a2: np.ndarray
 
     def __post_init__(self):
-        names = ("a0", "a1", "a2")
-        stack = operator_stack(self.observables())
-        if stack is None:  # each observable alone, in order: the first faulty one names itself
-            dims = set()
-            for name in names:
-                m = as_operator(getattr(self, name))
-                _check_observables([name], m[None])
-                dims.add(m.shape[0])
-            raise DimensionError(f"observables of one party must share a dimension, got {dims}")
-        _check_observables(names, stack)
-        for name, m in zip(names, stack):
+        stack = operator_stack(self.observables(), "observable")
+        _check_observables(stack)
+        for name, m in zip(("a0", "a1", "a2"), stack):
             object.__setattr__(self, name, m)
 
     @property
@@ -79,25 +69,24 @@ class BinaryObservableTriple:
         return (self.a0, self.a1, self.a2)
 
 
-def _check_observables(names, stack: np.ndarray) -> None:
+def _check_observables(stack: np.ndarray) -> None:
     """Hermiticity and the dichotomic contract of a stack of observables, one batched norm each.
 
     A = M_0 - M_1 forces the spectrum within [-1, 1]; the first faulty
-    observable in order raises.
+    observable in order raises, Hermiticity first.
     """
-    defects = hermitian_defects(stack)
-    tops = np.linalg.norm(stack, ord=2, axis=(1, 2))
-    for name, defect, top in zip(names, defects, tops):
-        check_hermitian(defect, DEFAULT_TOL.structural, f"observable {name}")
+    names = ("observable a0", "observable a1", "observable a2")
+    check_hermitian(stack, DEFAULT_TOL.structural, names)
+    for name, top in zip(names, np.linalg.norm(stack, ord=2, axis=(1, 2))):
         if top > 1 + DEFAULT_TOL.spectral:
-            raise ValidationError(f"observable {name} has spectral radius {top:.6g} > 1")
+            raise ValidationError(f"{name} has spectral radius {top:.6g} > 1")
 
 
 def _as_density_operator(state, path: str) -> np.ndarray:
     """Accept a pure-state vector or a density matrix; return a density matrix."""
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
-        norm = np.linalg.norm(as_state(arr, None, f"{path}: state vector"))
+        norm = np.linalg.norm(as_state(arr, f"{path}: state vector"))
         if abs(norm - 1) > 1e-10:
             raise ValidationError(f"{path}: state vector norm {norm} deviates from 1")
         return np.outer(arr, arr.conj())
@@ -526,7 +515,7 @@ def _born_factors(scenario: Scenario):
         np.ascontiguousarray((w[:, :d, :d].reshape(6, d * d) @ _hermitian_basis(d).T).real)
         for w, d in zip(ops, d_es)
     ]
-    eigs = np.linalg.eigvalsh((ops + ops.conj().swapaxes(-1, -2)) / 2)
+    eigs = np.linalg.eigvalsh(hermitian_part(ops))
     spectra = [np.stack([np.maximum(eigs, 0.0).sum(axis=-1), np.maximum(-eigs, 0.0).sum(axis=-1),
                          np.sqrt((eigs**2).sum(axis=-1))])]
     coeffs = []

@@ -2,9 +2,11 @@
 
 All functions are pure: they accept and return plain ``numpy`` arrays with
 dtype complex128 and never mutate their arguments.  Operators are square
-row-major matrices, states are one-dimensional unit vectors.  The operator
-bases and the pair layout of operators on a product space, which the
-Born factors and the Pauli expansion are contracted from, live here too;
+row-major matrices, states are one-dimensional vectors.  A list of matrices
+is checked as one stack: ``operator_stack`` and ``check_hermitian`` raise
+the error of its first faulty matrix, in order.  The operator bases and
+the pair layout of operators on a product space, which the Born factors
+and the Pauli expansion are contracted from, live here too;
 ``_pair_layout`` also reads a ``Povm``'s rank-one vectors.
 """
 
@@ -46,25 +48,39 @@ def as_operator(entries) -> np.ndarray:
     return m
 
 
-def operator_stack(matrices) -> np.ndarray | None:
+def operator_stack(matrices, what: str = "matrix") -> np.ndarray:
     """Square matrices of one dimension with finite entries as one complex (K, d, d) array.
 
     One conversion and one finiteness check for the whole stack.  A read-only
     complex array, such as a decoded file's or a ``Povm``'s, is taken as it
-    is; anything else is copied once.  None means that there is no matrix,
-    that some matrix fails ``as_operator``, or that the dimensions differ: a
-    caller then checks the matrices one at a time, in order, so that the
-    first faulty one raises its own error.
+    is; anything else is copied once.  Otherwise the first fault in order
+    raises (``_stack_one_at_a_time``).
     """
-    if not (isinstance(matrices, np.ndarray) and matrices.dtype == complex
-            and not matrices.flags.writeable):
-        try:
-            matrices = np.array(matrices, dtype=complex)
-        except (TypeError, ValueError):
-            return None
-    if matrices.ndim != 3 or 0 in matrices.shape or matrices.shape[1] != matrices.shape[2]:
-        return None
-    return matrices if np.isfinite(matrices).all() else None
+    adopt = (isinstance(matrices, np.ndarray) and matrices.dtype == complex
+             and not matrices.flags.writeable)
+    try:
+        stack = matrices if adopt else np.array(matrices, dtype=complex)
+    except (TypeError, ValueError):
+        return _stack_one_at_a_time(matrices, what)
+    if (stack.ndim == 3 and 0 not in stack.shape and stack.shape[1] == stack.shape[2]
+            and np.isfinite(stack).all()):
+        return stack
+    return _stack_one_at_a_time(matrices, what)
+
+
+def _stack_one_at_a_time(matrices, what: str) -> np.ndarray:
+    """``operator_stack`` of matrices checked one at a time, in order.
+
+    The first fault raises: ``as_operator``'s shape or finiteness error, then
+    ``{what} i has dim d_i, expected d_0``.  An empty list raises too.
+    """
+    ops = [as_operator(m) for m in matrices]
+    if not ops:
+        raise DimensionError(f"need at least one {what}")
+    for i, m in enumerate(ops):
+        if m.shape[0] != ops[0].shape[0]:
+            raise DimensionError(f"{what} {i} has dim {m.shape[0]}, expected {ops[0].shape[0]}")
+    return np.stack(ops)
 
 
 def hermitian_defects(stack: np.ndarray) -> np.ndarray:
@@ -86,8 +102,8 @@ def hermitian_part(stack: np.ndarray) -> np.ndarray:
     return (stack + stack.conj().swapaxes(-1, -2)) / 2
 
 
-def as_state(amplitudes, tol: float | None = 1e-12, what: str = "state vector") -> np.ndarray:
-    """Validate a flattened vector of finite entries, of norm 1 within ``tol`` unless it is None.
+def as_state(amplitudes, what: str = "state vector") -> np.ndarray:
+    """Validate a flattened, non-empty vector of finite entries.
 
     The one finite-vector check: NaN fails every comparison, so a norm or
     Gram test alone never rejects a NaN entry.
@@ -97,9 +113,6 @@ def as_state(amplitudes, tol: float | None = 1e-12, what: str = "state vector") 
         raise DimensionError(f"{what} must have at least one amplitude")
     if not np.isfinite(v).all():
         raise ContractViolation(f"{what} contains NaN or Inf entries")
-    norm = np.linalg.norm(v)
-    if tol is not None and abs(norm - 1.0) > tol:
-        raise ContractViolation(f"state vector norm {norm} deviates from 1 beyond {tol}")
     return v
 
 
@@ -174,44 +187,23 @@ def reorder_factors(m: np.ndarray, factor_dims, permutation) -> np.ndarray:
     return t.reshape(m.shape)
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(m, dtype=complex)).T
-
-
 def require_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL.structural, what: str = "matrix") -> np.ndarray:
+    """``as_operator(m)``, raising unless it is Hermitian within ``tol`` (``check_hermitian``)."""
     m = as_operator(m)
-    check_hermitian(hermitian_defects(m[None])[0], tol, what)
+    check_hermitian(m[None], tol, what)
     return m
 
 
-def check_hermitian(defect: float, tol: float, what: str) -> None:
-    """Raise if a Hermiticity defect from ``hermitian_defects`` exceeds ``tol``."""
-    if defect > tol:
-        raise ContractViolation(f"{what} is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+def check_hermitian(stack: np.ndarray, tol: float, what="matrix") -> None:
+    """Raise if a matrix of a non-empty (K, d, d) stack has a Hermiticity defect above ``tol``.
 
-
-def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as the corresponding matrix columns.
-    Within degenerate clusters the eigenvector basis is arbitrary (but
-    deterministic for a given input); compare spectral projectors, not
-    individual degenerate vectors.
+    The first such matrix in order names its own ``hermitian_defects``
+    entry; ``what`` names every matrix, or is a sequence of K names.
     """
-    m = require_hermitian(m, tol.structural)
-    vals, vecs = np.linalg.eigh((m + dagger(m)) / 2)
-    order = np.argsort(vals)[::-1]
-    return vals[order].real, vecs[:, order]
-
-
-def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL.structural) -> bool:
-    """Positive semi-definiteness within ``tol`` (Cholesky with shift).
-
-    Much cheaper than a full eigendecomposition for large matrices.
-    """
-    m = require_hermitian(m, max(tol, 1e-8))
-    return psd_within((m + dagger(m)) / 2, tol)
+    for k, defect in enumerate(hermitian_defects(stack).tolist()):
+        if defect > tol:
+            name = what if isinstance(what, str) else what[k]
+            raise ContractViolation(f"{name} is not Hermitian (defect {defect:.3e} > {tol:.1e})")
 
 
 def psd_within(h: np.ndarray, tol: float) -> bool:

@@ -417,10 +417,21 @@ def test_check_part2_counts_effects_before_stacking(mode, what):
 @pytest.mark.parametrize("mode", ["projective", "povm"])
 def test_check_part2_checks_each_effect_before_stacking(mode):
     table = born_table(ideal_with_reference(2, ghz_reference(2)))
-    with pytest.raises(DimensionError, match=r"^matrix dim 2 is not 2\^2$"):
+    with pytest.raises(DimensionError, match=r"^effect 1 has dim 2, expected 4$"):
         check_part2(table, [np.eye(4) / 2, np.eye(2) / 2], mode)
     with pytest.raises(ContractViolation, match="^matrix is not Hermitian"):
         check_part2(table, [np.eye(4) / 2, np.triu(np.ones((4, 4)))], mode)
+
+
+@pytest.mark.parametrize("mode", ["projective", "povm"])
+def test_check_part2_names_the_first_non_hermitian_effect_not_the_worst(mode):
+    table = born_table(ideal_with_reference(2, ghz_reference(2)))
+    effects = np.array(ghz_reference(2).effects)
+    effects[1, 0, 1] += 1e-9 / np.sqrt(2)  # ||M - M^dagger|| = 1e-9
+    effects[3, 0, 1] += 1 / np.sqrt(2)
+    with pytest.raises(ContractViolation,
+                       match=r"^matrix is not Hermitian \(defect 1\.000e-09 > 1\.0e-10\)$"):
+        check_part2(table, list(effects), mode)
 
 
 def test_check_part2_rejects_an_unknown_mode():

@@ -8,7 +8,7 @@ import pytest
 
 import starcert.jsonio
 import starcert.measurements
-import starcert.network
+import starcert.tensor
 from starcert.config import DEFAULT_TOL
 from starcert.errors import ValidationError
 from starcert.fixtures import fixture_path
@@ -335,9 +335,8 @@ def test_loaders_decode_and_validate_each_list_as_one_stack(monkeypatch, ghz_fil
 
     # the routes that check one effect or one observable at a time; each source is checked once
     monkeypatch.setattr(starcert.jsonio, "matrix_from_json", forbidden)
-    monkeypatch.setattr(starcert.measurements, "as_operator", forbidden)
     monkeypatch.setattr(starcert.measurements, "require_hermitian", forbidden)
-    monkeypatch.setattr(starcert.network, "as_operator", forbidden)
+    monkeypatch.setattr(starcert.tensor, "_stack_one_at_a_time", forbidden)
     scenario, reference = ghz_files
     assert load_scenario(scenario).n_parties == 4
     assert load_povm(reference).outcome_count == 16

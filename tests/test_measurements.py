@@ -6,6 +6,7 @@ import pytest
 
 from conftest import expansion_measurements
 from starcert.bell import BellOutcomeLabel, ghz_vector
+from starcert.config import Tolerances
 from starcert.errors import ContractViolation, DimensionError, ValidationError
 from starcert.jsonio import (
     load_mixed_state_spec,
@@ -29,6 +30,7 @@ from starcert.measurements import (
     trine_preparation_outcomes,
     _conjugation_signs,
     _pauli_expansion,
+    _rank_one_factor,
     validate_povm,
 )
 from starcert.presets import (
@@ -38,7 +40,7 @@ from starcert.presets import (
     random_rank1_extremal_povm,
     symmetric_trine_qubit_povm,
 )
-from starcert.tensor import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron_all
+from starcert.tensor import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron_all, require_hermitian
 
 
 def test_pauli_convention():
@@ -220,6 +222,36 @@ def test_is_extremal_rank1_rejects_higher_rank():
     povm = Povm((np.eye(2) / 2, np.eye(2) / 2))
     with pytest.raises(ContractViolation, match="effect 0"):
         is_extremal_rank1(povm)
+
+
+def test_is_extremal_rank1_rechecks_a_loosely_validated_dense_povm():
+    # a Hermiticity defect of 1e-8: within the Povm's own 1e-6, beyond the default 1e-10
+    effects = np.array(symmetric_trine_qubit_povm().effects)
+    effects[0, 0, 1] += 1e-8 / np.sqrt(2)
+    povm = Povm(effects, Tolerances(structural=1e-6))
+    with pytest.raises(ContractViolation, match=r"^matrix is not Hermitian \(defect 1\.000e-08"):
+        is_extremal_rank1(povm)
+    assert is_extremal_rank1(povm, Tolerances(structural=1e-6)).extremal
+
+
+def _per_effect_rank_one_factor(povm):
+    """The factor through one checked eigendecomposition per effect, top eigenvector first."""
+    rows = []
+    for m in povm.effects:
+        require_hermitian(m)
+        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+        order = np.argsort(vals)[::-1]
+        rows.append(np.sqrt(max(vals[order][0], 0.0)) * vecs[:, order][:, 0])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_one_factor_of_a_dense_povm_matches_one_effect_at_a_time(seed):
+    rng = np.random.default_rng([19, seed])
+    d = int(rng.integers(2, 5))
+    povm = Povm(random_rank1_extremal_povm(d, int(rng.integers(d, d * d + 1)), rng).effects)
+    assert povm.vectors is None
+    assert _rank_one_factor(povm).tobytes() == _per_effect_rank_one_factor(povm).tobytes()
 
 
 def test_mixed_state_spec_validation():

@@ -2,21 +2,20 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from starcert.errors import CapacityError, ContractViolation, DimensionError
+from starcert.errors import CapacityError, ContractViolation, DimensionError, StarcertError
 from starcert.tensor import (
     PAULI_X,
     PAULI_Y,
     as_operator,
     as_state,
-    dagger,
+    check_hermitian,
     hermitian_defects,
-    hermitian_eig,
-    is_psd,
     kron,
     kron_all,
     numerical_rank,
     operator_stack,
     partial_trace,
+    psd_within,
     reorder_factors,
     require_hermitian,
 )
@@ -38,10 +37,12 @@ def test_as_operator_rejects_nan():
         as_operator(m)
 
 
-def test_as_state_norm_check():
-    as_state([1, 0])
-    with pytest.raises(ContractViolation):
-        as_state([1, 1])
+def test_as_state_rejects_an_empty_or_non_finite_vector():
+    npt.assert_array_equal(as_state([[1, 1]]), [1, 1])  # flattened; the norm is not checked
+    with pytest.raises(DimensionError, match="^state vector must have at least one amplitude$"):
+        as_state([])
+    with pytest.raises(ContractViolation, match="^psi contains NaN or Inf entries$"):
+        as_state([1, np.inf], "psi")
 
 
 def test_kron_matches_numpy(rng):
@@ -105,27 +106,10 @@ def test_reorder_factors_rejects_bad_permutation():
         reorder_factors(np.eye(4), [2, 2], [0, 0])
 
 
-def test_dagger_conjugate():
-    npt.assert_allclose(dagger(PAULI_Y), PAULI_Y)
-
-
-def test_hermitian_eig_reconstructs(rng):
-    z = random_complex(rng, (6, 6))
-    h = (z + z.conj().T) / 2
-    vals, vecs = hermitian_eig(h)
-    npt.assert_allclose(vecs @ np.diag(vals) @ vecs.conj().T, h, atol=1e-10)
-    assert np.all(np.diff(vals) <= 1e-12)  # descending
-
-
-def test_hermitian_eig_rejects_nonhermitian(rng):
-    with pytest.raises(ContractViolation):
-        hermitian_eig(random_complex(rng, (3, 3)))
-
-
-def test_is_psd():
-    assert is_psd(np.diag([1.0, 0.0, 2.0]))
-    assert not is_psd(np.diag([1.0, -0.1]))
-    assert is_psd(np.diag([1.0, -1e-12]))  # within slack
+def test_psd_within():
+    assert psd_within(np.diag([1.0, 0.0, 2.0]), 1e-10)
+    assert not psd_within(np.diag([1.0, -0.1]), 1e-10)
+    assert psd_within(np.diag([1.0, -1e-12]), 1e-10)  # within slack
 
 
 def test_require_hermitian():
@@ -142,6 +126,18 @@ def test_numerical_rank():
         numerical_rank(np.diag([1.0, 1e-8]))
 
 
+def test_check_hermitian_names_the_first_faulty_matrix_in_order():
+    stack = np.stack([PAULI_X] * 5)
+    stack[1, 0, 1] += 1e-9 / np.sqrt(2)  # ||M - M^dagger|| = 1e-9
+    stack[3, 0, 1] += 1 / np.sqrt(2)
+    check_hermitian(stack[:3], 1e-8)
+    with pytest.raises(ContractViolation,
+                       match=r"^matrix is not Hermitian \(defect 1\.000e-09 > 1\.0e-10\)$"):
+        check_hermitian(stack, 1e-10)
+    with pytest.raises(ContractViolation, match=r"^m3 is not Hermitian \(defect 1\.000e\+00"):
+        check_hermitian(stack, 1e-8, [f"m{k}" for k in range(5)])
+
+
 def test_operator_stack_takes_a_read_only_stack_and_copies_anything_else(rng):
     frozen = random_complex(rng, (3, 4, 4))
     frozen.flags.writeable = False
@@ -153,12 +149,48 @@ def test_operator_stack_takes_a_read_only_stack_and_copies_anything_else(rng):
     npt.assert_array_equal(operator_stack([np.eye(2), PAULI_X]), np.stack([np.eye(2), PAULI_X]))
 
 
-@pytest.mark.parametrize("matrices", [
-    [], [np.eye(2), np.eye(3)], [np.zeros((2, 3))], [np.eye(2)[0]], [np.diag([1.0, np.nan])],
-    np.zeros((2, 0, 0)), "ab",
-], ids=["empty", "mixed-dims", "non-square", "vector", "nan", "zero-dim", "string"])
-def test_operator_stack_refuses_what_as_operator_or_one_dim_refuses(matrices):
-    assert operator_stack(matrices) is None
+def _stacked_one_at_a_time(matrices, what):
+    """The matrices checked alone, in order, then stacked; or the (class, message) raised."""
+    try:
+        ops = [as_operator(m) for m in matrices]
+        for i, m in enumerate(ops):
+            if m.shape[0] != ops[0].shape[0]:
+                raise DimensionError(f"{what} {i} has dim {m.shape[0]}, expected {ops[0].shape[0]}")
+        return np.stack(ops)
+    except (StarcertError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+STACK_JUNK = [np.zeros((2, 3)), np.ones(2), np.diag([1.0, np.nan]), np.diag([np.inf, 1.0]),
+              np.zeros((0, 0)), "ab", np.eye(2), np.eye(3), [[1, 2], [3]], None]
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_operator_stack_raises_what_checking_one_matrix_at_a_time_raises(seed):
+    rng = np.random.default_rng([19, seed])
+    d = int(rng.integers(1, 4))
+    matrices = list(random_complex(rng, (int(rng.integers(1, 6)), d, d)))
+    for _ in range(int(rng.integers(0, 3))):
+        matrices[int(rng.integers(len(matrices)))] = STACK_JUNK[int(rng.integers(len(STACK_JUNK)))]
+    if seed % 4 == 0 and all(isinstance(m, np.ndarray) and m.shape == (d, d) for m in matrices):
+        matrices = np.array(matrices)
+        matrices.flags.writeable = bool(seed % 8)
+    expected = _stacked_one_at_a_time(matrices, "effect")
+    try:
+        actual = operator_stack(matrices, "effect")
+    except (StarcertError, TypeError, ValueError) as exc:
+        actual = type(exc), str(exc)
+    if isinstance(expected, tuple):
+        assert actual == expected
+    else:
+        assert actual.dtype == complex and actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("matrices", [[], (), np.zeros((0, 2, 2))], ids=["list", "tuple", "array"])
+def test_operator_stack_refuses_an_empty_list(matrices):
+    with pytest.raises(DimensionError, match="^need at least one effect$"):
+        operator_stack(matrices, "effect")
 
 
 @pytest.mark.parametrize("k, d", [(9, 64), (3, 200), (20, 16)],
