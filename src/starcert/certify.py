@@ -43,14 +43,7 @@ from .network import (
     born_table,
 )
 from .presets import depolarize_effects, depolarize_sources
-from .tensor import (
-    as_state,
-    hermitian_part,
-    kron,
-    numerical_ranks,
-    operator_stack,
-    partial_trace,
-)
+from .tensor import as_state, kron, numerical_ranks, partial_trace
 
 PLAIN = "Plain"
 CONJUGATE = "Conjugate"
@@ -156,33 +149,22 @@ def _require_mode(mode: str) -> None:
 def _reference_terms(reference, n: int, k_out: int, mode: str, tol: Tolerances) -> tuple:
     """Plain and conjugated Pauli coefficient rows (K, 4^N) of the reference, and its ranks.
 
-    A ``Povm`` supplies itself and its spectrum; a sequence of effects, its
-    ``operator_stack`` (the first faulty effect raises its own error) and,
-    in projective mode, one ``eigvalsh``.  Both then run one check
-    sequence: 2^N, Hermiticity (``_check_effects_hermitian``), the ranks in
-    projective mode, the count, and only then the expansion.  An empty
-    sequence has nothing to stack: the count alone rejects it.
+    A reference that is not a ``Povm`` is validated as one, once, at
+    ``tol``.  Then one check sequence runs: 2^N, Hermiticity
+    (``_check_effects_hermitian``), the ranks from its spectrum in
+    projective mode, the count, and only then the expansion.
     """
-    if isinstance(reference, Povm):
-        held, count, spectrum = reference, reference.outcome_count, reference.spectrum
-    else:
-        reference = reference if isinstance(reference, np.ndarray) else list(reference)
-        count, spectrum = len(reference), None
-        held = operator_stack(reference, "effect") if count else None
-    ranks = None
-    if held is not None:
-        dim = held.dim if isinstance(held, Povm) else held.shape[1]
-        if dim != 2**n:
-            raise DimensionError(f"matrix dim {dim} is not 2^{n}")
-        _check_effects_hermitian(held, tol)
-        if mode == "projective":
-            if spectrum is None:
-                spectrum = np.linalg.eigvalsh(hermitian_part(held))
-            ranks = numerical_ranks(spectrum, tol)
-    if count != k_out:
+    if not isinstance(reference, Povm):
+        reference = Povm(reference, tol)
+    if reference.dim != 2**n:
+        raise DimensionError(f"matrix dim {reference.dim} is not 2^{n}")
+    _check_effects_hermitian(reference, tol)
+    ranks = numerical_ranks(reference.spectrum, tol) if mode == "projective" else None
+    if reference.outcome_count != k_out:
         what = "rank" if mode == "projective" else "coefficient tensor"
-        raise DimensionError(f"need one {what} per e=1 outcome ({k_out}), got {count}")
-    plain = _pauli_expansion(held, n)
+        raise DimensionError(
+            f"need one {what} per e=1 outcome ({k_out}), got {reference.outcome_count}")
+    plain = _pauli_expansion(reference, n)
     if mode == "projective":  # its sums weigh only the coefficients above 1e-14
         plain[np.abs(plain) <= 1e-14] = 0.0
     return plain.reshape(k_out, -1), (plain * _conjugation_signs(n)).reshape(k_out, -1), ranks
@@ -202,7 +184,9 @@ def check_part2(table: CorrelationTable, reference_effects, mode: str,
     """Eve's e = 1 measurement against the reference, a ``Povm`` or its effects, in both branches.
 
     Projective mode compares each outcome's coefficient-weighted expectation
-    sum with r_l / 2^N; povm mode matches every Pauli coefficient.
+    sum with r_l / 2^N; povm mode matches every Pauli coefficient.  Effects
+    that are not a ``Povm`` are validated as one at ``tol``, and refused as
+    ``Povm`` refuses them.
     """
     _require_mode(mode)
     terms = _reference_terms(reference_effects, table.n, table.outcome_count(1), mode, tol)

@@ -24,9 +24,9 @@ from .bell import (
 )
 from .certify import (
     CERTIFIED,
-    FAILED,
     CertificationReport,
     Part3Report,
+    _resolve_verdict,
     certify,
     certify_state_preparation,
     check_part1,
@@ -236,9 +236,9 @@ def cmd_prepare_state(config: argparse.Namespace) -> int:
     table = born_table(scenario, tol)
     part1 = check_part1(table, n, tol)
     part3 = certify_state_preparation(scenario, spec, table, tol)
-    passed = part1.passed and part3.passed
+    verdict = _resolve_verdict(part1, None, part3)
     text = "\n".join([
-        f"verdict: {CERTIFIED if passed else FAILED}",
+        f"verdict: {verdict}",
         f"part1: {'pass' if part1.passed else 'FAIL'}",
         f"part3: {'pass' if part3.passed else 'FAIL'}, branch {part3.branch.branch}, "
         f"distance {part3.branch.distance:.3e}",
@@ -249,10 +249,10 @@ def cmd_prepare_state(config: argparse.Namespace) -> int:
         "n": n,
         "part1_passed": part1.passed,
         "part3": _part3_body(part3),
-        "verdict": CERTIFIED if passed else FAILED,
+        "verdict": verdict,
     }
     _emit(config, text, _envelope(config, body))
-    return 0 if passed else 1
+    return 0 if verdict == CERTIFIED else 1
 
 
 def cmd_scan(config: argparse.Namespace) -> int:

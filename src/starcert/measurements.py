@@ -18,6 +18,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from .bell import all_labels, ghz_vector
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ContractViolation, DimensionError, ValidationError
 from .network import _basis_expansion, _contract_parties
@@ -194,9 +195,6 @@ def validate_povm(effects, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
 
 def _validated_stack(effects, tol: Tolerances):
     """The effects as one (K, d, d) array (``operator_stack``), their spectra and diagnostics."""
-    effects = effects if isinstance(effects, np.ndarray) else list(effects)
-    if not len(effects):
-        raise ValidationError("POVM needs at least one effect")
     stack = operator_stack(effects, "effect")
     defects = hermitian_defects(stack)
     eigs = np.linalg.eigvalsh(hermitian_part(stack))
@@ -214,8 +212,6 @@ def _validated_stack(effects, tol: Tolerances):
 
 def ghz_basis_measurement(n: int) -> Povm:
     """The 2^n rank-one projectors onto the GHZ-like basis."""
-    from .bell import all_labels, ghz_vector  # local import avoids a cycle
-
     if n < 2:
         raise DimensionError("GHZ basis needs at least two parties")
     return Povm.rank_one([ghz_vector(label) for label in all_labels(n)])
@@ -238,9 +234,6 @@ def embed_projective(effects, n: int, tol: Tolerances = DEFAULT_TOL) -> Povm:
     Appends the complement projector M_perp = 1 - sum(embedded) unless the
     input already resolves the full space.
     """
-    effects = effects if isinstance(effects, np.ndarray) else list(effects)
-    if not len(effects):
-        raise DimensionError("projective measurement needs at least one effect")
     effects = operator_stack(effects, "effect")
     check_hermitian(effects, tol.structural)
     d = effects.shape[1]
@@ -285,17 +278,15 @@ class ExtremalityCertificate:
         return self.extremal
 
 
-def _check_effects_hermitian(meas, tol: Tolerances) -> None:
-    """Check a (K, d, d) stack, or a held ``Povm``'s effects, for Hermiticity at ``tol.structural``.
+def _check_effects_hermitian(povm: Povm, tol: Tolerances) -> None:
+    """Check a held ``Povm``'s effects for Hermiticity at ``tol.structural``.
 
     A rank-one ``Povm`` is Hermitian by construction, and the validation of
-    a dense one bounded each defect by its own ``tol.structural``, so a
-    ``Povm`` is checked again only when that was looser than the run's.
+    a dense one bounded each defect by its own ``tol.structural``, so it is
+    checked again only when that was looser than the run's.
     """
-    if not isinstance(meas, Povm):
-        check_hermitian(meas, tol.structural)
-    elif meas.vectors is None and meas.tol.structural > tol.structural:
-        check_hermitian(meas.effects, tol.structural)
+    if povm.vectors is None and povm.tol.structural > tol.structural:
+        check_hermitian(povm.effects, tol.structural)
 
 
 def _rank_one_factor(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -38,9 +38,13 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def as_operator(entries) -> np.ndarray:
     """Validate and normalize a square complex matrix.
 
-    Rejects non-square shapes and non-finite entries.
+    Rejects entries that are not numbers, ragged rows, non-square shapes
+    and non-finite entries.
     """
-    m = np.asarray(entries, dtype=complex)
+    try:
+        m = np.asarray(entries, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"expected a square matrix of numbers ({exc})") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
@@ -72,8 +76,11 @@ def _stack_one_at_a_time(matrices, what: str) -> np.ndarray:
     """``operator_stack`` of matrices checked one at a time, in order.
 
     The first fault raises: ``as_operator``'s shape or finiteness error, then
-    ``{what} i has dim d_i, expected d_0``.  An empty list raises too.
+    ``{what} i has dim d_i, expected d_0``.  An empty list raises too, and
+    so does a scalar or a 0-d array, which is no list at all.
     """
+    if not np.iterable(matrices):
+        raise DimensionError(f"expected a list of square matrices, got shape {np.shape(matrices)}")
     ops = [as_operator(m) for m in matrices]
     if not ops:
         raise DimensionError(f"need at least one {what}")
@@ -213,12 +220,6 @@ def psd_within(h: np.ndarray, tol: float) -> bool:
         return True
     except np.linalg.LinAlgError:
         return False
-
-
-def numerical_rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of a Hermitian PSD matrix: ``numerical_ranks`` of its Hermitian part's spectrum."""
-    m = require_hermitian(m, tol.structural)
-    return int(numerical_ranks(np.linalg.eigvalsh(hermitian_part(m[None])), tol)[0])
 
 
 def numerical_ranks(eigenvalues: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

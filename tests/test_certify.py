@@ -26,7 +26,13 @@ from starcert.certify import (
     post_measurement_state,
 )
 from starcert.config import DEFAULT_TOL, Tolerances
-from starcert.errors import ConditioningError, ContractViolation, DimensionError, StarcertError
+from starcert.errors import (
+    ConditioningError,
+    ContractViolation,
+    DimensionError,
+    StarcertError,
+    ValidationError,
+)
 from starcert.fixtures import fixture_path
 from starcert.jsonio import load_mixed_state_spec
 from starcert.measurements import (
@@ -38,8 +44,8 @@ from starcert.measurements import (
     trine_povm,
     trine_preparation_outcomes,
 )
-from starcert.network import Scenario, born_table
-from starcert.tensor import numerical_rank
+from starcert.network import BinaryObservableTriple, Scenario, born_table
+from starcert.tensor import hermitian_part, numerical_ranks
 from starcert.presets import (
     computational_eve0,
     conjugate_scenario,
@@ -106,7 +112,7 @@ def test_projective_conditions_ghz_reference():
     ref = ghz_reference(n)
     scen = ideal_with_reference(n, ref)
     table = born_table(scen)
-    assert [numerical_rank(m) for m in ref.effects] == [1, 1, 1, 1]
+    assert _ranks(ref.effects) == [1, 1, 1, 1]
     report = check_part2(table, ref.effects, "projective")
     assert report.passed and report.branch == PLAIN
     assert report.max_residual() < 1e-9
@@ -120,7 +126,7 @@ def test_projective_conditions_rank_two_reference():
     ref = embed_projective([p0, p1], n)
     scen = ideal_with_reference(n, ref)
     table = born_table(scen)
-    assert [numerical_rank(m) for m in ref.effects] == [2, 2]
+    assert _ranks(ref.effects) == [2, 2]
     report = check_part2(table, ref.effects, "projective")
     assert report.passed
     # each coefficient-weighted sum hits rank / 2^N = 1/2
@@ -328,7 +334,7 @@ def _per_effect_part2_residuals(table, effects, mode):
     t = table.correlator_tensor(1).reshape(table.outcome_count(1), -1)
     plain = np.stack([pauli_coeffs(m, n).coeffs.ravel() for m in effects])
     conj = np.stack([pauli_coeffs(m, n).conjugated().coeffs.ravel() for m in effects])
-    ranks = [numerical_rank(m) for m in effects]
+    ranks = _ranks(effects)
 
     def residuals(coeffs):
         if mode == "projective":
@@ -398,17 +404,19 @@ def test_check_part2_checks_a_dense_povm_at_the_run_tolerance():
     ref = Povm(effects, Tolerances(structural=1e-6))
     table = born_table(ideal_with_reference(2, clean, conjugate=False))
     for mode in ("projective", "povm"):
-        with pytest.raises(ContractViolation, match="^matrix is not Hermitian") as from_povm:
+        with pytest.raises(ContractViolation,
+                           match=r"^matrix is not Hermitian \(defect 1\.000e-08 > 1\.0e-10\)$"):
             check_part2(table, ref, mode)
-        with pytest.raises(ContractViolation, match="^matrix is not Hermitian") as from_array:
+        # the same effects as an array are validated as a Povm at the run's tolerance
+        with pytest.raises(ValidationError,
+                           match=r"^invalid POVM: Hermiticity defect 1\.000e-08, "):
             check_part2(table, ref.effects, mode, DEFAULT_TOL)
-        assert str(from_povm.value) == str(from_array.value)
 
 
 @pytest.mark.parametrize("mode, what", [("projective", "rank"), ("povm", "coefficient tensor")])
 def test_check_part2_counts_effects_before_stacking(mode, what):
     table = born_table(ideal_with_reference(2, ghz_reference(2)))
-    with pytest.raises(DimensionError, match=rf"^need one {what} per e=1 outcome \(4\), got 0$"):
+    with pytest.raises(DimensionError, match="^need at least one effect$"):
         check_part2(table, [], mode)
     with pytest.raises(DimensionError, match=rf"^need one {what} per e=1 outcome \(4\), got 1$"):
         check_part2(table, [np.eye(4)], mode)
@@ -419,18 +427,18 @@ def test_check_part2_checks_each_effect_before_stacking(mode):
     table = born_table(ideal_with_reference(2, ghz_reference(2)))
     with pytest.raises(DimensionError, match=r"^effect 1 has dim 2, expected 4$"):
         check_part2(table, [np.eye(4) / 2, np.eye(2) / 2], mode)
-    with pytest.raises(ContractViolation, match="^matrix is not Hermitian"):
+    with pytest.raises(ValidationError, match="^invalid POVM: Hermiticity defect "):
         check_part2(table, [np.eye(4) / 2, np.triu(np.ones((4, 4)))], mode)
 
 
 @pytest.mark.parametrize("mode", ["projective", "povm"])
 def test_check_part2_names_the_first_non_hermitian_effect_not_the_worst(mode):
+    # a list of effects is validated as a Povm, which names the greatest defect
     table = born_table(ideal_with_reference(2, ghz_reference(2)))
     effects = np.array(ghz_reference(2).effects)
     effects[1, 0, 1] += 1e-9 / np.sqrt(2)  # ||M - M^dagger|| = 1e-9
     effects[3, 0, 1] += 1 / np.sqrt(2)
-    with pytest.raises(ContractViolation,
-                       match=r"^matrix is not Hermitian \(defect 1\.000e-09 > 1\.0e-10\)$"):
+    with pytest.raises(ValidationError, match=r"^invalid POVM: Hermiticity defect 1\.000e\+00, "):
         check_part2(table, list(effects), mode)
 
 
@@ -477,9 +485,10 @@ def test_match_up_to_conjugation_rejects_a_reference_without_positive_trace(refe
 
 
 @pytest.mark.parametrize("spectra, magnitude", [
-    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 3e-8), (0, 0, 0, 1)], "3.000e-08"),
-    ([(1, 0, 0, 0), (0, 1, 2e-8, 0), (0, 0, 1, 0), (5e-8, 0, 0, 1)], "2.000e-08"),
-    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (2e-8, 0, 5e-8, 1)], "5.000e-08"),
+    # each set resolves the identity, so that it is a valid Povm
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 3e-8), (0, 0, 0, 1 - 3e-8)], "3.000e-08"),
+    ([(1 - 5e-8, 0, 0, 0), (0, 1, 2e-8, 0), (0, 0, 1 - 2e-8, 0), (5e-8, 0, 0, 1)], "2.000e-08"),
+    ([(1 - 2e-8, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1 - 5e-8, 0), (2e-8, 0, 5e-8, 1)], "5.000e-08"),
 ], ids=["one-effect", "first-of-two-effects", "greatest-of-two-eigenvalues"])
 def test_check_part2_names_a_borderline_rank_as_numerical_rank_does(spectra, magnitude, rng):
     q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
@@ -493,9 +502,14 @@ def test_check_part2_names_a_borderline_rank_as_numerical_rank_does(spectra, mag
     assert str(raised.value).startswith(f"indeterminate rank: eigenvalue magnitude {magnitude} ")
 
 
+def _ranks(effects):
+    """Each effect's rank: ``numerical_ranks`` of the spectrum of its Hermitian part."""
+    return numerical_ranks(np.linalg.eigvalsh(hermitian_part(np.asarray(effects)))).tolist()
+
+
 def _rank_error(m):
     try:
-        numerical_rank(m)
+        _ranks([m])
     except ContractViolation as exc:
         return str(exc)
     return None
@@ -505,7 +519,48 @@ def _rank_error(m):
 def test_part2_rejects_effects_for_the_wrong_n(mode):
     table = born_table(ideal_scenario(2))
     with pytest.raises(DimensionError, match="matrix dim 8 is not 2\\^2"):
-        check_part2(table, [np.eye(8) / 8], mode)
+        check_part2(table, [np.eye(8)], mode)
+
+
+# Effect lists on two qubits, made from the GHZ-basis effects r, that are not a measurement.
+NOT_A_POVM = {
+    "incomplete": lambda r: list(0.9 * r),
+    "not_psd": lambda r: [r[0] - 0.1 * r[1], 1.1 * r[1], r[2], r[3]],
+    "not_hermitian": lambda r: [r[0] + 0.1j * np.eye(4), r[1] - 0.1j * np.eye(4), r[2], r[3]],
+}
+
+
+@pytest.mark.parametrize("mode", ["projective", "povm"])
+@pytest.mark.parametrize("fault", sorted(NOT_A_POVM))
+def test_part2_refuses_effects_that_are_not_a_povm_as_povm_does(fault, mode):
+    ref = ghz_reference(2)
+    effects = NOT_A_POVM[fault](np.array(ref.effects))
+    with pytest.raises(ValidationError, match="^invalid POVM: ") as expected:
+        Povm(effects)
+    scen = ideal_with_reference(2, ref)
+    for run in (lambda: check_part2(born_table(scen), effects, mode),
+                lambda: certify(scen, effects, mode),
+                lambda: noise_scan(scen, "effects", [0.5, 1.0], reference_effects=effects,
+                                   mode=mode)):
+        with pytest.raises(ValidationError) as raised:
+            run()
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Povm(["ab"]),
+    lambda: Povm([[[1, 2], [3]]]),
+    lambda: Povm(np.array(5.0)),
+    lambda: BinaryObservableTriple("a", "b", "c"),
+    lambda: embed_projective(np.array(1.0), 2),
+    lambda: check_part2(born_table(ideal_scenario(2)), ["ab"] * 4, "povm"),
+    lambda: check_part2(born_table(ideal_scenario(2)), np.array(1.0), "projective"),
+    lambda: check_part2(born_table(ideal_scenario(2)), np.array(1.0), "povm"),
+], ids=["povm-string", "povm-ragged", "povm-0d", "observables-strings", "embed-0d",
+        "part2-strings", "part2-0d-projective", "part2-0d-povm"])
+def test_junk_in_a_matrix_list_raises_a_starcert_error(build):
+    with pytest.raises(DimensionError, match="^expected a "):
+        build()
 
 
 def test_certify_end_to_end_projective():

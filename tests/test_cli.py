@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -88,6 +89,16 @@ def test_prepare_state(capsys):
     assert main(["prepare-state", "--state-spec", MIXED_SPEC]) == 0
     out = capsys.readouterr().out
     assert "Conjugate" in out
+
+
+def test_prepare_state_reads_its_verdict_from_the_certify_rule(monkeypatch, capsys):
+    # maximal Bell values with outcome weights off uniform: Inconclusive, as in certify
+    real = cli.check_part1
+    monkeypatch.setattr(cli, "check_part1",
+                        lambda *args: dataclasses.replace(real(*args), pbar_passed=False))
+    assert main(["prepare-state", "--state-spec", MIXED_SPEC, "--format", "structured"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "Inconclusive" and doc["part3"]["passed"]
 
 
 def test_prepare_state_invalid_weights(tmp_path):
