@@ -56,7 +56,6 @@ from .measurements import (
     pauli_coeffs,
     reconstruct_from_coeffs,
     trine_povm,
-    validate_povm,
 )
 from .network import (
     BinaryObservableTriple,

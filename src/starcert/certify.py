@@ -4,8 +4,10 @@ Part 1 checks that every Bell expression in the family reaches its quantum
 bound with uniform outcome weights.  Part 2 checks the algebraic conditions
 tying Eve's second measurement to a reference (projective or rank-one
 extremal POVM), in both the plain and the conjugated branch.  Part 3
-compares post-measurement states against a target state up to complex
-conjugation.
+compares the Alice states conditioned on Eve's preparation outcomes with a
+target state up to complex conjugation; it reads them, like every check,
+from the Born factors: the table's e = 1 rows contracted with the sources'
+real expansions, then turned back into operators in one real step.
 
 Branch semantics: "Plain" means the actual object matches the reference as
 given, "Conjugate" means it matches the entrywise conjugate.  When both
@@ -15,8 +17,6 @@ match (real references) the tie resolves to Plain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from string import ascii_letters
 
 import numpy as np
 
@@ -36,14 +36,17 @@ from .network import (
     _CHUNK_ENTRIES,
     CorrelationTable,
     Scenario,
+    _basis_expansion,
+    _basis_operators,
     _born_factors,
     _check_factors,
+    _conditioned_coefficients,
     _correlators,
     _outcome_weights,
     born_table,
 )
 from .presets import depolarize_effects, depolarize_sources
-from .tensor import as_state, kron, numerical_ranks, partial_trace
+from .tensor import _hermitian_basis, as_state, kron, numerical_ranks, partial_trace
 
 PLAIN = "Plain"
 CONJUGATE = "Conjugate"
@@ -197,46 +200,38 @@ def check_part2(table: CorrelationTable, reference_effects, mode: str,
                        branch=branch, passed=branch != NO_BRANCH)
 
 
-@lru_cache(maxsize=None)
-def _einsum_path(spec: str, *shapes) -> list:
-    """``einsum``'s contraction order for ``spec`` on operands of these shapes, searched once."""
-    return np.einsum_path(spec, *map(np.empty, shapes), optimize=True)[0]
+def _conditioned_states(scenario: Scenario, c: np.ndarray, outcomes, e: int,
+                        tol: Tolerances) -> tuple:
+    """Unnormalised Alice states (K, D, D) that Eve's Born-factor rows c condition, and P(l | e).
+
+    Each probability is its state's trace; the first of ``outcomes`` at or
+    below ``tol.probability`` raises ``ConditioningError``.
+    """
+    states = _basis_operators(_conditioned_coefficients(scenario, c), scenario.alice_dims,
+                              _hermitian_basis)
+    probs = np.trace(states, axis1=1, axis2=2).real
+    low = probs <= tol.probability
+    if low.any():
+        i = int(np.argmax(low))
+        raise ConditioningError(f"outcome l={outcomes[i]}, e={e} has probability {probs[i]:.3e}")
+    return states, probs
 
 
 def post_measurement_state(scenario: Scenario, l: int, e: int,
                            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Normalized Alice state conditioned on Eve's outcome l under input e.
 
-    Contracts Eve's effect R with each source in turn,
-    rho_A[a_1..a_N, b_1..b_N] = sum_{r,c} R[r, c] prod_i rho_i[a_i c_i, b_i r_i]
-    with r and c running over Eve's row and column indices, so no operator
-    on the joint Alice-Eve space is formed.  A rank-one R = v v^dagger
-    enters as its two vector legs v[r] and conj(v[c]).
+    ``_conditioned_states`` of the Born-factor expansion of R_l alone: no
+    operator on the joint Alice-Eve space is formed.
     """
     if e not in (0, 1):
         raise DimensionError(f"Eve input e={e} out of range")
     meas = scenario.eve[e]
     if not 0 <= l < meas.outcome_count:
         raise DimensionError(f"outcome l={l} out of range for e={e}")
-    n = scenario.n_parties
-    d_as, d_es = scenario.alice_dims, scenario.eve_dims
-    a, b, r, c = (ascii_letters[k * n:(k + 1) * n] for k in range(4))
-    if meas.vectors is None:
-        legs, effect = f"{r}{c},", [meas.effects[l].reshape(d_es * 2)]
-    else:
-        v = meas.vectors[l].reshape(d_es)
-        legs, effect = f"{r},{c},", [v, v.conj()]
-    spec = legs + ",".join(map("".join, zip(a, c, b, r))) + f"->{a}{b}"
-    sources = [rho.reshape((da, de) * 2) for rho, da, de in zip(scenario.sources, d_as, d_es)]
-    dim = int(np.prod(d_as))
-    operands = effect + sources
-    path = _einsum_path(spec, *(op.shape for op in operands))
-    rho = np.einsum(spec, *operands, optimize=path).reshape(dim, dim)
-    p = float(np.trace(rho).real)
-    if p <= tol.probability:
-        raise ConditioningError(f"outcome l={l}, e={e} has probability {p:.3e}")
-    rho = rho / p
-    return (rho + rho.conj().T) / 2
+    c = _basis_expansion(meas, scenario.eve_dims, _hermitian_basis, slice(l, l + 1))
+    states, probs = _conditioned_states(scenario, c, [l], e, tol)
+    return states[0] / probs[0]
 
 
 def match_up_to_conjugation(actual: np.ndarray, reference: np.ndarray,
@@ -270,24 +265,26 @@ def match_up_to_conjugation(actual: np.ndarray, reference: np.ndarray,
 def _part3_from_outcomes(scenario: Scenario, table: CorrelationTable, outcomes,
                          expected_probs, reference: np.ndarray,
                          tol: Tolerances) -> Part3Report:
-    """Shared part-3 core: outcome probabilities plus weighted state average."""
+    """Shared part-3 core: outcome probabilities plus weighted state average.
+
+    One ``_conditioned_states`` of the table's e = 1 rows gives every state
+    and probability; the average is the unnormalised states' sum over the total.
+    """
     n = scenario.n_parties
     d_a = int(np.prod(scenario.alice_dims))
     if reference.shape[0] > d_a:
         raise DimensionError(
             f"target state dim {reference.shape[0]} exceeds the Alice space dim {d_a}"
         )
-    probs = [table.pbar(l, 1) for l in outcomes]
+    states, probs = _conditioned_states(scenario, table._factors(1)[outcomes], outcomes, 1, tol)
+    probs = probs.tolist()
     prob_passed = all(
         abs(p - q) <= tol.acceptance for p, q in zip(probs, expected_probs)
     )
     total = float(sum(probs))
     if abs(total - 2.0**-n) > tol.acceptance:
         prob_passed = False
-    avg = np.zeros((d_a, d_a), dtype=complex)
-    for l, p in zip(outcomes, probs):
-        avg += p * post_measurement_state(scenario, l, 1, tol)
-    avg /= total
+    avg = states.sum(axis=0) / total
     target = _embed_block(reference, d_a)
     branch = match_up_to_conjugation(avg, target, tol)
     return Part3Report(

@@ -21,7 +21,7 @@ import numpy as np
 from .bell import all_labels, ghz_vector
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ContractViolation, DimensionError, ValidationError
-from .network import _basis_expansion, _contract_parties
+from .network import _basis_expansion, _basis_operators, _contract_parties
 from .tensor import (
     ID2,
     PAULI_X,
@@ -35,10 +35,8 @@ from .tensor import (
     require_hermitian,
 )
 
-# The Pauli basis, indexed [j, row, column].
-_BASIS = np.stack((PAULI_Z, PAULI_X, PAULI_Y, ID2))
 # Row j is sigma_j^T flattened, over 2: it sends a flattened X to Tr[sigma_j X] / 2.
-_PAULI_MAP = _BASIS.transpose(0, 2, 1).reshape(4, 4) / 2
+_PAULI_MAP = np.stack((PAULI_Z, PAULI_X, PAULI_Y, ID2)).transpose(0, 2, 1).reshape(4, 4) / 2
 _PAULI_MAP.flags.writeable = False
 
 
@@ -91,11 +89,8 @@ def pauli_coeffs(m: np.ndarray, n: int, tol: Tolerances = DEFAULT_TOL) -> PauliC
 
 
 def reconstruct_from_coeffs(f: PauliCoeffTensor) -> np.ndarray:
-    """Inverse of ``pauli_coeffs``: the inverse map, row (r c) and column j sigma_j[r, c]."""
-    n = f.n
-    t = _contract_parties(f.coeffs[None], [_BASIS.reshape(4, 4).T] * n).reshape((2, 2) * n)
-    # axes (row_1, col_1, ..., row_n, col_n) -> (rows, columns)
-    return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(2**n, 2**n)
+    """Inverse of ``pauli_coeffs``: ``_basis_operators`` with ``_PAULI_MAP`` on every qubit."""
+    return _basis_operators(f.coeffs[None], (2,) * f.n, _pauli_map)[0]
 
 
 class Povm:
@@ -114,14 +109,23 @@ class Povm:
     """
 
     def __init__(self, effects, tol: Tolerances = DEFAULT_TOL):
-        stack, spectrum, diag = _validated_stack(effects, tol)
-        if not diag.passed:
+        """Validate the stacked effects: the first faulty one in order raises, then completeness."""
+        stack = operator_stack(effects, "effect")
+        defects = hermitian_defects(stack)
+        spectrum = np.linalg.eigvalsh(hermitian_part(stack))
+        faulty = (defects > tol.structural) | (spectrum[:, 0] < -tol.structural)
+        if faulty.any():
+            k = int(np.argmax(faulty))
             raise ValidationError(
-                f"invalid POVM: Hermiticity defect {max(diag.hermiticity_defects):.3e}, "
-                f"min eigenvalue {min(diag.min_eigenvalues):.3e}, "
-                f"completeness residual {diag.completeness_residual:.3e} "
-                f"(tolerance {tol.structural:.1e})"
+                f"invalid POVM: effect {k}: Hermiticity defect {defects[k]:.3e}, "
+                f"min eigenvalue {spectrum[k, 0]:.3e} (tolerance {tol.structural:.1e})"
             )
+        residual = float(np.linalg.norm(stack.sum(axis=0) - np.eye(stack.shape[1])))
+        if residual > tol.structural:
+            raise ValidationError(f"invalid POVM: completeness residual {residual:.3e} "
+                                  f"(tolerance {tol.structural:.1e})")
+        for a in (stack, spectrum):
+            a.flags.writeable = False
         self._effects, self.vectors, self.tol, self.spectrum = stack, None, tol, spectrum
 
     @classmethod
@@ -171,43 +175,6 @@ class Povm:
         extremes = self.spectrum[:, [0, -1]]
         extremes.flags.writeable = False
         return extremes
-
-
-@dataclass(frozen=True)
-class PovmDiagnostics:
-    hermiticity_defects: tuple
-    min_eigenvalues: tuple
-    max_eigenvalues: tuple
-    completeness_residual: float
-    passed: bool
-
-
-def validate_povm(effects, tol: Tolerances = DEFAULT_TOL) -> PovmDiagnostics:
-    """Per-effect Hermiticity defect and extreme eigenvalues, and the completeness residual.
-
-    The effects are stacked once: one batched norm gives every Frobenius
-    defect ||M - M^dagger||, and one batched ``eigvalsh`` of the Hermitian
-    parts every least and greatest eigenvalue.  The defects, minus the least
-    eigenvalues and the residual must each lie within ``tol.structural``.
-    """
-    return _validated_stack(effects, tol)[2]
-
-
-def _validated_stack(effects, tol: Tolerances):
-    """The effects as one (K, d, d) array (``operator_stack``), their spectra and diagnostics."""
-    stack = operator_stack(effects, "effect")
-    defects = hermitian_defects(stack)
-    eigs = np.linalg.eigvalsh(hermitian_part(stack))
-    residual = float(np.linalg.norm(stack.sum(axis=0) - np.eye(stack.shape[1])))
-    passed = bool(
-        defects.max() <= tol.structural
-        and eigs[:, 0].min() >= -tol.structural
-        and residual <= tol.structural
-    )
-    for a in (stack, eigs):
-        a.flags.writeable = False
-    return stack, eigs, PovmDiagnostics(tuple(defects.tolist()), tuple(eigs[:, 0].tolist()),
-                                        tuple(eigs[:, -1].tolist()), residual, passed)
 
 
 def ghz_basis_measurement(n: int) -> Povm:

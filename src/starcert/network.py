@@ -35,6 +35,7 @@ from .errors import DimensionError, ValidationError
 from .tensor import (
     _STEP_ENTRIES,
     _hermitian_basis,
+    _pair_indices,
     _pair_layout,
     as_state,
     check_hermitian,
@@ -176,8 +177,8 @@ def assemble_joint_state(scenario: Scenario) -> np.ndarray:
     """Joint density operator reordered to A_1...A_N (x) E_1...E_N.
 
     This is the dense reference route used by the test oracles; the
-    production paths (``born_table``, ``post_measurement_state``) contract
-    the sources one at a time and never form it.
+    production paths (``born_table``, ``_conditioned_coefficients``)
+    expand the sources one at a time and never form it.
     """
     rho = kron_all(scenario.sources)
     dims = []
@@ -446,7 +447,7 @@ def _steering_operators(scenario: Scenario) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _real_maps(basis, dims: tuple):
-    """Real forms of the maps ``basis(d)`` of the factors ``dims``, for ``_basis_expansion``.
+    """Real forms of the maps ``basis(d)`` of ``dims``, for ``_basis_expansion`` and its inverse.
 
     Row m of each complex map is purely real or purely imaginary: it is D[m]
     or i D[m] with D real.  So prod_i basis(d_i)[m_i, k_i] is i^s(m) times
@@ -471,10 +472,11 @@ def _real_maps(basis, dims: tuple):
     return maps, select, sign
 
 
-def _basis_expansion(meas, dims: tuple, basis) -> np.ndarray:
+def _basis_expansion(meas, dims: tuple, basis, outcomes: slice = slice(None)) -> np.ndarray:
     """Real coefficients c[l, m_1..m_N] = Re sum_k R_l[k] prod_i basis(d_i)[m_i, k_i].
 
-    ``meas`` is a (K, d, d) stack or a ``Povm``, ``dims`` factor d, and
+    ``meas`` is a (K, d, d) stack or a ``Povm``, of which the rows
+    ``outcomes`` (a slice of step 1) are expanded, ``dims`` factor d, and
     ``basis(d_i)`` is a cached (m_i, d_i^2) complex map whose rows are each
     purely real or purely imaginary (``_real_maps``).  The work is real: the
     float view (re, im) of each outcome's ``_pair_layout`` is contracted
@@ -487,15 +489,47 @@ def _basis_expansion(meas, dims: tuple, basis) -> np.ndarray:
     pages; each chunk writes its rows of the one output array.
     """
     maps, select, sign = _real_maps(basis, dims)
-    k = len(getattr(meas, "spectrum", meas))  # a Povm's outcome count, or the stack's
-    out = np.empty((k, len(sign)))
+    rows = range(len(getattr(meas, "spectrum", meas)))[outcomes]  # of a Povm, or of the stack
+    out = np.empty((len(rows), len(sign)))
     # a basis is square, so a layout row has one (re, im) pair per coefficient
     step = max(1, _STEP_ENTRIES // (2 * len(sign)))
-    for s in range(0, k, step):
-        t = _contract_parties(_pair_layout(meas, dims, slice(s, s + step)).view(float), maps, (2,))
+    for s in range(0, len(rows), step):
+        chunk = rows[s:s + step]
+        layout = _pair_layout(meas, dims, slice(chunk.start, chunk.stop)).view(float)
+        t = _contract_parties(layout, maps, (2,))
         np.take(t.reshape(len(t), -1), select, axis=1, out=out[s:s + step])
     out *= sign
-    return out.reshape((k,) + tuple(len(m) for m in maps))
+    return out.reshape((len(rows),) + tuple(len(m) for m in maps))
+
+
+def _basis_operators(coeffs: np.ndarray, dims: tuple, basis) -> np.ndarray:
+    """Operators (K, d, d) of real coefficients (K, m_1..m_N): the inverse of ``_basis_expansion``.
+
+    Row m of the product map is i^s(m) prod_i D_i[m_i] (``_real_maps``), so
+    the inverse sends a[m] to i^-s(m) a[m], which is real for even s and
+    imaginary for odd s with ``_real_maps``' sign, then through prod_i D_i^-1:
+    one real stack of both parts, scattered from the pair layout to (row, column).
+    """
+    maps, select, sign = _real_maps(basis, dims)
+    k, d = len(coeffs), int(np.prod(dims))
+    parts = np.zeros((k, 2 * len(sign)))
+    parts[:, select] = coeffs.reshape(k, -1) * sign
+    t = _contract_parties(parts.reshape(2 * k, -1), [np.linalg.inv(m) for m in maps])
+    out = np.empty((k, d * d), dtype=complex)
+    out[:, _pair_indices(dims)[0]] = t[0::2].reshape(k, -1) + 1j * t[1::2].reshape(k, -1)
+    return out.reshape(k, d, d)
+
+
+def _conditioned_coefficients(scenario: Scenario, c: np.ndarray) -> np.ndarray:
+    """Coefficients (K, m_1..m_N) of the Alice states that Eve's rows c (K, D_1..D_N) condition.
+
+    With c of R_l and r_i (d_a^2, d_e^2) of source i expanded in the bases
+    of ``_hermitian_basis``, Tr_E[(1 (x) R_l) rho] has the real coefficients
+    sum_b c[l, b] prod_i r_i[m_i, b_i] in the Alice product basis.
+    """
+    maps = [_basis_expansion(rho[None], (d_a, d_e), _hermitian_basis)[0]
+            for rho, d_a, d_e in zip(scenario.sources, scenario.alice_dims, scenario.eve_dims)]
+    return _contract_parties(c, maps)
 
 
 def _born_factors(scenario: Scenario):

@@ -37,6 +37,7 @@ from starcert.fixtures import fixture_path
 from starcert.jsonio import load_mixed_state_spec
 from starcert.measurements import (
     Povm,
+    _embed_block,
     embed_projective,
     embed_rank1_povm,
     ghz_basis_measurement,
@@ -44,7 +45,7 @@ from starcert.measurements import (
     trine_povm,
     trine_preparation_outcomes,
 )
-from starcert.network import BinaryObservableTriple, Scenario, born_table
+from starcert.network import BinaryObservableTriple, CorrelationTable, Scenario, born_table
 from starcert.tensor import hermitian_part, numerical_ranks
 from starcert.presets import (
     computational_eve0,
@@ -199,17 +200,21 @@ def test_post_measurement_state_unit_trace(rng):
         assert vals.min() > -1e-10
 
 
-def test_post_measurement_state_zero_probability():
+def zero_effect_scenario():
+    """The ideal N = 2 scenario with Eve's second measurement (0, 1): outcome 0 never occurs."""
     scen = ideal_scenario(2)
     zero_eff = Povm((np.zeros((4, 4)), np.eye(4)))
-    scen2 = Scenario(
+    return Scenario(
         n_parties=2,
         sources=scen.sources,
         alice_observables=scen.alice_observables,
         eve=(scen.eve[0], zero_eff),
     )
+
+
+def test_post_measurement_state_zero_probability():
     with pytest.raises(ConditioningError):
-        post_measurement_state(scen2, 0, 1)
+        post_measurement_state(zero_effect_scenario(), 0, 1)
 
 
 @pytest.mark.parametrize("e", [-1, 2])
@@ -328,6 +333,44 @@ def test_certify_pure_preparation_rejects_a_target_larger_than_alice():
         certify_pure_preparation(ideal_scenario(2), np.ones(8) / np.sqrt(8))
 
 
+def test_part3_refuses_a_preparation_outcome_of_zero_probability():
+    with pytest.raises(ConditioningError, match=r"^outcome l=0, e=1 has probability 0\.000e\+00$"):
+        certify_pure_preparation(zero_effect_scenario(), np.array([1.0, 0.0]))
+
+
+def test_part3_never_builds_the_e1_correlator_tensor(monkeypatch, rng):
+    n = 2
+    spec = random_mixed_state_spec(2, rng)
+    scen = ideal_scenario(n, eve_second=embed_rank1_povm(trine_povm(spec), n))
+    correlator_tensor = CorrelationTable.correlator_tensor
+
+    def e0_only(table, e):
+        assert e != 1, "part 3 built the e = 1 correlator tensor"
+        return correlator_tensor(table, e)
+
+    monkeypatch.setattr(CorrelationTable, "correlator_tensor", e0_only)
+    assert certify_state_preparation(scen, spec).passed
+
+
+@pytest.mark.parametrize("alice_dims, eve_dims", [
+    ((2, 3), (4, 2)),
+    ((3, 2), (2, 3)),
+    ((2, 2, 2), (3, 2, 2)),
+])
+def test_part3_matches_the_table_and_the_dense_oracle_on_non_qubit_dims(alice_dims, eve_dims,
+                                                                        rng):
+    scen = random_scenario_with_dims(alice_dims, eve_dims, rng)
+    table = born_table(scen)
+    outcomes = [0, 2]
+    target = random_density_matrix(2, rng)
+    report = _part3_from_outcomes(scen, table, outcomes, [0.0, 0.0], target, DEFAULT_TOL)
+    probs = [table.pbar(l, 1) for l in outcomes]
+    npt.assert_allclose(report.probabilities, probs, rtol=0, atol=1e-12)
+    avg = sum(p * post_measurement_oracle(scen, l, 1) for l, p in zip(outcomes, probs)) / sum(probs)
+    oracle = match_up_to_conjugation(avg, _embed_block(target, len(avg)))
+    assert report.branch.distance == pytest.approx(oracle.distance, abs=1e-12)
+
+
 def _per_effect_part2_residuals(table, effects, mode):
     """Part 2's residuals by the per-effect route: one expansion, conjugate and rank per effect."""
     n = table.n
@@ -409,7 +452,7 @@ def test_check_part2_checks_a_dense_povm_at_the_run_tolerance():
             check_part2(table, ref, mode)
         # the same effects as an array are validated as a Povm at the run's tolerance
         with pytest.raises(ValidationError,
-                           match=r"^invalid POVM: Hermiticity defect 1\.000e-08, "):
+                           match=r"^invalid POVM: effect 0: Hermiticity defect 1\.000e-08, "):
             check_part2(table, ref.effects, mode, DEFAULT_TOL)
 
 
@@ -427,18 +470,19 @@ def test_check_part2_checks_each_effect_before_stacking(mode):
     table = born_table(ideal_with_reference(2, ghz_reference(2)))
     with pytest.raises(DimensionError, match=r"^effect 1 has dim 2, expected 4$"):
         check_part2(table, [np.eye(4) / 2, np.eye(2) / 2], mode)
-    with pytest.raises(ValidationError, match="^invalid POVM: Hermiticity defect "):
+    with pytest.raises(ValidationError, match="^invalid POVM: effect 1: Hermiticity defect "):
         check_part2(table, [np.eye(4) / 2, np.triu(np.ones((4, 4)))], mode)
 
 
 @pytest.mark.parametrize("mode", ["projective", "povm"])
 def test_check_part2_names_the_first_non_hermitian_effect_not_the_worst(mode):
-    # a list of effects is validated as a Povm, which names the greatest defect
+    # a list of effects is validated as a Povm, which names its first faulty effect
     table = born_table(ideal_with_reference(2, ghz_reference(2)))
     effects = np.array(ghz_reference(2).effects)
     effects[1, 0, 1] += 1e-9 / np.sqrt(2)  # ||M - M^dagger|| = 1e-9
     effects[3, 0, 1] += 1 / np.sqrt(2)
-    with pytest.raises(ValidationError, match=r"^invalid POVM: Hermiticity defect 1\.000e\+00, "):
+    with pytest.raises(ValidationError,
+                       match=r"^invalid POVM: effect 1: Hermiticity defect 1\.000e-09, "):
         check_part2(table, list(effects), mode)
 
 

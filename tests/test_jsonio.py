@@ -27,7 +27,7 @@ from starcert.jsonio import (
     scenario_from_json,
     scenario_to_json,
 )
-from starcert.measurements import Povm, ghz_basis_measurement, validate_povm
+from starcert.measurements import Povm, ghz_basis_measurement
 from starcert.presets import ideal_scenario
 
 TOL = DEFAULT_TOL.structural
@@ -79,11 +79,11 @@ ROUTES = {
 
 
 def _measured(effects):
-    diag = validate_povm(effects)
+    stack = np.array(effects)
     return {
-        "min_eigenvalue": -min(diag.min_eigenvalues),
-        "hermiticity": max(diag.hermiticity_defects),
-        "completeness": diag.completeness_residual,
+        "min_eigenvalue": -np.linalg.eigvalsh(starcert.tensor.hermitian_part(stack))[:, 0].min(),
+        "hermiticity": starcert.tensor.hermitian_defects(stack).max(),
+        "completeness": np.linalg.norm(stack.sum(axis=0) - np.eye(len(stack[0]))),
     }
 
 

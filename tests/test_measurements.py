@@ -31,7 +31,6 @@ from starcert.measurements import (
     _conjugation_signs,
     _pauli_expansion,
     _rank_one_factor,
-    validate_povm,
 )
 from starcert.presets import (
     random_hermitian,
@@ -130,31 +129,36 @@ def test_ghz_basis_measurement_is_complete_rank_one():
     for n in (2, 3):
         povm = ghz_basis_measurement(n)
         assert povm.outcome_count == 2**n
-        diag = validate_povm(povm.effects)
-        assert diag.passed
+        Povm(povm.effects)  # a complete measurement, dense too
         v = ghz_vector(BellOutcomeLabel.from_value(1, n))
         npt.assert_allclose(povm.effects[1], np.outer(v, v.conj()), atol=1e-12)
 
 
 def test_povm_rejects_incomplete():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^invalid POVM: completeness residual 7\.071e-01 "
+                       r"\(tolerance 1\.0e-10\)$"):
         Povm((np.eye(2) / 2,))
 
 
-def test_validate_povm_reports_negativity():
-    diag = validate_povm((np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])))
-    assert not diag.passed
-    assert min(diag.min_eigenvalues) == pytest.approx(-0.2, abs=1e-12)
+def test_povm_names_its_first_negative_effect():
+    with pytest.raises(ValidationError, match=r"^invalid POVM: effect 1: Hermiticity defect "
+                       r"0\.000e\+00, min eigenvalue -2\.000e-01 \(tolerance 1\.0e-10\)$"):
+        Povm((np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])))
 
 
-def test_validate_povm_reports_hermiticity_defects():
+def test_povm_names_its_first_non_hermitian_effect():
     # complete, but each effect is off Hermitian by ||M - M^dagger|| = 0.1 sqrt2
     skew = np.array([[0.0, 0.1], [0.0, 0.0]])
-    diag = validate_povm((np.diag([1.0, 0.0]) + skew, np.diag([0.0, 1.0]) - skew))
-    assert not diag.passed
-    npt.assert_allclose(diag.hermiticity_defects, [0.1 * np.sqrt(2)] * 2, rtol=0, atol=1e-15)
-    assert diag.completeness_residual == 0.0
-    assert validate_povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))).hermiticity_defects == (0.0, 0.0)
+    with pytest.raises(ValidationError,
+                       match=r"^invalid POVM: effect 0: Hermiticity defect 1\.414e-01, "):
+        Povm((np.diag([1.0, 0.0]) + skew, np.diag([0.0, 1.0]) - skew))
+    Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+
+
+def test_povm_checks_completeness_after_every_effect():
+    # incomplete as well, but a faulty effect is named first
+    with pytest.raises(ValidationError, match=r"^invalid POVM: effect 1: .*min eigenvalue -1\."):
+        Povm((np.eye(2) / 2, -np.eye(2)))
 
 
 def test_embed_projective_complement():
@@ -189,7 +193,7 @@ def test_embed_rank1_povm_completes_with_projectors(rng):
     base = random_rank1_extremal_povm(3, 5, rng)
     povm = embed_rank1_povm(base, 2)
     assert povm.outcome_count == 6  # 5 + (4 - 3) complement outcomes
-    assert validate_povm(povm.effects).passed
+    Povm(povm.effects)  # a complete measurement, dense too
     extra = povm.effects[5]
     npt.assert_allclose(extra @ extra, extra, atol=1e-10)  # projector
     # complement is orthogonal to the embedded block
@@ -284,7 +288,7 @@ def test_trine_povm_structure(rng):
     povm = trine_povm(spec)
     assert povm.dim == 4
     assert povm.outcome_count == 6
-    assert validate_povm(povm.effects).passed
+    Povm(povm.effects)  # a complete measurement, dense too
     assert is_extremal_rank1(povm).extremal
     # the (k, 1) effects carry the spectral decomposition of the target
     for k, l in enumerate(trine_preparation_outcomes(spec)):

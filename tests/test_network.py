@@ -32,6 +32,7 @@ from starcert.network import (
     CorrelationTable,
     Scenario,
     _basis_expansion,
+    _basis_operators,
     _born_factors,
     _check_factors,
     assemble_joint_state,
@@ -473,6 +474,11 @@ def test_born_factor_expansion_matches_a_complex_tensordot(dims, rng):
         else:
             allowed = 2 * np.finfo(float).eps * np.linalg.norm(effects, axis=(1, 2))
             assert (np.abs(rows - want).max(axis=1) <= allowed).all(), (k, kind)
+        # the last outcome alone, and the inverse back to the effects
+        npt.assert_allclose(_basis_expansion(meas, dims, _hermitian_basis, slice(k - 1, k)),
+                            rows[k - 1:], rtol=0, atol=1e-14)
+        npt.assert_allclose(_basis_operators(rows, dims, _hermitian_basis), effects, rtol=0,
+                            atol=1e-13)
 
 
 @pytest.mark.parametrize("alice_dims, eve_dims", [((2, 2), (2, 3)), ((2, 2, 2), (2, 2, 2))])
