@@ -391,13 +391,44 @@ class ScanReport:
 
 # Each model maps (scenario, v) to the scenario with every source (isotropic)
 # or every Eve effect (effects) X replaced by the convex mixture
-# v X + (1 - v) X_0, where X_0 depends on X alone.  noise_scan relies on this:
-# the Born-table factors are linear in X, so it expands the scenario and its
-# v = 0 image once and mixes their factors at each level.
+# v X + (1 - v) Tr[X] 1/d with white noise.  noise_scan builds none of these
+# scenarios: the Born factors are linear in X, so it mixes the scenario's
+# factors with those of its v = 0 image, which _white_end reads from them.
 NOISE_MODELS = {
     "isotropic": depolarize_sources,
     "effects": depolarize_effects,
 }
+
+
+def _white_end(model: str, scenario: Scenario, factors) -> tuple:
+    """``_born_factors(NOISE_MODELS[model](scenario, 0.0))``, read from the scenario's ``factors``.
+
+    In the basis of ``_hermitian_basis`` the identity of party i's Eve factor
+    has the coefficients t_i, 1 on its d_i diagonal units and 0 elsewhere, so
+    Tr[X] = c . t with t the product of the t_i.  ``effects`` sends each c_e[l]
+    to (Tr R_l / d_E) t, whose one eigenvalue is Tr R_l / d_E; the steering
+    maps stay.  ``isotropic`` sends W[x, a] to w 1, w = Tr M_{a|x} / (d_a d_e)
+    with Tr M_{a|x} = (d_a +- Tr A_x) / 2, so Tr W_+- = d_e max(+-w, 0) and
+    ||W||_F = |w| sqrt(d_e); Eve's factors stay.
+    """
+    coeffs, w_maps, (s, *r) = factors
+    dims = scenario.eve_dims
+    if model == "effects":
+        t = np.zeros(coeffs[0].shape[1:])
+        t[tuple(slice(d) for d in dims)] = 1.0
+        white = [c.reshape(len(c), -1) @ t.ravel() / scenario.eve[0].dim for c in coeffs]
+        return ([np.multiply.outer(u, t) for u in white], w_maps,
+                [s] + [np.stack([np.minimum(u, 0.0), np.maximum(u, 0.0)]) for u in white])
+    w_maps = []
+    for triple, d_a, d_e in zip(scenario.alice_observables, scenario.alice_dims, dims):
+        tr_a = np.trace(np.stack(triple.observables()), axis1=1, axis2=2).real
+        w_maps.append(np.zeros((6, d_e * d_e)))
+        w_maps[-1][:, :d_e] = (np.stack([d_a + tr_a, d_a - tr_a], axis=1).reshape(6, 1)
+                               / (2 * d_a * d_e))
+    w, d_e = np.array([m[:, 0] for m in w_maps]), np.array(dims, dtype=float)[:, None]
+    spectra = np.stack([d_e * np.maximum(w, 0.0), d_e * np.maximum(-w, 0.0),
+                        np.abs(w) * np.sqrt(d_e)])
+    return coeffs, w_maps, [spectra, *r]
 
 
 def noise_scan(scenario: Scenario, model: str, grid,
@@ -405,11 +436,13 @@ def noise_scan(scenario: Scenario, model: str, grid,
                tol: Tolerances = DEFAULT_TOL) -> ScanReport:
     """Part-1 (and optionally part-2) metrics along a noise grid.
 
-    The scenario and its v = 0 image are built and expanded once; level v
-    is read from the mixed Born factors v f_1 + (1 - v) f_0, which are those
-    of the noisy scenario (see ``NOISE_MODELS``).  The sorted grid
-    is walked in chunks of levels, and each chunk's mixed factors are
-    checked and contracted as one stack, with no (a, l, x) table.
+    The scenario is expanded once into its Born factors f_1, and those f_0
+    of its v = 0 image are read from them in closed form (``_white_end``):
+    no noisy scenario is built.  Level v is read from the mixed factors
+    v f_1 + (1 - v) f_0, which are those of the noisy scenario (see
+    ``NOISE_MODELS``).  The sorted grid is walked in chunks of levels, and
+    each chunk's mixed factors are checked and contracted as one stack,
+    with no (a, l, x) table.
     """
     _require_mode(mode)
     if model not in NOISE_MODELS:
@@ -421,7 +454,8 @@ def noise_scan(scenario: Scenario, model: str, grid,
         raise DimensionError("noise levels must lie in [0, 1]")
     n = scenario.n_parties
     levels = sorted(grid)
-    ends = _born_factors(scenario), _born_factors(NOISE_MODELS[model](scenario, 0.0))
+    factors = _born_factors(scenario)
+    ends = factors, _white_end(model, scenario, factors)
     terms = None if reference_effects is None else _reference_terms(
         reference_effects, n, scenario.eve[1].outcome_count, mode, tol)
     # levels per chunk: the non-negativity check expands one level's factors

@@ -21,7 +21,7 @@ import numpy as np
 from .bell import all_labels, ghz_vector
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ContractViolation, DimensionError, ValidationError
-from .network import _basis_expansion, _basis_operators, _contract_parties
+from .network import _basis_expansion, _basis_operators
 from .tensor import (
     ID2,
     PAULI_X,

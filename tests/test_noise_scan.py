@@ -1,6 +1,9 @@
-"""noise_scan, which mixes the expanded factors of a scenario and its v = 0
-image and reads chunks of levels as stacks, against the per-level route of
-``noise_scan_oracle``."""
+"""noise_scan, which mixes the expanded factors of a scenario with those of
+its v = 0 image, read in closed form, and reads chunks of levels as stacks,
+against the per-level route of ``noise_scan_oracle``."""
+
+import importlib
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -9,12 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starcert.network
-from starcert.certify import NOISE_MODELS, noise_scan
+from starcert.certify import NOISE_MODELS, _white_end, noise_scan
 from starcert.config import Tolerances
 from starcert.errors import StarcertError
 from starcert.measurements import Povm, ghz_basis_measurement
-from starcert.network import Scenario
-from starcert.presets import ideal_scenario, random_projective_measurement, random_scenario
+from starcert.network import Scenario, _born_factors
+from starcert.presets import (
+    ideal_scenario,
+    random_projective_measurement,
+    random_rank1_extremal_povm,
+    random_scenario,
+    random_unitary,
+)
+from starcert.tensor import kron_all
 
 from conftest import noise_scan_oracle, random_scenario_with_dims
 
@@ -129,3 +139,86 @@ def test_noise_scan_raises_like_oracle_under_tight_tolerance(model):
 def test_noise_scan_level_matches_oracle(seed, n, model, v):
     scen = random_scenario(n, np.random.default_rng(seed))
     assert_same_scan(noise_scan(scen, model, [v]), noise_scan_oracle(scen, model, [v]))
+
+
+# N = 2 and 3: qubits and the three non-qubit dimension sets
+END_SCENARIOS = ("qubits-n2", "qubits-n3", "dims-23-42", "dims-32-23", "dims-222-322")
+
+
+def rank_one_eve(scen, rng):
+    """The scenario with rank-one Eve measurements: e = 1 always, e = 0 when it fits (qubits)."""
+    d, n = scen.eve[0].dim, scen.n_parties
+    eve0 = Povm.rank_one(random_unitary(d, rng)) if d == 2**n else scen.eve[0]
+    return replace(scen, eve=(eve0, random_rank1_extremal_povm(d, d + 1, rng)))
+
+
+@pytest.mark.parametrize("rank_one", [False, True], ids=["dense", "rank-one"])
+@pytest.mark.parametrize("name", END_SCENARIOS)
+@pytest.mark.parametrize("model", sorted(NOISE_MODELS))
+def test_white_end_matches_the_expanded_v0_image(model, name, rank_one, rng):
+    scen = SCENARIOS[name](rng)
+    if rank_one:
+        scen = rank_one_eve(scen, rng)
+    factors = _born_factors(scen)
+    expected = _born_factors(NOISE_MODELS[model](scen, 0.0))
+    # coefficients, steering maps and spectra, item by item
+    for got, want in zip(_white_end(model, scen, factors), expected, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape
+            npt.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", sorted(NOISE_MODELS))
+def test_noise_scan_expands_once_and_builds_no_scenario(model, monkeypatch):
+    certify, built = importlib.import_module("starcert.certify"), []
+    expand, check_scenario = certify._born_factors, Scenario.__post_init__
+    povm_init = Povm.__init__
+
+    def counted_expand(scenario):
+        built.append("expansion")
+        return expand(scenario)
+
+    def counted_scenario(self):
+        built.append("Scenario")
+        check_scenario(self)
+
+    def counted_povm(self, *args, **kwargs):
+        built.append("Povm")
+        povm_init(self, *args, **kwargs)
+
+    scen = ghz_scenario(3)
+    monkeypatch.setattr(certify, "_born_factors", counted_expand)
+    monkeypatch.setattr(Scenario, "__post_init__", counted_scenario)
+    monkeypatch.setattr(Povm, "__init__", counted_povm)
+    noise_scan(scen, model, GRID_41)
+    assert built == ["expansion"]
+
+
+def rotate_eve(scen, rng):
+    """The scenario with a random unitary U_i on each Eve factor, of the sources and the effects.
+
+    Source i becomes (1 (x) U_i) rho_i (1 (x) U_i)^dagger and each effect
+    U R U^dagger with U the product of the U_i; the Born table stays.
+    """
+    us = [random_unitary(d, rng) for d in scen.eve_dims]
+    sources = tuple(
+        g @ rho @ g.conj().T
+        for rho, g in ((rho, np.kron(np.eye(d_a), u))
+                       for rho, d_a, u in zip(scen.sources, scen.alice_dims, us)))
+    u = kron_all(us)
+    eve = tuple(Povm.rank_one(m.vectors @ u.T) if m.vectors is not None
+                else Povm(u @ m.effects @ u.conj().T) for m in scen.eve)
+    return replace(scen, sources=sources, eve=eve)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(END_SCENARIOS + ("ghz-n3",)),
+       model=st.sampled_from(sorted(NOISE_MODELS)), mode=st.sampled_from([None, "povm"]))
+def test_noise_scan_is_invariant_under_unitaries_on_eve_factors(seed, name, model, mode):
+    rng = np.random.default_rng(seed)
+    scen = SCENARIOS[name](rng)
+    kwargs = {}
+    if mode is not None:
+        kwargs = {"reference_effects": reference_for(scen, rng), "mode": mode}
+    assert_same_scan(noise_scan(rotate_eve(scen, rng), model, GRID, **kwargs),
+                     noise_scan(scen, model, GRID, **kwargs))
