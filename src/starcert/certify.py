@@ -351,15 +351,22 @@ def _resolve_verdict(part1: Part1Report, part2: Part2Report | None,
 def certify(scenario: Scenario, reference_effects, mode: str,
             tol: Tolerances = DEFAULT_TOL,
             state_spec: MixedStateSpec = None) -> CertificationReport:
-    """Full pipeline: part 1, part 2 in the requested mode, optional part 3."""
+    """Full pipeline: part 1, part 2 in the requested mode, optional part 3.
+
+    A ``reference_effects`` of None runs no part 2 and reports ``part2=None``,
+    as in ``noise_scan``; parts 2 and 3 must agree on the branch only when
+    both ran.  An unknown ``mode`` raises either way.
+    """
     _require_mode(mode)
     table = born_table(scenario, tol)
     part1 = check_part1(table, scenario.n_parties, tol)
-    part2 = check_part2(table, reference_effects, mode, tol)
-    part3 = None
+    part2 = part3 = None
+    if reference_effects is not None:
+        part2 = check_part2(table, reference_effects, mode, tol)
     if state_spec is not None:
         part3 = certify_state_preparation(scenario, state_spec, table, tol)
-        if part3.branch.matched() and part2.passed and part3.branch.branch != part2.branch:
+        if (part3.branch.matched() and part2 is not None and part2.passed
+                and part3.branch.branch != part2.branch):
             # inconsistent branches across pipeline stages cannot certify
             part3 = replace(part3, branch=ConjugationBranch(NO_BRANCH, part3.branch.distance),
                             state_passed=False)

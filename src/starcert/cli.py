@@ -22,21 +22,11 @@ from .bell import (
     classical_bound_formula,
     quantum_bound,
 )
-from .certify import (
-    CERTIFIED,
-    CertificationReport,
-    Part3Report,
-    _resolve_verdict,
-    certify,
-    certify_state_preparation,
-    check_part1,
-    noise_scan,
-)
+from .certify import CERTIFIED, CertificationReport, certify, noise_scan
 from .config import DEFAULT_TOL, Tolerances
 from .errors import StarcertError, ValidationError
 from .jsonio import load_mixed_state_spec, load_povm, load_scenario
 from .measurements import embed_rank1_povm, trine_povm
-from .network import born_table
 from .presets import ideal_scenario
 
 # Largest N that any subcommand builds a Born table for; _check_parties states why.
@@ -100,11 +90,12 @@ def _envelope(config: argparse.Namespace, body: dict) -> dict:
     return doc
 
 
-def _emit(config: argparse.Namespace, text: str, structured: dict) -> None:
+def _emit(config: argparse.Namespace, text, structured: dict) -> None:
+    """Print or write the report; ``text()`` formats the text form, only when it is asked for."""
     if config.format == "structured":
         payload = json.dumps(structured, indent=2, sort_keys=True, allow_nan=False)
     else:
-        payload = text
+        payload = text()
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(payload + "\n")
@@ -134,20 +125,17 @@ def _report_body(report: CertificationReport) -> dict:
             "passed": report.part2.passed,
         }
     if report.part3 is not None:
-        body["part3"] = {"outcomes": list(report.part3.outcomes), **_part3_body(report.part3)}
+        p3 = report.part3
+        body["part3"] = {
+            "outcomes": list(p3.outcomes),
+            "probabilities": [_f(p) for p in p3.probabilities],
+            "expected_probabilities": [_f(p) for p in p3.expected_probabilities],
+            "total_probability": _f(p3.total_probability),
+            "branch": p3.branch.branch,
+            "distance": _f(p3.branch.distance),
+            "passed": p3.passed,
+        }
     return body
-
-
-def _part3_body(p3: Part3Report) -> dict:
-    """The part-3 block that ``certify`` and ``prepare-state`` share."""
-    return {
-        "probabilities": [_f(p) for p in p3.probabilities],
-        "expected_probabilities": [_f(p) for p in p3.expected_probabilities],
-        "total_probability": _f(p3.total_probability),
-        "branch": p3.branch.branch,
-        "distance": _f(p3.branch.distance),
-        "passed": p3.passed,
-    }
 
 
 def _report_text(report: CertificationReport) -> str:
@@ -178,6 +166,10 @@ def _report_text(report: CertificationReport) -> str:
             f"part3: {'pass' if p3.passed else 'FAIL'}, branch {p3.branch.branch}, "
             f"distance {p3.branch.distance:.3e}"
         )
+        lines.append(
+            f"total preparation probability: {p3.total_probability:.12f} "
+            f"(target {2.0**-p1.evaluations[0].label.n:.12f})"
+        )
     return "\n".join(lines)
 
 
@@ -201,7 +193,7 @@ def cmd_bounds(config: argparse.Namespace) -> int:
         "delta": _f(delta),
         "formula_only": False,
     }
-    _emit(config, text, _envelope(config, body))
+    _emit(config, lambda: text, _envelope(config, body))
     return 0
 
 
@@ -212,7 +204,7 @@ def cmd_certify(config: argparse.Namespace) -> int:
     _check_parties(scenario.n_parties)
     reference = load_povm(config.reference, config.sha256)
     report = certify(scenario, reference, config.mode, _tolerances(config))
-    _emit(config, _report_text(report), _envelope(config, _report_body(report)))
+    _emit(config, lambda: _report_text(report), _envelope(config, _report_body(report)))
     return 0 if report.verdict == CERTIFIED else 1
 
 
@@ -220,11 +212,7 @@ def cmd_prepare_state(config: argparse.Namespace) -> int:
     if not config.state_spec:
         raise ValidationError("prepare-state requires --state-spec")
     spec = load_mixed_state_spec(config.state_spec, config.sha256)
-    n = config.n
-    if n is None:
-        n = 2
-        while 2**n < 2 * spec.d:
-            n += 1
+    n = max(2, (2 * spec.d - 1).bit_length()) if config.n is None else config.n
     if 2**n < 2 * spec.d:
         raise ValidationError(
             f"N={n} gives Eve dimension {2**n} < 2d = {2 * spec.d}"
@@ -232,27 +220,11 @@ def cmd_prepare_state(config: argparse.Namespace) -> int:
     _check_parties(n)
     tol = _tolerances(config)
     povm = embed_rank1_povm(trine_povm(spec, tol), n, tol)
-    scenario = ideal_scenario(n, eve_second=povm)
-    table = born_table(scenario, tol)
-    part1 = check_part1(table, n, tol)
-    part3 = certify_state_preparation(scenario, spec, table, tol)
-    verdict = _resolve_verdict(part1, None, part3)
-    text = "\n".join([
-        f"verdict: {verdict}",
-        f"part1: {'pass' if part1.passed else 'FAIL'}",
-        f"part3: {'pass' if part3.passed else 'FAIL'}, branch {part3.branch.branch}, "
-        f"distance {part3.branch.distance:.3e}",
-        f"total preparation probability: {part3.total_probability:.12f} "
-        f"(target {2.0**-n:.12f})",
-    ])
-    body = {
-        "n": n,
-        "part1_passed": part1.passed,
-        "part3": _part3_body(part3),
-        "verdict": verdict,
-    }
-    _emit(config, text, _envelope(config, body))
-    return 0 if verdict == CERTIFIED else 1
+    # no reference: part 2 would test Eve's measurement against itself
+    report = certify(ideal_scenario(n, eve_second=povm), None, "povm", tol, spec)
+    body = {"n": n, "part1_passed": report.part1.passed, **_report_body(report)}
+    _emit(config, lambda: _report_text(report), _envelope(config, body))
+    return 0 if report.verdict == CERTIFIED else 1
 
 
 def cmd_scan(config: argparse.Namespace) -> int:
@@ -278,26 +250,29 @@ def cmd_scan(config: argparse.Namespace) -> int:
     tol = _tolerances(config)
     report = noise_scan(scenario, config.noise, config.grid,
                         reference_effects=reference, mode=config.mode, tol=tol)
-    lines = ["level\tmin_bell\tpbar_deviation\tpart2_max_residual"]
-    rows = []
-    for row in report.rows:
-        res = "" if row.part2_max_residual is None else f"{row.part2_max_residual:.6e}"
-        lines.append(
-            f"{row.level:.6f}\t{row.min_bell:.12f}\t{row.pbar_deviation:.6e}\t{res}"
-        )
-        rows.append({
-            "level": _f(row.level),
-            "bell_values": [_f(v) for v in row.bell_values],
-            "unconditionable_labels": _unconditionable(row.bell_values, scenario.n_parties),
-            "min_bell": _f(row.min_bell),
-            "pbar_deviation": _f(row.pbar_deviation),
-            "part2_max_residual": (
-                None if row.part2_max_residual is None else _f(row.part2_max_residual)
-            ),
-        })
-    lines.append(f"min_bell non-decreasing: {report.bell_monotone}")
+    rows = [{
+        "level": _f(row.level),
+        "bell_values": [_f(v) for v in row.bell_values],
+        "unconditionable_labels": _unconditionable(row.bell_values, scenario.n_parties),
+        "min_bell": _f(row.min_bell),
+        "pbar_deviation": _f(row.pbar_deviation),
+        "part2_max_residual": (
+            None if row.part2_max_residual is None else _f(row.part2_max_residual)
+        ),
+    } for row in report.rows]
+
+    def text() -> str:
+        lines = ["level\tmin_bell\tpbar_deviation\tpart2_max_residual"]
+        for row in report.rows:
+            res = "" if row.part2_max_residual is None else f"{row.part2_max_residual:.6e}"
+            lines.append(
+                f"{row.level:.6f}\t{row.min_bell:.12f}\t{row.pbar_deviation:.6e}\t{res}"
+            )
+        lines.append(f"min_bell non-decreasing: {report.bell_monotone}")
+        return "\n".join(lines)
+
     body = {"model": report.model, "rows": rows, "bell_monotone": report.bell_monotone}
-    _emit(config, "\n".join(lines), _envelope(config, body))
+    _emit(config, text, _envelope(config, body))
     return 0
 
 
@@ -309,9 +284,9 @@ def cmd_validate(config: argparse.Namespace) -> int:
         )
     for kind, path in checked:
         _INPUTS[kind](path, config.sha256)
-    text = "\n".join(f"{kind}: {path}: valid" for kind, path in checked)
     body = {"validated": [{"kind": k, "path": p} for k, p in checked]}
-    _emit(config, text, _envelope(config, body))
+    _emit(config, lambda: "\n".join(f"{kind}: {path}: valid" for kind, path in checked),
+          _envelope(config, body))
     return 0
 
 

@@ -36,6 +36,7 @@ from starcert.errors import (
 from starcert.fixtures import fixture_path
 from starcert.jsonio import load_mixed_state_spec
 from starcert.measurements import (
+    MixedStateSpec,
     Povm,
     _embed_block,
     embed_projective,
@@ -637,6 +638,32 @@ def test_certify_fails_when_part3_matches_the_other_branch():
     assert report.part2.passed and report.part2.branch == PLAIN
     assert report.part3.branch.branch == NO_BRANCH and not report.part3.state_passed
     assert report.verdict == FAILED
+
+
+@pytest.mark.parametrize("mode", ["projective", "povm"])
+def test_certify_without_a_reference_reads_its_verdict_from_parts_1_and_3(mode):
+    spec = load_mixed_state_spec(fixture_path("mixed_demo.statespec.json"))
+    scen = ideal_scenario(2, eve_second=embed_rank1_povm(trine_povm(spec), 2))
+    mixed = MixedStateSpec(2, (0.5, 0.5), (np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    reports = [certify(scenario, None, mode, state_spec=target) for scenario, target in
+               ((scen, spec), (scen, mixed), (depolarize_one_source(scen, 0, 0.8), spec))]
+    for report in reports:
+        assert report.part2 is None
+        assert report.verdict == _resolve_verdict(report.part1, None, report.part3)
+    certified, wrong_target, noisy = reports
+    assert certified.verdict == CERTIFIED and certified.part3.branch.branch == CONJUGATE
+    # a missed target fails the run on part 3 alone, a noisy source on part 1
+    assert wrong_target.verdict == FAILED and wrong_target.part1.passed
+    assert not wrong_target.part3.passed
+    assert noisy.verdict == FAILED and not noisy.part1.passed
+
+
+@pytest.mark.parametrize("with_state_spec", [False, True])
+def test_certify_without_a_reference_rejects_an_unknown_mode(with_state_spec):
+    spec = load_mixed_state_spec(fixture_path("mixed_demo.statespec.json"))
+    scen = ideal_scenario(2, eve_second=embed_rank1_povm(trine_povm(spec), 2))
+    with pytest.raises(DimensionError, match="unknown certification mode 'bogus'"):
+        certify(scen, None, "bogus", state_spec=spec if with_state_spec else None)
 
 
 def test_verdict_resolution_inconclusive():

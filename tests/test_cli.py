@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import sys
 from types import SimpleNamespace
@@ -8,11 +9,12 @@ import pytest
 
 import starcert.network
 from starcert import cli
+from starcert.certify import certify
 from starcert.cli import main
 from starcert.config import Tolerances
 from starcert.fixtures import fixture_path
-from starcert.jsonio import save_scenario
-from starcert.measurements import Povm, ghz_basis_measurement
+from starcert.jsonio import load_mixed_state_spec, save_scenario
+from starcert.measurements import Povm, embed_rank1_povm, ghz_basis_measurement, trine_povm
 from starcert.network import Scenario
 from starcert.presets import ideal_scenario
 
@@ -93,12 +95,51 @@ def test_prepare_state(capsys):
 
 def test_prepare_state_reads_its_verdict_from_the_certify_rule(monkeypatch, capsys):
     # maximal Bell values with outcome weights off uniform: Inconclusive, as in certify
-    real = cli.check_part1
-    monkeypatch.setattr(cli, "check_part1",
+    # the module, not the function that ``starcert`` re-exports under its name
+    certify_module = importlib.import_module("starcert.certify")
+    real = certify_module.check_part1
+    monkeypatch.setattr(certify_module, "check_part1",
                         lambda *args: dataclasses.replace(real(*args), pbar_passed=False))
     assert main(["prepare-state", "--state-spec", MIXED_SPEC, "--format", "structured"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "Inconclusive" and doc["part3"]["passed"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_prepare_state_reports_the_certify_report_of_its_scenario(n, capsys):
+    # part 1 and part 3 of certify, no part 2, plus prepare-state's own n and part1_passed
+    assert main(["prepare-state", "--n", str(n), "--state-spec", MIXED_SPEC,
+                 "--format", "structured", "--reproducible"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for key in ("tool", "version", "command", "inputs"):
+        del doc[key]
+    spec = load_mixed_state_spec(MIXED_SPEC)
+    tol = cli.DEFAULT_TOL
+    scenario = ideal_scenario(n, eve_second=embed_rank1_povm(trine_povm(spec, tol), n, tol))
+    report = certify(scenario, None, "povm", tol, spec)
+    expected = {"n": n, "part1_passed": report.part1.passed, **cli._report_body(report)}
+    assert "part2" not in doc
+    assert doc == json.loads(json.dumps(expected))
+
+
+def test_prepare_state_text_shows_every_part1_label(capsys):
+    assert main(["prepare-state", "--n", "3", "--state-spec", MIXED_SPEC]) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("  l=") for line in out.splitlines()) == 8
+    assert "part2" not in out
+    assert f"total preparation probability: {0.125:.12f} (target {0.125:.12f})" in out
+
+
+def test_structured_output_formats_no_text(monkeypatch, capsys):
+    def forbidden(report):
+        raise AssertionError("the text report was formatted for structured output")
+
+    monkeypatch.setattr(cli, "_report_text", forbidden)
+    assert main(["certify", "--scenario", IDEAL, "--reference", GHZ_REF,
+                 "--format", "structured"]) == 0
+    assert main(["prepare-state", "--state-spec", MIXED_SPEC, "--format", "structured"]) == 0
+    with pytest.raises(AssertionError, match="the text report was formatted"):
+        main(["certify", "--scenario", IDEAL, "--reference", GHZ_REF])
 
 
 def test_prepare_state_invalid_weights(tmp_path):
@@ -118,7 +159,7 @@ def no_construction(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a scenario was built past the --n limit")
 
-    for name in ("trine_povm", "embed_rank1_povm", "ideal_scenario", "born_table",
+    for name in ("trine_povm", "embed_rank1_povm", "ideal_scenario", "certify",
                  "load_scenario", "noise_scan"):
         monkeypatch.setattr(cli, name, forbidden)
 
@@ -150,7 +191,7 @@ def test_scenario_file_above_limit_is_rejected_before_construction(monkeypatch, 
         raise AssertionError("a Born table was built past the N limit")
 
     monkeypatch.setattr(cli, "load_scenario", lambda path, digests: SimpleNamespace(n_parties=n))
-    for name in ("born_table", "certify", "noise_scan"):
+    for name in ("certify", "noise_scan"):
         monkeypatch.setattr(cli, name, forbidden)
     assert main(["certify", "--scenario", IDEAL, "--reference", GHZ_REF]) == 2
     assert main(["scan", "--scenario", IDEAL, "--grid", "0,1"]) == 2
