@@ -171,18 +171,23 @@ def bell_terms(n: int):
     return support, coeffs
 
 
-def _bell_values(n: int, t: np.ndarray, weights: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Bell values of correlator tensors t (..., K, 4, ..., 4) with weights P(l|e) (..., K).
+def _bell_numerators(n: int, t: np.ndarray) -> np.ndarray:
+    """Each label's coefficient row dotted with the support entries of its outcome's correlators.
 
-    Covers the first min(2^N, K) labels.  Label l's value is its coefficient
-    row dotted with the support entries of the correlator tensor of outcome
-    l, divided by P(l | e); it is NaN where P(l | e) is too small to
-    condition on.
+    ``t`` is (..., K, 4, ..., 4), and the result (..., k) covers the first
+    k = min(2^N, K) labels.  It is linear in t.
     """
     support, coeffs = bell_terms(n)
-    k = min(len(coeffs), weights.shape[-1])
-    raw = (t[(Ellipsis, slice(k), *support.T)] * coeffs[:k]).sum(axis=-1)
-    weights = weights[..., :k]
+    k = min(len(coeffs), t.shape[-n - 1])
+    return (t[(Ellipsis, slice(k), *support.T)] * coeffs[:k]).sum(axis=-1)
+
+
+def _bell_values(raw: np.ndarray, weights: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Bell values raw / P(l | e) of numerators raw (..., k) with weights P(l | e) (..., K >= k).
+
+    A value is NaN where P(l | e) is too small to condition on.
+    """
+    weights = weights[..., :raw.shape[-1]]
     values = np.full(raw.shape, np.nan)
     np.divide(raw, weights, out=values, where=weights > tol.probability)
     return values
@@ -193,7 +198,8 @@ def bell_values(table: CorrelationTable, e: int = 0) -> np.ndarray:
 
     Label l's value is NaN where P(l | e) is too small to condition on.
     """
-    return _bell_values(table.n, table.correlator_tensor(e), table.outcome_weights(e), table.tol)
+    raw = _bell_numerators(table.n, table.correlator_tensor(e))
+    return _bell_values(raw, table.outcome_weights(e), table.tol)
 
 
 def bell_value(table: CorrelationTable, label: BellOutcomeLabel, e: int = 0) -> float:

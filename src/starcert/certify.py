@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bell import _bell_values, _evaluation, all_labels, bell_values
+from .bell import _bell_numerators, _bell_values, _evaluation, all_labels, bell_values
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ConditioningError, ContractViolation, DimensionError
 from .measurements import (
@@ -40,8 +40,11 @@ from .network import (
     _basis_operators,
     _born_factors,
     _check_factors,
+    _check_levels,
     _conditioned_coefficients,
+    _contract_parties,
     _correlators,
+    _outcome_sums,
     _outcome_weights,
     born_table,
 )
@@ -399,8 +402,13 @@ class ScanReport:
 # Each model maps (scenario, v) to the scenario with every source (isotropic)
 # or every Eve effect (effects) X replaced by the convex mixture
 # v X + (1 - v) Tr[X] 1/d with white noise.  noise_scan builds none of these
-# scenarios: the Born factors are linear in X, so it mixes the scenario's
-# factors with those of its v = 0 image, which _white_end reads from them.
+# scenarios: the Born factors are linear in X, so level v reads the factors
+# v f_1 + (1 - v) f_0 of the scenario's own (f_1) and of its v = 0 image
+# (f_0, which _white_end reads from f_1).  Under effects only Eve's
+# coefficients mix, so every quantity a scan reads is affine in v and is read
+# from the two ends' contractions.  Under isotropic every party's steering
+# map mixes, so the table is a degree-N polynomial in v, and each level's
+# factors are mixed and contracted.
 NOISE_MODELS = {
     "isotropic": depolarize_sources,
     "effects": depolarize_effects,
@@ -413,10 +421,11 @@ def _white_end(model: str, scenario: Scenario, factors) -> tuple:
     In the basis of ``_hermitian_basis`` the identity of party i's Eve factor
     has the coefficients t_i, 1 on its d_i diagonal units and 0 elsewhere, so
     Tr[X] = c . t with t the product of the t_i.  ``effects`` sends each c_e[l]
-    to (Tr R_l / d_E) t, whose one eigenvalue is Tr R_l / d_E; the steering
-    maps stay.  ``isotropic`` sends W[x, a] to w 1, w = Tr M_{a|x} / (d_a d_e)
-    with Tr M_{a|x} = (d_a +- Tr A_x) / 2, so Tr W_+- = d_e max(+-w, 0) and
-    ||W||_F = |w| sqrt(d_e); Eve's factors stay.
+    to u_e[l] t, u_e[l] = Tr R_l / d_E, whose one eigenvalue is u_e[l]; the
+    steering maps stay.  So its coefficients come as ([u_0, u_1], t), and
+    c_e^0 = u_e (x) t is never formed.  ``isotropic`` sends W[x, a] to w 1,
+    w = Tr M_{a|x} / (d_a d_e) with Tr M_{a|x} = (d_a +- Tr A_x) / 2, so
+    Tr W_+- = d_e max(+-w, 0) and ||W||_F = |w| sqrt(d_e); Eve's factors stay.
     """
     coeffs, w_maps, (s, *r) = factors
     dims = scenario.eve_dims
@@ -424,7 +433,7 @@ def _white_end(model: str, scenario: Scenario, factors) -> tuple:
         t = np.zeros(coeffs[0].shape[1:])
         t[tuple(slice(d) for d in dims)] = 1.0
         white = [c.reshape(len(c), -1) @ t.ravel() / scenario.eve[0].dim for c in coeffs]
-        return ([np.multiply.outer(u, t) for u in white], w_maps,
+        return ((white, t), w_maps,
                 [s] + [np.stack([np.minimum(u, 0.0), np.maximum(u, 0.0)]) for u in white])
     w_maps = []
     for triple, d_a, d_e in zip(scenario.alice_observables, scenario.alice_dims, dims):
@@ -438,6 +447,69 @@ def _white_end(model: str, scenario: Scenario, factors) -> tuple:
     return coeffs, w_maps, [spectra, *r]
 
 
+def _mix(v: np.ndarray, one: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """v one + (1 - v) zero for each level of v, stacked (L, ...); ``zero`` broadcasts."""
+    out = np.multiply.outer(v, one)
+    out += np.multiply.outer(1 - v, zero)
+    return out
+
+
+def _isotropic_chunks(n: int, levels, ends, both: bool, tol: Tolerances):
+    """An ``isotropic`` scan: each chunk of levels mixes the factors, checks and contracts them.
+
+    A chunk holds as many levels as the non-negativity check could expand
+    within ``_CHUNK_ENTRIES`` entries, (K_0 + K_1) 6^N per level.  Yields
+    the levels v, their Bell numerators and weights P(l | 0) (L, K_0) and,
+    if ``both``, [their e = 1 correlator tensors (L, K_1, 4, ..., 4)].
+    """
+    step = max(1, _CHUNK_ENTRIES // (sum(len(c) for c in ends[0][0]) * 6**n))
+    for s in range(0, len(levels), step):
+        v = np.array(levels[s:s + step])
+        coeffs, w_maps, spectra = ([_mix(v, a, b) for a, b in zip(f1, f0)] for f1, f0 in zip(*ends))
+        _check_factors(n, coeffs, w_maps, tol, spectra)
+        t0, *t1 = [_correlators(c, w_maps) for c in coeffs[:1 + both]]
+        yield v, _bell_numerators(n, t0), _outcome_weights(n, t0), t1
+
+
+def _effects_chunks(n: int, levels, ends, both: bool, tol: Tolerances):
+    """An ``effects`` scan, as ``_isotropic_chunks``, each level mixed from the two ends.
+
+    Every quantity Q a level reads is linear in Eve's coefficients, so it is
+    contracted once per end, whatever the number of levels: Q_1 from the
+    scenario's factors c_e, and Q_0 = u_e (x) Q(t) from t alone.  A chunk
+    of levels holds at most ``_CHUNK_ENTRIES`` coefficient entries,
+    (K_0 + K_1) D_1..D_N per level, which bound its other mixed arrays too.
+    Its mixed marginals and spectra go through every check, and where the
+    bound falls short its mixed factors are streamed.
+    """
+    (coeffs, w_maps, (s, *r)), ((units, t), _, (_, *r0)) = ends
+    sums = _outcome_sums(w_maps)
+    q_tensor = _correlators(t[None], w_maps)[0]
+    q_alice, *alices = _contract_parties(
+        np.stack([t] + [c.sum(axis=0) for c in coeffs]), w_maps).reshape(3, -1)
+    q_marginal = _contract_parties(t[None], sums).ravel()
+    t0 = _correlators(coeffs[0], w_maps)
+    # (Q_1, Q_0) per Eve input of her marginals per Alice input, of the Alice
+    # marginals and of the extreme eigenvalues, then e = 0's Bell numerators
+    # and weights, and with a reference the e = 1 correlator tensors
+    pairs = ([(_contract_parties(c, sums).reshape(len(c), -1), np.multiply.outer(u, q_marginal))
+              for c, u in zip(coeffs, units)]
+             + [(a, u.sum() * q_alice) for a, u in zip(alices, units)] + list(zip(r, r0))
+             + [(_bell_numerators(n, t0),
+                 units[0] * _bell_numerators(n, np.broadcast_to(q_tensor, t0.shape))),
+                (_outcome_weights(n, t0), units[0] * _outcome_weights(n, q_tensor))]
+             + [(_correlators(coeffs[1], w_maps), np.multiply.outer(units[1], q_tensor))][:both])
+    maps = [w[None] for w in w_maps]
+    step = max(1, _CHUNK_ENTRIES // sum(c.size for c in coeffs))
+    for i in range(0, len(levels), step):
+        v = np.array(levels[i:i + step])
+        pbar0, pbar1, alice0, alice1, r_0, r_1, raw, weights, *t1 = [_mix(v, *q) for q in pairs]
+        _check_levels(tol, maps, [s[None], r_0, r_1],
+                      lambda e: _mix(v, coeffs[e], np.multiply.outer(units[e], t)),
+                      [pbar0, pbar1], [alice0, alice1])
+        yield v, raw, weights, t1
+
+
 def noise_scan(scenario: Scenario, model: str, grid,
                reference_effects=None, mode: str = "projective",
                tol: Tolerances = DEFAULT_TOL) -> ScanReport:
@@ -445,11 +517,14 @@ def noise_scan(scenario: Scenario, model: str, grid,
 
     The scenario is expanded once into its Born factors f_1, and those f_0
     of its v = 0 image are read from them in closed form (``_white_end``):
-    no noisy scenario is built.  Level v is read from the mixed factors
-    v f_1 + (1 - v) f_0, which are those of the noisy scenario (see
-    ``NOISE_MODELS``).  The sorted grid is walked in chunks of levels, and
-    each chunk's mixed factors are checked and contracted as one stack,
-    with no (a, l, x) table.
+    no noisy scenario is built.  Level v is read from v f_1 + (1 - v) f_0,
+    the factors of the noisy scenario (see ``NOISE_MODELS``), and every
+    level passes the checks of ``CorrelationTable``: a failing scan raises
+    the error of its first failing level.  Under ``effects`` each quantity
+    is affine in v, so the factors are contracted once per end and each
+    level mixes the contracted ends (``_effects_chunks``).  Under
+    ``isotropic`` each chunk of levels mixes the factors and contracts them
+    as one stack (``_isotropic_chunks``).  No (a, l, x) table is formed.
     """
     _require_mode(mode)
     if model not in NOISE_MODELS:
@@ -465,32 +540,20 @@ def noise_scan(scenario: Scenario, model: str, grid,
     ends = factors, _white_end(model, scenario, factors)
     terms = None if reference_effects is None else _reference_terms(
         reference_effects, n, scenario.eve[1].outcome_count, mode, tol)
-    # levels per chunk: the non-negativity check expands one level's factors
-    # to (K_0 + K_1) 6^N entries
-    step = max(1, _CHUNK_ENTRIES // (sum(len(c) for c in ends[0][0]) * 6**n))
+    chunks = _effects_chunks if model == "effects" else _isotropic_chunks
     rows = []
-    for s in range(0, len(levels), step):
-        v = np.array(levels[s:s + step])
-        # the factors, and the spectra that bound them, of each level: v f_1 + (1 - v) f_0
-        coeffs, w_maps, spectra = (
-            [np.multiply.outer(v, a) + np.multiply.outer(1 - v, b) for a, b in zip(f1, f0)]
-            for f1, f0 in zip(*ends)
-        )
-        _check_factors(n, coeffs, w_maps, tol, spectra)
-        t0 = _correlators(coeffs[0], w_maps)
-        weights = _outcome_weights(n, t0)
-        values = _bell_values(n, t0, weights, tol)
+    for v, raw, weights, t1 in chunks(n, levels, ends, terms is not None, tol):
+        values = _bell_values(raw, weights, tol)
         part2 = [None] * len(v)
         if terms is not None:
-            res_plain, res_conj = _part2_residuals(mode, n, _correlators(coeffs[1], w_maps), terms)
+            res_plain, res_conj = _part2_residuals(mode, n, t1[0], terms)
             part2 = np.minimum(res_plain.max(axis=-1), res_conj.max(axis=-1)).tolist()
         lows = np.nanmin(values, axis=-1).tolist()
         devs = np.abs(weights - 2.0**-n).max(axis=-1).tolist()
         rows += [
             ScanRow(level=level, bell_values=tuple(row), min_bell=low, pbar_deviation=dev,
                     part2_max_residual=res)
-            for level, row, low, dev, res in zip(levels[s:s + step], values.tolist(), lows,
-                                                 devs, part2)
+            for level, row, low, dev, res in zip(v.tolist(), values.tolist(), lows, devs, part2)
         ]
     mins = [r.min_bell for r in rows]
     monotone = all(b >= a - tol.acceptance for a, b in zip(mins, mins[1:]))

@@ -294,20 +294,24 @@ def _lower_bounds(w_maps, spectra) -> list:
             for low, high in (r_e.transpose(1, 0, 2) for r_e in r)]
 
 
-def _check_factors(n: int, coeffs, w_maps, tol: Tolerances, spectra=None) -> None:
-    """The checks of ``CorrelationTable`` on stacks of L levels, read from the Born factors.
+def _outcome_sums(w_maps) -> list:
+    """u_i[..., x, b] = sum_a w_i[..., (x, a), b]: each party's outcome summed out."""
+    return [w.reshape(w.shape[:-2] + (3, 2, w.shape[-1])).sum(axis=-2) for w in w_maps]
 
-    ``coeffs[e]`` is (L, K_e, D_1, ..., D_N) and ``w_maps[i]`` is (L, 6, D_i),
-    or (1, 6, D_i) for maps shared by every level.  Raises what the tables of
-    the levels, built and checked one at a time, would raise first: the first
-    failing check, in the order below, of the first failing level.
 
-    Non-negativity streams every table entry (``_least_entries``) unless
-    ``spectra``, which only ``born_table`` and ``noise_scan`` pass for
-    factors they expanded from validated objects, give a lower bound
-    (``_lower_bounds``) that clears -``tol.probability`` on every level.
+def _check_levels(tol: Tolerances, w_maps, spectra, stack, pbars, alices) -> None:
+    """The checks of ``CorrelationTable`` on L levels: raise what their tables would raise first.
+
+    That is the first failing check, in the order below, of the first
+    failing level.  Per Eve input e, ``pbars[e]`` (L, K_e, 3^N) holds
+    pbar[v, l, x] = sum_a p(a, l | x, e) and ``alices[e]`` (L, 6^N) the
+    Alice marginals.  Non-negativity streams every entry (``_least_entries``)
+    of the coefficient stack ``stack(e)`` (L, K_e, D_1..D_N) unless
+    ``spectra``, passed only for factors expanded from validated objects,
+    give a bound (``_lower_bounds``) that clears -``tol.probability`` on
+    every level.
     """
-    first, error = len(coeffs[0]), None
+    first, error = len(pbars[0]), None
 
     def check(failed, make_error):
         nonlocal first, error
@@ -316,28 +320,33 @@ def _check_factors(n: int, coeffs, w_maps, tol: Tolerances, spectra=None) -> Non
             error = make_error(first)
 
     bounds = None if spectra is None else _lower_bounds(w_maps, spectra)
-    # u_i[..., x, b] = sum_a w_i[..., (x, a), b]: each party's outcome summed out
-    sums = [w.reshape(w.shape[:-2] + (3, 2, w.shape[-1])).sum(axis=-2) for w in w_maps]
-    for e, c in enumerate(coeffs):
-        levels, k = c.shape[:2]
+    for e, pbar in enumerate(pbars):
         if bounds is None or (bounds[e] < -tol.probability).any():
-            low = _least_entries(c, w_maps)
+            low = _least_entries(stack(e), w_maps)
             low[np.abs(low) < 1e-16] = 0.0  # the zero cut of the (a, l, x) view
             check(low < -tol.probability,
                   lambda i: ValidationError(f"negative probability {low[i]:.3e} in table e={e}"))
-        # pbar[v, l, x] = sum_a p(a, l | x, e): Eve's marginal per Alice input
-        pbar = _contract_parties(c, sums).reshape(levels, k, -1)
         check(np.abs(pbar.sum(axis=1) - 1).max(axis=1) > tol.structural,
               lambda i: ValidationError(f"probabilities for e={e} do not sum to 1 per input"))
         check(np.abs(pbar - pbar[..., :1]).max(axis=(1, 2)) > tol.structural,
               lambda i: ValidationError(f"signaling to Eve detected in table e={e}"))
-    # Alice marginals must not depend on Eve's input
-    alice = [_contract_parties(c.sum(axis=1, keepdims=True), w_maps).reshape(len(c), -1)
-             for c in coeffs]
-    check(np.abs(alice[0] - alice[1]).max(axis=1) > tol.structural,
+    check(np.abs(alices[0] - alices[1]).max(axis=1) > tol.structural,
           lambda i: ValidationError("Alice marginals depend on Eve's input (signaling)"))
     if error is not None:
         raise error
+
+
+def _check_factors(n: int, coeffs, w_maps, tol: Tolerances, spectra=None) -> None:
+    """``_check_levels`` of stacks of L levels' Born factors, contracted here.
+
+    ``coeffs[e]`` is (L, K_e, D_1, ..., D_N) and ``w_maps[i]`` is (L, 6, D_i),
+    or (1, 6, D_i) for maps shared by every level.
+    """
+    sums = _outcome_sums(w_maps)
+    _check_levels(tol, w_maps, spectra, coeffs.__getitem__,
+                  [_contract_parties(c, sums).reshape(c.shape[:2] + (-1,)) for c in coeffs],
+                  [_contract_parties(c.sum(axis=1, keepdims=True), w_maps).reshape(len(c), -1)
+                   for c in coeffs])
 
 
 def _dense_table(n: int, c: np.ndarray, w_maps) -> np.ndarray:

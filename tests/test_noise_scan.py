@@ -31,6 +31,9 @@ from conftest import noise_scan_oracle, random_scenario_with_dims
 GRID = (1.0, 0.0, 0.35, 0.8)
 GRID_41 = np.linspace(0.0, 1.0, 41)
 
+certify_module = importlib.import_module("starcert.certify")
+network = importlib.import_module("starcert.network")
+
 
 def assert_same_scan(report, oracle):
     assert report.model == oracle.model
@@ -109,16 +112,91 @@ def test_noise_scan_matches_per_level_oracle_one_entry_chunks(one_entry_chunks, 
 @pytest.mark.parametrize("make", [ghz_scenario, zero_effect_scenario],
                          ids=["ghz-n3", "zero-effect-n3"])
 @pytest.mark.parametrize("model", sorted(NOISE_MODELS))
-def test_noise_scan_41_levels_over_several_chunks(model, make, mode, rng):
+def test_noise_scan_41_levels_over_several_chunks(model, make, mode, rng, monkeypatch):
     scen = make(3)
-    levels_per_chunk = starcert.network._CHUNK_ENTRIES // (
-        6**3 * (scen.eve[0].outcome_count + scen.eve[1].outcome_count))
+    outcomes = scen.eve[0].outcome_count + scen.eve[1].outcome_count
+    if model == "effects":
+        # a chunk holds _CHUNK_ENTRIES coefficient entries, 4^3 per outcome and
+        # level: 64 levels by default, so narrow it to keep several chunks
+        monkeypatch.setattr(certify_module, "_CHUNK_ENTRIES", certify_module._CHUNK_ENTRIES // 4)
+        levels_per_chunk = certify_module._CHUNK_ENTRIES // (4**3 * outcomes)
+    else:
+        levels_per_chunk = starcert.network._CHUNK_ENTRIES // (6**3 * outcomes)
     assert 1 < levels_per_chunk < len(GRID_41)
     kwargs = {}
     if mode is not None:
         kwargs = {"reference_effects": reference_for(scen, rng), "mode": mode}
     assert_same_scan(noise_scan(scen, model, GRID_41, **kwargs),
                      noise_scan_oracle(scen, model, GRID_41, **kwargs))
+
+
+def test_effects_scan_contracts_as_often_for_5_levels_as_for_41(monkeypatch):
+    calls = []
+
+    def counted(contract):
+        def contracting(*args):
+            calls.append(contract.__name__)
+            return contract(*args)
+        return contracting
+
+    for name in ("_correlators", "_contract_parties"):
+        monkeypatch.setattr(certify_module, name, counted(getattr(certify_module, name)))
+    counts = []
+    for grid in (GRID_41[::10], GRID_41):
+        calls.clear()
+        noise_scan(ghz_scenario(3), "effects", grid)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("mode", [None, "povm"])
+def test_effects_scan_matches_oracle_at_n4_over_41_levels(mode, rng):
+    # (K_0 + K_1) 4^4 = 8192 coefficient entries per level: 8 levels per chunk
+    scen = ghz_scenario(4)
+    kwargs = {}
+    if mode is not None:
+        kwargs = {"reference_effects": reference_for(scen, rng), "mode": mode}
+    assert_same_scan(noise_scan(scen, "effects", GRID_41, **kwargs),
+                     noise_scan_oracle(scen, "effects", GRID_41, **kwargs))
+
+
+@pytest.mark.parametrize("mode", [None, "projective", "povm"])
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_effects_scan_without_either_end_matches_oracle(name, mode, rng):
+    scen, grid = SCENARIOS[name](rng), (0.7, 0.2)
+    kwargs = {}
+    if mode is not None:
+        kwargs = {"reference_effects": reference_for(scen, rng), "mode": mode}
+    assert_same_scan(noise_scan(scen, "effects", grid, **kwargs),
+                     noise_scan_oracle(scen, "effects", grid, **kwargs))
+
+
+@pytest.mark.parametrize("mode", [None, "povm"])
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_effects_scan_streams_like_oracle_when_no_bound_clears(name, mode, rng, monkeypatch):
+    streamed, least = [], network._least_entries
+
+    def counted(c, w_maps):
+        streamed.append(len(c))
+        return least(c, w_maps)
+
+    monkeypatch.setattr(network, "_lower_bounds",
+                        lambda w_maps, spectra: [np.full(len(r), -np.inf) for r in spectra[1:]])
+    monkeypatch.setattr(network, "_least_entries", counted)
+    scen = SCENARIOS[name](rng)
+    kwargs = {}
+    if mode is not None:
+        kwargs = {"reference_effects": reference_for(scen, rng), "mode": mode}
+    report = noise_scan(scen, "effects", GRID, **kwargs)
+    assert sum(streamed) == 2 * len(GRID)  # every level, both Eve inputs
+    assert_same_scan(report, noise_scan_oracle(scen, "effects", GRID, **kwargs))
+
+
+@pytest.mark.parametrize("mode", [None, "povm"])
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_effects_scan_streams_like_oracle_when_no_bound_clears_one_entry_chunks(
+        one_entry_chunks, name, mode, rng, monkeypatch):
+    test_effects_scan_streams_like_oracle_when_no_bound_clears(name, mode, rng, monkeypatch)
 
 
 @pytest.mark.parametrize("model", sorted(NOISE_MODELS))
@@ -161,8 +239,12 @@ def test_white_end_matches_the_expanded_v0_image(model, name, rank_one, rng):
         scen = rank_one_eve(scen, rng)
     factors = _born_factors(scen)
     expected = _born_factors(NOISE_MODELS[model](scen, 0.0))
+    coeffs, w_maps, spectra = _white_end(model, scen, factors)
+    if model == "effects":  # ([u_0, u_1], t) of c_e = u_e (x) t
+        units, t = coeffs
+        coeffs = [np.multiply.outer(u, t) for u in units]
     # coefficients, steering maps and spectra, item by item
-    for got, want in zip(_white_end(model, scen, factors), expected, strict=True):
+    for got, want in zip((coeffs, w_maps, spectra), expected, strict=True):
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape
             npt.assert_allclose(a, b, rtol=0, atol=1e-12)

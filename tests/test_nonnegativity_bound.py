@@ -137,16 +137,20 @@ def test_negative_entries_raise_the_streamed_message():
 
 @contextlib.contextmanager
 def recorded_checks():
-    """Record the factors and spectra of every ``_check_factors`` call."""
-    calls, check = [], network._check_factors
+    """Record the factors and spectra of every ``_check_levels`` call.
 
-    def recording(n, coeffs, w_maps, tol, spectra=None):
-        calls.append((coeffs, w_maps, spectra))
-        return check(n, coeffs, w_maps, tol, spectra)
+    The coefficient stacks are read at the call, since a scan builds its
+    levels' stacks only on demand.
+    """
+    calls, check = [], network._check_levels
+
+    def recording(tol, w_maps, spectra, stack, pbars, alices):
+        calls.append(([stack(e) for e in range(len(pbars))], w_maps, spectra))
+        return check(tol, w_maps, spectra, stack, pbars, alices)
 
     with pytest.MonkeyPatch.context() as mp:
         for module in (network, certify_module):
-            mp.setattr(module, "_check_factors", recording)
+            mp.setattr(module, "_check_levels", recording)
         yield calls
 
 
