@@ -46,6 +46,7 @@ from .network import (
     _correlators,
     _outcome_sums,
     _outcome_weights,
+    _steering_factors,
     born_table,
 )
 from .presets import depolarize_effects, depolarize_sources
@@ -404,11 +405,11 @@ class ScanReport:
 # v X + (1 - v) Tr[X] 1/d with white noise.  noise_scan builds none of these
 # scenarios: the Born factors are linear in X, so level v reads the factors
 # v f_1 + (1 - v) f_0 of the scenario's own (f_1) and of its v = 0 image
-# (f_0, which _white_end reads from f_1).  Under effects only Eve's
-# coefficients mix, so every quantity a scan reads is affine in v and is read
-# from the two ends' contractions.  Under isotropic every party's steering
-# map mixes, so the table is a degree-N polynomial in v, and each level's
-# factors are mixed and contracted.
+# (f_0, which _white_end reads from f_1); each model mixes only the factor it
+# changes.  Under effects Eve's coefficients mix, so every quantity a scan
+# reads is affine in v and is read from the two ends' contractions.  Under
+# isotropic the steering maps mix and Eve's coefficients are shared, so the
+# table is a degree-N polynomial in v, and each level's maps are contracted.
 NOISE_MODELS = {
     "isotropic": depolarize_sources,
     "effects": depolarize_effects,
@@ -423,9 +424,9 @@ def _white_end(model: str, scenario: Scenario, factors) -> tuple:
     Tr[X] = c . t with t the product of the t_i.  ``effects`` sends each c_e[l]
     to u_e[l] t, u_e[l] = Tr R_l / d_E, whose one eigenvalue is u_e[l]; the
     steering maps stay.  So its coefficients come as ([u_0, u_1], t), and
-    c_e^0 = u_e (x) t is never formed.  ``isotropic`` sends W[x, a] to w 1,
-    w = Tr M_{a|x} / (d_a d_e) with Tr M_{a|x} = (d_a +- Tr A_x) / 2, so
-    Tr W_+- = d_e max(+-w, 0) and ||W||_F = |w| sqrt(d_e); Eve's factors stay.
+    c_e^0 = u_e (x) t is never formed.  ``isotropic`` replaces every source
+    by the white 1/d, whose steering maps and spectra ``_steering_factors``
+    reads as it reads the scenario's own; Eve's factors stay.
     """
     coeffs, w_maps, (s, *r) = factors
     dims = scenario.eve_dims
@@ -435,16 +436,9 @@ def _white_end(model: str, scenario: Scenario, factors) -> tuple:
         white = [c.reshape(len(c), -1) @ t.ravel() / scenario.eve[0].dim for c in coeffs]
         return ((white, t), w_maps,
                 [s] + [np.stack([np.minimum(u, 0.0), np.maximum(u, 0.0)]) for u in white])
-    w_maps = []
-    for triple, d_a, d_e in zip(scenario.alice_observables, scenario.alice_dims, dims):
-        tr_a = np.trace(np.stack(triple.observables()), axis1=1, axis2=2).real
-        w_maps.append(np.zeros((6, d_e * d_e)))
-        w_maps[-1][:, :d_e] = (np.stack([d_a + tr_a, d_a - tr_a], axis=1).reshape(6, 1)
-                               / (2 * d_a * d_e))
-    w, d_e = np.array([m[:, 0] for m in w_maps]), np.array(dims, dtype=float)[:, None]
-    spectra = np.stack([d_e * np.maximum(w, 0.0), d_e * np.maximum(-w, 0.0),
-                        np.abs(w) * np.sqrt(d_e)])
-    return coeffs, w_maps, [spectra, *r]
+    white = [np.eye(len(rho)) / len(rho) for rho in scenario.sources]
+    w_maps, s = _steering_factors(white, scenario.alice_observables, dims)
+    return coeffs, w_maps, [s, *r]
 
 
 def _mix(v: np.ndarray, one: np.ndarray, zero: np.ndarray) -> np.ndarray:
@@ -455,18 +449,21 @@ def _mix(v: np.ndarray, one: np.ndarray, zero: np.ndarray) -> np.ndarray:
 
 
 def _isotropic_chunks(n: int, levels, ends, both: bool, tol: Tolerances):
-    """An ``isotropic`` scan: each chunk of levels mixes the factors, checks and contracts them.
+    """An ``isotropic`` scan: each chunk of levels mixes the steering maps, checks and contracts.
 
-    A chunk holds as many levels as the non-negativity check could expand
-    within ``_CHUNK_ENTRIES`` entries, (K_0 + K_1) 6^N per level.  Yields
-    the levels v, their Bell numerators and weights P(l | 0) (L, K_0) and,
-    if ``both``, [their e = 1 correlator tensors (L, K_1, 4, ..., 4)].
+    Eve's factors are equal at both ends and go in once, as shared (1, ...)
+    stacks.  A chunk holds as many levels as the non-negativity check could
+    expand within ``_CHUNK_ENTRIES`` entries, (K_0 + K_1) 6^N per level.
+    Yields the levels v, their Bell numerators and weights P(l | 0) (L, K_0)
+    and, if ``both``, [their e = 1 correlator tensors (L, K_1, 4, ..., 4)].
     """
-    step = max(1, _CHUNK_ENTRIES // (sum(len(c) for c in ends[0][0]) * 6**n))
+    (coeffs, w_maps1, (s1, *r)), (_, w_maps0, (s0, *_)) = ends
+    coeffs, r = [c[None] for c in coeffs], [r_e[None] for r_e in r]
+    step = max(1, _CHUNK_ENTRIES // (sum(c.shape[1] for c in coeffs) * 6**n))
     for s in range(0, len(levels), step):
         v = np.array(levels[s:s + step])
-        coeffs, w_maps, spectra = ([_mix(v, a, b) for a, b in zip(f1, f0)] for f1, f0 in zip(*ends))
-        _check_factors(n, coeffs, w_maps, tol, spectra)
+        w_maps = [_mix(v, a, b) for a, b in zip(w_maps1, w_maps0)]
+        _check_factors(n, coeffs, w_maps, tol, [_mix(v, s1, s0), *r])
         t0, *t1 = [_correlators(c, w_maps) for c in coeffs[:1 + both]]
         yield v, _bell_numerators(n, t0), _outcome_weights(n, t0), t1
 
@@ -523,8 +520,8 @@ def noise_scan(scenario: Scenario, model: str, grid,
     the error of its first failing level.  Under ``effects`` each quantity
     is affine in v, so the factors are contracted once per end and each
     level mixes the contracted ends (``_effects_chunks``).  Under
-    ``isotropic`` each chunk of levels mixes the factors and contracts them
-    as one stack (``_isotropic_chunks``).  No (a, l, x) table is formed.
+    ``isotropic`` only the steering maps mix, in chunks of levels contracted
+    as stacks (``_isotropic_chunks``).  No (a, l, x) table is formed.
     """
     _require_mode(mode)
     if model not in NOISE_MODELS:

@@ -211,20 +211,21 @@ def _contract_parties(t: np.ndarray, maps, trailing: tuple = ()) -> np.ndarray:
     """out[..., l, r, m_1..m_N] = sum_k t[..., l, k_1..k_N, r] prod_i maps[i][..., m_i, k_i].
 
     Each map is (m_i, k_i), or (L, m_i, k_i) with one map per level; ``t``
-    has as many leading level axes as the maps, then the axis l.  One
-    batched matmul per party on the (..., l, k_i, rest) view of ``t``; the
-    new axis m_i goes to the end, so after N steps the axes are back in
-    party order without a transpose in between.  The axes of ``t`` after l
-    may be any that flatten to (k_1, ..., k_N) and then the ``trailing``
-    axes r, such as the (re, im) pair of a complex array's float view; r
-    comes out ahead of the m axes.  A non-contiguous ``t`` is copied by the
-    first step only, and that copy is freed after it.
+    has as many leading level axes as the maps, then the axis l, and a level
+    axis of length 1 on either side is shared and broadcasts.  One batched
+    matmul per party on the (..., l, k_i, rest) view of ``t``; the new axis
+    m_i goes to the end, so after N steps the axes are back in party order
+    without a transpose in between.  The axes of ``t`` after l may be any
+    that flatten to (k_1, ..., k_N) and then the ``trailing`` axes r, such
+    as the (re, im) pair of a complex array's float view; r comes out ahead
+    of the m axes.  A non-contiguous ``t`` is copied by the first step only,
+    and that copy is freed after it.
     """
-    lead = t.shape[:maps[0].ndim - 1]
+    axes = maps[0].ndim - 1
     for m in maps:
-        t = np.matmul(t.reshape(lead + (m.shape[-1], -1)).swapaxes(-1, -2),
+        t = np.matmul(t.reshape(t.shape[:axes] + (m.shape[-1], -1)).swapaxes(-1, -2),
                       m.swapaxes(-1, -2)[..., None, :, :])
-    return t.reshape(lead + trailing + tuple(m.shape[-2] for m in maps))
+    return t.reshape(t.shape[:axes] + trailing + tuple(m.shape[-2] for m in maps))
 
 
 # The non-negativity check expands a chunk of outcomes (and a noise scan's
@@ -233,6 +234,11 @@ def _contract_parties(t: np.ndarray, maps, trailing: tuple = ()) -> np.ndarray:
 # of each numpy call, while the check never holds a whole table however many
 # outcomes Eve has (the e = 0 table alone would be 286 MB at N = 7).
 _CHUNK_ENTRIES = 2**16
+
+# The zero cut of the (a, l, x) view and of its streamed minimum.  Not a
+# ``Tolerances`` field: it is float64 rounding (2^-53), not a run's allowance,
+# and ``p0``/``p1`` must not change with the run's tolerances.
+_ZERO_CUT = 1e-16
 
 
 def _correlators(c: np.ndarray, w_maps) -> np.ndarray:
@@ -248,7 +254,7 @@ def _outcome_weights(n: int, t: np.ndarray) -> np.ndarray:
 
 def _least_entries(c: np.ndarray, w_maps) -> np.ndarray:
     """min over (a, l, x) of each level's table, (L,), streamed over chunks of outcomes."""
-    levels, k = c.shape[:2]
+    levels, k = max(len(c), len(w_maps[0])), c.shape[1]
     step = max(1, _CHUNK_ENTRIES // (levels * 6**len(w_maps)))
     return np.min([_contract_parties(c[:, s:s + step], w_maps).reshape(levels, -1).min(axis=1)
                    for s in range(0, k, step)], axis=0)
@@ -323,7 +329,7 @@ def _check_levels(tol: Tolerances, w_maps, spectra, stack, pbars, alices) -> Non
     for e, pbar in enumerate(pbars):
         if bounds is None or (bounds[e] < -tol.probability).any():
             low = _least_entries(stack(e), w_maps)
-            low[np.abs(low) < 1e-16] = 0.0  # the zero cut of the (a, l, x) view
+            low[np.abs(low) < _ZERO_CUT] = 0.0
             check(low < -tol.probability,
                   lambda i: ValidationError(f"negative probability {low[i]:.3e} in table e={e}"))
         check(np.abs(pbar.sum(axis=1) - 1).max(axis=1) > tol.structural,
@@ -340,12 +346,13 @@ def _check_factors(n: int, coeffs, w_maps, tol: Tolerances, spectra=None) -> Non
     """``_check_levels`` of stacks of L levels' Born factors, contracted here.
 
     ``coeffs[e]`` is (L, K_e, D_1, ..., D_N) and ``w_maps[i]`` is (L, 6, D_i),
-    or (1, 6, D_i) for maps shared by every level.
+    or either is one level, (1, ...), that every level shares.
     """
     sums = _outcome_sums(w_maps)
+    levels = max(len(coeffs[0]), len(w_maps[0]))
     _check_levels(tol, w_maps, spectra, coeffs.__getitem__,
-                  [_contract_parties(c, sums).reshape(c.shape[:2] + (-1,)) for c in coeffs],
-                  [_contract_parties(c.sum(axis=1, keepdims=True), w_maps).reshape(len(c), -1)
+                  [_contract_parties(c, sums).reshape(levels, c.shape[1], -1) for c in coeffs],
+                  [_contract_parties(c.sum(axis=1, keepdims=True), w_maps).reshape(levels, -1)
                    for c in coeffs])
 
 
@@ -359,7 +366,7 @@ def _dense_table(n: int, c: np.ndarray, w_maps) -> np.ndarray:
     # (l, x_1, a_1, ..., x_N, a_N) -> (a_1..a_N, l, x_1..x_N)
     order = [2 + 2 * i for i in range(n)] + [0] + [1 + 2 * i for i in range(n)]
     table = np.ascontiguousarray(raw.transpose(order)).reshape(2**n, k, 3**n)
-    table[np.abs(table) < 1e-16] = 0.0
+    table[np.abs(table) < _ZERO_CUT] = 0.0
     table.flags.writeable = False
     return table
 
@@ -435,23 +442,25 @@ class CorrelationTable:
         return self._tensors[e]
 
 
-def _steering_operators(scenario: Scenario) -> np.ndarray:
-    """W[i, (x, a)] = Tr_A[rho_i (M_{a|x} (x) 1_E)], party i's operators on E_i, as (N, 6, d, d).
+def _steering_factors(sources, triples, eve_dims: tuple):
+    """Party i's steering map w_i (6, D_i) and the spectra s (3, N, 6) of its operators.
 
-    One ``einsum`` per party over its six effects M_{a|x}, stacked.  Each W
-    is zero-padded to the largest Eve factor d, so that one batched
-    ``eigvalsh`` reads them all; padding adds only zero eigenvalues.
+    w_i[(x, a)] expands W = Tr_A[rho_i (M_{a|x} (x) 1_E)], one ``einsum`` per
+    party, in the basis of ``_hermitian_basis``; s is Tr W_+, Tr W_- and
+    ||W||_F, from one batched ``eigvalsh`` of the W zero-padded to one size.
     """
-    d_max = max(scenario.eve_dims)
-    out = np.zeros((scenario.n_parties, 6, d_max, d_max), dtype=complex)
-    for w, rho, triple, d_a, d_e in zip(
-        out, scenario.sources, scenario.alice_observables, scenario.alice_dims,
-        scenario.eve_dims
-    ):
+    d_max = max(eve_dims)
+    ops = np.zeros((len(sources), 6, d_max, d_max), dtype=complex)
+    for w, rho, triple, d_e in zip(ops, sources, triples, eve_dims):
+        d_a = triple.dim
         effects = np.stack(effects_from_observable(np.stack(triple.observables())), axis=1)
         w[:, :d_e, :d_e] = np.einsum("aebf,kba->kef", rho.reshape(d_a, d_e, d_a, d_e),
                                      effects.reshape(6, d_a, d_a))
-    return out
+    w_maps = [np.ascontiguousarray((w[:, :d, :d].reshape(6, d * d) @ _hermitian_basis(d).T).real)
+              for w, d in zip(ops, eve_dims)]
+    eigs = np.linalg.eigvalsh(hermitian_part(ops))
+    return w_maps, np.stack([np.maximum(eigs, 0.0).sum(axis=-1),
+                             np.maximum(-eigs, 0.0).sum(axis=-1), np.sqrt((eigs**2).sum(axis=-1))])
 
 
 @lru_cache(maxsize=None)
@@ -547,21 +556,14 @@ def _born_factors(scenario: Scenario):
     ``c_e[l, b_1..b_N]`` expands Eve's effect R_{l|e} in the product basis
     of ``_hermitian_basis`` (``_basis_expansion``, in real arithmetic), and
     ``w_maps[i][(x, a), b]`` expands party i's steering operator W[x, a] in
-    the basis of its Eve factor.  The table is linear in each.
-    ``spectra`` are the inputs of ``_lower_bounds``: the Jordan-part traces
-    and norms of the steering operators from one batched ``eigvalsh``, and per
-    Eve input the extreme eigenvalues its ``Povm`` was validated with.
+    the basis of its Eve factor (``_steering_factors``).  The table is
+    linear in each.  ``spectra`` are the inputs of ``_lower_bounds``: the
+    steering operators' spectra s of ``_steering_factors``, and per Eve
+    input the extreme eigenvalues its ``Povm`` was validated with.
     """
     d_es = scenario.eve_dims
-    ops = _steering_operators(scenario)
-    w_maps = [
-        np.ascontiguousarray((w[:, :d, :d].reshape(6, d * d) @ _hermitian_basis(d).T).real)
-        for w, d in zip(ops, d_es)
-    ]
-    eigs = np.linalg.eigvalsh(hermitian_part(ops))
-    spectra = [np.stack([np.maximum(eigs, 0.0).sum(axis=-1), np.maximum(-eigs, 0.0).sum(axis=-1),
-                         np.sqrt((eigs**2).sum(axis=-1))])]
-    coeffs = []
+    w_maps, s = _steering_factors(scenario.sources, scenario.alice_observables, d_es)
+    coeffs, spectra = [], [s]
     for meas in scenario.eve:
         coeffs.append(_basis_expansion(meas, d_es, _hermitian_basis))
         lowest, highest = meas.extreme_eigenvalues.T

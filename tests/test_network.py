@@ -35,6 +35,7 @@ from starcert.network import (
     _basis_operators,
     _born_factors,
     _check_factors,
+    _contract_parties,
     assemble_joint_state,
     born_table,
     effects_from_observable,
@@ -492,3 +493,13 @@ def test_born_factors_expand_each_eve_measurement(alice_dims, eve_dims, rng):
             for row, m in zip(c, meas.effects):
                 assert np.array_equal(row, _per_matrix_coefficients(m, eve_dims))
 
+
+@pytest.mark.parametrize("shared", ["coefficients", "maps"])
+def test_contract_parties_broadcasts_a_shared_level_on_either_side(shared, rng):
+    # one (1, K, ...) stack against per-level maps, or per-level stacks against (1, m, k) maps
+    levels, dims, rows = 3, (4, 9, 4), (6, 4, 3)
+    t = rng.normal(size=(1 if shared == "coefficients" else levels, 5) + dims)
+    maps = [rng.normal(size=(1 if shared == "maps" else levels, m, d)) for m, d in zip(rows, dims)]
+    expected = np.einsum("vlabc,vxa,vyb,vzc->vlxyz", np.broadcast_to(t, (levels,) + t.shape[1:]),
+                         *(np.broadcast_to(m, (levels,) + m.shape[1:]) for m in maps))
+    npt.assert_allclose(_contract_parties(t, maps), expected, rtol=0, atol=1e-12)

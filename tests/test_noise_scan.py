@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starcert.network
-from starcert.certify import NOISE_MODELS, _white_end, noise_scan
+from starcert.certify import NOISE_MODELS, _white_end, certify, noise_scan
 from starcert.config import Tolerances
 from starcert.errors import StarcertError
 from starcert.measurements import Povm, ghz_basis_measurement
-from starcert.network import Scenario, _born_factors
+from starcert.network import BinaryObservableTriple, Scenario, _born_factors
 from starcert.presets import (
     ideal_scenario,
     random_projective_measurement,
@@ -147,6 +147,26 @@ def test_effects_scan_contracts_as_often_for_5_levels_as_for_41(monkeypatch):
         noise_scan(ghz_scenario(3), "effects", grid)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("mode", [None, "povm"])
+def test_isotropic_scan_mixes_only_the_steering_maps(mode, rng, monkeypatch):
+    # Eve's coefficients and extremes reach every check as one level that all levels share
+    calls, check = [], certify_module._check_factors
+
+    def recording(n, coeffs, w_maps, tol, spectra=None):
+        calls.append(([len(c) for c in coeffs] + [len(r) for r in spectra[1:]],
+                      {len(w) for w in w_maps} | {len(spectra[0])}))
+        return check(n, coeffs, w_maps, tol, spectra)
+
+    monkeypatch.setattr(certify_module, "_check_factors", recording)
+    scen = ghz_scenario(3)
+    kwargs = {} if mode is None else {"reference_effects": reference_for(scen, rng), "mode": mode}
+    noise_scan(scen, "isotropic", GRID_41, **kwargs)
+    assert len(calls) > 1
+    assert all(shared == [1] * 4 for shared, _ in calls)
+    assert all(len(mixed) == 1 for _, mixed in calls)
+    assert sum(mixed.pop() for _, mixed in calls) == len(GRID_41)
 
 
 @pytest.mark.parametrize("mode", [None, "povm"])
@@ -304,3 +324,41 @@ def test_noise_scan_is_invariant_under_unitaries_on_eve_factors(seed, name, mode
         kwargs = {"reference_effects": reference_for(scen, rng), "mode": mode}
     assert_same_scan(noise_scan(rotate_eve(scen, rng), model, GRID, **kwargs),
                      noise_scan(scen, model, GRID, **kwargs))
+
+
+def rotate_alice(scen, rng):
+    """The scenario with a random unitary U on one Alice factor, of its source and its observables.
+
+    Source i becomes (U (x) 1) rho_i (U (x) 1)^dagger and each A_j becomes
+    U A_j U^dagger, so every steering operator, and the Born table, stays.
+    """
+    i = int(rng.integers(scen.n_parties))
+    u = random_unitary(scen.alice_dims[i], rng)
+    g = np.kron(u, np.eye(scen.eve_dims[i]))
+    sources, triples = list(scen.sources), list(scen.alice_observables)
+    sources[i] = g @ sources[i] @ g.conj().T
+    triples[i] = BinaryObservableTriple(*(u @ a @ u.conj().T for a in triples[i].observables()))
+    return replace(scen, sources=tuple(sources), alice_observables=tuple(triples))
+
+
+@pytest.mark.parametrize("mode", [None, "povm"])
+@pytest.mark.parametrize("model", sorted(NOISE_MODELS))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(END_SCENARIOS + ("ghz-n3",)))
+def test_scan_and_certify_are_invariant_under_a_unitary_on_an_alice_factor(model, mode, seed,
+                                                                          name):
+    rng = np.random.default_rng(seed)
+    scen = SCENARIOS[name](rng)
+    reference = None if mode is None else reference_for(scen, rng)
+    rotated = rotate_alice(scen, rng)
+    kwargs = {} if mode is None else {"reference_effects": reference, "mode": mode}
+    assert_same_scan(noise_scan(rotated, model, GRID, **kwargs),
+                     noise_scan(scen, model, GRID, **kwargs))
+    got, want = (certify(s, reference, "povm") for s in (rotated, scen))
+    values = [[ev.value for ev in r.part1.evaluations] for r in (got, want)]
+    npt.assert_array_equal(np.isnan(values[0]), np.isnan(values[1]))
+    npt.assert_allclose(values[0], values[1], rtol=0, atol=1e-12)
+    if mode is not None:
+        for a, b in ((got.part2.residuals_plain, want.part2.residuals_plain),
+                     (got.part2.residuals_conjugate, want.part2.residuals_conjugate)):
+            npt.assert_allclose(a, b, rtol=0, atol=1e-12)

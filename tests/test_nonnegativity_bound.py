@@ -84,12 +84,13 @@ def test_validated_scenarios_never_stream(name, monkeypatch, rng):
 
 @contextlib.contextmanager
 def counted_stream():
-    """Count the calls of the non-negativity stream."""
+    """Record the levels each call of the non-negativity stream reads."""
     calls = []
 
     def counting(c, w_maps):
-        calls.append(len(c))
-        return _least_entries(c, w_maps)
+        low = _least_entries(c, w_maps)
+        calls.append(len(low))
+        return low
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "_least_entries", counting)
