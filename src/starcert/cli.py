@@ -2,9 +2,10 @@
 
 Subcommands: bounds, certify, prepare-state, scan, validate.  Exit codes:
 0 success / certified, 1 certification failure or inconclusive, 2 invalid
-input or usage.  Structured output is strict JSON: floats print as the
-shortest repr that reads back to the same double, and NaN and infinities as
-null.
+input or usage.  Structured output is one line of compact, strict JSON with
+sorted keys and a ``schema_version``: floats print as the shortest repr
+that reads back to the same double, and NaN and infinities as null.  Pipe it
+through ``python -m json.tool`` to indent it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .bell import (
@@ -31,6 +34,10 @@ from .presets import ideal_scenario
 
 # Largest N that any subcommand builds a Born table for; _check_parties states why.
 MAX_PARTIES = 7
+
+# The structured report's layout version.  Every report carries it through _envelope; a
+# certification body, which is also read without the envelope, carries it itself too.
+_SCHEMA_VERSION = 1
 
 
 def _check_parties(n: int) -> None:
@@ -63,6 +70,13 @@ def _f(x) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _floats(values) -> list:
+    """An array of floats as (nested) lists of Python floats; NaN and inf become None."""
+    a = np.asarray(values, dtype=float)
+    finite = np.isfinite(a)
+    return a.tolist() if finite.all() else np.where(finite, a, None).tolist()
+
+
 def _unconditionable(values, n: int) -> list:
     """Bit strings of the labels whose Bell value could not be conditioned (NaN)."""
     return [format(l, f"0{n}b") for l, v in enumerate(values) if math.isnan(v)]
@@ -77,6 +91,7 @@ def _envelope(config: argparse.Namespace, body: dict) -> dict:
     doc = {
         "tool": "starcert",
         "version": __version__,
+        "schema_version": _SCHEMA_VERSION,
         "command": config.command,
         "inputs": {},
     }
@@ -93,7 +108,8 @@ def _envelope(config: argparse.Namespace, body: dict) -> dict:
 def _emit(config: argparse.Namespace, text, structured: dict) -> None:
     """Print or write the report; ``text()`` formats the text form, only when it is asked for."""
     if config.format == "structured":
-        payload = json.dumps(structured, indent=2, sort_keys=True, allow_nan=False)
+        # No indent: CPython's C encoder runs only then.
+        payload = json.dumps(structured, sort_keys=True, allow_nan=False, separators=(",", ":"))
     else:
         payload = text()
     if config.out:
@@ -107,20 +123,20 @@ def _report_body(report: CertificationReport) -> dict:
     evaluations = report.part1.evaluations
     values = [ev.value for ev in evaluations]
     part1 = {
-        "bell_values": [_f(v) for v in values],
+        "bell_values": _floats(values),
         "unconditionable_labels": _unconditionable(values, evaluations[0].label.n),
-        "pbar": [_f(p) for p in report.part1.pbar],
+        "pbar": _floats(report.part1.pbar),
         "bell_passed": report.part1.bell_passed,
         "pbar_passed": report.part1.pbar_passed,
         "passed": report.part1.passed,
     }
     body = {"part1": part1, "verdict": report.verdict,
-            "tolerance": _f(report.tolerances.acceptance)}
+            "tolerance": _f(report.tolerances.acceptance), "schema_version": _SCHEMA_VERSION}
     if report.part2 is not None:
         body["part2"] = {
             "mode": report.part2.mode,
-            "residuals_plain": [_f(r) for r in report.part2.residuals_plain],
-            "residuals_conjugate": [_f(r) for r in report.part2.residuals_conjugate],
+            "residuals_plain": _floats(report.part2.residuals_plain),
+            "residuals_conjugate": _floats(report.part2.residuals_conjugate),
             "branch": report.part2.branch,
             "passed": report.part2.passed,
         }
@@ -128,8 +144,8 @@ def _report_body(report: CertificationReport) -> dict:
         p3 = report.part3
         body["part3"] = {
             "outcomes": list(p3.outcomes),
-            "probabilities": [_f(p) for p in p3.probabilities],
-            "expected_probabilities": [_f(p) for p in p3.expected_probabilities],
+            "probabilities": _floats(p3.probabilities),
+            "expected_probabilities": _floats(p3.expected_probabilities),
             "total_probability": _f(p3.total_probability),
             "branch": p3.branch.branch,
             "distance": _f(p3.branch.distance),
@@ -250,16 +266,17 @@ def cmd_scan(config: argparse.Namespace) -> int:
     tol = _tolerances(config)
     report = noise_scan(scenario, config.noise, config.grid,
                         reference_effects=reference, mode=config.mode, tol=tol)
+    bell = _floats([row.bell_values for row in report.rows])  # (levels, 2^N) in one pass
     rows = [{
         "level": _f(row.level),
-        "bell_values": [_f(v) for v in row.bell_values],
+        "bell_values": values,
         "unconditionable_labels": _unconditionable(row.bell_values, scenario.n_parties),
         "min_bell": _f(row.min_bell),
         "pbar_deviation": _f(row.pbar_deviation),
         "part2_max_residual": (
             None if row.part2_max_residual is None else _f(row.part2_max_residual)
         ),
-    } for row in report.rows]
+    } for row, values in zip(report.rows, bell)]
 
     def text() -> str:
         lines = ["level\tmin_bell\tpbar_deviation\tpart2_max_residual"]
@@ -291,8 +308,14 @@ def cmd_validate(config: argparse.Namespace) -> int:
 
 
 def _parse_grid(raw: str):
+    if not raw.strip():
+        return ()  # cmd_scan refuses the empty grid
+    entries = raw.split(",")
+    for i, v in enumerate(entries, 1):
+        if not v.strip():
+            raise ValidationError(f"--grid: entry {i} of {len(entries)} in {raw!r} is empty")
     try:
-        values = tuple(float(v) for v in raw.split(",") if v.strip() != "")
+        values = tuple(float(v) for v in entries)
     except ValueError:
         raise ValidationError(f"--grid: could not parse {raw!r}") from None
     if any(not 0 <= v <= 1 for v in values):

@@ -51,11 +51,17 @@ def _load(from_json, path, digests):
     of dicts, lists, strings and numbers with no reference cycle, so a
     collection over its [re, im] lists could free nothing; they are freed by
     reference counting before GC resumes.
+
+    Decoding and validation run with numpy's overflow and invalid-value
+    warnings off: a finite entry near the float64 limit (1e308) overflows
+    inside the checks, which then refuse it with a ``ValidationError``,
+    and the warning alone would escape as an exception under ``-W error``.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return from_json(_read_json(path, digests))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return from_json(_read_json(path, digests))
     finally:
         if was_enabled:
             gc.enable()

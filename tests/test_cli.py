@@ -13,7 +13,7 @@ from starcert.certify import certify
 from starcert.cli import main
 from starcert.config import Tolerances
 from starcert.fixtures import fixture_path
-from starcert.jsonio import load_mixed_state_spec, save_scenario
+from starcert.jsonio import load_mixed_state_spec, load_povm, load_scenario, save_scenario
 from starcert.measurements import Povm, embed_rank1_povm, ghz_basis_measurement, trine_povm
 from starcert.network import Scenario
 from starcert.presets import ideal_scenario
@@ -537,3 +537,104 @@ def test_flag_a_subcommand_does_not_read_exits_two(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "3"],
+    ["certify", "--scenario", IDEAL, "--reference", GHZ_REF, "--mode", "povm"],
+    ["certify", "--scenario", TAMPERED, "--reference", GHZ_REF],
+    ["prepare-state", "--state-spec", MIXED_SPEC],
+    ["scan", "--scenario", TRINE_SCEN, "--reference", TRINE_REF, "--noise", "effects",
+     "--grid", "0,0.5,1"],
+    ["validate", "--scenario", IDEAL, "--reference", GHZ_REF, "--state-spec", MIXED_SPEC],
+])
+def test_structured_report_is_one_line_of_strict_json_with_a_schema_version(argv, capsys):
+    assert main(argv + ["--format", "structured", "--reproducible"]) in (0, 1)
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["schema_version"] == 1
+    # compact, with sorted keys at every level
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_zero_effect_reports_are_one_line_of_strict_json(zero_effect_scenario, capsys):
+    for argv in (["certify", "--scenario", zero_effect_scenario, "--reference", GHZ_REF],
+                 ["scan", "--scenario", zero_effect_scenario, "--grid", "0,1"]):
+        main(argv + ["--format", "structured", "--reproducible"])
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert json.loads(out, parse_constant=_reject_constant)["schema_version"] == 1
+
+
+@pytest.mark.parametrize("flags, scenario, model, reference, mode", [
+    (["--n", "3", "--noise", "effects"], 3, "effects", None, "projective"),
+    (["--n", "2"], 2, "isotropic", None, "projective"),
+    (["--scenario", IDEAL, "--reference", GHZ_REF, "--noise", "effects"],
+     IDEAL, "effects", GHZ_REF, "projective"),
+    (["--scenario", TRINE_SCEN, "--reference", TRINE_REF, "--mode", "povm"],
+     TRINE_SCEN, "isotropic", TRINE_REF, "povm"),
+])
+def test_scan_rows_report_noise_scan_floats_bit_for_bit(flags, scenario, model, reference, mode,
+                                                        capsys):
+    grid = np.random.default_rng(5).random(9).tolist() + [0.0, 1.0]
+    argv = ["scan", *flags, "--grid", ",".join(map(repr, grid)), "--format", "structured"]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    scenario = ideal_scenario(scenario) if isinstance(scenario, int) else load_scenario(scenario)
+    expected = cli.noise_scan(scenario, model, grid, mode=mode,
+                              reference_effects=reference and load_povm(reference)).rows
+    assert len(rows) == len(expected) == len(grid)
+
+    def hexes(values):
+        return [None if v is None else float.hex(v) for v in values]
+
+    for row, exp in zip(rows, expected):
+        assert hexes(row["bell_values"]) == hexes(exp.bell_values)
+        assert hexes([row["level"], row["min_bell"], row["pbar_deviation"],
+                      row["part2_max_residual"]]) == hexes(
+            [exp.level, exp.min_bell, exp.pbar_deviation, exp.part2_max_residual])
+        assert (row["part2_max_residual"] is None) == (reference is None)
+
+
+@pytest.mark.parametrize("values", [
+    [0.1, -2.5, 1e-300, 1.7976931348623157e308],
+    [[0.1, 2.0], [3.0, -0.0]],
+    np.arange(6.0).reshape(2, 3) / 7,
+    [],
+    np.empty((0, 4)),
+])
+def test_floats_returns_plain_python_floats_for_finite_input(values):
+    out = cli._floats(values)
+    expected = np.asarray(values, dtype=float)
+    assert out == expected.tolist()
+    flat = [v for row in out for v in row] if expected.ndim == 2 else out
+    assert all(type(v) is float for v in flat)
+    assert [float.hex(v) for v in flat] == [float.hex(v) for v in expected.ravel()]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_floats_turns_each_non_finite_value_into_none(bad):
+    assert cli._floats([1.5, bad, -0.25]) == [1.5, None, -0.25]
+    assert cli._floats(np.array([[bad, 2.0], [3.0, bad]])) == [[None, 2.0], [3.0, None]]
+    out = cli._floats([[bad, 0.5]])
+    assert out == [[None, 0.5]] and type(out[0][1]) is float
+    assert cli._floats([bad]) == [None]
+
+
+@pytest.mark.parametrize("grid, position", [
+    ("0,,1", "entry 2 of 3"),
+    ("0,1,", "entry 3 of 3"),
+    ("0, ,1", "entry 2 of 3"),
+    (",0.5", "entry 1 of 2"),
+])
+def test_scan_refuses_an_empty_grid_entry(grid, position, no_construction, capsys):
+    assert main(["scan", "--n", "2", "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid: ") and position in err and "is empty" in err
+
+
+@pytest.mark.parametrize("grid", ["", "  "])
+def test_scan_with_no_grid_keeps_its_error(grid, capsys):
+    assert main(["scan", "--n", "2", "--grid", grid]) == 2
+    assert "scan requires a non-empty --grid" in capsys.readouterr().err

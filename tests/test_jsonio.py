@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,46 @@ def test_loaders_restore_the_garbage_collector_state(tmp_path, ghz_files, enable
 
 def _fixture_doc(name):
     return json.loads(fixture_path(name).read_text())
+
+
+def _set_entries(*cells):
+    """Set entry k of matrix m of ``key`` to the real value x, for each (key, m, k, x)."""
+    def edit(doc):
+        for key, m, k, x in cells:
+            doc[key][m]["entries"][k] = [x, 0.0]
+    return edit
+
+
+# (file, loader, entries near the float64 limit, the error): each overflows inside the checks
+HUGE_ENTRIES = {
+    "povm-lone-entry": ("ghz_n2.povm.json", load_povm,
+                        _set_entries(("effects", 0, 1, 1e308)), "Hermiticity defect inf"),
+    "povm-hermitian-pair": ("ghz_n2.povm.json", load_povm,
+                            _set_entries(("effects", 0, 1, 1e308), ("effects", 0, 4, 1e308)),
+                            "povm: "),
+    "povm-two-diagonal-entries": ("ghz_n2.povm.json", load_povm,
+                                  _set_entries(("effects", 0, 0, 1.7e308),
+                                               ("effects", 1, 0, 1.7e308)),
+                                  "completeness residual inf"),
+    "source-lone-entry": ("ideal_n2_ghz.scenario.json", load_scenario,
+                          _set_entries(("sources", 0, 1, 1e308)), "not Hermitian"),
+    "state-spec-vector": ("mixed_demo.statespec.json", load_mixed_state_spec,
+                          lambda doc: doc["vectors"][0].__setitem__(0, [1e308, 0.0]),
+                          "state spec: "),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_ENTRIES)
+def test_an_entry_near_the_float64_limit_is_refused_with_no_warning(case, tmp_path):
+    name, load, edit, message = HUGE_ENTRIES[case]
+    doc = _fixture_doc(name)
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load(path)
 
 
 def _entries(doc, *keys):
