@@ -293,7 +293,7 @@ def compare(path_a: str, path_b: str) -> int:
     for name in sorted(worst, key=worst.get, reverse=True)[:5]:
         print(f"  {worst[name]:.3e}  {name}")
     print(f"{len(discrete)} discrete differences")
-    for line in discrete[:20]:
+    for line in discrete:
         print(f"  {line}")
     return 1 if top[0] > TOLERANCE or discrete else 0
 

@@ -26,7 +26,23 @@ from .measurements import MixedStateSpec, Povm
 from .network import BinaryObservableTriple, Scenario
 
 
+def _refuse_constant(name):
+    """``parse_constant`` of ``_read_json``: NaN, Infinity and -Infinity are not JSON numbers."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _unique_object(pairs) -> dict:
+    """``object_pairs_hook`` of ``_read_json``: a dict of the pairs; a repeated key raises."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeat = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"duplicate key {repeat!r}")
+    return doc
+
+
 def _read_json(path, digests):
+    """The document of a file of strict JSON: no NaN or Infinity literal and no repeated key."""
     with open(path, "rb") as f:
         raw = f.read()
     if digests is not None:
@@ -34,10 +50,11 @@ def _read_json(path, digests):
 
         digests[path] = hashlib.sha256(raw).hexdigest()
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant,
+                          object_pairs_hook=_unique_object)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 
 

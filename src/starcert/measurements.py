@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .bell import all_labels, ghz_vector
+from .bell import SQRT2
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ContractViolation, DimensionError, ValidationError
 from .network import _basis_expansion, _basis_operators
@@ -112,14 +112,19 @@ class Povm:
         """Validate the stacked effects: the first faulty one in order raises, then completeness."""
         stack = operator_stack(effects, "effect")
         defects = hermitian_defects(stack)
-        spectrum = np.linalg.eigvalsh(hermitian_part(stack))
-        faulty = (defects > tol.structural) | (spectrum[:, 0] < -tol.structural)
+        parts = hermitian_part(stack)
+        # an entry near the float64 limit can overflow a Hermitian part: its spectrum is NaN
+        undefined = ~np.isfinite(parts).all(axis=(1, 2))
+        parts[undefined] = 0.0
+        spectrum = np.linalg.eigvalsh(parts)
+        spectrum[undefined] = np.nan
+        faulty = (defects > tol.structural) | ~(spectrum[:, 0] >= -tol.structural)
         if faulty.any():
             k = int(np.argmax(faulty))
-            raise ValidationError(
-                f"invalid POVM: effect {k}: Hermiticity defect {defects[k]:.3e}, "
-                f"min eigenvalue {spectrum[k, 0]:.3e} (tolerance {tol.structural:.1e})"
-            )
+            low = (f"min eigenvalue {spectrum[k, 0]:.3e}" if not np.isnan(spectrum[k, 0])
+                   else "eigenvalues cannot be computed")
+            raise ValidationError(f"invalid POVM: effect {k}: Hermiticity defect "
+                                  f"{defects[k]:.3e}, {low} (tolerance {tol.structural:.1e})")
         residual = float(np.linalg.norm(stack.sum(axis=0) - np.eye(stack.shape[1])))
         if residual > tol.structural:
             raise ValidationError(f"invalid POVM: completeness residual {residual:.3e} "
@@ -181,7 +186,17 @@ def ghz_basis_measurement(n: int) -> Povm:
     """The 2^n rank-one projectors onto the GHZ-like basis."""
     if n < 2:
         raise DimensionError("GHZ basis needs at least two parties")
-    return Povm.rank_one([ghz_vector(label) for label in all_labels(n)])
+    # Row l is bell.ghz_vector of label l: 1/sqrt2 at l, (-1)^{l_1}/sqrt2 at its complement
+    # 2^n - 1 - l, so the diagonal and the anti-diagonal.  Basic slices of the flat array
+    # set both: integer index arithmetic would page in numpy code no other step runs.
+    dim = 2**n
+    v = np.zeros((dim, dim), dtype=complex)
+    flat = v.reshape(-1)
+    flat[::dim + 1] = 1 / SQRT2
+    anti = flat[dim - 1:-1:dim - 1]
+    anti[:dim // 2] = 1 / SQRT2
+    anti[dim // 2:] = -1 / SQRT2
+    return Povm.rank_one(v)
 
 
 def _embed_block(m: np.ndarray, dim: int) -> np.ndarray:

@@ -39,6 +39,7 @@ from .tensor import (
     _pair_layout,
     as_state,
     check_hermitian,
+    hermitian_defects,
     hermitian_part,
     kron_all,
     operator_stack,
@@ -99,6 +100,62 @@ def _as_density_operator(state, path: str) -> np.ndarray:
     return rho
 
 
+def _party_groups(*dims) -> dict:
+    """The parties grouped by their dims, {(dims[0][i], dims[1][i], ...): [i, ...]}, in order."""
+    groups = {}
+    for i, key in enumerate(zip(*dims)):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _stack_passes(stack: np.ndarray) -> bool:
+    """Whether a (K, ...) stack of sources of one shape passes ``_as_density_operator``, screened.
+
+    The checks run on the whole stack: finite entries, then a vector's unit
+    norm, or a matrix's Hermiticity, unit trace and PSD (one batched
+    Cholesky).  The norm and trace cuts are 1% tighter, which covers the
+    rounding of the batched sums, so a stack that passes has no source that
+    the one-at-a-time check would refuse.
+    """
+    shape = stack.shape[1:]
+    if 0 in shape or len(shape) > 2 or not np.isfinite(stack).all():
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries are refused, not warned of
+        if len(shape) == 1:
+            return bool((np.abs(np.linalg.norm(stack, axis=1) - 1) <= 0.99 * 1e-10).all())
+        tol = DEFAULT_TOL.structural
+        if (shape[0] != shape[1] or (hermitian_defects(stack) > tol).any()
+                or (np.abs(np.trace(stack, axis1=1, axis2=2).real - 1) > 0.99 * tol).any()):
+            return False
+        try:
+            np.linalg.cholesky(hermitian_part(stack) + 10 * tol * np.eye(shape[0]))
+        except np.linalg.LinAlgError:
+            return False
+    return True
+
+
+def _stacked_density_operators(sources):
+    """Every source as a density operator, checked as one stack per shape, or None if any fails.
+
+    A pure-state vector v becomes v v^dagger and a matrix is taken as it
+    is, as in ``_as_density_operator``, whose checks ``_stack_passes``
+    screens.  On None the caller checks each source alone, in party order,
+    so that the first faulty one raises its own message.
+    """
+    try:
+        out = [np.asarray(s, dtype=complex) for s in sources]
+    except (TypeError, ValueError):
+        return None
+    for (shape,), parties in _party_groups([a.shape for a in out]).items():
+        stack = np.stack([out[i] for i in parties])
+        if not _stack_passes(stack):
+            return None
+        if len(shape) == 1:
+            for i, rho in zip(parties, stack[:, :, None] * stack.conj()[:, None, :]):
+                out[i] = rho
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Full description of the star network.
@@ -123,9 +180,8 @@ class Scenario:
             raise DimensionError("need one source and one observable triple per party")
         if len(self.eve) != 2:
             raise ValidationError("eve must hold exactly two measurements (e = 0, 1)")
-        sources = tuple(
-            _as_density_operator(s, f"sources[{i}]") for i, s in enumerate(self.sources)
-        )
+        sources = _stacked_density_operators(self.sources) or tuple(
+            _as_density_operator(s, f"sources[{i}]") for i, s in enumerate(self.sources))
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "alice_observables", tuple(self.alice_observables))
         object.__setattr__(self, "eve", tuple(self.eve))
@@ -178,7 +234,7 @@ def assemble_joint_state(scenario: Scenario) -> np.ndarray:
 
     This is the dense reference route used by the test oracles; the
     production paths (``born_table``, ``_conditioned_coefficients``)
-    expand the sources one at a time and never form it.
+    expand the sources, stacked by their dims, and never form it.
     """
     rho = kron_all(scenario.sources)
     dims = []
@@ -445,19 +501,23 @@ class CorrelationTable:
 def _steering_factors(sources, triples, eve_dims: tuple):
     """Party i's steering map w_i (6, D_i) and the spectra s (3, N, 6) of its operators.
 
-    w_i[(x, a)] expands W = Tr_A[rho_i (M_{a|x} (x) 1_E)], one ``einsum`` per
-    party, in the basis of ``_hermitian_basis``; s is Tr W_+, Tr W_- and
-    ||W||_F, from one batched ``eigvalsh`` of the W zero-padded to one size.
+    w_i[(x, a)] expands W = Tr_A[rho_i (M_{a|x} (x) 1_E)], one ``einsum``
+    over the stacked parties of each distinct (d_A, d_E), in the basis of
+    ``_hermitian_basis``; s is Tr W_+, Tr W_- and ||W||_F, from one batched
+    ``eigvalsh`` of the W zero-padded to one size.
     """
     d_max = max(eve_dims)
     ops = np.zeros((len(sources), 6, d_max, d_max), dtype=complex)
-    for w, rho, triple, d_e in zip(ops, sources, triples, eve_dims):
-        d_a = triple.dim
-        effects = np.stack(effects_from_observable(np.stack(triple.observables())), axis=1)
-        w[:, :d_e, :d_e] = np.einsum("aebf,kba->kef", rho.reshape(d_a, d_e, d_a, d_e),
-                                     effects.reshape(6, d_a, d_a))
-    w_maps = [np.ascontiguousarray((w[:, :d, :d].reshape(6, d * d) @ _hermitian_basis(d).T).real)
-              for w, d in zip(ops, eve_dims)]
+    w_maps = [None] * len(sources)
+    for (d_a, d_e), parties in _party_groups([t.dim for t in triples], eve_dims).items():
+        rho = np.stack([sources[i] for i in parties]).reshape(-1, d_a, d_e, d_a, d_e)
+        observables = np.stack([triples[i].observables() for i in parties])
+        effects = np.stack(effects_from_observable(observables), axis=2)
+        w = np.einsum("gaebf,gkba->gkef", rho, effects.reshape(-1, 6, d_a, d_a))
+        ops[parties, :, :d_e, :d_e] = w
+        maps = np.ascontiguousarray((w.reshape(-1, 6, d_e * d_e) @ _hermitian_basis(d_e).T).real)
+        for i, m in zip(parties, maps):
+            w_maps[i] = m
     eigs = np.linalg.eigvalsh(hermitian_part(ops))
     return w_maps, np.stack([np.maximum(eigs, 0.0).sum(axis=-1),
                              np.maximum(-eigs, 0.0).sum(axis=-1), np.sqrt((eigs**2).sum(axis=-1))])
@@ -532,7 +592,9 @@ def _basis_operators(coeffs: np.ndarray, dims: tuple, basis) -> np.ndarray:
     k, d = len(coeffs), int(np.prod(dims))
     parts = np.zeros((k, 2 * len(sign)))
     parts[:, select] = coeffs.reshape(k, -1) * sign
-    t = _contract_parties(parts.reshape(2 * k, -1), [np.linalg.inv(m) for m in maps])
+    # parties of equal dims have equal maps: each distinct one is inverted once
+    inverses = {d: np.linalg.inv(m) for d, m in dict(zip(dims, maps)).items()}
+    t = _contract_parties(parts.reshape(2 * k, -1), [inverses[d] for d in dims])
     out = np.empty((k, d * d), dtype=complex)
     out[:, _pair_indices(dims)[0]] = t[0::2].reshape(k, -1) + 1j * t[1::2].reshape(k, -1)
     return out.reshape(k, d, d)
@@ -545,8 +607,11 @@ def _conditioned_coefficients(scenario: Scenario, c: np.ndarray) -> np.ndarray:
     of ``_hermitian_basis``, Tr_E[(1 (x) R_l) rho] has the real coefficients
     sum_b c[l, b] prod_i r_i[m_i, b_i] in the Alice product basis.
     """
-    maps = [_basis_expansion(rho[None], (d_a, d_e), _hermitian_basis)[0]
-            for rho, d_a, d_e in zip(scenario.sources, scenario.alice_dims, scenario.eve_dims)]
+    maps = [None] * scenario.n_parties
+    for dims, parties in _party_groups(scenario.alice_dims, scenario.eve_dims).items():
+        stack = np.stack([scenario.sources[i] for i in parties])
+        for i, r in zip(parties, _basis_expansion(stack, dims, _hermitian_basis)):
+            maps[i] = r
     return _contract_parties(c, maps)
 
 

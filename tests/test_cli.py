@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import math
 import sys
 from types import SimpleNamespace
 
@@ -436,6 +437,18 @@ def _variant(source, edit):
     return write
 
 
+def _with_literal(source, edit, literal):
+    """A writer of ``source`` whose numbers set to inf by ``edit`` read ``literal``, such as 1e999.
+
+    Python's parser reads a literal past the float64 range as inf, so the
+    decoder's finiteness check, not the parser, refuses it.
+    """
+    def write(path):
+        _variant(source, edit)(path)
+        path.write_text(path.read_text().replace("Infinity", literal))
+    return write
+
+
 # case -> (flag, writer of the malformed file, what the error must name)
 MALFORMED = {
     "reference-dim-not-an-integer": (
@@ -450,11 +463,21 @@ MALFORMED = {
         "scenario.eve_measurements"),
     "non-finite-entry": (
         "--scenario",
-        _variant(IDEAL, lambda d: d["sources"][0]["entries"][0].__setitem__(0, float("nan"))),
+        _with_literal(IDEAL, lambda d: d["sources"][0]["entries"][0].__setitem__(0, math.inf),
+                      "1e999"),
         "scenario.sources[0].entries"),
     "non-finite-weight": (
-        "--state-spec", _variant(MIXED_SPEC, lambda d: d["weights"].__setitem__(0, float("nan"))),
+        "--state-spec",
+        _with_literal(MIXED_SPEC, lambda d: d["weights"].__setitem__(0, math.inf), "-1e999"),
         "state spec.weights"),
+    "nan-literal": (
+        "--scenario",
+        _variant(IDEAL, lambda d: d["sources"][0]["entries"][0].__setitem__(0, math.nan)),
+        "not valid JSON (NaN is not a JSON number)"),
+    "duplicate-key": (
+        "--state-spec",
+        lambda path: path.write_text('{"d": 2, "weights": [1.0], "vectors": [], "d": 2}'),
+        "not valid JSON (duplicate key 'd')"),
     "not-utf8": (
         "--state-spec",
         lambda path: path.write_bytes(b'{"d": 2, "weights": [1.0], "vectors": [], "x": "\xe9"}'),

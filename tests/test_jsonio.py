@@ -221,7 +221,8 @@ def test_loaders_restore_the_garbage_collector_state(tmp_path, ghz_files, enable
         assert gc.isenabled() is enabled
         load_mixed_state_spec(fixture_path("mixed_demo.statespec.json"))
         assert gc.isenabled() is enabled
-        with pytest.raises(ValidationError, match=r"^povm\.effects\[0\]\.entries: .*finite"):
+        with pytest.raises(ValidationError,
+                           match=r": not valid JSON \(NaN is not a JSON number\)$"):
             load_povm(_nan_reference(tmp_path))
         assert gc.isenabled() is enabled
     finally:
@@ -246,11 +247,13 @@ HUGE_ENTRIES = {
                         _set_entries(("effects", 0, 1, 1e308)), "Hermiticity defect inf"),
     "povm-hermitian-pair": ("ghz_n2.povm.json", load_povm,
                             _set_entries(("effects", 0, 1, 1e308), ("effects", 0, 4, 1e308)),
-                            "povm: "),
+                            "povm: invalid POVM: effect 0: Hermiticity defect 0.000e+00, "
+                            "eigenvalues cannot be computed (tolerance 1.0e-10)"),
     "povm-two-diagonal-entries": ("ghz_n2.povm.json", load_povm,
                                   _set_entries(("effects", 0, 0, 1.7e308),
                                                ("effects", 1, 0, 1.7e308)),
-                                  "completeness residual inf"),
+                                  "povm: invalid POVM: effect 0: Hermiticity defect 0.000e+00, "
+                                  "eigenvalues cannot be computed (tolerance 1.0e-10)"),
     "source-lone-entry": ("ideal_n2_ghz.scenario.json", load_scenario,
                           _set_entries(("sources", 0, 1, 1e308)), "not Hermitian"),
     "state-spec-vector": ("mixed_demo.statespec.json", load_mixed_state_spec,
@@ -270,6 +273,56 @@ def test_an_entry_near_the_float64_limit_is_refused_with_no_warning(case, tmp_pa
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=re.escape(message)):
             load(path)
+
+
+def test_cancelling_huge_effects_are_refused_by_their_spectra():
+    # each Hermitian part overflows to an infinite diagonal, whose eigvalsh is NaN without
+    # an error; the sum is complete, so only the spectrum check can refuse effect 1's -1.7e308
+    effects = np.array([np.diag([1.7e308, 0.5]), np.diag([-1.7e308, 0.5]), np.diag([1.0, 0.0])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match=r"^invalid POVM: effect 0: Hermiticity defect "
+                           r"0\.000e\+00, eigenvalues cannot be computed"):
+            Povm(effects)
+
+
+# (fixture, loader): every loader reads its file through the same strict parser
+LOADERS = [("ideal_n2_ghz.scenario.json", load_scenario), ("ghz_n2.povm.json", load_povm),
+           ("mixed_demo.statespec.json", load_mixed_state_spec)]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("name, load", LOADERS)
+def test_a_non_finite_literal_is_refused_at_parse_time(name, load, constant, tmp_path):
+    text = fixture_path(name).read_text()
+    number = re.search(r"\d\.\d+(e-?\d+)?", text)
+    path = tmp_path / name
+    path.write_text(text[:number.start()] + constant + text[number.end():])
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not valid JSON "
+                       rf"\({constant} is not a JSON number\)$"):
+        load(path)
+
+
+@pytest.mark.parametrize("name, load", LOADERS)
+def test_an_integer_literal_past_the_digit_limit_is_refused_at_parse_time(name, load, tmp_path):
+    # Python's int() refuses more than 4300 digits with a bare ValueError
+    text = fixture_path(name).read_text()
+    number = re.search(r"\d\.\d+(e-?\d+)?", text)
+    path = tmp_path / name
+    path.write_text(text[:number.start()] + "1" + "0" * 5000 + text[number.end():])
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not valid JSON "
+                       r"\(Exceeds the limit \(4300 digits\)"):
+        load(path)
+
+
+@pytest.mark.parametrize("name, load", LOADERS)
+def test_a_duplicate_key_is_refused_at_parse_time(name, load, tmp_path):
+    # the repeat comes last, so a parser that kept the last value would read the same document
+    text = fixture_path(name).read_text()
+    path = tmp_path / name
+    path.write_text(text[:text.index("{") + 1] + '"x": 1, "x": 2, ' + text[text.index("{") + 1:])
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(str(path))}: not valid JSON \\(duplicate key 'x'\\)$"):
+        load(path)
 
 
 def _entries(doc, *keys):

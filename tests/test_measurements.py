@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import expansion_measurements
-from starcert.bell import BellOutcomeLabel, ghz_vector
+from starcert.bell import BellOutcomeLabel, all_labels, ghz_vector
 from starcert.config import Tolerances
 from starcert.errors import ContractViolation, DimensionError, ValidationError
 from starcert.jsonio import (
@@ -132,6 +132,13 @@ def test_ghz_basis_measurement_is_complete_rank_one():
         Povm(povm.effects)  # a complete measurement, dense too
         v = ghz_vector(BellOutcomeLabel.from_value(1, n))
         npt.assert_allclose(povm.effects[1], np.outer(v, v.conj()), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ghz_basis_is_the_ghz_vector_of_each_label_bit_for_bit(n):
+    # built in one vectorized step, it equals the label-by-label construction
+    want = np.array([ghz_vector(label) for label in all_labels(n)])
+    assert ghz_basis_measurement(n).vectors.tobytes() == want.tobytes()
 
 
 def test_povm_rejects_incomplete():

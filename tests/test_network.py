@@ -1,5 +1,6 @@
 import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -35,7 +36,10 @@ from starcert.network import (
     _basis_operators,
     _born_factors,
     _check_factors,
+    _conditioned_coefficients,
     _contract_parties,
+    _real_maps,
+    _steering_factors,
     assemble_joint_state,
     born_table,
     effects_from_observable,
@@ -44,10 +48,20 @@ from starcert.presets import (
     conjugate_scenario,
     depolarize_effects,
     ideal_scenario,
+    PHI_PLUS,
     random_povm,
     random_scenario,
+    random_state_vector,
 )
-from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z, _hermitian_basis, kron_all
+from starcert.tensor import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    _hermitian_basis,
+    _pair_indices,
+    hermitian_part,
+    kron_all,
+)
 
 
 def test_observable_triple_rejects_nonhermitian():
@@ -503,3 +517,89 @@ def test_contract_parties_broadcasts_a_shared_level_on_either_side(shared, rng):
     expected = np.einsum("vlabc,vxa,vyb,vzc->vlxyz", np.broadcast_to(t, (levels,) + t.shape[1:]),
                          *(np.broadcast_to(m, (levels,) + m.shape[1:]) for m in maps))
     npt.assert_allclose(_contract_parties(t, maps), expected, rtol=0, atol=1e-12)
+
+
+# The per-party loops that the stacked steps replace, kept as their reference.
+
+def _per_party_steering_factors(sources, triples, eve_dims):
+    d_max = max(eve_dims)
+    ops = np.zeros((len(sources), 6, d_max, d_max), dtype=complex)
+    for w, rho, triple, d_e in zip(ops, sources, triples, eve_dims):
+        d_a = triple.dim
+        effects = np.stack(effects_from_observable(np.stack(triple.observables())), axis=1)
+        w[:, :d_e, :d_e] = np.einsum("aebf,kba->kef", rho.reshape(d_a, d_e, d_a, d_e),
+                                     effects.reshape(6, d_a, d_a))
+    w_maps = [np.ascontiguousarray((w[:, :d, :d].reshape(6, d * d) @ _hermitian_basis(d).T).real)
+              for w, d in zip(ops, eve_dims)]
+    eigs = np.linalg.eigvalsh(hermitian_part(ops))
+    return w_maps, np.stack([np.maximum(eigs, 0.0).sum(axis=-1),
+                             np.maximum(-eigs, 0.0).sum(axis=-1), np.sqrt((eigs**2).sum(axis=-1))])
+
+
+def _per_party_conditioned_coefficients(scenario, c):
+    maps = [_basis_expansion(rho[None], (d_a, d_e), _hermitian_basis)[0]
+            for rho, d_a, d_e in zip(scenario.sources, scenario.alice_dims, scenario.eve_dims)]
+    return _contract_parties(c, maps)
+
+
+def _per_party_basis_operators(coeffs, dims, basis):
+    maps, select, sign = _real_maps(basis, dims)
+    k, d = len(coeffs), int(np.prod(dims))
+    parts = np.zeros((k, 2 * len(sign)))
+    parts[:, select] = coeffs.reshape(k, -1) * sign
+    t = _contract_parties(parts.reshape(2 * k, -1), [np.linalg.inv(m) for m in maps])
+    out = np.empty((k, d * d), dtype=complex)
+    out[:, _pair_indices(dims)[0]] = t[0::2].reshape(k, -1) + 1j * t[1::2].reshape(k, -1)
+    return out.reshape(k, d, d)
+
+
+def _mixed_source_scenario(alice_dims, eve_dims, rng):
+    """A random scenario whose every other source is given as a pure-state vector."""
+    scen = random_scenario_with_dims(alice_dims, eve_dims, rng)
+    sources = [random_state_vector(a * b, rng) if i % 2 else rho
+               for i, (a, b, rho) in enumerate(zip(alice_dims, eve_dims, scen.sources))]
+    return replace(scen, sources=tuple(sources))
+
+
+@pytest.mark.parametrize("alice_dims, eve_dims", [
+    pytest.param((2, 2), (2, 2), id="qubits-n2"),
+    pytest.param((2, 2, 2), (2, 2, 2), id="qubits-n3"),
+    *NON_QUBIT_DIMS,
+])
+def test_party_stacks_match_the_per_party_loops_bit_for_bit(alice_dims, eve_dims, rng):
+    scen = _mixed_source_scenario(alice_dims, eve_dims, rng)
+    triples = scen.alice_observables
+    for sources in (scen.sources, [np.eye(len(rho)) / len(rho) for rho in scen.sources]):
+        (w_maps, s), (want_maps, want_s) = (
+            f(sources, triples, eve_dims)
+            for f in (_steering_factors, _per_party_steering_factors))
+        assert all(np.array_equal(w, want) for w, want in zip(w_maps, want_maps, strict=True))
+        assert np.array_equal(s, want_s)
+    c = _born_factors(scen)[0][1]
+    coeffs = _conditioned_coefficients(scen, c)
+    assert np.array_equal(coeffs, _per_party_conditioned_coefficients(scen, c))
+    assert np.array_equal(_basis_operators(coeffs, alice_dims, _hermitian_basis),
+                          _per_party_basis_operators(coeffs, alice_dims, _hermitian_basis))
+
+
+SOURCE_FAULTS = {
+    "off-norm vector": (np.array([1 + 1e-6, 0, 0, 0]),
+                        "sources[1]: state vector norm 1.000001 deviates from 1"),
+    "non-Hermitian": (np.outer(PHI_PLUS, PHI_PLUS) + np.diag([1e-3, 0.0, 0.0], 1),
+                      "sources[1] is not Hermitian (defect 1.414e-03 > 1.0e-10)"),
+    "off-trace": (1.001 * np.outer(PHI_PLUS, PHI_PLUS),
+                  "sources[1]: density operator trace 1.0009999999999997 is not 1"),
+    "not PSD": (np.diag([1.5, -0.5, 0.0, 0.0]),
+                "sources[1]: density operator is not positive semi-definite"),
+}
+
+
+@pytest.mark.parametrize("first, later", itertools.permutations(SOURCE_FAULTS, 2))
+def test_stacked_source_check_names_the_first_faulty_source(first, later):
+    # a different fault in a later source: the one-stack check still names source 1's
+    scen = ideal_scenario(4)
+    sources = list(scen.sources)
+    sources[1], sources[3] = SOURCE_FAULTS[first][0], SOURCE_FAULTS[later][0]
+    with pytest.raises(ValueError) as raised:
+        replace(scen, sources=tuple(sources))
+    assert str(raised.value) == SOURCE_FAULTS[first][1]
