@@ -67,8 +67,9 @@ class BellOutcomeLabel:
         return cls(tuple((value >> (n - 1 - i)) & 1 for i in range(n)))
 
 
-def all_labels(n: int):
-    return [BellOutcomeLabel.from_value(v, n) for v in range(2**n)]
+@lru_cache(maxsize=None)
+def all_labels(n: int) -> tuple:
+    return tuple(BellOutcomeLabel.from_value(v, n) for v in range(2**n))
 
 
 @dataclass(frozen=True)

@@ -463,7 +463,7 @@ def _isotropic_chunks(n: int, levels, ends, both: bool, tol: Tolerances):
     for s in range(0, len(levels), step):
         v = np.array(levels[s:s + step])
         w_maps = [_mix(v, a, b) for a, b in zip(w_maps1, w_maps0)]
-        _check_factors(n, coeffs, w_maps, tol, [_mix(v, s1, s0), *r])
+        _check_factors(coeffs, w_maps, tol, [_mix(v, s1, s0), *r])
         t0, *t1 = [_correlators(c, w_maps) for c in coeffs[:1 + both]]
         yield v, _bell_numerators(n, t0), _outcome_weights(n, t0), t1
 

@@ -131,7 +131,7 @@ def _report_body(report: CertificationReport) -> dict:
         "passed": report.part1.passed,
     }
     body = {"part1": part1, "verdict": report.verdict,
-            "tolerance": _f(report.tolerances.acceptance), "schema_version": _SCHEMA_VERSION}
+            "tolerance": _f(report.tolerances.acceptance)}
     if report.part2 is not None:
         body["part2"] = {
             "mode": report.part2.mode,

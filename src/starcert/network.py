@@ -37,15 +37,15 @@ from .tensor import (
     _hermitian_basis,
     _pair_indices,
     _pair_layout,
+    as_operator,
     as_state,
-    check_hermitian,
     hermitian_defects,
     hermitian_part,
     kron_all,
+    not_hermitian,
     operator_stack,
     psd_within,
     reorder_factors,
-    require_hermitian,
 )
 
 
@@ -58,10 +58,20 @@ class BinaryObservableTriple:
     a2: np.ndarray
 
     def __post_init__(self):
-        stack = operator_stack(self.observables(), "observable")
-        _check_observables(stack)
-        for name, m in zip(("a0", "a1", "a2"), stack):
-            object.__setattr__(self, name, m)
+        """Each A Hermitian, spectrum in [-1, 1]; the first faulty A raises its first fault."""
+        stack, tol = operator_stack(self.observables(), "observable"), DEFAULT_TOL
+        # the spectral norm of each A is its largest singular value
+        defects, radii = hermitian_defects(stack), np.linalg.svd(stack, compute_uv=False)[:, 0]
+        fault = _first_fault([
+            (defects <= tol.structural,
+             lambda k: not_hermitian(f"observable a{k}", defects[k], tol.structural)),
+            (radii <= 1 + tol.spectral, lambda k: ValidationError(
+                f"observable a{k} has spectral radius {radii[k]:.6g} > 1")),
+        ])
+        if fault:
+            raise fault[1]
+        for k, m in enumerate(stack):
+            object.__setattr__(self, f"a{k}", m)
 
     @property
     def dim(self) -> int:
@@ -71,33 +81,16 @@ class BinaryObservableTriple:
         return (self.a0, self.a1, self.a2)
 
 
-def _check_observables(stack: np.ndarray) -> None:
-    """Hermiticity and the dichotomic contract of a stack of observables, one batched norm each.
+def _first_fault(checks):
+    """The first faulty item k and its error, by that item's first failing check, or None.
 
-    A = M_0 - M_1 forces the spectrum within [-1, 1]; the first faulty
-    observable in order raises, Hermiticity first.
+    ``checks`` lists (passed, error) in check order: ``passed`` marks the items
+    that pass, so a NaN fails every cut, and ``error(k)`` is item k's error.
     """
-    names = ("observable a0", "observable a1", "observable a2")
-    check_hermitian(stack, DEFAULT_TOL.structural, names)
-    for name, top in zip(names, np.linalg.norm(stack, ord=2, axis=(1, 2))):
-        if top > 1 + DEFAULT_TOL.spectral:
-            raise ValidationError(f"{name} has spectral radius {top:.6g} > 1")
-
-
-def _as_density_operator(state, path: str) -> np.ndarray:
-    """Accept a pure-state vector or a density matrix; return a density matrix."""
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        norm = np.linalg.norm(as_state(arr, f"{path}: state vector"))
-        if abs(norm - 1) > 1e-10:
-            raise ValidationError(f"{path}: state vector norm {norm} deviates from 1")
-        return np.outer(arr, arr.conj())
-    rho = require_hermitian(arr, what=path)
-    if abs(np.trace(rho).real - 1) > DEFAULT_TOL.structural:
-        raise ValidationError(f"{path}: density operator trace {np.trace(rho).real} is not 1")
-    if not psd_within(hermitian_part(rho[None])[0], DEFAULT_TOL.structural):
-        raise ValidationError(f"{path}: density operator is not positive semi-definite")
-    return rho
+    passed = np.array([p for p, _ in checks])
+    if not passed.all():
+        k = int(np.argmin(passed.all(axis=0)))
+        return k, checks[int(np.argmin(passed[:, k]))][1](k)
 
 
 def _party_groups(*dims) -> dict:
@@ -108,51 +101,60 @@ def _party_groups(*dims) -> dict:
     return groups
 
 
-def _stack_passes(stack: np.ndarray) -> bool:
-    """Whether a (K, ...) stack of sources of one shape passes ``_as_density_operator``, screened.
+def _density_operators(sources) -> tuple:
+    """Every source as a density operator; the sources of one shape are checked once, as a stack.
 
-    The checks run on the whole stack: finite entries, then a vector's unit
-    norm, or a matrix's Hermiticity, unit trace and PSD (one batched
-    Cholesky).  The norm and trace cuts are 1% tighter, which covers the
-    rounding of the batched sums, so a stack that passes has no source that
-    the one-at-a-time check would refuse.
+    A vector v becomes v v^dagger and a matrix is taken as it is.  The
+    checks, in order: a non-empty vector or square matrix of finite numbers
+    (``as_state``, ``as_operator``), then a vector's unit norm, or a
+    matrix's Hermiticity, unit trace and PSD (``psd_within``).  The first
+    faulty source in party order raises, by its first failing check; one
+    that is no array of numbers is its own party's fault.
     """
-    shape = stack.shape[1:]
-    if 0 in shape or len(shape) > 2 or not np.isfinite(stack).all():
-        return False
-    with np.errstate(over="ignore", invalid="ignore"):  # huge entries are refused, not warned of
-        if len(shape) == 1:
-            return bool((np.abs(np.linalg.norm(stack, axis=1) - 1) <= 0.99 * 1e-10).all())
-        tol = DEFAULT_TOL.structural
-        if (shape[0] != shape[1] or (hermitian_defects(stack) > tol).any()
-                or (np.abs(np.trace(stack, axis1=1, axis2=2).real - 1) > 0.99 * tol).any()):
-            return False
+    tol, out, faults = DEFAULT_TOL.structural, [None] * len(sources), {}
+    for i, s in enumerate(sources):
         try:
-            np.linalg.cholesky(hermitian_part(stack) + 10 * tol * np.eye(shape[0]))
-        except np.linalg.LinAlgError:
-            return False
-    return True
-
-
-def _stacked_density_operators(sources):
-    """Every source as a density operator, checked as one stack per shape, or None if any fails.
-
-    A pure-state vector v becomes v v^dagger and a matrix is taken as it
-    is, as in ``_as_density_operator``, whose checks ``_stack_passes``
-    screens.  On None the caller checks each source alone, in party order,
-    so that the first faulty one raises its own message.
-    """
-    try:
-        out = [np.asarray(s, dtype=complex) for s in sources]
-    except (TypeError, ValueError):
-        return None
-    for (shape,), parties in _party_groups([a.shape for a in out]).items():
-        stack = np.stack([out[i] for i in parties])
-        if not _stack_passes(stack):
-            return None
-        if len(shape) == 1:
-            for i, rho in zip(parties, stack[:, :, None] * stack.conj()[:, None, :]):
-                out[i] = rho
+            out[i] = np.asarray(s, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            faults[i] = exc
+    groups = _party_groups([getattr(a, "shape", None) for a in out])
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries are refused, not warned of
+        for (shape,), parties in groups.items():
+            if shape is None:
+                continue
+            stack = np.array([out[i] for i in parties])
+            vector = len(shape) == 1 and shape[0] > 0
+            matrix = len(shape) == 2 and shape[0] == shape[1] > 0
+            well_formed, entries = np.ones(len(parties), bool), {}
+            if not (vector or matrix) or not np.isfinite(stack).all():
+                for k, (i, a) in enumerate(zip(parties, stack)):
+                    try:
+                        (as_state(a, f"sources[{i}]: state vector") if a.ndim == 1
+                         else as_operator(a))
+                    except ValueError as exc:
+                        well_formed[k], entries[k] = False, exc
+            checks = [(well_formed, entries.get)]
+            if vector:
+                norm = np.linalg.norm(stack, axis=1)
+                checks.append((np.abs(norm - 1) <= tol, lambda k: ValidationError(
+                    f"sources[{parties[k]}]: state vector norm {norm[k]} deviates from 1")))
+                for i, rho in zip(parties, stack[:, :, None] * stack.conj()[:, None, :]):
+                    out[i] = rho
+            elif matrix:
+                defect, trace = hermitian_defects(stack), stack.trace(axis1=1, axis2=2).real
+                checks += [
+                    (defect <= tol,
+                     lambda k: not_hermitian(f"sources[{parties[k]}]", defect[k], tol)),
+                    (np.abs(trace - 1) <= tol, lambda k: ValidationError(
+                        f"sources[{parties[k]}]: density operator trace {trace[k]} is not 1")),
+                    (psd_within(hermitian_part(stack), tol), lambda k: ValidationError(
+                        f"sources[{parties[k]}]: density operator is not positive semi-definite")),
+                ]
+            fault = _first_fault(checks)
+            if fault:
+                faults[parties[fault[0]]] = fault[1]
+    if faults:
+        raise faults[min(faults)]
     return tuple(out)
 
 
@@ -180,12 +182,10 @@ class Scenario:
             raise DimensionError("need one source and one observable triple per party")
         if len(self.eve) != 2:
             raise ValidationError("eve must hold exactly two measurements (e = 0, 1)")
-        sources = _stacked_density_operators(self.sources) or tuple(
-            _as_density_operator(s, f"sources[{i}]") for i, s in enumerate(self.sources))
-        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "sources", _density_operators(self.sources))
         object.__setattr__(self, "alice_observables", tuple(self.alice_observables))
         object.__setattr__(self, "eve", tuple(self.eve))
-        for i, (rho, triple) in enumerate(zip(sources, self.alice_observables)):
+        for i, (rho, triple) in enumerate(zip(self.sources, self.alice_observables)):
             d_a = triple.dim
             if rho.shape[0] % d_a != 0:
                 raise DimensionError(
@@ -365,40 +365,37 @@ def _check_levels(tol: Tolerances, w_maps, spectra, stack, pbars, alices) -> Non
     """The checks of ``CorrelationTable`` on L levels: raise what their tables would raise first.
 
     That is the first failing check, in the order below, of the first
-    failing level.  Per Eve input e, ``pbars[e]`` (L, K_e, 3^N) holds
-    pbar[v, l, x] = sum_a p(a, l | x, e) and ``alices[e]`` (L, 6^N) the
-    Alice marginals.  Non-negativity streams every entry (``_least_entries``)
-    of the coefficient stack ``stack(e)`` (L, K_e, D_1..D_N) unless
-    ``spectra``, passed only for factors expanded from validated objects,
-    give a bound (``_lower_bounds``) that clears -``tol.probability`` on
-    every level.
+    failing level (``_first_fault``); a NaN fails every check.  Per Eve
+    input e, ``pbars[e]`` (L, K_e, 3^N) holds pbar[v, l, x] =
+    sum_a p(a, l | x, e) and ``alices[e]`` (L, 6^N) the Alice marginals.
+    Non-negativity streams every entry (``_least_entries``) of the
+    coefficient stack ``stack(e)`` (L, K_e, D_1..D_N) unless ``spectra``,
+    passed only for factors expanded from validated objects, give a bound
+    (``_lower_bounds``) that clears -``tol.probability`` on every level; a
+    NaN bound clears nothing.
     """
-    first, error = len(pbars[0]), None
-
-    def check(failed, make_error):
-        nonlocal first, error
-        if failed[:first].any():
-            first = int(np.argmax(failed))
-            error = make_error(first)
-
     bounds = None if spectra is None else _lower_bounds(w_maps, spectra)
+    checks = []
     for e, pbar in enumerate(pbars):
-        if bounds is None or (bounds[e] < -tol.probability).any():
+        if bounds is None or not (bounds[e] >= -tol.probability).all():
             low = _least_entries(stack(e), w_maps)
             low[np.abs(low) < _ZERO_CUT] = 0.0
-            check(low < -tol.probability,
-                  lambda i: ValidationError(f"negative probability {low[i]:.3e} in table e={e}"))
-        check(np.abs(pbar.sum(axis=1) - 1).max(axis=1) > tol.structural,
-              lambda i: ValidationError(f"probabilities for e={e} do not sum to 1 per input"))
-        check(np.abs(pbar - pbar[..., :1]).max(axis=(1, 2)) > tol.structural,
-              lambda i: ValidationError(f"signaling to Eve detected in table e={e}"))
-    check(np.abs(alices[0] - alices[1]).max(axis=1) > tol.structural,
-          lambda i: ValidationError("Alice marginals depend on Eve's input (signaling)"))
-    if error is not None:
-        raise error
+            checks.append((low >= -tol.probability, lambda i, e=e, low=low: ValidationError(
+                f"negative probability {low[i]:.3e} in table e={e}")))
+        checks += [
+            (np.abs(pbar.sum(axis=1) - 1).max(axis=1) <= tol.structural,
+             lambda i, e=e: ValidationError(f"probabilities for e={e} do not sum to 1 per input")),
+            (np.abs(pbar - pbar[..., :1]).max(axis=(1, 2)) <= tol.structural,
+             lambda i, e=e: ValidationError(f"signaling to Eve detected in table e={e}")),
+        ]
+    checks.append((np.abs(alices[0] - alices[1]).max(axis=1) <= tol.structural,
+                   lambda i: ValidationError("Alice marginals depend on Eve's input (signaling)")))
+    fault = _first_fault(checks)
+    if fault:
+        raise fault[1]
 
 
-def _check_factors(n: int, coeffs, w_maps, tol: Tolerances, spectra=None) -> None:
+def _check_factors(coeffs, w_maps, tol: Tolerances, spectra=None) -> None:
     """``_check_levels`` of stacks of L levels' Born factors, contracted here.
 
     ``coeffs[e]`` is (L, K_e, D_1, ..., D_N) and ``w_maps[i]`` is (L, 6, D_i),
@@ -446,7 +443,7 @@ class CorrelationTable:
     """
 
     def __init__(self, n: int, coeffs, w_maps, tol: Tolerances = DEFAULT_TOL, *, _spectra=None):
-        _check_factors(n, [c[None] for c in coeffs], [w[None] for w in w_maps], tol, _spectra)
+        _check_factors([c[None] for c in coeffs], [w[None] for w in w_maps], tol, _spectra)
         for a in (*coeffs, *w_maps):
             a.flags.writeable = False
         self.n, self.tol = n, tol

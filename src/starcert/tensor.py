@@ -209,17 +209,25 @@ def check_hermitian(stack: np.ndarray, tol: float, what="matrix") -> None:
     """
     for k, defect in enumerate(hermitian_defects(stack).tolist()):
         if defect > tol:
-            name = what if isinstance(what, str) else what[k]
-            raise ContractViolation(f"{name} is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+            raise not_hermitian(what if isinstance(what, str) else what[k], defect, tol)
 
 
-def psd_within(h: np.ndarray, tol: float) -> bool:
-    """Whether the Hermitian matrix ``h`` is PSD within ``tol``: Cholesky of h + 10 tol 1."""
+def not_hermitian(what: str, defect: float, tol: float) -> ContractViolation:
+    """The error of the matrix ``what``, whose Hermiticity defect exceeds ``tol``."""
+    return ContractViolation(f"{what} is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+
+
+def psd_within(h: np.ndarray, tol: float):
+    """Whether each Hermitian matrix of h (..., d, d) is PSD within tol: Cholesky of h + 10 tol 1.
+
+    One batched call, or one per matrix if it fails.  A non-finite factor,
+    which numpy returns without an error for an inf in ``h``, is not PSD.
+    """
     try:
-        np.linalg.cholesky(h + 10 * tol * np.eye(h.shape[0]))
-        return True
+        factors = np.linalg.cholesky(h + 10 * tol * np.eye(h.shape[-1]))
     except np.linalg.LinAlgError:
-        return False
+        return np.array([psd_within(m, tol) for m in h]) if h.ndim > 2 else False
+    return np.isfinite(factors).all(axis=(-2, -1))
 
 
 def numerical_ranks(eigenvalues: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -51,6 +51,12 @@ def test_label_packing():
         BellOutcomeLabel((2, 0))
 
 
+def test_all_labels_is_one_tuple_per_n_in_order_of_value():
+    labels = all_labels(5)
+    assert labels is all_labels(5) and isinstance(labels, tuple)
+    assert [lab.value for lab in labels] == list(range(32))
+
+
 def test_bounds_formulas():
     assert classical_bound_formula(2) == pytest.approx(SQRT2 + 1)
     assert quantum_bound(4) == 9.0

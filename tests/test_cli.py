@@ -112,7 +112,8 @@ def test_prepare_state_reports_the_certify_report_of_its_scenario(n, capsys):
     assert main(["prepare-state", "--n", str(n), "--state-spec", MIXED_SPEC,
                  "--format", "structured", "--reproducible"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    for key in ("tool", "version", "command", "inputs"):
+    assert doc["schema_version"] == 1
+    for key in ("tool", "version", "schema_version", "command", "inputs"):
         del doc[key]
     spec = load_mixed_state_spec(MIXED_SPEC)
     tol = cli.DEFAULT_TOL

@@ -256,6 +256,9 @@ HUGE_ENTRIES = {
                                   "eigenvalues cannot be computed (tolerance 1.0e-10)"),
     "source-lone-entry": ("ideal_n2_ghz.scenario.json", load_scenario,
                           _set_entries(("sources", 0, 1, 1e308)), "not Hermitian"),
+    "source-hermitian-pair": ("ideal_n2_ghz.scenario.json", load_scenario,
+                              _set_entries(("sources", 0, 1, 1e308), ("sources", 0, 4, 1e308)),
+                              "scenario: sources[0]: density operator is not positive semi-definite"),
     "state-spec-vector": ("mixed_demo.statespec.json", load_mixed_state_spec,
                           lambda doc: doc["vectors"][0].__setitem__(0, [1e308, 0.0]),
                           "state spec: "),

@@ -74,6 +74,12 @@ def test_observable_triple_rejects_large_spectrum():
         BinaryObservableTriple(2 * PAULI_Z, PAULI_X, PAULI_Y)
 
 
+def test_observable_triple_names_the_first_faulty_observable():
+    # a0's spectrum fails before a1's Hermiticity is looked at
+    with pytest.raises(ValidationError, match=r"^observable a0 has spectral radius 2 > 1$"):
+        BinaryObservableTriple(2 * PAULI_Z, np.array([[0, 1], [0, 0]]), PAULI_Y)
+
+
 def test_observable_triple_rejects_mixed_dims():
     with pytest.raises(DimensionError):
         BinaryObservableTriple(PAULI_Z, PAULI_X, np.eye(3))
@@ -379,7 +385,7 @@ def test_correlator_tensor_matches_dense_trace_oracle_one_outcome_at_a_time(
 def check_stacks(p0, p1):
     """The factor checks on (L, 2^N, K, 3^N) stacks, stored as ``CorrelationTable`` stores them."""
     coeffs = [np.stack([_dense_factors(2, p) for p in stack]) for stack in (p0, p1)]
-    _check_factors(2, coeffs, [np.eye(6)[None]] * 2, DEFAULT_TOL)
+    _check_factors(coeffs, [np.eye(6)[None]] * 2, DEFAULT_TOL)
 
 
 def test_stacked_table_checks_report_the_first_failing_level():
@@ -591,6 +597,12 @@ SOURCE_FAULTS = {
                   "sources[1]: density operator trace 1.0009999999999997 is not 1"),
     "not PSD": (np.diag([1.5, -0.5, 0.0, 0.0]),
                 "sources[1]: density operator is not positive semi-definite"),
+    "NaN vector entry": (np.array([np.nan, 0, 0, 1]),
+                         "sources[1]: state vector contains NaN or Inf entries"),
+    "inf matrix entry": (np.diag([np.inf, 0.0, 0.0, 0.0]), "matrix contains NaN or Inf entries"),
+    "non-square matrix": (np.zeros((4, 2)), "expected a square matrix, got shape (4, 2)"),
+    "empty vector": (np.zeros(0), "sources[1]: state vector must have at least one amplitude"),
+    "string": ("abc", "complex() arg is a malformed string"),
 }
 
 
@@ -603,3 +615,39 @@ def test_stacked_source_check_names_the_first_faulty_source(first, later):
     with pytest.raises(ValueError) as raised:
         replace(scen, sources=tuple(sources))
     assert str(raised.value) == SOURCE_FAULTS[first][1]
+
+
+def test_source_check_names_the_first_faulty_source_across_shape_groups():
+    # the vectors are the first stack, but the matrix stack's fault comes first in party order
+    sources = (PHI_PLUS, SOURCE_FAULTS["non-Hermitian"][0], SOURCE_FAULTS["off-norm vector"][0],
+               np.outer(PHI_PLUS, PHI_PLUS))
+    with pytest.raises(ValueError) as raised:
+        replace(ideal_scenario(4), sources=sources)
+    assert str(raised.value) == SOURCE_FAULTS["non-Hermitian"][1]
+
+
+def test_a_vector_inside_the_norm_cut_is_accepted():
+    # its norm is off by 0.995e-10, inside the cut of 1e-10
+    v = np.array([1 + 0.995e-10, 0, 0, 0])
+    scen = replace(ideal_scenario(2), sources=(v, PHI_PLUS))
+    assert np.array_equal(scen.sources[0], np.outer(v, v.conj()))
+
+
+def test_a_nan_coefficient_fails_the_table_checks():
+    coeffs, w_maps = _born_factors(ideal_scenario(2))[:2]
+    coeffs[0][0].flat[0] = np.nan
+    with pytest.raises(ValidationError, match=r"^negative probability nan in table e=0$"):
+        CorrelationTable(2, coeffs, w_maps)
+
+
+def test_a_nan_bound_proves_nothing_and_the_table_is_streamed():
+    # a source whose Hermitian part overflows, set past Scenario's check: the steering
+    # spectra, hence the bound, are NaN, and one table entry is -1.768e307
+    scen = ideal_scenario(2)
+    bad = np.zeros((4, 4), dtype=complex)
+    bad[:2, :2] = [[0.5, 1e308], [1e308, 0.5]]
+    object.__setattr__(scen, "sources", (scen.sources[0], bad))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError,
+                           match=r"^negative probability -1\.768e\+307 in table e=0$"):
+            born_table(scen)

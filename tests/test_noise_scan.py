@@ -154,10 +154,10 @@ def test_isotropic_scan_mixes_only_the_steering_maps(mode, rng, monkeypatch):
     # Eve's coefficients and extremes reach every check as one level that all levels share
     calls, check = [], certify_module._check_factors
 
-    def recording(n, coeffs, w_maps, tol, spectra=None):
+    def recording(coeffs, w_maps, tol, spectra=None):
         calls.append(([len(c) for c in coeffs] + [len(r) for r in spectra[1:]],
                       {len(w) for w in w_maps} | {len(spectra[0])}))
-        return check(n, coeffs, w_maps, tol, spectra)
+        return check(coeffs, w_maps, tol, spectra)
 
     monkeypatch.setattr(certify_module, "_check_factors", recording)
     scen = ghz_scenario(3)

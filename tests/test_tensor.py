@@ -112,6 +112,14 @@ def test_psd_within():
     assert psd_within(np.diag([1.0, -1e-12]), 1e-10)  # within slack
 
 
+def test_psd_within_refuses_a_non_finite_hermitian_part_and_reads_each_matrix_of_a_stack():
+    # numpy's Cholesky returns a NaN factor for this one without raising
+    assert not psd_within(np.array([[0.5, np.inf], [np.inf, 0.5]]), 1e-10)
+    stack = np.array([np.eye(2), np.diag([1.0, -0.1]), [[0.5, np.inf], [np.inf, 0.5]], np.eye(2)])
+    npt.assert_array_equal(psd_within(stack, 1e-10), [True, False, False, True])
+    npt.assert_array_equal(psd_within(stack[[0, 3]], 1e-10), [True, True])
+
+
 def test_require_hermitian():
     npt.assert_array_equal(require_hermitian(PAULI_X), PAULI_X)
     # ||M - M^dagger|| of [[0, 1], [0, 0]] is sqrt2
