@@ -8,7 +8,6 @@ verifies remote preparation of arbitrary states up to complex conjugation.
 """
 
 from .bell import (
-    BellEvaluation,
     BellOutcomeLabel,
     SosResiduals,
     all_labels,

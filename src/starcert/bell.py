@@ -73,16 +73,6 @@ def all_labels(n: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class BellEvaluation:
-    label: BellOutcomeLabel
-    value: float
-    classical_bound: float
-    quantum_bound: float
-    violated: bool
-    maximal: bool
-
-
-@dataclass(frozen=True)
 class SosResiduals:
     """Norms of the SOS terms applied to a state.
 
@@ -311,20 +301,6 @@ def sos_residuals(label: BellOutcomeLabel, observables, state: np.ndarray) -> So
         norms.append(float(np.linalg.norm(op @ state)))
     n = label.n
     return SosResiduals(p_norm=norms[0], r_norms=tuple(norms[1:n]), q_norms=tuple(norms[n:]))
-
-
-def _evaluation(label: BellOutcomeLabel, value: float, tol: Tolerances) -> BellEvaluation:
-    """One label's value with its bounds and verdict flags; NaN flags neither."""
-    beta_c = classical_bound_formula(label.n)
-    beta_q = quantum_bound(label.n)
-    return BellEvaluation(
-        label=label,
-        value=value,
-        classical_bound=beta_c,
-        quantum_bound=beta_q,
-        violated=value > beta_c + tol.acceptance,
-        maximal=abs(value - beta_q) <= tol.acceptance,
-    )
 
 
 def max_bell_eigenvalue(label: BellOutcomeLabel, observables,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bell import _bell_numerators, _bell_values, _evaluation, all_labels, bell_values
+from .bell import _bell_numerators, _bell_values, bell_values, quantum_bound
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ConditioningError, ContractViolation, DimensionError
 from .measurements import (
@@ -72,7 +72,7 @@ class ConjugationBranch:
 
 @dataclass(frozen=True)
 class Part1Report:
-    evaluations: tuple          # one BellEvaluation per label, value NaN on conditioning failure
+    bell_values: tuple          # per label, NaN on conditioning failure
     pbar: tuple                 # P(l | e=0) per label
     bell_passed: bool
     pbar_passed: bool
@@ -126,15 +126,12 @@ def check_part1(table: CorrelationTable, n: int, tol: Tolerances = DEFAULT_TOL) 
         raise DimensionError(f"table has N={table.n}, expected {n}")
     if table.outcome_count(0) != 2**n:
         raise DimensionError(f"table has {table.outcome_count(0)} e=0 outcomes, expected {2**n}")
-    # a vanishing outcome cannot certify anything: its NaN value is not maximal
-    evaluations = tuple(
-        _evaluation(label, v, tol) for label, v in zip(all_labels(n), bell_values(table).tolist())
-    )
-    pbar = table.outcome_weights(0)
+    values, pbar = bell_values(table), table.outcome_weights(0)
     return Part1Report(
-        evaluations=evaluations,
+        bell_values=tuple(values.tolist()),
         pbar=tuple(pbar.tolist()),
-        bell_passed=all(ev.maximal for ev in evaluations),
+        # a vanishing outcome cannot certify anything: its NaN value is not maximal
+        bell_passed=bool(np.all(np.abs(values - quantum_bound(n)) <= tol.acceptance)),
         pbar_passed=bool(np.all(np.abs(pbar - 2.0**-n) <= tol.acceptance)),
     )
 

@@ -35,8 +35,8 @@ from .presets import ideal_scenario
 # Largest N that any subcommand builds a Born table for; _check_parties states why.
 MAX_PARTIES = 7
 
-# The structured report's layout version.  Every report carries it through _envelope; a
-# certification body, which is also read without the envelope, carries it itself too.
+# The structured report's layout version.  _envelope is its only writer: every report,
+# a certification body included, carries it through the envelope.
 _SCHEMA_VERSION = 1
 
 
@@ -120,11 +120,10 @@ def _emit(config: argparse.Namespace, text, structured: dict) -> None:
 
 
 def _report_body(report: CertificationReport) -> dict:
-    evaluations = report.part1.evaluations
-    values = [ev.value for ev in evaluations]
+    values = report.part1.bell_values
     part1 = {
         "bell_values": _floats(values),
-        "unconditionable_labels": _unconditionable(values, evaluations[0].label.n),
+        "unconditionable_labels": _unconditionable(values, len(values).bit_length() - 1),
         "pbar": _floats(report.part1.pbar),
         "bell_passed": report.part1.bell_passed,
         "pbar_passed": report.part1.pbar_passed,
@@ -161,11 +160,10 @@ def _report_text(report: CertificationReport) -> str:
         f"part1: bell {'pass' if p1.bell_passed else 'FAIL'}, "
         f"outcome weights {'pass' if p1.pbar_passed else 'FAIL'}"
     )
-    for ev, p in zip(p1.evaluations, p1.pbar):
-        bits = "".join(str(b) for b in ev.label.bits)
+    n = len(p1.bell_values).bit_length() - 1  # one value per label of N bits
+    for l, (value, p) in enumerate(zip(p1.bell_values, p1.pbar)):
         lines.append(
-            f"  l={bits}  value={ev.value:.12f}  bound={ev.quantum_bound:.12f}  "
-            f"pbar={p:.12f}"
+            f"  l={l:0{n}b}  value={value:.12f}  bound={quantum_bound(n):.12f}  pbar={p:.12f}"
         )
     if report.part2 is not None:
         p2 = report.part2
@@ -184,7 +182,7 @@ def _report_text(report: CertificationReport) -> str:
         )
         lines.append(
             f"total preparation probability: {p3.total_probability:.12f} "
-            f"(target {2.0**-p1.evaluations[0].label.n:.12f})"
+            f"(target {2.0**-n:.12f})"
         )
     return "\n".join(lines)
 

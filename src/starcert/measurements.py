@@ -21,7 +21,7 @@ import numpy as np
 from .bell import SQRT2
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ContractViolation, DimensionError, ValidationError
-from .network import _basis_expansion, _basis_operators
+from .network import _basis_expansion, _basis_operators, _first_fault
 from .tensor import (
     ID2,
     PAULI_X,
@@ -276,23 +276,23 @@ def _rank_one_factor(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     A dense ``Povm`` (``_check_effects_hermitian``) is factored through one
     batched eigendecomposition of its effects' Hermitian parts: v_l is the
-    top eigenvector scaled by the square root of its eigenvalue.
+    top eigenvector scaled by the square root of its eigenvalue.  The first
+    faulty effect raises, by its first failing check (``_first_fault``).
     """
-    v = povm.vectors
+    v, checks = povm.vectors, []
     if v is None:
         _check_effects_hermitian(povm, tol)
         vals, vecs = np.linalg.eigh(hermitian_part(povm.effects))
         # each effect's second-largest eigenvalue; a 1 x 1 effect has none
-        faulty = (np.abs(vals[:, -2:-1]) >= tol.rank).any(axis=1)
-        if faulty.any():
-            i = int(np.argmax(faulty))
-            raise ContractViolation(
-                f"effect {i} is not rank-one (second eigenvalue {vals[i, -2]:.3e})"
-            )
+        second = vals[:, -2:-1]
+        checks.append(((np.abs(second) < tol.rank).all(axis=1), lambda k: ContractViolation(
+            f"effect {k} is not rank-one (second eigenvalue {second[k, 0]:.3e})")))
         v = np.sqrt(np.maximum(vals[:, -1], 0.0))[:, None] * vecs[:, :, -1]
-    zero = np.linalg.norm(v, axis=1) ** 2 <= tol.rank  # ||v v^dagger|| = ||v||^2
-    if zero.any():
-        raise ContractViolation(f"effect {int(np.argmax(zero))} is numerically zero")
+    norms = np.linalg.norm(v, axis=1) ** 2  # ||v v^dagger|| = ||v||^2
+    checks.append((norms > tol.rank, lambda k: ContractViolation(f"effect {k} is numerically zero")))
+    fault = _first_fault(checks)
+    if fault:
+        raise fault[1]
     return v
 
 

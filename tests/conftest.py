@@ -108,15 +108,16 @@ def dense_table_oracle(n: int, coeffs, w_maps, tol: Tolerances = DEFAULT_TOL):
         p = raw.transpose(order).reshape(2**n, len(c), 3**n)
         p[np.abs(p) < 1e-16] = 0.0
         tables.append(p)
+    # each check is written to pass only on the good side of its cut, so a NaN fails it
     for e, p in enumerate(tables):
-        if p.min() < -tol.probability:
+        if not p.min() >= -tol.probability:
             raise ValidationError(f"negative probability {p.min():.3e} in table e={e}")
-        if np.abs(p.sum(axis=(0, 1)) - 1).max() > tol.structural:
+        if not np.abs(p.sum(axis=(0, 1)) - 1).max() <= tol.structural:
             raise ValidationError(f"probabilities for e={e} do not sum to 1 per input")
         pbar = p.sum(axis=0)
-        if np.abs(pbar - pbar[:, :1]).max() > tol.structural:
+        if not np.abs(pbar - pbar[:, :1]).max() <= tol.structural:
             raise ValidationError(f"signaling to Eve detected in table e={e}")
-    if np.abs(tables[0].sum(axis=1) - tables[1].sum(axis=1)).max() > tol.structural:
+    if not np.abs(tables[0].sum(axis=1) - tables[1].sum(axis=1)).max() <= tol.structural:
         raise ValidationError("Alice marginals depend on Eve's input (signaling)")
     tensors = [correlators_from_table(n, p) for p in tables]
     return tables, tensors, [p[..., 0].sum(axis=0) for p in tables]

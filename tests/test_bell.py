@@ -21,6 +21,7 @@ from starcert.bell import (
     tilde_observables,
 )
 from starcert.certify import check_part1, post_measurement_state
+from starcert.config import DEFAULT_TOL
 from starcert.errors import DimensionError
 from starcert.measurements import Povm, ghz_basis_measurement
 from starcert.network import Scenario, born_table
@@ -188,11 +189,13 @@ def test_sos_residuals_vanish_on_ideal():
 
 
 def test_evaluate_bell_flags():
-    ev = check_part1(born_table(ideal_scenario(2)), 2).evaluations[0]
-    assert ev.label == BellOutcomeLabel((0, 0))
-    assert ev.violated and ev.maximal
-    ev2 = check_part1(born_table(ideal_scenario(2, visibility=0.5)), 2).evaluations[0]
-    assert not ev2.violated and not ev2.maximal
+    tol = DEFAULT_TOL.acceptance
+    table = born_table(ideal_scenario(2))
+    report = check_part1(table, 2)
+    assert report.bell_values[0] == bell_value(table, BellOutcomeLabel((0, 0)))
+    assert report.bell_passed and abs(report.bell_values[0] - quantum_bound(2)) <= tol
+    report2 = check_part1(born_table(ideal_scenario(2, visibility=0.5)), 2)
+    assert not report2.bell_passed and abs(report2.bell_values[0] - quantum_bound(2)) > tol
 
 
 def test_bell_value_rejects_labels_outside_the_table():

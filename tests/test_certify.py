@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from starcert.bell import ghz_vector, BellOutcomeLabel
+from starcert.bell import ghz_vector, quantum_bound, BellOutcomeLabel
 from starcert.certify import (
     CERTIFIED,
     CONJUGATE,
@@ -79,14 +79,16 @@ def test_check_part1_ideal_passes():
     for n in (2, 3):
         report = check_part1(born_table(ideal_scenario(n)), n)
         assert report.passed
-        assert all(ev.maximal for ev in report.evaluations)
+        assert report.bell_passed
+        npt.assert_allclose(report.bell_values, quantum_bound(n), rtol=0,
+                            atol=DEFAULT_TOL.acceptance)
         npt.assert_allclose(report.pbar, 2.0**-n, atol=1e-12)
 
 
 def test_check_part1_fails_under_noise():
     report = check_part1(born_table(ideal_scenario(2, visibility=0.9)), 2)
     assert not report.bell_passed
-    assert all(ev.value < 3.0 - 1e-6 for ev in report.evaluations)
+    assert all(v < 3.0 - 1e-6 for v in report.bell_values)
     assert report.pbar_passed  # isotropic noise keeps the weights uniform
 
 
@@ -667,10 +669,10 @@ def test_certify_without_a_reference_rejects_an_unknown_mode(with_state_spec):
 
 
 def test_verdict_resolution_inconclusive():
-    p1 = Part1Report(evaluations=(), pbar=(), bell_passed=True, pbar_passed=False)
+    p1 = Part1Report(bell_values=(), pbar=(), bell_passed=True, pbar_passed=False)
     p2 = Part2Report("projective", (0.0,), (0.0,), PLAIN, True)
     assert _resolve_verdict(p1, p2, None) == INCONCLUSIVE
-    p1_fail = Part1Report(evaluations=(), pbar=(), bell_passed=False, pbar_passed=True)
+    p1_fail = Part1Report(bell_values=(), pbar=(), bell_passed=False, pbar_passed=True)
     assert _resolve_verdict(p1_fail, p2, None) == FAILED
 
 

@@ -202,12 +202,27 @@ def test_scenario_file_above_limit_is_rejected_before_construction(monkeypatch, 
     assert "2 * 8^N complex entries (0.5 GB)" in err
 
 
-def test_production_paths_build_no_dense_table(monkeypatch, capsys):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an (a, l, x) table was built")
+def _holders(name):
+    """Every module of the package that holds ``name``: the one defining it and its importers."""
+    return [m for key, m in sys.modules.items() if key.startswith("starcert.") and hasattr(m, name)]
 
-    monkeypatch.setattr(starcert.network, "_dense_table", forbidden)
-    with pytest.raises(AssertionError):
+
+# The dense reference layer: (a, l, x) tables, Kronecker products and the joint
+# operators and states built from them.  Only the tests' oracles call it.
+DENSE_LAYER = ("_dense_table", "kron", "kron_all", "partial_trace", "reorder_factors",
+               "assemble_joint_state", "bell_operator", "sos_residuals", "max_bell_eigenvalue",
+               "tilde_observables")
+
+
+def test_production_paths_build_no_dense_table(monkeypatch, capsys):
+    for name in DENSE_LAYER:
+        def forbidden(*args, name=name, **kwargs):
+            raise AssertionError(f"the dense reference layer's {name} was called")
+
+        assert _holders(name), name
+        for module in _holders(name):
+            monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError, match="_dense_table"):
         starcert.network.born_table(ideal_scenario(2)).p0
     for mode in ("projective", "povm"):
         assert main(["certify", "--scenario", IDEAL, "--reference", GHZ_REF, "--mode", mode]) == 0
@@ -217,6 +232,9 @@ def test_production_paths_build_no_dense_table(monkeypatch, capsys):
         assert main(["scan", "--scenario", IDEAL, "--noise", noise, "--grid", "0,0.5,1",
                      "--reference", GHZ_REF, "--mode", "povm"]) == 0
     assert main(["scan", "--n", "3", "--noise", "effects", "--grid", "0,1"]) == 0
+    assert main(["bounds", "--n", "4"]) == 0
+    assert main(["validate", "--scenario", IDEAL, "--reference", GHZ_REF,
+                 "--state-spec", MIXED_SPEC]) == 0
 
 
 def test_contract_parties_gets_only_real_operands(monkeypatch, capsys):
@@ -228,9 +246,7 @@ def test_contract_parties_gets_only_real_operands(monkeypatch, capsys):
         calls.append(t.shape)
         return contract(t, maps, *args)
 
-    # every module of the package that imports the name, and only those
-    holders = [m for name, m in sys.modules.items()
-               if name.startswith("starcert.") and hasattr(m, "_contract_parties")]
+    holders = _holders("_contract_parties")
     assert starcert.network in holders
     for module in holders:
         monkeypatch.setattr(module, "_contract_parties", real_only)

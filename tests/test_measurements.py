@@ -235,6 +235,15 @@ def test_is_extremal_rank1_rejects_higher_rank():
         is_extremal_rank1(povm)
 
 
+def test_rank_one_check_names_the_first_faulty_effect():
+    # effect 1 is zero, effect 2 is not rank-one: effect 1 is the first fault
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    povm = Povm((p0 / 2, np.zeros((2, 2)), np.eye(2) / 2, p1 / 2))
+    for check in (is_extremal_rank1, lambda p: embed_rank1_povm(p, 2)):
+        with pytest.raises(ContractViolation, match=r"^effect 1 is numerically zero$"):
+            check(povm)
+
+
 def test_is_extremal_rank1_rechecks_a_loosely_validated_dense_povm():
     # a Hermiticity defect of 1e-8: within the Povm's own 1e-6, beyond the default 1e-10
     effects = np.array(symmetric_trine_qubit_povm().effects)

@@ -207,6 +207,8 @@ def _tampered(kind, e, coeffs, w_maps):
         coeffs[e][1] *= -1
     elif kind == "scaled-row":
         coeffs[e][1] *= 1.5
+    elif kind == "nan-coefficient":
+        coeffs[e][1].flat[0] = np.nan
     elif kind == "w-row":
         # party 1's W[x=1, a=0] gains an off-diagonal basis component: the
         # effects' sum has none, so only Eve's marginal per input moves
@@ -231,6 +233,10 @@ TAMPERS = [
     pytest.param("negated-row", 1, "negative probability", id="negated-row-e1"),
     pytest.param("scaled-row", 0, "do not sum to 1", id="scaled-row-e0"),
     pytest.param("scaled-row", 1, "do not sum to 1", id="scaled-row-e1"),
+    pytest.param("nan-coefficient", 0, "^negative probability nan in table e=0$",
+                 id="nan-coefficient-e0"),
+    pytest.param("nan-coefficient", 1, "^negative probability nan in table e=1$",
+                 id="nan-coefficient-e1"),
     pytest.param("w-row", None, "signaling to Eve detected in table e=0", id="w-row"),
     pytest.param("alice-marginal", 1, "Alice marginals depend", id="alice-marginal-e1"),
 ]
