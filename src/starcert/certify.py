@@ -52,6 +52,13 @@ from .network import (
 from .presets import depolarize_effects, depolarize_sources
 from .tensor import _hermitian_basis, as_state, kron, numerical_ranks, partial_trace
 
+# Projective mode drops the reference's Pauli coefficients at or below this
+# magnitude from its sums, as rounding: the expansion of an effect on C^d
+# errs by order d u, 1.4e-14 at N = 7.  Not a ``Tolerances`` field: it is
+# float64 rounding, not a run's allowance, so a run's residuals do not move
+# with its tolerances; ``perfbench/spans.py``'s ``ZERO_COEFF`` mirrors it.
+_COEFF_CUT = 1e-14
+
 PLAIN = "Plain"
 CONJUGATE = "Conjugate"
 NO_BRANCH = "None"
@@ -169,8 +176,8 @@ def _reference_terms(reference, n: int, k_out: int, mode: str, tol: Tolerances) 
         raise DimensionError(
             f"need one {what} per e=1 outcome ({k_out}), got {reference.outcome_count}")
     plain = _pauli_expansion(reference, n)
-    if mode == "projective":  # its sums weigh only the coefficients above 1e-14
-        plain[np.abs(plain) <= 1e-14] = 0.0
+    if mode == "projective":  # its sums weigh only the coefficients above the cut
+        plain[np.abs(plain) <= _COEFF_CUT] = 0.0
     return plain.reshape(k_out, -1), (plain * _conjugation_signs(n)).reshape(k_out, -1), ranks
 
 

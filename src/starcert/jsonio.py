@@ -11,6 +11,8 @@ node inside the document (``scenario.sources[1]``, ``povm.effects[0]``,
 A matrix is ``{"dim": d, "entries": [[re, im], ...]}`` in row-major order.
 Each list of matrices is decoded by one pass over all of its pairs into one
 read-only (K, d, d) array, which the validating classes check as a stack.
+A loader checks the types of a file's numbers with one sum when the file's
+bytes hold neither ``true`` nor ``false`` (``_finite_array``).
 """
 
 from __future__ import annotations
@@ -41,8 +43,28 @@ def _unique_object(pairs) -> dict:
     return doc
 
 
+def _holds_boolean(raw: bytes) -> bool:
+    """Whether ``raw`` holds ``true`` or ``false``, the only spellings of a JSON boolean.
+
+    The candidates are the bytes 'u' of ``true`` and 'f' of ``false``, each
+    found by memchr; the formats' keys hold only a few, so a file takes
+    microseconds, where ``b"true" in raw`` steps through digits byte by byte
+    (0.2 ms for a 300 KB file).
+    """
+    for literal, at in ((b"true", 2), (b"false", 0)):
+        i = raw.find(literal[at], at)
+        while i >= 0:
+            if raw.startswith(literal, i - at):
+                return True
+            i = raw.find(literal[at], i + 1)
+    return False
+
+
 def _read_json(path, digests):
-    """The document of a file of strict JSON: no NaN or Infinity literal and no repeated key."""
+    """The document of a file of strict JSON, and whether its bytes hold a boolean literal.
+
+    Strict: no NaN or Infinity literal and no repeated key.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if digests is not None:
@@ -50,8 +72,9 @@ def _read_json(path, digests):
 
         digests[path] = hashlib.sha256(raw).hexdigest()
     try:
-        return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant,
-                          object_pairs_hook=_unique_object)
+        doc = json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant,
+                         object_pairs_hook=_unique_object)
+        return doc, _holds_boolean(raw)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     except (ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
@@ -59,15 +82,16 @@ def _read_json(path, digests):
 
 
 def _load(from_json, path, digests):
-    """``from_json(_read_json(path, digests))`` with Python's cyclic garbage collector paused.
+    """``from_json(*_read_json(path, digests))`` with Python's cyclic garbage collector paused.
 
-    Every loader reads through here, and a ``digests`` dict, when given,
-    receives the SHA-256 hex digest of the bytes read, under ``path``: the
-    file is read once for both.  The pause is process-wide, so an
-    application that embeds starcert sees it.  A decoded document is a tree
-    of dicts, lists, strings and numbers with no reference cycle, so a
-    collection over its [re, im] lists could free nothing; they are freed by
-    reference counting before GC resumes.
+    Every loader reads through here, and ``from_json`` takes the document and
+    whether the file may hold a boolean (``_finite_array``'s ``booleans``).
+    A ``digests`` dict, when given, receives the SHA-256 hex digest of the
+    bytes read, under ``path``: the file is read once for both.  The pause
+    is process-wide, so an application that embeds starcert sees it.  A
+    decoded document is a tree of dicts, lists, strings and numbers with no
+    reference cycle, so a collection over its [re, im] lists could free
+    nothing; they are freed by reference counting before GC resumes.
 
     Decoding and validation run with numpy's overflow and invalid-value
     warnings off: a finite entry near the float64 limit (1e308) overflows
@@ -78,7 +102,7 @@ def _load(from_json, path, digests):
     gc.disable()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return from_json(_read_json(path, digests))
+            return from_json(*_read_json(path, digests))
     finally:
         if was_enabled:
             gc.enable()
@@ -105,13 +129,41 @@ def _int(value, path: str) -> int:
     return value
 
 
-def _finite_array(values, path: str, pairs: bool = False) -> np.ndarray:
+def _finite_array(values, path: str, pairs: bool = False, booleans: bool = True) -> np.ndarray:
     """A list of numbers, or with ``pairs`` of [re, im] pairs, as a flat float vector.
 
     Each number must be a JSON number (an ``int`` or a ``float``, so not a
-    string or a boolean) and finite.  The checks run on the type and length
-    sets of the lists, so decoding stays one pass of ``np.fromiter``.
+    string or a boolean) and finite.  A valid list takes one length check of
+    the pairs, one flatten, one type check of the numbers and one
+    ``np.fromiter``; a pair that is not a list fails the type check, since
+    flattening yields its keys or characters.  The type check is the set of
+    the numbers' types or, when the document holds no boolean (``booleans``
+    False), one ``sum(flat, 0.0)``, which raises on every other JSON value
+    but a number.  When the pass fails, ``_ordered_numbers`` names the first
+    fault in order.
     """
+    try:
+        if not isinstance(values, list):
+            raise TypeError
+        flat = values
+        if pairs:
+            if set(map(len, values)) != {2}:
+                raise TypeError
+            flat = list(chain.from_iterable(values))
+        if not booleans:
+            sum(flat, 0.0)
+        elif not set(map(type, flat)) <= {int, float}:
+            raise TypeError
+        arr = np.fromiter(flat, float, len(flat))
+    except (TypeError, OverflowError):  # a 400-digit integer overflows the sum or np.fromiter
+        arr = _ordered_numbers(values, path, pairs)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{path}: entries must be finite numbers")
+    return arr
+
+
+def _ordered_numbers(values, path: str, pairs: bool) -> np.ndarray:
+    """``_finite_array``'s checks one at a time: the list, its pairs, the number types, the decode."""
     what = "[re, im] pairs" if pairs else "numbers"
     if not isinstance(values, list):
         raise ValidationError(
@@ -129,17 +181,14 @@ def _finite_array(values, path: str, pairs: bool = False) -> np.ndarray:
             f"{path}: malformed numbers: entries must be JSON numbers, got {names}"
         )
     try:
-        arr = np.fromiter(flat, float, len(flat))
+        return np.fromiter(flat, float, len(flat))
     except OverflowError as exc:
         raise ValidationError(f"{path}: malformed numbers ({exc})") from None
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{path}: entries must be finite numbers")
-    return arr
 
 
-def _complex_entries(values, path: str) -> np.ndarray:
+def _complex_entries(values, path: str, booleans: bool = True) -> np.ndarray:
     """A list of [re, im] pairs as a complex vector, decoded in one vectorised step."""
-    return _finite_array(values, path, pairs=True).view(complex)
+    return _finite_array(values, path, pairs=True, booleans=booleans).view(complex)
 
 
 def _pairs_to_json(values) -> list:
@@ -173,23 +222,24 @@ def matrix_from_json(doc, path: str) -> np.ndarray:
     return entries.reshape(dim, dim)
 
 
-def _matrices_from_json(docs, path: str):
+def _matrices_from_json(docs, path: str, booleans: bool = True):
     """A list of matrices, decoded with one strict pass over all of its [re, im] pairs.
 
     The result is one read-only (K, d, d) complex array, or, when the dims
     differ (sources of unequal parties), a tuple of read-only (d, d) views of
     one decoded vector.  When the pass fails, each matrix is decoded alone,
     in document order, so that the first faulty one names itself.
+    ``booleans`` is ``_finite_array``'s.
     """
     docs = _list(docs, path)
-    stack = _decoded_stack(docs) if docs else ()
+    stack = _decoded_stack(docs, booleans) if docs else ()
     if stack is None:
         for i, doc in enumerate(docs):
             matrix_from_json(doc, f"{path}[{i}]")
     return stack
 
 
-def _decoded_stack(docs):
+def _decoded_stack(docs, booleans: bool):
     """``_matrices_from_json``'s result for a non-empty list, or None if any matrix is at fault.
 
     The checks of ``matrix_from_json`` run on the whole list: the fields of
@@ -205,7 +255,7 @@ def _decoded_stack(docs):
         dims.append(dim)
         pairs += values
     try:
-        flat = _complex_entries(pairs, "")
+        flat = _complex_entries(pairs, "", booleans)
     except ValidationError:
         return None
     flat.flags.writeable = False
@@ -234,14 +284,19 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 
 def scenario_from_json(doc) -> Scenario:
+    return _scenario(doc, booleans=True)
+
+
+def _scenario(doc, booleans: bool) -> Scenario:
+    """``scenario_from_json``, with ``booleans`` as in ``_finite_array``."""
     _require_object(doc, "scenario", ("n_parties", "sources", "alice_observables",
                                       "eve_measurements"))
     n = _int(doc["n_parties"], "scenario.n_parties")
-    sources = _matrices_from_json(doc["sources"], "scenario.sources")
+    sources = _matrices_from_json(doc["sources"], "scenario.sources", booleans)
     triples = []
     for i, triple in enumerate(_list(doc["alice_observables"], "scenario.alice_observables")):
         path = f"scenario.alice_observables[{i}]"
-        mats = _matrices_from_json(triple, path)
+        mats = _matrices_from_json(triple, path, booleans)
         if len(mats) != 3:
             raise ValidationError(f"{path}: expected 3 observables, got {len(mats)}")
         triples.append(_build(BinaryObservableTriple, path, *mats))
@@ -251,14 +306,14 @@ def scenario_from_json(doc) -> Scenario:
     eve = []
     for e, meas in enumerate(measurements):
         path = f"scenario.eve_measurements[{e}]"
-        eve.append(_build(Povm, path, _matrices_from_json(meas, path)))
+        eve.append(_build(Povm, path, _matrices_from_json(meas, path, booleans)))
     return _build(Scenario, "scenario", n_parties=n, sources=sources,
                   alice_observables=tuple(triples), eve=tuple(eve))
 
 
 def load_scenario(path, digests: dict | None = None) -> Scenario:
     """Read and validate a scenario file (see ``_load``)."""
-    return _load(scenario_from_json, path, digests)
+    return _load(_scenario, path, digests)
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -275,8 +330,13 @@ def povm_to_json(povm: Povm) -> dict:
 
 
 def povm_from_json(doc) -> Povm:
+    return _povm(doc, booleans=True)
+
+
+def _povm(doc, booleans: bool) -> Povm:
+    """``povm_from_json``, with ``booleans`` as in ``_finite_array``."""
     _require_object(doc, "povm", ("effects",))
-    effects = _matrices_from_json(doc["effects"], "povm.effects")
+    effects = _matrices_from_json(doc["effects"], "povm.effects", booleans)
     if "dim" in doc:
         dim = _int(doc["dim"], "povm.dim")
         if len(effects) and effects[0].shape[0] != dim:
@@ -286,7 +346,7 @@ def povm_from_json(doc) -> Povm:
 
 def load_povm(path, digests: dict | None = None) -> Povm:
     """Read and validate a reference measurement file (see ``_load``)."""
-    return _load(povm_from_json, path, digests)
+    return _load(_povm, path, digests)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +362,16 @@ def mixed_state_spec_to_json(spec: MixedStateSpec) -> dict:
 
 
 def mixed_state_spec_from_json(doc) -> MixedStateSpec:
+    return _mixed_state_spec(doc, booleans=True)
+
+
+def _mixed_state_spec(doc, booleans: bool) -> MixedStateSpec:
+    """``mixed_state_spec_from_json``, with ``booleans`` as in ``_finite_array``."""
     _require_object(doc, "state spec", ("d", "weights", "vectors"))
     d = _int(doc["d"], "state spec.d")
-    weights = tuple(_finite_array(doc["weights"], "state spec.weights").tolist())
+    weights = tuple(_finite_array(doc["weights"], "state spec.weights", booleans=booleans).tolist())
     vectors = tuple(
-        _complex_entries(v, f"state spec.vectors[{k}]")
+        _complex_entries(v, f"state spec.vectors[{k}]", booleans)
         for k, v in enumerate(_list(doc["vectors"], "state spec.vectors"))
     )
     return _build(MixedStateSpec, "state spec", d=d, weights=weights, vectors=vectors)
@@ -314,4 +379,4 @@ def mixed_state_spec_from_json(doc) -> MixedStateSpec:
 
 def load_mixed_state_spec(path, digests: dict | None = None) -> MixedStateSpec:
     """Read and validate a target state spec file (see ``_load``)."""
-    return _load(mixed_state_spec_from_json, path, digests)
+    return _load(_mixed_state_spec, path, digests)

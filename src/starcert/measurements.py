@@ -21,7 +21,7 @@ import numpy as np
 from .bell import SQRT2
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ContractViolation, DimensionError, ValidationError
-from .network import _basis_expansion, _basis_operators, _first_fault
+from .network import _FACTOR_SLACK, _basis_expansion, _basis_operators, _first_fault
 from .tensor import (
     ID2,
     PAULI_X,
@@ -104,8 +104,12 @@ class Povm:
     read-only rows ``vectors`` (K, d) of a factor with R_l = v_l v_l^dagger,
     built on first read.  ``vectors`` is None for a dense ``Povm``.
     ``spectrum``, read-only, holds the ascending eigenvalues the validation
-    found: the (K, d) ``eigvalsh`` of the Hermitian parts of dense effects,
-    or the (K, 2) rows (0, ||v_l||^2).  The effects cannot drift from it.
+    found: the (K, 2) rows (0, ||v_l||^2) of a rank-one factor, whether held
+    or read from dense effects (``_factor_spectrum``), or else the (K, d)
+    ``eigvalsh`` of the effects' Hermitian parts.  Rounding alone separates
+    them from the effects: a row of a dense effect lies within
+    ``_FACTOR_SLACK`` d u ||v_l||^2 (u = 2^-53) of its exact eigenvalues,
+    and ``eigvalsh`` within order d u ||R_l||.
     """
 
     def __init__(self, effects, tol: Tolerances = DEFAULT_TOL):
@@ -115,9 +119,11 @@ class Povm:
         parts = hermitian_part(stack)
         # an entry near the float64 limit can overflow a Hermitian part: its spectrum is NaN
         undefined = ~np.isfinite(parts).all(axis=(1, 2))
-        parts[undefined] = 0.0
-        spectrum = np.linalg.eigvalsh(parts)
-        spectrum[undefined] = np.nan
+        spectrum = None if undefined.any() else _factor_spectrum(parts, tol)
+        if spectrum is None:
+            parts[undefined] = 0.0
+            spectrum = np.linalg.eigvalsh(parts)
+            spectrum[undefined] = np.nan
         faulty = (defects > tol.structural) | ~(spectrum[:, 0] >= -tol.structural)
         if faulty.any():
             k = int(np.argmax(faulty))
@@ -180,6 +186,40 @@ class Povm:
         extremes = self.spectrum[:, [0, -1]]
         extremes.flags.writeable = False
         return extremes
+
+
+def _factor_spectrum(parts: np.ndarray, tol: Tolerances):
+    """The (K, 2) rows (0, ||v_l||^2) of Hermitian parts H_l = v_l v_l^dagger to rounding, or None.
+
+    A complete rank-one POVM on C^d has at least d effects, so a shorter
+    stack is None at once.  v is H[:, j] / sqrt(H[j, j]) at H's largest
+    diagonal entry j, exact for H = w w^dagger up to a phase of w.  Each H
+    is accepted when ||H - v v^dagger||_F <= _FACTOR_SLACK d u ||v||^2,
+    within ``tol.structural`` too; then, by Weyl's inequality, every exact
+    eigenvalue of H lies that close to 0 or ||v||^2, so H passes the PSD
+    check that ``eigvalsh`` would make.  Any other stack, a zero or a
+    negative effect among them, is None: ``Povm`` then takes the full
+    spectrum.
+    """
+    k, d = parts.shape[:2]
+    if k < d:
+        return None
+    rows = np.arange(k)
+    diagonal = parts.diagonal(axis1=1, axis2=2).real
+    j = diagonal.argmax(axis=1)
+    top = diagonal[rows, j]
+    if not (top > 0).all():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge off-diagonal entry is refused
+        v = parts[rows, :, j] / np.sqrt(top)[:, None]
+        residual = v[:, :, None] * v.conj()[:, None, :]
+        residual -= parts
+        flat, real = residual.view(float).reshape(k, -1), v.view(float)
+        squares = np.einsum("ki,ki->k", flat, flat)
+        spectrum = np.zeros((k, 2))
+        spectrum[:, 1] = np.einsum("ki,ki->k", real, real)
+    cut = np.minimum(_FACTOR_SLACK * d * np.finfo(float).eps / 2 * spectrum[:, 1], tol.structural)
+    return spectrum if (squares <= cut * cut).all() else None
 
 
 def ghz_basis_measurement(n: int) -> Povm:

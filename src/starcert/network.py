@@ -296,6 +296,14 @@ _CHUNK_ENTRIES = 2**16
 # and ``p0``/``p1`` must not change with the run's tolerances.
 _ZERO_CUT = 1e-16
 
+# ``Povm`` reads the spectrum of a dense effect R = H from its rank-one factor
+# v when ||H - v v^dagger||_F <= _FACTOR_SLACK d u ||v||^2 (u = 2^-53).  The
+# residual is about u ||v||^2 for a factor written out in float64 (at most
+# 4.5 u ||v||^2 over 1,800 random rank-one POVMs on C^1 to C^16); d keeps
+# the cut the order of ``eigvalsh``'s own error.  Not a ``Tolerances``
+# field: it is rounding, and ``_lower_bounds``' allowance covers it.
+_FACTOR_SLACK = 4
+
 
 def _correlators(c: np.ndarray, w_maps) -> np.ndarray:
     """T[..., l, j_1..j_N] = sum_b c[..., l, b] prod_i (M_i w_i)[..., j_i, b_i] of Born factors."""
@@ -332,13 +340,17 @@ def _lower_bounds(w_maps, spectra) -> list:
     triangle inequality), so mixing two endpoints' spectra bounds each level.
 
     The rounding allowance gamma_k sqrt(d_E) ||R_l||_2 prod_i max ||W_i||_F,
-    gamma_k = k u / (1 - k u), k = N (D + 1) + d_E with D the largest local
-    basis size and d_E Eve's dimension, is subtracted.  The contraction of
-    the factors errs by at most gamma_{N (D + 1)} ||R||_F prod_i ||W_i||_F,
-    and ||R||_F <= sqrt(d_E) ||R||_2; the basis expansions and the
-    eigenvalues err by order d_E u ||R||_2 prod_i ||W_i||_1, and
-    ||W_i||_1 <= sqrt(d_i) ||W_i||_F.  So the bound holds for the computed
-    table, not only the exact one.
+    gamma_k = k u / (1 - k u), k = N (D + 1) + (1 + _FACTOR_SLACK) d_E with
+    D the largest local basis size and d_E Eve's dimension, is subtracted.
+    The contraction of the factors errs by at most
+    gamma_{N (D + 1)} ||R||_F prod_i ||W_i||_F, and
+    ||R||_F <= sqrt(d_E) ||R||_2; the basis expansions and the eigenvalues
+    err by order d_E u ||R||_2 prod_i ||W_i||_1, and
+    ||W_i||_1 <= sqrt(d_i) ||W_i||_F.  Eigenvalues read from a dense
+    effect's rank-one factor (``Povm``) are off by at most
+    _FACTOR_SLACK d_E u ||v||^2 <= gamma_{_FACTOR_SLACK d_E} ||R||_2, which
+    moves the bound by that times prod_i max ||W_i||_1.  So the bound holds
+    for the computed table, not only the exact one.
     """
     s, *r = spectra
     plus, minus, fro = s.max(axis=-1).transpose(1, 2, 0)
@@ -347,7 +359,7 @@ def _lower_bounds(w_maps, spectra) -> list:
         positive, negative = positive * p_i + negative * m_i, positive * m_i + negative * p_i
     dims = [w.shape[-1] for w in w_maps]
     d_e = float(np.prod(np.sqrt(dims)))
-    k = len(dims) * (max(dims) + 1) + d_e
+    k = len(dims) * (max(dims) + 1) + (1 + _FACTOR_SLACK) * d_e
     u = np.finfo(float).eps / 2
     allowance = k * u / (1 - k * u) * np.sqrt(d_e) * fro.prod(axis=0)
     # ||R_l||_2 = max(-min(0, lambda_min), max(0, lambda_max))

@@ -466,6 +466,11 @@ def _with_literal(source, edit, literal):
     return write
 
 
+def _entry_pair(doc, effect, k):
+    """The [re, im] pair k of a reference document's effect."""
+    return doc["effects"][effect]["entries"][k]
+
+
 # case -> (flag, writer of the malformed file, what the error must name)
 MALFORMED = {
     "reference-dim-not-an-integer": (
@@ -502,6 +507,45 @@ MALFORMED = {
     "nested-too-deeply": (
         "--scenario", lambda path: path.write_text("[" * 100000 + "]" * 100000),
         "not valid JSON"),
+    # malformed references, each named by the first fault of the ordered checks
+    "reference-empty-effects": (
+        "--reference", _variant(GHZ_REF, lambda d: d.update(effects=[])),
+        "error: povm: need at least one effect\n"),
+    "reference-effects-not-a-list": (
+        "--reference", _variant(GHZ_REF, lambda d: d.update(effects={"dim": 4})),
+        "error: povm.effects: expected a list, got dict\n"),
+    "reference-dim-zero": (
+        "--reference", _variant(GHZ_REF, lambda d: d["effects"][0].update(dim=0)),
+        "error: povm.effects[0].dim: must be at least 1\n"),
+    "reference-float-dim": (
+        "--reference", _variant(GHZ_REF, lambda d: d["effects"][0].update(dim=4.0)),
+        "error: povm.effects[0].dim: must be an integer\n"),
+    "reference-mismatched-dims": (
+        "--reference", _variant(GHZ_REF, lambda d: d.update(dim=2)),
+        "error: povm.dim: does not match the effect matrices\n"),
+    "reference-mixed-dims": (
+        "--reference", _variant(GHZ_REF, lambda d: d["effects"].__setitem__(1, {
+            "dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]})),
+        "error: povm: effect 1 has dim 2, expected 4\n"),
+    "reference-true-entry": (
+        "--reference", _variant(GHZ_REF, lambda d: _entry_pair(d, 0, 0).__setitem__(0, True)),
+        "error: povm.effects[0].entries: malformed numbers: "
+        "entries must be JSON numbers, got bool\n"),
+    "reference-dict-entry": (
+        "--reference",
+        _variant(GHZ_REF, lambda d: d["effects"][2]["entries"].__setitem__(3, {"re": 0, "im": 0})),
+        "error: povm.effects[2].entries: expected a non-empty list of [re, im] pairs\n"),
+    "reference-three-element-pair": (
+        "--reference",
+        _variant(GHZ_REF, lambda d: d["effects"][1]["entries"].__setitem__(5, [0.0, 0.0, 0.0])),
+        "error: povm.effects[1].entries: expected a non-empty list of [re, im] pairs\n"),
+    "reference-top-level-list": (
+        "--reference",
+        lambda path: path.write_text(f"[{fixture_path('ghz_n2.povm.json').read_text()}]"),
+        "error: povm: expected an object with fields 'effects'\n"),
+    "reference-400-digit-integer": (
+        "--reference", _variant(GHZ_REF, lambda d: _entry_pair(d, 3, 0).__setitem__(1, 10**400)),
+        "error: povm.effects[3].entries: malformed numbers (int too large to convert to float)\n"),
 }
 
 

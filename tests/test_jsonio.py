@@ -11,9 +11,10 @@ import starcert.jsonio
 import starcert.measurements
 import starcert.tensor
 from starcert.config import DEFAULT_TOL
-from starcert.errors import ValidationError
+from starcert.errors import StarcertError, ValidationError
 from starcert.fixtures import fixture_path
 from starcert.jsonio import (
+    _holds_boolean,
     _matrices_from_json,
     load_mixed_state_spec,
     load_povm,
@@ -438,3 +439,98 @@ def test_loaders_decode_and_validate_each_list_as_one_stack(monkeypatch, ghz_fil
     assert load_scenario(scenario).n_parties == 4
     assert load_povm(reference).outcome_count == 16
     assert load_scenario(fixture_path("ideal_n2_trine.scenario.json")).eve[1].outcome_count == 6
+
+
+@pytest.mark.parametrize("raw, holds", [
+    (b"true", True), (b"[false]", True), (b'{"note": "untrue"}', True), (b'"falsehood"', True),
+    (b"tru", False), (b"alse", False), (b"u", False), (b'{"sources": [1e-17, 0.5]}', False),
+])
+def test_holds_boolean_finds_either_literal_anywhere(raw, holds):
+    assert _holds_boolean(raw) is holds
+
+
+def _sum_calls(monkeypatch) -> list:
+    """The lengths of the lists that ``jsonio`` passes to ``sum`` from now on."""
+    calls = []
+
+    def spy(values, start):
+        calls.append(len(values))
+        return sum(values, start)
+
+    monkeypatch.setattr(starcert.jsonio, "sum", spy, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("name, load", LOADERS + [("trine_n2.povm.json", load_povm)])
+def test_a_file_without_a_boolean_checks_its_numbers_with_one_sum(name, load, monkeypatch):
+    calls = _sum_calls(monkeypatch)
+    load(fixture_path(name))
+    assert calls and min(calls) > 0
+
+
+def test_a_string_holding_true_loads_the_same_arrays(tmp_path, monkeypatch):
+    # the file holds the bytes "true", so its numbers are checked by type, to the same result
+    doc = _fixture_doc("trine_n2.povm.json")
+    path = tmp_path / "noted.povm.json"
+    path.write_text(json.dumps({"note": "true and false", **doc}))
+    calls = _sum_calls(monkeypatch)
+    noted = load_povm(path)
+    assert calls == []
+    plain = load_povm(fixture_path("trine_n2.povm.json"))
+    assert calls
+    assert noted.effects.tobytes() == plain.effects.tobytes()
+    assert noted.spectrum.tobytes() == plain.spectrum.tobytes()
+
+
+# The junk set at each node, as JSON text: every JSON kind, wrong shapes, and numbers past float64
+FUZZ_JUNK = ["null", "true", "false", '"1"', "[]", "{}", "[[1, 2, 3]]", "1" + "0" * 400, "1e999",
+             "0", "-1", "2.5"]
+_HOLE = "__junk__"
+
+
+def _fuzz_sites(node, path=()):
+    """Each path to an object field, and to the first and last element of each list, depth first."""
+    if isinstance(node, dict):
+        children = list(node)
+    elif isinstance(node, list):
+        children = sorted({0, len(node) - 1}) if node else []
+    else:
+        return
+    for key in children:
+        yield path + (key,)
+        yield from _fuzz_sites(node[key], path + (key,))
+
+
+def _with_hole(doc, site) -> str:
+    """The text of ``doc`` with the node at ``site`` replaced by a marker; ``doc`` is left as it was."""
+    parent = doc
+    for key in site[:-1]:
+        parent = parent[key]
+    kept, parent[site[-1]] = parent[site[-1]], _HOLE
+    try:
+        return json.dumps(doc)
+    finally:
+        parent[site[-1]] = kept
+
+
+def _loader(name):
+    if name.endswith(".scenario.json"):
+        return load_scenario
+    return load_povm if name.endswith(".povm.json") else load_mixed_state_spec
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_junk_node_of_a_fixture_loads_or_raises_a_starcert_error(name, tmp_path):
+    doc, load = _fixture_doc(name), _loader(name)
+    path = tmp_path / name
+    outcomes = set()
+    for site in _fuzz_sites(doc):
+        text = _with_hole(doc, site)
+        for junk in FUZZ_JUNK:
+            path.write_text(text.replace(f'"{_HOLE}"', junk))
+            try:
+                load(path)
+                outcomes.add("loaded")
+            except StarcertError:
+                outcomes.add("refused")
+    assert outcomes == {"loaded", "refused"}

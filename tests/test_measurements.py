@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,8 @@ from conftest import expansion_measurements
 from starcert.bell import BellOutcomeLabel, all_labels, ghz_vector
 from starcert.config import Tolerances
 from starcert.errors import ContractViolation, DimensionError, ValidationError
+from starcert.fixtures import fixture_path
+from starcert.network import _FACTOR_SLACK
 from starcert.jsonio import (
     load_mixed_state_spec,
     load_povm,
@@ -376,3 +379,86 @@ def test_effects_is_one_read_only_stack(build, rng):
     assert povm.effects is effects
     with pytest.raises(ValueError, match="read-only"):
         effects[0, 0, 0] = 0.0
+
+
+MIXED_DEMO = fixture_path("mixed_demo.statespec.json")
+
+
+def _dense_rank_one(case):
+    """The dense effects (K, d, d) of a rank-one ``Povm``, as a file would hold them."""
+    kind, arg = case
+    if kind == "ghz":
+        povm = ghz_basis_measurement(arg)
+    elif kind == "trine":
+        povm = embed_rank1_povm(trine_povm(load_mixed_state_spec(MIXED_DEMO)), arg)
+    else:
+        d, k = arg
+        povm = random_rank1_extremal_povm(d, k, np.random.default_rng([30, d, k]))
+    return np.array(povm.effects)
+
+
+def _eigvalsh_calls(monkeypatch):
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+DENSE_RANK_ONE = ([("ghz", n) for n in range(2, 8)] + [("trine", n) for n in (2, 3, 4)]
+                  + [("random", dk) for dk in ((2, 2), (2, 4), (3, 7), (8, 8), (16, 20))])
+
+
+@pytest.mark.parametrize("case", DENSE_RANK_ONE, ids=str)
+def test_dense_rank_one_effects_are_validated_from_their_factor(case, monkeypatch):
+    effects = _dense_rank_one(case)
+    calls = _eigvalsh_calls(monkeypatch)
+    povm = Povm(effects)
+    assert calls == []
+    assert povm.vectors is None and povm.effects.tobytes() == effects.tobytes()
+    assert povm.spectrum.shape == (len(effects), 2) and not povm.spectrum.flags.writeable
+    monkeypatch.undo()
+    # each row within the stated _FACTOR_SLACK d u ||R|| of the least and the greatest
+    # eigenvalue (eigvalsh errs too: one draw on C^3 differs by 2 ulps, 1.15 d u ||R||)
+    exact = np.linalg.eigvalsh(effects)[:, [0, -1]]
+    d, u = effects.shape[1], np.finfo(float).eps / 2
+    norms = np.linalg.norm(effects, ord=2, axis=(1, 2))
+    assert (np.abs(povm.spectrum - exact) <= _FACTOR_SLACK * d * u * norms[:, None]).all()
+    assert (povm.spectrum[:, 0] == 0).all()
+
+
+def _negative_effect():
+    """(1 + a) P, -a P and 1 - P with P = v v^dagger: effect 1 is -a v v^dagger."""
+    v = np.array([1.0, 1.0]) / np.sqrt(2)
+    p = np.outer(v, v)
+    return (1.2 * p, -0.2 * p, np.eye(2) - p)
+
+
+# (effects, the error or None): stacks that are not rank-one to rounding take the full spectrum
+FULL_SPECTRUM = {
+    "one-outcome-identity": (lambda: (np.eye(8, dtype=complex),), None),
+    "rank-two-projective": (lambda: embed_projective([np.diag([1.0, 1.0, 0.0])], 2).effects, None),
+    "rank-two-among-four": (lambda: (np.diag([1.0, 1.0, 0.0]) / 2, np.diag([0.5, 0.0, 0.0]),
+                                     np.diag([0.0, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0])), None),
+    "zero-effect": (lambda: (np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.0, 1.0])), None),
+    "negative-rank-one": (_negative_effect,
+                          "invalid POVM: effect 1: Hermiticity defect 0.000e+00, "
+                          "min eigenvalue -2.000e-01 (tolerance 1.0e-10)"),
+}
+
+
+@pytest.mark.parametrize("case", FULL_SPECTRUM)
+def test_other_stacks_take_their_full_spectrum(case, monkeypatch):
+    build, message = FULL_SPECTRUM[case]
+    effects = build()
+    calls = _eigvalsh_calls(monkeypatch)
+    if message is None:
+        povm = Povm(effects)
+        assert povm.spectrum.shape == (povm.outcome_count, povm.dim)
+    else:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Povm(effects)
+    assert len(calls) == 1
