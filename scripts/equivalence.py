@@ -24,9 +24,12 @@ names: ``--format structured``, with each input reduced to its SHA-256, and
 holds 984 cases and takes about 9 s with one BLAS thread.
 
 ``compare`` prints the largest absolute float difference, overall and with
-its case, and every discrete difference (a verdict, branch, string, exit
-code, exception, NaN position or structure).  It exits 1 when a float
-differs by more than 1e-12 or anything discrete differs, and 0 otherwise.
+its case; next to it, the largest difference in units of u = 2^-53 taken
+relative to the larger magnitude of each pair, so that lost digits show
+even inside 1e-12; and every discrete difference (a verdict, branch,
+string, exit code, exception, NaN position or structure).  It exits 1 when
+a float differs by more than 1e-12 or anything discrete differs, and 0
+otherwise.
 Text output is a string, so any change of a printed digit is discrete.
 """
 
@@ -41,6 +44,7 @@ import os
 import sys
 
 TOLERANCE = 1e-12
+U = 2.0**-53
 GRID = "0,0.25,0.5,0.75,1"
 SCENARIOS = ("ideal_n2_ghz", "ideal_n2_trine", "ideal_n3_ghz", "ideal_n3_trine", "tampered_n2_ghz")
 REFERENCES = ("ghz_n2", "ghz_n3", "trine_n2", "trine_n3")
@@ -256,9 +260,13 @@ def dump(path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _diff(a, b, where, floats, discrete):
-    """Walk two records together: float gaps into ``floats``, anything else into ``discrete``."""
+    """Walk two records together: float gaps into ``floats``, anything else into ``discrete``.
+
+    Each float pair gives (absolute gap, gap in u relative to the larger magnitude, where).
+    """
     if isinstance(a, float) and isinstance(b, float):
-        floats.append((abs(a - b), where))
+        gap = abs(a - b)
+        floats.append((gap, gap / max(abs(a), abs(b)) / U if gap else 0.0, where))
     elif isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             discrete.append(f"{where}: fields {sorted(a.keys() ^ b.keys())} differ")
@@ -286,10 +294,12 @@ def compare(path_a: str, path_b: str) -> int:
         case_floats = []
         _diff(a[name], b[name], name, case_floats, discrete)
         floats += case_floats
-        worst[name] = max((gap for gap, _ in case_floats), default=0.0)
-    top = max(floats, default=(0.0, "none"))
+        worst[name] = max((gap for gap, _, _ in case_floats), default=0.0)
+    top = max(floats, default=(0.0, 0.0, "none"))
+    top_u = max(floats, key=lambda f: f[1], default=(0.0, 0.0, "none"))
     print(f"{len(a.keys() & b.keys())} common cases, {len(floats)} floats: "
-          f"max abs diff {top[0]:.3e} at {top[1]}")
+          f"max abs diff {top[0]:.3e} at {top[2]}")
+    print(f"  max relative diff {top_u[1]:.2f} u (u = 2^-53) at {top_u[2]}")
     for name in sorted(worst, key=worst.get, reverse=True)[:5]:
         print(f"  {worst[name]:.3e}  {name}")
     print(f"{len(discrete)} discrete differences")

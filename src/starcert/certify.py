@@ -50,7 +50,7 @@ from .network import (
     born_table,
 )
 from .presets import depolarize_effects, depolarize_sources
-from .tensor import _hermitian_basis, as_state, kron, numerical_ranks, partial_trace
+from .tensor import _hermitian_basis, as_state, numerical_ranks
 
 # Projective mode drops the reference's Pauli coefficients at or below this
 # magnitude from its sums, as rounding: the expansion of an effect on C^d
@@ -244,27 +244,19 @@ def post_measurement_state(scenario: Scenario, l: int, e: int,
 
 def match_up_to_conjugation(actual: np.ndarray, reference: np.ndarray,
                             tol: Tolerances = DEFAULT_TOL) -> ConjugationBranch:
-    """Compare a state to a reference (x) junk factor, in both branches."""
+    """Compare a state to a reference of the same dimension, in both branches."""
     actual = np.asarray(actual, dtype=complex)
     reference = np.asarray(reference, dtype=complex)
-    d_act = actual.shape[0]
-    d_ref = reference.shape[0]
-    if d_act % d_ref != 0:
+    if actual.shape[0] != reference.shape[0]:
         raise DimensionError(
-            f"actual dim {d_act} is not a multiple of reference dim {d_ref}"
+            f"actual dim {actual.shape[0]} differs from reference dim {reference.shape[0]}"
         )
-    d_junk = d_act // d_ref
     trace = np.trace(reference)
     if not trace.real > 0:
         raise ContractViolation(f"reference trace {trace.real:.3e} is not positive")
     ref_n = reference / trace
-    if d_junk == 1:
-        candidates = [ref_n, ref_n.conj()]
-    else:
-        junk = partial_trace(actual, [d_ref, d_junk], keep=[1])
-        candidates = [kron(ref_n, junk), kron(ref_n.conj(), junk)]
-    d_plain = float(np.linalg.norm(actual - candidates[0]))
-    d_conj = float(np.linalg.norm(actual - candidates[1]))
+    d_plain = float(np.linalg.norm(actual - ref_n))
+    d_conj = float(np.linalg.norm(actual - ref_n.conj()))
     branch = _branch_from_residuals([d_plain], [d_conj], tol)
     distance = {PLAIN: d_plain, CONJUGATE: d_conj}.get(branch, min(d_plain, d_conj))
     return ConjugationBranch(branch, distance)

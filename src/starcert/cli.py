@@ -32,7 +32,7 @@ from .jsonio import load_mixed_state_spec, load_povm, load_scenario
 from .measurements import embed_rank1_povm, trine_povm
 from .presets import ideal_scenario
 
-# Largest N that any subcommand builds a Born table for; _check_parties states why.
+# Largest N that any subcommand builds a Born table for: a fixed cap, not a memory estimate.
 MAX_PARTIES = 7
 
 # The structured report's layout version.  _envelope is its only writer: every report,
@@ -47,11 +47,9 @@ def _check_parties(n: int) -> None:
             "needs at least two parties"
         )
     if n > MAX_PARTIES:
-        gb = 2 * 8**n * 16 / 1e9
         raise ValidationError(
-            f"N={n} is above the largest supported N={MAX_PARTIES}: Eve's two measurements "
-            f"of 2^N effects, each 2^N x 2^N, alone would hold 2 * 8^N complex entries "
-            f"({gb:.1f} GB) before any check runs"
+            f"N={n} is above the largest supported N={MAX_PARTIES}, a fixed cap: a run's "
+            "largest arrays grow about 8-fold per party"
         )
 
 

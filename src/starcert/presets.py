@@ -81,15 +81,6 @@ def swap_eve_effects(scenario: Scenario, e: int, i: int, j: int) -> Scenario:
     return replace(scenario, eve=tuple(eve))
 
 
-def computational_eve0(scenario: Scenario) -> Scenario:
-    """Replace Eve's first measurement by the computational basis."""
-    dim = scenario.eve[0].dim
-    effects = tuple(
-        np.diag((np.arange(dim) == k).astype(complex)) for k in range(dim)
-    )
-    return replace(scenario, eve=(Povm(effects), scenario.eve[1]))
-
-
 def depolarize_sources(scenario: Scenario, visibility: float, parties=None) -> Scenario:
     """Mix each source in ``parties`` (all by default) with white noise: v rho + (1 - v) 1/d."""
     sources = list(scenario.sources)

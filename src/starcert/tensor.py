@@ -105,8 +105,15 @@ def hermitian_defects(stack: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(stack: np.ndarray) -> np.ndarray:
-    """(M + M^dagger)/2 of each matrix of a (K, d, d) stack."""
-    return (stack + stack.conj().swapaxes(-1, -2)) / 2
+    """(M + M^dagger)/2 of each matrix of a float or complex (K, d, d) stack.
+
+    Summed and halved in place on one C-ordered conjugate copy: the same
+    bits as the expression, since addition commutes and halving is exact.
+    """
+    out = np.conjugate(stack.swapaxes(-1, -2), order="C")
+    out += stack
+    out /= 2
+    return out
 
 
 def as_state(amplitudes, what: str = "state vector") -> np.ndarray:

@@ -49,7 +49,6 @@ from starcert.measurements import (
 from starcert.network import BinaryObservableTriple, CorrelationTable, Scenario, born_table
 from starcert.tensor import hermitian_part, numerical_ranks
 from starcert.presets import (
-    computational_eve0,
     conjugate_scenario,
     depolarize_one_source,
     depolarize_sources,
@@ -106,7 +105,9 @@ def test_check_part1_flags_outcome_weights_just_off_uniform():
 
 
 def test_check_part1_fails_on_computational_eve():
-    scen = computational_eve0(ideal_scenario(2))
+    # Eve's first measurement in the computational basis in place of the GHZ basis
+    scen = ideal_scenario(2)
+    scen = dataclasses.replace(scen, eve=(Povm.rank_one(np.eye(scen.eve[0].dim)), scen.eve[1]))
     report = check_part1(born_table(scen), 2)
     assert not report.bell_passed
 
@@ -262,11 +263,11 @@ def test_match_up_to_conjugation_none():
 
 
 def test_match_up_to_conjugation_junk_factor(rng):
+    # a reference (x) junk state is not split: both states must have one dimension
     ref = random_density_matrix(2, rng)
-    junk = random_density_matrix(2, rng)
-    actual = np.kron(ref, junk)
-    assert match_up_to_conjugation(actual, ref).branch == PLAIN
-    assert match_up_to_conjugation(np.conj(actual), ref).branch == CONJUGATE
+    actual = np.kron(ref, random_density_matrix(2, rng))
+    with pytest.raises(DimensionError, match="actual dim 4 differs from reference dim 2"):
+        match_up_to_conjugation(actual, ref)
 
 
 def test_match_up_to_conjugation_dimension_error():

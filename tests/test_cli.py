@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import math
+import pkgutil
 import sys
 from types import SimpleNamespace
 
@@ -199,7 +200,7 @@ def test_scenario_file_above_limit_is_rejected_before_construction(monkeypatch, 
     assert main(["scan", "--scenario", IDEAL, "--grid", "0,1"]) == 2
     err = capsys.readouterr().err
     assert err.count(f"N={n} is above the largest supported N={cli.MAX_PARTIES}") == 2
-    assert "2 * 8^N complex entries (0.5 GB)" in err
+    assert err.count("a fixed cap: a run's largest arrays grow about 8-fold per party\n") == 2
 
 
 def _holders(name):
@@ -235,6 +236,18 @@ def test_production_paths_build_no_dense_table(monkeypatch, capsys):
     assert main(["bounds", "--n", "4"]) == 0
     assert main(["validate", "--scenario", IDEAL, "--reference", GHZ_REF,
                  "--state-spec", MIXED_SPEC]) == 0
+
+
+def test_only_the_defining_modules_hold_the_dense_layer():
+    # tensor, network and bell define the dense layer, and the package __init__ re-exports
+    # it; every other module, the pipeline among them, imports none of it.  The module is
+    # read through import_module: the package attribute ``certify`` is the function.
+    owners = {"tensor", "network", "bell"}
+    modules = [info.name for info in pkgutil.iter_modules(starcert.__path__)]
+    assert owners < set(modules) and "certify" in modules
+    held = {name: [n for n in DENSE_LAYER if hasattr(importlib.import_module(f"starcert.{name}"), n)]
+            for name in modules if name not in owners}
+    assert held == {name: [] for name in held}
 
 
 def test_contract_parties_gets_only_real_operands(monkeypatch, capsys):

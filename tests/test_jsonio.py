@@ -10,6 +10,7 @@ import pytest
 import starcert.jsonio
 import starcert.measurements
 import starcert.tensor
+from starcert.cli import main
 from starcert.config import DEFAULT_TOL
 from starcert.errors import StarcertError, ValidationError
 from starcert.fixtures import fixture_path
@@ -514,14 +515,19 @@ def _with_hole(doc, site) -> str:
 
 
 def _loader(name):
+    """The loader of a fixture file, and the ``validate`` flag that reads it."""
     if name.endswith(".scenario.json"):
-        return load_scenario
-    return load_povm if name.endswith(".povm.json") else load_mixed_state_spec
+        return load_scenario, "--scenario"
+    if name.endswith(".povm.json"):
+        return load_povm, "--reference"
+    return load_mixed_state_spec, "--state-spec"
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_every_junk_node_of_a_fixture_loads_or_raises_a_starcert_error(name, tmp_path):
-    doc, load = _fixture_doc(name), _loader(name)
+def test_every_junk_node_of_a_fixture_loads_or_raises_a_starcert_error(name, tmp_path, capsys):
+    # and through the CLI: validate exits 0 on what loads, and 2 with one error line on
+    # what is refused, never with a traceback
+    doc, (load, flag) = _fixture_doc(name), _loader(name)
     path = tmp_path / name
     outcomes = set()
     for site in _fuzz_sites(doc):
@@ -530,7 +536,15 @@ def test_every_junk_node_of_a_fixture_loads_or_raises_a_starcert_error(name, tmp
             path.write_text(text.replace(f'"{_HOLE}"', junk))
             try:
                 load(path)
-                outcomes.add("loaded")
+                outcome = "loaded"
             except StarcertError:
-                outcomes.add("refused")
+                outcome = "refused"
+            outcomes.add(outcome)
+            code = main(["validate", flag, str(path)])
+            err = capsys.readouterr().err
+            if outcome == "loaded":
+                assert (code, err) == (0, ""), (site, junk)
+            else:
+                assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 \
+                    and err.endswith("\n"), (site, junk, err)
     assert outcomes == {"loaded", "refused"}

@@ -10,6 +10,7 @@ from starcert.tensor import (
     as_state,
     check_hermitian,
     hermitian_defects,
+    hermitian_part,
     kron,
     kron_all,
     numerical_ranks,
@@ -210,3 +211,29 @@ def test_hermitian_defects_of_a_stack_match_each_matrix_alone(k, d, rng):
     defects = hermitian_defects(stack)
     assert defects.tolist() == [hermitian_defects(m[None])[0] for m in stack]
     npt.assert_allclose(defects, [np.linalg.norm(m - m.conj().T) for m in stack], rtol=1e-12)
+
+
+def _huge(rng):
+    # a 1e308 entry and its mirror overflow the sum, and complex halving of inf gives NaN
+    stack = random_complex(rng, (3, 4, 4))
+    stack[1, 0, 2] = stack[1, 2, 0] = 1e308
+    return stack
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_complex(rng, (7, 5, 5)),
+    lambda rng: random_complex(rng, (2, 64, 64)),
+    lambda rng: rng.standard_normal((4, 3, 3)),
+    lambda rng: np.triu(random_complex(rng, (3, 6, 6))),
+    _huge,
+], ids=["random", "random-d64", "real", "non-hermitian", "1e308-entry"])
+def test_hermitian_part_is_the_expression_bit_for_bit(make, rng):
+    stack = make(rng)
+    before = stack.copy()
+    stack.flags.writeable = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = (stack + stack.conj().swapaxes(-1, -2)) / 2
+        actual = hermitian_part(stack)
+    assert actual.dtype == expected.dtype and actual.flags.c_contiguous
+    assert actual.tobytes() == expected.tobytes()
+    assert stack.tobytes() == before.tobytes()
