@@ -23,13 +23,13 @@ names: ``--format structured``, with each input reduced to its SHA-256, and
 ``--format text``, whose stdout is stored verbatim.  A dump
 holds 984 cases and takes about 9 s with one BLAS thread.
 
-``compare`` prints the largest absolute float difference, overall and with
-its case; next to it, the largest difference in units of u = 2^-53 taken
-relative to the larger magnitude of each pair, so that lost digits show
-even inside 1e-12; and every discrete difference (a verdict, branch,
-string, exit code, exception, NaN position or structure).  It exits 1 when
-a float differs by more than 1e-12 or anything discrete differs, and 0
-otherwise.
+``compare`` prints the largest absolute float difference, with its place
+when it is not zero; next to it, the largest difference in units of
+u = 2^-53 taken relative to the larger magnitude of each pair, so that lost
+digits show even inside 1e-12; the five cases of largest nonzero gap; and
+every discrete difference (a verdict, branch, string, exit code, exception,
+NaN position or structure).  It exits 1 when a float differs by more than
+1e-12 or anything discrete differs, and 0 otherwise.
 Text output is a string, so any change of a printed digit is discrete.
 """
 
@@ -281,6 +281,11 @@ def _diff(a, b, where, floats, discrete):
         discrete.append(f"{where}: {a!r} vs {b!r}")
 
 
+def _place(gap: float, where: str) -> str:
+    """The place of a nonzero gap; a zero gap ties every float, so it has none."""
+    return f" at {where}" if gap else ""
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a) as fh:
         a = json.load(fh)["cases"]
@@ -295,12 +300,12 @@ def compare(path_a: str, path_b: str) -> int:
         _diff(a[name], b[name], name, case_floats, discrete)
         floats += case_floats
         worst[name] = max((gap for gap, _, _ in case_floats), default=0.0)
-    top = max(floats, default=(0.0, 0.0, "none"))
-    top_u = max(floats, key=lambda f: f[1], default=(0.0, 0.0, "none"))
+    top = max(floats, default=(0.0, 0.0, ""))
+    top_u = max(floats, key=lambda f: f[1], default=(0.0, 0.0, ""))
     print(f"{len(a.keys() & b.keys())} common cases, {len(floats)} floats: "
-          f"max abs diff {top[0]:.3e} at {top[2]}")
-    print(f"  max relative diff {top_u[1]:.2f} u (u = 2^-53) at {top_u[2]}")
-    for name in sorted(worst, key=worst.get, reverse=True)[:5]:
+          f"max abs diff {top[0]:.3e}{_place(top[0], top[2])}")
+    print(f"  max relative diff {top_u[1]:.2f} u (u = 2^-53){_place(top_u[1], top_u[2])}")
+    for name in sorted((n for n in worst if worst[n]), key=worst.get, reverse=True)[:5]:
         print(f"  {worst[name]:.3e}  {name}")
     print(f"{len(discrete)} discrete differences")
     for line in discrete:

@@ -123,14 +123,27 @@ def ideal_observables(n: int):
     return [first] + [rest] * (n - 1)
 
 
+def _ghz_rows(n: int, first: int, count: int) -> np.ndarray:
+    """Rows first, ..., first + count - 1 of the GHZ-like basis on N = n, each a ``ghz_vector``.
+
+    Row l holds 1/sqrt2 at l and (-1)^{l_1}/sqrt2 at its complement 2^n - 1 - l, so the
+    diagonal and the anti-diagonal.  Basic slices of the flat array set both: integer index
+    arithmetic would page in numpy code no other step runs.
+    """
+    dim = 2**n
+    v = np.zeros((count, dim), dtype=complex)
+    flat = v.reshape(-1)
+    flat[first::dim + 1] = 1 / SQRT2
+    anti = flat[dim - 1 - first::dim - 1][:count]
+    plus = max(0, dim // 2 - first)  # the rows l < 2^(n-1), of l_1 = 0
+    anti[:plus] = 1 / SQRT2
+    anti[plus:] = -1 / SQRT2
+    return v
+
+
 def ghz_vector(label: BellOutcomeLabel) -> np.ndarray:
     """GHZ-like vector (|l_1...l_N> + (-1)^{l_1} |complement>)/sqrt2."""
-    n = label.n
-    v = np.zeros(2**n, dtype=complex)
-    idx = label.value
-    v[idx] = 1 / SQRT2
-    v[2**n - 1 - idx] += (-1) ** label.bits[0] / SQRT2
-    return v
+    return _ghz_rows(label.n, label.value, 1)[0]
 
 
 @lru_cache(maxsize=None)

@@ -98,9 +98,7 @@ class Part2Report:
     passed: bool
 
     def max_residual(self) -> float:
-        if self.branch == CONJUGATE:
-            return max(self.residuals_conjugate)
-        return max(self.residuals_plain)
+        return _branch_value(self.branch, max(self.residuals_plain), max(self.residuals_conjugate))
 
 
 @dataclass(frozen=True)
@@ -143,6 +141,11 @@ def check_part1(table: CorrelationTable, n: int, tol: Tolerances = DEFAULT_TOL) 
     )
 
 
+def _branch_value(branch: str, plain: float, conjugate: float) -> float:
+    """The matched branch's value, or the smaller of the two when neither matches."""
+    return {PLAIN: plain, CONJUGATE: conjugate}.get(branch, min(plain, conjugate))
+
+
 def _branch_from_residuals(plain, conjugate, tol: Tolerances) -> str:
     """Resolve a single branch for all outcomes; ties go to Plain."""
     if max(plain) <= tol.acceptance:
@@ -161,20 +164,19 @@ def _reference_terms(reference, n: int, k_out: int, mode: str, tol: Tolerances) 
     """Plain and conjugated Pauli coefficient rows (K, 4^N) of the reference, and its ranks.
 
     A reference that is not a ``Povm`` is validated as one, once, at
-    ``tol``.  Then one check sequence runs: 2^N, Hermiticity
-    (``_check_effects_hermitian``), the ranks from its spectrum in
-    projective mode, the count, and only then the expansion.
+    ``tol``.  Then one check sequence runs: 2^N, the outcome count,
+    Hermiticity (``_check_effects_hermitian``), the ranks from its spectrum
+    in projective mode, and only then the expansion.
     """
     if not isinstance(reference, Povm):
         reference = Povm(reference, tol)
     if reference.dim != 2**n:
         raise DimensionError(f"matrix dim {reference.dim} is not 2^{n}")
+    if reference.outcome_count != k_out:
+        raise DimensionError(f"reference outcome count {reference.outcome_count} differs "
+                             f"from Eve's e=1 outcome count {k_out}")
     _check_effects_hermitian(reference, tol)
     ranks = numerical_ranks(reference.spectrum, tol) if mode == "projective" else None
-    if reference.outcome_count != k_out:
-        what = "rank" if mode == "projective" else "coefficient tensor"
-        raise DimensionError(
-            f"need one {what} per e=1 outcome ({k_out}), got {reference.outcome_count}")
     plain = _pauli_expansion(reference, n)
     if mode == "projective":  # its sums weigh only the coefficients above the cut
         plain[np.abs(plain) <= _COEFF_CUT] = 0.0
@@ -258,8 +260,7 @@ def match_up_to_conjugation(actual: np.ndarray, reference: np.ndarray,
     d_plain = float(np.linalg.norm(actual - ref_n))
     d_conj = float(np.linalg.norm(actual - ref_n.conj()))
     branch = _branch_from_residuals([d_plain], [d_conj], tol)
-    distance = {PLAIN: d_plain, CONJUGATE: d_conj}.get(branch, min(d_plain, d_conj))
-    return ConjugationBranch(branch, distance)
+    return ConjugationBranch(branch, _branch_value(branch, d_plain, d_conj))
 
 
 def _part3_from_outcomes(scenario: Scenario, table: CorrelationTable, outcomes,
@@ -316,9 +317,7 @@ def certify_state_preparation(scenario: Scenario, spec: MixedStateSpec,
             "Eve's second measurement has too few outcomes for this state spec"
         )
     expected = [w / 2.0**n for w in spec.weights]
-    return _part3_from_outcomes(
-        scenario, table, outcomes, expected, spec.density_matrix(), tol
-    )
+    return _part3_from_outcomes(scenario, table, outcomes, expected, spec.density_matrix(), tol)
 
 
 def certify_pure_preparation(scenario: Scenario, psi: np.ndarray,
@@ -401,40 +400,15 @@ class ScanReport:
 # v X + (1 - v) Tr[X] 1/d with white noise.  noise_scan builds none of these
 # scenarios: the Born factors are linear in X, so level v reads the factors
 # v f_1 + (1 - v) f_0 of the scenario's own (f_1) and of its v = 0 image
-# (f_0, which _white_end reads from f_1); each model mixes only the factor it
-# changes.  Under effects Eve's coefficients mix, so every quantity a scan
-# reads is affine in v and is read from the two ends' contractions.  Under
+# (f_0, which each model's reader builds itself); each model mixes only the
+# factor it changes.  Under effects Eve's coefficients mix, so every quantity a
+# scan reads is affine in v and is read from the two ends' contractions.  Under
 # isotropic the steering maps mix and Eve's coefficients are shared, so the
 # table is a degree-N polynomial in v, and each level's maps are contracted.
 NOISE_MODELS = {
     "isotropic": depolarize_sources,
     "effects": depolarize_effects,
 }
-
-
-def _white_end(model: str, scenario: Scenario, factors) -> tuple:
-    """``_born_factors(NOISE_MODELS[model](scenario, 0.0))``, read from the scenario's ``factors``.
-
-    In the basis of ``_hermitian_basis`` the identity of party i's Eve factor
-    has the coefficients t_i, 1 on its d_i diagonal units and 0 elsewhere, so
-    Tr[X] = c . t with t the product of the t_i.  ``effects`` sends each c_e[l]
-    to u_e[l] t, u_e[l] = Tr R_l / d_E, whose one eigenvalue is u_e[l]; the
-    steering maps stay.  So its coefficients come as ([u_0, u_1], t), and
-    c_e^0 = u_e (x) t is never formed.  ``isotropic`` replaces every source
-    by the white 1/d, whose steering maps and spectra ``_steering_factors``
-    reads as it reads the scenario's own; Eve's factors stay.
-    """
-    coeffs, w_maps, (s, *r) = factors
-    dims = scenario.eve_dims
-    if model == "effects":
-        t = np.zeros(coeffs[0].shape[1:])
-        t[tuple(slice(d) for d in dims)] = 1.0
-        white = [c.reshape(len(c), -1) @ t.ravel() / scenario.eve[0].dim for c in coeffs]
-        return ((white, t), w_maps,
-                [s] + [np.stack([np.minimum(u, 0.0), np.maximum(u, 0.0)]) for u in white])
-    white = [np.eye(len(rho)) / len(rho) for rho in scenario.sources]
-    w_maps, s = _steering_factors(white, scenario.alice_observables, dims)
-    return coeffs, w_maps, [s, *r]
 
 
 def _mix(v: np.ndarray, one: np.ndarray, zero: np.ndarray) -> np.ndarray:
@@ -444,16 +418,21 @@ def _mix(v: np.ndarray, one: np.ndarray, zero: np.ndarray) -> np.ndarray:
     return out
 
 
-def _isotropic_chunks(n: int, levels, ends, both: bool, tol: Tolerances):
+def _isotropic_chunks(n: int, levels, scenario: Scenario, factors, both: bool, tol: Tolerances):
     """An ``isotropic`` scan: each chunk of levels mixes the steering maps, checks and contracts.
 
-    Eve's factors are equal at both ends and go in once, as shared (1, ...)
-    stacks.  A chunk holds as many levels as the non-negativity check could
-    expand within ``_CHUNK_ENTRIES`` entries, (K_0 + K_1) 6^N per level.
-    Yields the levels v, their Bell numerators and weights P(l | 0) (L, K_0)
-    and, if ``both``, [their e = 1 correlator tensors (L, K_1, 4, ..., 4)].
+    The v = 0 end replaces every source by the white 1/d, whose steering
+    maps and spectra ``_steering_factors`` reads as it reads the scenario's
+    own.  Eve's factors are equal at both ends and go in once, as shared
+    (1, ...) stacks.  A chunk holds as many levels as the non-negativity
+    check could expand within ``_CHUNK_ENTRIES`` entries, (K_0 + K_1) 6^N
+    per level.  Yields the levels v, their Bell numerators and weights
+    P(l | 0) (L, K_0) and, if ``both``, [their e = 1 correlator tensors
+    (L, K_1, 4, ..., 4)].
     """
-    (coeffs, w_maps1, (s1, *r)), (_, w_maps0, (s0, *_)) = ends
+    coeffs, w_maps1, (s1, *r) = factors
+    white = [np.eye(len(rho)) / len(rho) for rho in scenario.sources]
+    w_maps0, s0 = _steering_factors(white, scenario.alice_observables, scenario.eve_dims)
     coeffs, r = [c[None] for c in coeffs], [r_e[None] for r_e in r]
     step = max(1, _CHUNK_ENTRIES // (sum(c.shape[1] for c in coeffs) * 6**n))
     for s in range(0, len(levels), step):
@@ -464,18 +443,27 @@ def _isotropic_chunks(n: int, levels, ends, both: bool, tol: Tolerances):
         yield v, _bell_numerators(n, t0), _outcome_weights(n, t0), t1
 
 
-def _effects_chunks(n: int, levels, ends, both: bool, tol: Tolerances):
+def _effects_chunks(n: int, levels, scenario: Scenario, factors, both: bool, tol: Tolerances):
     """An ``effects`` scan, as ``_isotropic_chunks``, each level mixed from the two ends.
 
-    Every quantity Q a level reads is linear in Eve's coefficients, so it is
-    contracted once per end, whatever the number of levels: Q_1 from the
-    scenario's factors c_e, and Q_0 = u_e (x) Q(t) from t alone.  A chunk
-    of levels holds at most ``_CHUNK_ENTRIES`` coefficient entries,
-    (K_0 + K_1) D_1..D_N per level, which bound its other mixed arrays too.
-    Its mixed marginals and spectra go through every check, and where the
-    bound falls short its mixed factors are streamed.
+    The v = 0 end sends each effect R_l to Tr[R_l] 1/d_E, so each c_e[l] to
+    u_e[l] t, u_e[l] = Tr R_l / d_E, whose one eigenvalue is u_e[l]; the
+    steering maps stay.  Here t, the product of the t_i, expands the
+    identity (t_i: 1 on the d_i diagonal units of party i's
+    ``_hermitian_basis``, 0 elsewhere), so Tr[X] = c . t.  Every quantity Q
+    a level reads is linear in Eve's coefficients, so it is contracted once
+    per end, whatever the number of levels: Q_1 from the scenario's factors
+    c_e, and Q_0 = u_e (x) Q(t) from t alone; c_e^0 = u_e (x) t is never
+    formed.  A chunk of levels holds at most ``_CHUNK_ENTRIES`` coefficient
+    entries, (K_0 + K_1) D_1..D_N per level, which bound its other mixed
+    arrays too.  Its mixed marginals and spectra go through every check, and
+    where the bound falls short its mixed factors are streamed.
     """
-    (coeffs, w_maps, (s, *r)), ((units, t), _, (_, *r0)) = ends
+    coeffs, w_maps, (s, *r) = factors
+    t = np.zeros(coeffs[0].shape[1:])
+    t[tuple(slice(d) for d in scenario.eve_dims)] = 1.0
+    units = [c.reshape(len(c), -1) @ t.ravel() / scenario.eve[0].dim for c in coeffs]
+    r0 = [np.stack([np.minimum(u, 0.0), np.maximum(u, 0.0)]) for u in units]
     sums = _outcome_sums(w_maps)
     q_tensor = _correlators(t[None], w_maps)[0]
     q_alice, *alices = _contract_parties(
@@ -508,9 +496,9 @@ def noise_scan(scenario: Scenario, model: str, grid,
                tol: Tolerances = DEFAULT_TOL) -> ScanReport:
     """Part-1 (and optionally part-2) metrics along a noise grid.
 
-    The scenario is expanded once into its Born factors f_1, and those f_0
-    of its v = 0 image are read from them in closed form (``_white_end``):
-    no noisy scenario is built.  Level v is read from v f_1 + (1 - v) f_0,
+    The scenario is expanded once into its Born factors f_1, and each
+    model's reader builds those f_0 of its v = 0 image in closed form: no
+    noisy scenario is built.  Level v is read from v f_1 + (1 - v) f_0,
     the factors of the noisy scenario (see ``NOISE_MODELS``), and every
     level passes the checks of ``CorrelationTable``: a failing scan raises
     the error of its first failing level.  Under ``effects`` each quantity
@@ -530,12 +518,11 @@ def noise_scan(scenario: Scenario, model: str, grid,
     n = scenario.n_parties
     levels = sorted(grid)
     factors = _born_factors(scenario)
-    ends = factors, _white_end(model, scenario, factors)
     terms = None if reference_effects is None else _reference_terms(
         reference_effects, n, scenario.eve[1].outcome_count, mode, tol)
     chunks = _effects_chunks if model == "effects" else _isotropic_chunks
     rows = []
-    for v, raw, weights, t1 in chunks(n, levels, ends, terms is not None, tol):
+    for v, raw, weights, t1 in chunks(n, levels, scenario, factors, terms is not None, tol):
         values = _bell_values(raw, weights, tol)
         part2 = [None] * len(v)
         if terms is not None:

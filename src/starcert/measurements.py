@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .bell import SQRT2
+from .bell import _ghz_rows
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ContractViolation, DimensionError, ValidationError
 from .network import _FACTOR_SLACK, _basis_expansion, _basis_operators, _first_fault
@@ -226,17 +226,7 @@ def ghz_basis_measurement(n: int) -> Povm:
     """The 2^n rank-one projectors onto the GHZ-like basis."""
     if n < 2:
         raise DimensionError("GHZ basis needs at least two parties")
-    # Row l is bell.ghz_vector of label l: 1/sqrt2 at l, (-1)^{l_1}/sqrt2 at its complement
-    # 2^n - 1 - l, so the diagonal and the anti-diagonal.  Basic slices of the flat array
-    # set both: integer index arithmetic would page in numpy code no other step runs.
-    dim = 2**n
-    v = np.zeros((dim, dim), dtype=complex)
-    flat = v.reshape(-1)
-    flat[::dim + 1] = 1 / SQRT2
-    anti = flat[dim - 1:-1:dim - 1]
-    anti[:dim // 2] = 1 / SQRT2
-    anti[dim // 2:] = -1 / SQRT2
-    return Povm.rank_one(v)
+    return Povm.rank_one(_ghz_rows(n, 0, 2**n))
 
 
 def _embed_block(m: np.ndarray, dim: int) -> np.ndarray:

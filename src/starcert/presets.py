@@ -12,12 +12,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bell import SQRT2, ideal_observables
+from .bell import _ghz_rows, ideal_observables
 from .errors import DimensionError
 from .measurements import Povm, ghz_basis_measurement
 from .network import BinaryObservableTriple, Scenario
 
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / SQRT2
+PHI_PLUS = _ghz_rows(2, 0, 1)[0]  # (|00> + |11>)/sqrt2
 
 
 def ideal_scenario(n: int, eve_second=None, visibility: float = 1.0) -> Scenario:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from starcert.bell import (
     BellOutcomeLabel,
+    _ghz_rows,
     all_labels,
     bell_operator,
     bell_terms,
@@ -102,6 +103,14 @@ def test_ghz_vector_explicit():
     npt.assert_allclose(
         ghz_vector(BellOutcomeLabel((1, 0))), np.array([0, -1, 1, 0]) / SQRT2
     )
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_ghz_rows_of_any_range_are_those_of_the_whole_basis(n):
+    rows = _ghz_rows(n, 0, 2**n)
+    for first in range(2**n):
+        for count in range(1, 2**n - first + 1):
+            assert _ghz_rows(n, first, count).tobytes() == rows[first:first + count].tobytes()
 
 
 def test_bell_value_ideal_reaches_quantum_bound():

@@ -460,13 +460,38 @@ def test_check_part2_checks_a_dense_povm_at_the_run_tolerance():
             check_part2(table, ref.effects, mode, DEFAULT_TOL)
 
 
-@pytest.mark.parametrize("mode, what", [("projective", "rank"), ("povm", "coefficient tensor")])
-def test_check_part2_counts_effects_before_stacking(mode, what):
+@pytest.mark.parametrize("mode", ["projective", "povm"])
+def test_check_part2_counts_effects_before_stacking(mode):
     table = born_table(ideal_with_reference(2, ghz_reference(2)))
     with pytest.raises(DimensionError, match="^need at least one effect$"):
         check_part2(table, [], mode)
-    with pytest.raises(DimensionError, match=rf"^need one {what} per e=1 outcome \(4\), got 1$"):
+    with pytest.raises(DimensionError, match=r"^reference outcome count 1 differs "
+                       r"from Eve's e=1 outcome count 4$"):
         check_part2(table, [np.eye(4)], mode)
+
+
+@pytest.mark.parametrize("mode", ["projective", "povm"])
+def test_check_part2_counts_outcomes_before_ranking(mode):
+    # an eigenvalue at the rank cut: ranking would raise, but the count is the fault
+    edge = np.diag([1.0, 1.0, DEFAULT_TOL.rank, 0.0])
+    reference = Povm([edge, np.eye(4) - edge])
+    with pytest.raises(ContractViolation, match="^indeterminate rank: "):
+        numerical_ranks(reference.spectrum)
+    table = born_table(ideal_with_reference(2, ghz_reference(2)))
+    with pytest.raises(DimensionError, match=r"^reference outcome count 2 differs "
+                       r"from Eve's e=1 outcome count 4$"):
+        check_part2(table, reference, mode)
+
+
+def test_unmatched_part2_reports_the_smaller_branch_maximum(rng):
+    ref = PART2_REFERENCES["random_rank_one"](rng)
+    # unconjugated, the effects match the Conjugate branch, which white noise then breaks
+    report = check_part2(born_table(ideal_scenario(2, eve_second=ref.effects, visibility=0.9)),
+                         ref, "povm")
+    plain, conjugate = max(report.residuals_plain), max(report.residuals_conjugate)
+    assert report.branch == NO_BRANCH and conjugate < plain
+    assert report.max_residual() == conjugate
+    assert Part2Report("povm", (0.5, 0.1), (0.3, 0.2), NO_BRANCH, False).max_residual() == 0.3
 
 
 @pytest.mark.parametrize("mode", ["projective", "povm"])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starcert.network
-from starcert.certify import NOISE_MODELS, _white_end, certify, noise_scan
+from starcert.certify import NOISE_MODELS, certify, noise_scan
 from starcert.config import Tolerances
 from starcert.errors import StarcertError
 from starcert.measurements import Povm, ghz_basis_measurement
@@ -253,21 +253,28 @@ def rank_one_eve(scen, rng):
 @pytest.mark.parametrize("rank_one", [False, True], ids=["dense", "rank-one"])
 @pytest.mark.parametrize("name", END_SCENARIOS)
 @pytest.mark.parametrize("model", sorted(NOISE_MODELS))
-def test_white_end_matches_the_expanded_v0_image(model, name, rank_one, rng):
+def test_each_reader_builds_the_expanded_v0_image(model, name, rank_one, rng, monkeypatch):
     scen = SCENARIOS[name](rng)
     if rank_one:
         scen = rank_one_eve(scen, rng)
-    factors = _born_factors(scen)
+    # a scan on the grid [0.0] checks its reader's v = 0 end, one level in one chunk;
+    # _check_factors hands on to network's _check_levels, the effects reader calls it itself
+    calls, check = [], network._check_levels
+
+    def recording(tol, w_maps, spectra, stack, pbars, alices):
+        calls.append(([stack(e) for e in range(len(pbars))], w_maps, spectra))
+        return check(tol, w_maps, spectra, stack, pbars, alices)
+
+    for module in (network, certify_module):
+        monkeypatch.setattr(module, "_check_levels", recording)
+    noise_scan(scen, model, [0.0])
+    (got,) = calls
     expected = _born_factors(NOISE_MODELS[model](scen, 0.0))
-    coeffs, w_maps, spectra = _white_end(model, scen, factors)
-    if model == "effects":  # ([u_0, u_1], t) of c_e = u_e (x) t
-        units, t = coeffs
-        coeffs = [np.multiply.outer(u, t) for u in units]
-    # coefficients, steering maps and spectra, item by item
-    for got, want in zip((coeffs, w_maps, spectra), expected, strict=True):
-        for a, b in zip(got, want, strict=True):
-            assert a.shape == b.shape
-            npt.assert_allclose(a, b, rtol=0, atol=1e-12)
+    # coefficients, steering maps and spectra, item by item, each of one level
+    for items, want in zip(got, expected, strict=True):
+        for a, b in zip(items, want, strict=True):
+            assert a.shape == (1,) + b.shape
+            npt.assert_allclose(a[0], b, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("model", sorted(NOISE_MODELS))
