@@ -6,13 +6,15 @@
 ``dump`` runs one fixed corpus in process through the public API and the CLI:
 
 * ``certify`` on every bundled scenario/reference pair in both modes;
-* ``prepare-state`` for N = 2..6 on the bundled state spec;
+* ``prepare-state`` for N = 2..6 on the bundled state spec, and for each N
+  up to 4 that fits on a seeded rank-2 spec on C^3 and a pure spec on C^2;
 * ``scan`` in both noise models with ``--n`` 2..5, and on the bundled
   scenarios with and without a matching reference;
 * ``bounds`` for N = 2..5 and ``validate`` on every bundled file;
 * seeded random rank-one, trine, conjugated, visibility-0.9, zero-effect,
   random and non-qubit scenarios at N = 2..5, through ``certify`` (both
-  modes, with part 3 where a state spec applies), ``check_part1``,
+  modes, with part 3 where a state spec applies, the two seeded specs
+  above among them), ``check_part1``,
   ``noise_scan`` (with and without a reference), ``post_measurement_state``
   and ``is_extremal_rank1``.
 
@@ -21,7 +23,7 @@ exception (class and message).  Every CLI run is made twice with
 ``--reproducible``, from the fixture directory so that input paths are file
 names: ``--format structured``, with each input reduced to its SHA-256, and
 ``--format text``, whose stdout is stored verbatim.  A dump
-holds 984 cases and takes about 9 s with one BLAS thread.
+holds 1003 cases and takes about 9 s with one BLAS thread.
 
 ``compare`` prints the largest absolute float difference, with its place
 when it is not zero; next to it, the largest difference in units of
@@ -42,6 +44,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 TOLERANCE = 1e-12
 U = 2.0**-53
@@ -109,12 +112,40 @@ def _cli(argv):
             "stderr": structured["stderr"], "text": run("text")}
 
 
+def _extra_specs():
+    """A rank-2 spec on C^3 and a pure spec on C^2, each the leading components of a seeded one."""
+    import numpy as np
+
+    from starcert.measurements import MixedStateSpec
+    from starcert.presets import random_mixed_state_spec
+
+    rng = np.random.default_rng([2026, 0])
+    specs = {}
+    for name, d, r in (("rank2_d3", 3, 2), ("pure_d2", 2, 1)):
+        full = random_mixed_state_spec(d, rng)
+        weights = np.array(full.weights[:r])
+        specs[name] = MixedStateSpec(d, tuple(weights / weights.sum()), full.vectors[:r])
+    return specs
+
+
 def _cli_cases(cases):
-    """The CLI runs, from the fixture directory so that every path they print is a file name."""
+    """The CLI runs, each from its inputs' directory so that every path it prints is a file name.
+
+    The bundled fixtures are read where they are; the extra state specs are
+    written to a temporary directory first.
+    """
     from starcert.fixtures import fixture_path
+    from starcert.jsonio import mixed_state_spec_to_json
 
     with contextlib.chdir(os.path.dirname(str(fixture_path("mixed_demo.statespec.json")))):
         _cli_runs(cases)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, spec in _extra_specs().items():
+            with open(f"{name}.statespec.json", "w") as fh:
+                json.dump(mixed_state_spec_to_json(spec), fh)
+            for n in range(max(2, (2 * spec.d - 1).bit_length()), 5):
+                cases[f"cli prepare-state {name} n={n}"] = _cli(
+                    ["prepare-state", "--n", str(n), "--state-spec", f"{name}.statespec.json"])
 
 
 def _cli_runs(cases):
@@ -172,6 +203,14 @@ def _scenario_reports(cases, name, scenario, reference=None, spec=None):
     for l in range(scenario.eve[1].outcome_count):
         cases[f"{name} post_measurement_state l={l}"] = _run(
             lambda: post_measurement_state(scenario, l, 1))
+
+
+def _certify_prepared(spec, n, mode):
+    """``certify``, with ``spec``'s part 3, of the ideal scenario that holds ``spec``'s trine."""
+    from starcert import certify, embed_rank1_povm, ideal_scenario, trine_povm
+
+    trine = embed_rank1_povm(trine_povm(spec), n)
+    return certify(ideal_scenario(n, eve_second=trine), trine.effects, mode, state_spec=spec)
 
 
 def _api_cases(cases):
@@ -237,6 +276,12 @@ def _api_cases(cases):
                             eve=(eve0, eve1))
             reference = random_povm(d, eve1.outcome_count, rng).effects
             _scenario_reports(cases, f"api n={n} non-qubit {kind}", scen, reference)
+    # the trine of a rank-deficient and of a pure spec, from their own seed
+    for name, spec in _extra_specs().items():
+        for n in range(max(2, (2 * spec.d - 1).bit_length()), 6):
+            for mode in ("projective", "povm"):
+                cases[f"api n={n} trine {name} certify {mode}"] = _run(
+                    lambda: _certify_prepared(spec, n, mode))
     # an Eve outcome of probability zero: its Bell value is NaN
     zero = Povm((np.diag([1.0, 1.0, 0.0, 0.0]), np.zeros((4, 4)),
                  np.diag([0.0, 0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0])))

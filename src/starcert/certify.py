@@ -263,50 +263,17 @@ def match_up_to_conjugation(actual: np.ndarray, reference: np.ndarray,
     return ConjugationBranch(branch, _branch_value(branch, d_plain, d_conj))
 
 
-def _part3_from_outcomes(scenario: Scenario, table: CorrelationTable, outcomes,
-                         expected_probs, reference: np.ndarray,
-                         tol: Tolerances) -> Part3Report:
-    """Shared part-3 core: outcome probabilities plus weighted state average.
-
-    One ``_conditioned_states`` of the table's e = 1 rows gives every state
-    and probability; the average is the unnormalised states' sum over the total.
-    """
-    n = scenario.n_parties
-    d_a = int(np.prod(scenario.alice_dims))
-    if reference.shape[0] > d_a:
-        raise DimensionError(
-            f"target state dim {reference.shape[0]} exceeds the Alice space dim {d_a}"
-        )
-    states, probs = _conditioned_states(scenario, table._factors(1)[outcomes], outcomes, 1, tol)
-    probs = probs.tolist()
-    prob_passed = all(
-        abs(p - q) <= tol.acceptance for p, q in zip(probs, expected_probs)
-    )
-    total = float(sum(probs))
-    if abs(total - 2.0**-n) > tol.acceptance:
-        prob_passed = False
-    avg = states.sum(axis=0) / total
-    target = _embed_block(reference, d_a)
-    branch = match_up_to_conjugation(avg, target, tol)
-    return Part3Report(
-        outcomes=tuple(outcomes),
-        probabilities=tuple(probs),
-        expected_probabilities=tuple(expected_probs),
-        total_probability=total,
-        branch=branch,
-        prob_passed=prob_passed,
-        state_passed=branch.matched(),
-    )
-
-
 def certify_state_preparation(scenario: Scenario, spec: MixedStateSpec,
                               table: CorrelationTable = None,
                               tol: Tolerances = DEFAULT_TOL) -> Part3Report:
-    """Mixed-state preparation via the trine construction.
+    """Remote preparation of ``spec``, of any rank, via the trine construction.
 
-    Expects Eve's second measurement to be the embedded trine POVM of
-    ``spec``; outcome (k, 1) sits at effect index 3k and must occur with
-    probability p_k / 2^N.
+    Expects Eve's second measurement to be the embedded ``trine_povm`` of
+    ``spec``; outcome (k, 1) sits at effect index 3k (0 for a pure spec) and
+    must occur with probability p_k / 2^N, and the outcomes' total with
+    2^-N.  One ``_conditioned_states`` of the table's e = 1 rows gives every
+    state and probability; their average, the unnormalised states' sum over
+    the total, must match the target up to conjugation.
     """
     if table is None:
         table = born_table(scenario, tol)
@@ -316,20 +283,41 @@ def certify_state_preparation(scenario: Scenario, spec: MixedStateSpec,
         raise DimensionError(
             "Eve's second measurement has too few outcomes for this state spec"
         )
+    d_a = int(np.prod(scenario.alice_dims))
+    if spec.d > d_a:
+        raise DimensionError(f"target state dim {spec.d} exceeds the Alice space dim {d_a}")
+    states, probs = _conditioned_states(scenario, table._factors(1)[outcomes], outcomes, 1, tol)
+    probs = probs.tolist()
     expected = [w / 2.0**n for w in spec.weights]
-    return _part3_from_outcomes(scenario, table, outcomes, expected, spec.density_matrix(), tol)
+    prob_passed = all(
+        abs(p - q) <= tol.acceptance for p, q in zip(probs, expected)
+    )
+    total = float(sum(probs))
+    if abs(total - 2.0**-n) > tol.acceptance:
+        prob_passed = False
+    avg = states.sum(axis=0) / total
+    branch = match_up_to_conjugation(avg, _embed_block(spec.density_matrix(), d_a), tol)
+    return Part3Report(
+        outcomes=tuple(outcomes),
+        probabilities=tuple(probs),
+        expected_probabilities=tuple(expected),
+        total_probability=total,
+        branch=branch,
+        prob_passed=prob_passed,
+        state_passed=branch.matched(),
+    )
 
 
 def certify_pure_preparation(scenario: Scenario, psi: np.ndarray,
                              table: CorrelationTable = None,
                              tol: Tolerances = DEFAULT_TOL) -> Part3Report:
-    """Pure-state preparation: outcome 0 of an embedded rank-one projection."""
+    """Pure-state preparation: ``certify_state_preparation`` of the rank-one spec psi / ||psi||."""
     psi = as_state(psi, "target state")
-    if table is None:
-        table = born_table(scenario, tol)
-    n = scenario.n_parties
-    reference = np.outer(psi, psi.conj())
-    return _part3_from_outcomes(scenario, table, [0], [2.0**-n], reference, tol)
+    norm = np.linalg.norm(psi)
+    if not norm > 0:
+        raise ContractViolation("target state is zero")
+    spec = MixedStateSpec(psi.size, (1.0,), (psi / norm,))
+    return certify_state_preparation(scenario, spec, table, tol)
 
 
 def _resolve_verdict(part1: Part1Report, part2: Part2Report | None,

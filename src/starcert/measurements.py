@@ -3,7 +3,7 @@
 Covers the Pauli coefficient tensors used by the certification conditions,
 the GHZ-basis measurement, embedding/completion of projective measurements
 and rank-one extremal POVMs into N-qubit space, and the trine POVM that
-remotely prepares an arbitrary full-rank mixed state.
+remotely prepares any state on C^d, pure or mixed, of any rank.
 
 Pauli index convention (deliberately nonstandard, keep it in mind when
 reading coefficient tensors): sigma_0 = Z, sigma_1 = X, sigma_2 = Y,
@@ -344,7 +344,7 @@ def is_extremal_rank1(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> ExtremalityC
 
 @dataclass(frozen=True)
 class MixedStateSpec:
-    """Spectral description of a full-rank target state on C^d."""
+    """Spectral description of a target state on C^d: rank r <= d, one weight per eigenvector."""
 
     d: int
     weights: tuple
@@ -382,32 +382,37 @@ class MixedStateSpec:
 
 
 def trine_povm(spec: MixedStateSpec, tol: Tolerances = DEFAULT_TOL) -> Povm:
-    """The 3d-outcome rank-one POVM on C^{2d} that prepares ``spec`` remotely.
+    """The rank-one POVM on C^{2d} that prepares ``spec``, of any rank r <= d, remotely.
 
-    Component k contributes three effects; the first one is p_k |psi_k><psi_k|,
-    so the (k, 1) outcomes reconstruct the target state.  Companion vectors
-    live in a second d-dimensional block, which makes them orthogonal to every
-    eigenvector by construction.
+    Component k spans (psi_k, 0) and (0, psi_k) and contributes three effects
+    when r > 1, or the projective pair on them when r = 1 (at p = 1 the
+    trine's two companions coincide, and the POVM would not be extremal); its
+    first effect is p_k |psi_k><psi_k|, so the (k, 1) outcomes reconstruct
+    the target state.  Then (u_j, 0) for each vector u_j of an orthonormal
+    basis of the complement of the support, and (0, u_j) for each, complete
+    the measurement: 2(d - r) effects, none at full rank.
     """
-    if spec.rank != spec.d:
-        raise ValidationError(
-            f"trine construction needs a full-rank state: got rank {spec.rank} on C^{spec.d}"
-        )
-    d = spec.d
-    dim = 2 * d
+    d, r = spec.d, spec.rank
+    zero = np.zeros(d, dtype=complex)
     rows = []
     for k, (p, v) in enumerate(zip(spec.weights, spec.vectors)):
         if p <= tol.probability:
             raise ValidationError(f"weight p_{k} = {p} too small for the trine construction")
-        psi = np.concatenate([v, np.zeros(d, dtype=complex)])
-        phi = np.concatenate([np.zeros(d, dtype=complex), v])
+        psi = np.concatenate([v, zero])
+        phi = np.concatenate([zero, v])
+        if r == 1:
+            rows += [psi, phi]
+            continue
         tau2 = np.sqrt((1 - p) / (2 - p)) * psi + np.sqrt(1 / (2 - p)) * phi
         tau3 = -np.sqrt((1 - p) / (2 - p)) * psi + np.sqrt(1 / (2 - p)) * phi
         # effects p |psi><psi| and (2 - p)/2 |tau><tau|
         rows += [np.sqrt(p) * psi, np.sqrt((2 - p) / 2) * tau2, np.sqrt((2 - p) / 2) * tau3]
+    if r < d:  # the last d - r columns of a complete QR of the eigenvectors span the complement
+        complement = np.linalg.qr(np.transpose(spec.vectors), mode="complete")[0][:, r:].T
+        rows += list(np.kron(np.eye(2), complement))
     return Povm.rank_one(rows, tol)
 
 
 def trine_preparation_outcomes(spec: MixedStateSpec):
-    """Indices of the (k, 1) effects inside ``trine_povm``'s effect list."""
+    """Indices 3k of the (k, 1) effects inside ``trine_povm``'s effect list: [0] for a pure spec."""
     return [3 * k for k in range(spec.rank)]

@@ -14,7 +14,6 @@ from starcert.certify import (
     PLAIN,
     Part1Report,
     Part2Report,
-    _part3_from_outcomes,
     _resolve_verdict,
     certify,
     certify_pure_preparation,
@@ -44,7 +43,6 @@ from starcert.measurements import (
     ghz_basis_measurement,
     pauli_coeffs,
     trine_povm,
-    trine_preparation_outcomes,
 )
 from starcert.network import BinaryObservableTriple, CorrelationTable, Scenario, born_table
 from starcert.tensor import hermitian_part, numerical_ranks
@@ -56,6 +54,7 @@ from starcert.presets import (
     ideal_scenario,
     random_density_matrix,
     random_mixed_state_spec,
+    random_povm,
     random_rank1_extremal_povm,
     swap_eve_effects,
 )
@@ -288,21 +287,24 @@ def test_certify_state_preparation_conjugate_branch(rng):
     assert report.total_probability == pytest.approx(2.0**-n, abs=1e-12)
 
 
-def test_part3_fails_a_total_probability_off_target_with_each_outcome_exact(rng):
-    # one of two preparation outcomes: its probability is exact, the total
-    # misses 2^-N by the other's p_1 / 2^N
-    n = 2
-    spec = random_mixed_state_spec(2, rng)
-    scen = ideal_scenario(n, eve_second=embed_rank1_povm(trine_povm(spec), n))
-    table = born_table(scen)
-    first = trine_preparation_outcomes(spec)[:1]
-    report = _part3_from_outcomes(scen, table, first, [spec.weights[0] / 2**n],
-                                  spec.density_matrix(), DEFAULT_TOL)
-    assert report.probabilities[0] == pytest.approx(spec.weights[0] / 2**n, abs=1e-12)
-    assert report.total_probability == pytest.approx(spec.weights[0] / 2**n, abs=1e-12)
-    assert spec.weights[1] / 2**n > DEFAULT_TOL.acceptance
+def test_part3_fails_a_total_probability_off_target_with_each_outcome_within_tolerance(rng):
+    # Eve's trine prepares a rank-3 state whose first two weights are each
+    # delta below the rank-2 target's: each outcome is within the tolerance,
+    # their total misses 2^-N by twice that
+    n, delta = 3, 6e-9
+    full = random_mixed_state_spec(3, rng)
+    spec = MixedStateSpec(3, (0.6, 0.4), full.vectors[:2])
+    eve = MixedStateSpec(3, (0.6 - delta, 0.4 - delta, 2 * delta), full.vectors)
+    report = certify_state_preparation(
+        ideal_scenario(n, eve_second=embed_rank1_povm(trine_povm(eve), n)), spec)
+    assert report.outcomes == (0, 3)
+    for p, q in zip(report.probabilities, report.expected_probabilities):
+        assert q - p == pytest.approx(delta / 2**n, abs=1e-12)
+        assert q - p <= DEFAULT_TOL.acceptance
+    assert 2.0**-n - report.total_probability > DEFAULT_TOL.acceptance
     assert not report.prob_passed
-    assert certify_state_preparation(scen, spec, table).prob_passed
+    scen = ideal_scenario(n, eve_second=embed_rank1_povm(trine_povm(spec), n))
+    assert certify_state_preparation(scen, spec).prob_passed
 
 
 def test_certify_state_preparation_maximally_mixed_is_plain():
@@ -363,11 +365,14 @@ def test_part3_never_builds_the_e1_correlator_tensor(monkeypatch, rng):
 ])
 def test_part3_matches_the_table_and_the_dense_oracle_on_non_qubit_dims(alice_dims, eve_dims,
                                                                         rng):
+    # a second measurement of four outcomes, so that a full-rank qubit target reads outcomes 0, 3
     scen = random_scenario_with_dims(alice_dims, eve_dims, rng)
+    scen = dataclasses.replace(scen, eve=(scen.eve[0], random_povm(scen.eve[1].dim, 4, rng)))
     table = born_table(scen)
-    outcomes = [0, 2]
-    target = random_density_matrix(2, rng)
-    report = _part3_from_outcomes(scen, table, outcomes, [0.0, 0.0], target, DEFAULT_TOL)
+    spec = random_mixed_state_spec(2, rng)
+    outcomes, target = [0, 3], spec.density_matrix()
+    report = certify_state_preparation(scen, spec, table)
+    assert report.outcomes == tuple(outcomes)
     probs = [table.pbar(l, 1) for l in outcomes]
     npt.assert_allclose(report.probabilities, probs, rtol=0, atol=1e-12)
     avg = sum(p * post_measurement_oracle(scen, l, 1) for l, p in zip(outcomes, probs)) / sum(probs)
@@ -532,7 +537,7 @@ def test_noise_scan_rejects_an_unknown_mode(with_reference):
 
 
 @pytest.mark.parametrize("psi, error, message", [
-    (np.zeros(2), ContractViolation, "reference trace 0.000e\\+00 is not positive"),
+    (np.zeros(2), ContractViolation, "target state is zero"),
     ([np.nan, 0.0], ContractViolation, "target state contains NaN or Inf entries"),
     ([0.0, np.inf], ContractViolation, "target state contains NaN or Inf entries"),
     ([], DimensionError, "target state must have at least one amplitude"),

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import expansion_measurements
+from test_preparation import spec_of_rank
 from starcert.bell import BellOutcomeLabel, all_labels, ghz_vector
 from starcert.config import Tolerances
 from starcert.errors import ContractViolation, DimensionError, ValidationError
@@ -302,19 +303,28 @@ def test_mixed_state_spec_rejects_non_finite_weights(bad):
         MixedStateSpec(2, (bad, 0.5), (v0, v1))
 
 
-def test_trine_povm_structure(rng):
-    spec = random_mixed_state_spec(2, rng)
+@pytest.mark.parametrize("d, r", [(d, r) for d in range(1, 5) for r in range(1, d + 1)])
+def test_trine_povm_structure(d, r):
+    spec = spec_of_rank(d, r, np.random.default_rng([d, r]))
     povm = trine_povm(spec)
-    assert povm.dim == 4
-    assert povm.outcome_count == 6
+    assert povm.dim == 2 * d
+    # three effects per component (two when r = 1), then two per complement vector
+    assert povm.outcome_count == (3 * r if r > 1 else 2) + 2 * (d - r)
     Povm(povm.effects)  # a complete measurement, dense too
     assert is_extremal_rank1(povm).extremal
     # the (k, 1) effects carry the spectral decomposition of the target
-    for k, l in enumerate(trine_preparation_outcomes(spec)):
-        psi = np.concatenate([spec.vectors[k], np.zeros(2)])
+    outcomes = trine_preparation_outcomes(spec)
+    assert outcomes == [3 * k for k in range(r)]
+    for k, l in enumerate(outcomes):
+        psi = np.concatenate([spec.vectors[k], np.zeros(d)])
         npt.assert_allclose(
             povm.effects[l], spec.weights[k] * np.outer(psi, psi.conj()), atol=1e-12
         )
+    # the completion effects vanish on the support, in both blocks
+    support = np.array([np.concatenate(w) for v in spec.vectors
+                        for w in ((v, np.zeros(d)), (np.zeros(d), v))])
+    completion = povm.effects[povm.outcome_count - 2 * (d - r):]
+    npt.assert_allclose(completion @ support.T, 0, atol=1e-12)
 
 
 def test_trine_povm_per_component_subtotal(rng):
@@ -327,13 +337,6 @@ def test_trine_povm_per_component_subtotal(rng):
         phi = np.concatenate([np.zeros(3), spec.vectors[k]])
         expected = np.outer(psi, psi.conj()) + np.outer(phi, phi.conj())
         npt.assert_allclose(sub, expected, atol=1e-10)
-
-
-def test_trine_povm_rejects_degenerate_specs():
-    v0 = np.array([1.0, 0.0])
-    # rank 1 < d: not full rank
-    with pytest.raises(ValidationError, match="full-rank"):
-        trine_povm(MixedStateSpec(2, (1.0,), (v0,)))
 
 
 def test_povm_json_round_trip(tmp_path, rng):
