@@ -108,18 +108,25 @@ def tilde_observables(a0: np.ndarray, a1: np.ndarray):
     return (a0 - a1) / SQRT2, (a0 + a1) / SQRT2
 
 
+@lru_cache(maxsize=None)
+def _ideal_triples():
+    """Party 1's triple and every other party's, built and validated once, on first use."""
+    first = BinaryObservableTriple(
+        (PAULI_X + PAULI_Z) / SQRT2, (PAULI_X - PAULI_Z) / SQRT2, PAULI_Y
+    )
+    return first, BinaryObservableTriple(PAULI_Z, PAULI_X, PAULI_Y)
+
+
 def ideal_observables(n: int):
     """The qubit observables achieving the quantum bound.
 
     Party 1 measures ((X+Z)/sqrt2, (X-Z)/sqrt2, Y); every other party
-    measures (Z, X, Y).
+    measures (Z, X, Y).  The two triples are shared, read-only constants:
+    every call and every N returns the same two objects.
     """
     if n < 2:
         raise DimensionError("need at least two external parties")
-    first = BinaryObservableTriple(
-        (PAULI_X + PAULI_Z) / SQRT2, (PAULI_X - PAULI_Z) / SQRT2, PAULI_Y
-    )
-    rest = BinaryObservableTriple(PAULI_Z, PAULI_X, PAULI_Y)
+    first, rest = _ideal_triples()
     return [first] + [rest] * (n - 1)
 
 

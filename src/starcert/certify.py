@@ -311,12 +311,17 @@ def certify_state_preparation(scenario: Scenario, spec: MixedStateSpec,
 def certify_pure_preparation(scenario: Scenario, psi: np.ndarray,
                              table: CorrelationTable = None,
                              tol: Tolerances = DEFAULT_TOL) -> Part3Report:
-    """Pure-state preparation: ``certify_state_preparation`` of the rank-one spec psi / ||psi||."""
+    """Pure-state preparation: ``certify_state_preparation`` of the rank-one spec psi / ||psi||.
+
+    psi is first divided by its largest real or imaginary part, so the norm
+    of any finite target is finite.
+    """
     psi = as_state(psi, "target state")
-    norm = np.linalg.norm(psi)
-    if not norm > 0:
+    scale = max(np.abs(psi.real).max(), np.abs(psi.imag).max())
+    if not scale > 0:
         raise ContractViolation("target state is zero")
-    spec = MixedStateSpec(psi.size, (1.0,), (psi / norm,))
+    psi = psi / scale
+    spec = MixedStateSpec(psi.size, (1.0,), (psi / np.linalg.norm(psi),))
     return certify_state_preparation(scenario, spec, table, tol)
 
 

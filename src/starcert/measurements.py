@@ -390,21 +390,24 @@ def trine_povm(spec: MixedStateSpec, tol: Tolerances = DEFAULT_TOL) -> Povm:
     first effect is p_k |psi_k><psi_k|, so the (k, 1) outcomes reconstruct
     the target state.  Then (u_j, 0) for each vector u_j of an orthonormal
     basis of the complement of the support, and (0, u_j) for each, complete
-    the measurement: 2(d - r) effects, none at full rank.
+    the measurement: 2(d - r) effects, none at full rank.  Every weight is
+    checked before any row is built.
     """
     d, r = spec.d, spec.rank
-    zero = np.zeros(d, dtype=complex)
-    rows = []
-    for k, (p, v) in enumerate(zip(spec.weights, spec.vectors)):
+    for k, p in enumerate(spec.weights):
         if p <= tol.probability:
             raise ValidationError(f"weight p_{k} = {p} too small for the trine construction")
+    zero = np.zeros(d, dtype=complex)
+    rows = []
+    for p, v in zip(spec.weights, spec.vectors):
         psi = np.concatenate([v, zero])
         phi = np.concatenate([zero, v])
         if r == 1:
             rows += [psi, phi]
             continue
-        tau2 = np.sqrt((1 - p) / (2 - p)) * psi + np.sqrt(1 / (2 - p)) * phi
-        tau3 = -np.sqrt((1 - p) / (2 - p)) * psi + np.sqrt(1 / (2 - p)) * phi
+        # a valid spec's weight may exceed 1 by rounding: 1 - p is then read as 0
+        tau2 = np.sqrt(max(1 - p, 0.0) / (2 - p)) * psi + np.sqrt(1 / (2 - p)) * phi
+        tau3 = -np.sqrt(max(1 - p, 0.0) / (2 - p)) * psi + np.sqrt(1 / (2 - p)) * phi
         # effects p |psi><psi| and (2 - p)/2 |tau><tau|
         rows += [np.sqrt(p) * psi, np.sqrt((2 - p) / 2) * tau2, np.sqrt((2 - p) / 2) * tau3]
     if r < d:  # the last d - r columns of a complete QR of the eigenvectors span the complement

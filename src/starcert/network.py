@@ -51,7 +51,11 @@ from .tensor import (
 
 @dataclass(frozen=True)
 class BinaryObservableTriple:
-    """One party's three dichotomic observables A_0, A_1, A_2."""
+    """One party's three dichotomic observables A_0, A_1, A_2, read-only views of one stack.
+
+    Read-only, so a triple can be shared: ``bell.ideal_observables`` hands
+    out the same two triples to every scenario.
+    """
 
     a0: np.ndarray
     a1: np.ndarray
@@ -70,6 +74,7 @@ class BinaryObservableTriple:
         ])
         if fault:
             raise fault[1]
+        stack.flags.writeable = False
         for k, m in enumerate(stack):
             object.__setattr__(self, f"a{k}", m)
 

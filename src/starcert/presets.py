@@ -9,6 +9,7 @@ and Eve's first measurement is the GHZ-like basis.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,22 +21,39 @@ from .network import BinaryObservableTriple, Scenario
 PHI_PLUS = _ghz_rows(2, 0, 1)[0]  # (|00> + |11>)/sqrt2
 
 
+@lru_cache(maxsize=None)
+def _phi_plus_source() -> np.ndarray:
+    """|Phi+><Phi+|, read-only, built once on first use."""
+    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
+    rho.flags.writeable = False
+    return rho
+
+
+@lru_cache(maxsize=None)
+def _trivial_measurement(n: int) -> Povm:
+    """The one-outcome measurement {1} on Eve's 2^N dims, built and validated once per N."""
+    return Povm((np.eye(2**n, dtype=complex),))
+
+
 def ideal_scenario(n: int, eve_second=None, visibility: float = 1.0) -> Scenario:
     """The maximally violating scenario, optionally with isotropic sources.
 
     ``eve_second`` supplies Eve's e = 1 measurement: a ``Povm``, stored as
     it is, or a plain effect sequence; the default is the trivial one-outcome
-    measurement, which suffices for part-1 runs.
+    measurement, which suffices for part-1 runs.  The sources, the observable
+    triples and the default e = 1 measurement are shared, read-only
+    constants, built once per process on first use; the Scenario is new and
+    validates them on every call.
     """
     if not 0 <= visibility <= 1:
         raise DimensionError(f"visibility {visibility} outside [0, 1]")
     if eve_second is None:
-        eve_second = (np.eye(2**n, dtype=complex),)
-    if not isinstance(eve_second, Povm):
+        eve_second = _trivial_measurement(n)
+    elif not isinstance(eve_second, Povm):
         eve_second = Povm(tuple(eve_second))
     scenario = Scenario(
         n_parties=n,
-        sources=(np.outer(PHI_PLUS, PHI_PLUS.conj()),) * n,
+        sources=(_phi_plus_source(),) * n,
         alice_observables=tuple(ideal_observables(n)),
         eve=(ghz_basis_measurement(n), eve_second),
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -554,6 +555,18 @@ def test_certify_pure_preparation_normalises_the_target():
     scaled = certify_pure_preparation(scen, 3 * psi)
     assert scaled.passed and scaled.branch.branch == unit.branch.branch == CONJUGATE
     assert scaled.branch.distance == pytest.approx(unit.branch.distance, abs=1e-12)
+
+
+def test_certify_pure_preparation_normalises_a_target_of_huge_entries():
+    # ||psi|| of (1e308, 1e308) overflows float64; the scaled norm does not
+    psi = np.array([1.0, 1.0]) / np.sqrt(2)
+    scen = ideal_scenario(2, eve_second=embed_projective([np.outer(psi, psi.conj())], 2))
+    unit = certify_pure_preparation(scen, psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = certify_pure_preparation(scen, np.array([1e308, 1e308]))
+    assert huge.passed and huge.branch.branch == unit.branch.branch == PLAIN
+    assert huge.branch.distance == pytest.approx(unit.branch.distance, abs=1e-12)
 
 
 @pytest.mark.parametrize("reference", [np.zeros((2, 2)), -np.eye(2) / 2])

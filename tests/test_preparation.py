@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from starcert.certify import CERTIFIED, CONJUGATE, PLAIN, certify
 from starcert.cli import main
+from starcert.config import Tolerances
 from starcert.jsonio import mixed_state_spec_to_json
 from starcert.measurements import MixedStateSpec, embed_rank1_povm, trine_povm
 from starcert.presets import conjugate_scenario, ideal_scenario, random_mixed_state_spec
@@ -54,6 +55,31 @@ def test_prepare_state_certifies_a_pure_weight_just_above_one(tmp_path, capsys):
         code, doc = _prepare_state(spec, 2, tmp_path, capsys)
     assert code == 0 and doc["verdict"] == CERTIFIED
     assert doc["part3"]["outcomes"] == [0]
+
+
+# weight 1 + 5e-13 passes MixedStateSpec's 1e-12 of 1, and 1 - p < 0 is no square root
+HEAVY_RANK2 = MixedStateSpec(2, (1 + 5e-13, 1e-13), ([1.0, 0.0], [0.0, 1.0]))
+
+
+def test_prepare_state_refuses_a_tiny_weight_after_a_heavy_one(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(mixed_state_spec_to_json(HEAVY_RANK2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["prepare-state", "--state-spec", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: weight p_1 = 1e-13 too small for the trine construction\n"
+
+
+def test_trine_povm_of_a_weight_just_above_one_has_finite_rows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        povm = trine_povm(HEAVY_RANK2, Tolerances(probability=1e-14))
+    assert np.isfinite(povm.vectors).all()
+    # the (k, 1) effects keep their weights; the heavy trine's companions coincide
+    assert povm.spectrum[[0, 3], 1].tolist() == pytest.approx(HEAVY_RANK2.weights, rel=1e-12)
+    assert povm.vectors[1].tobytes() == povm.vectors[2].tobytes()
 
 
 # (d, r, N) with a complex rank-deficient or pure target at N = 2 and 3
