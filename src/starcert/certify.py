@@ -36,7 +36,6 @@ from .network import (
     _CHUNK_ENTRIES,
     CorrelationTable,
     Scenario,
-    _basis_expansion,
     _basis_operators,
     _born_factors,
     _check_factors,
@@ -231,7 +230,8 @@ def post_measurement_state(scenario: Scenario, l: int, e: int,
                            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Normalized Alice state conditioned on Eve's outcome l under input e.
 
-    ``_conditioned_states`` of the Born-factor expansion of R_l alone: no
+    ``_conditioned_states`` of row l of the coefficients that Eve's ``Povm``
+    holds (``Povm._born_coefficients``, all K rows built on first use): no
     operator on the joint Alice-Eve space is formed.
     """
     if e not in (0, 1):
@@ -239,7 +239,7 @@ def post_measurement_state(scenario: Scenario, l: int, e: int,
     meas = scenario.eve[e]
     if not 0 <= l < meas.outcome_count:
         raise DimensionError(f"outcome l={l} out of range for e={e}")
-    c = _basis_expansion(meas, scenario.eve_dims, _hermitian_basis, slice(l, l + 1))
+    c = meas._born_coefficients(scenario.eve_dims)[l:l + 1]
     states, probs = _conditioned_states(scenario, c, [l], e, tol)
     return states[0] / probs[0]
 

@@ -27,6 +27,7 @@ from .tensor import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _hermitian_basis,
     as_state,
     check_hermitian,
     hermitian_defects,
@@ -109,7 +110,9 @@ class Povm:
     ``eigvalsh`` of the effects' Hermitian parts.  Rounding alone separates
     them from the effects: a row of a dense effect lies within
     ``_FACTOR_SLACK`` d u ||v_l||^2 (u = 2^-53) of its exact eigenvalues,
-    and ``eigvalsh`` within order d u ||R_l||.
+    and ``eigvalsh`` within order d u ||R_l||.  ``_born_coefficients(dims)``
+    is built on first use for each set of factor dims and held read-only,
+    as the lazy ``effects`` are.
     """
 
     def __init__(self, effects, tol: Tolerances = DEFAULT_TOL):
@@ -138,6 +141,7 @@ class Povm:
         for a in (stack, spectrum):
             a.flags.writeable = False
         self._effects, self.vectors, self.tol, self.spectrum = stack, None, tol, spectrum
+        self._coefficients = {}
 
     @classmethod
     def rank_one(cls, vectors, tol: Tolerances = DEFAULT_TOL) -> "Povm":
@@ -163,6 +167,7 @@ class Povm:
             a.flags.writeable = False
         povm = cls.__new__(cls)
         povm._effects, povm.vectors, povm.tol, povm.spectrum = None, v, tol, spectrum
+        povm._coefficients = {}
         return povm
 
     @property
@@ -171,6 +176,14 @@ class Povm:
             self._effects = self.vectors[:, :, None] * self.vectors.conj()[:, None, :]
             self._effects.flags.writeable = False
         return self._effects
+
+    def _born_coefficients(self, dims: tuple) -> np.ndarray:
+        """The effects' ``_basis_expansion`` (K, d_1^2, ..., d_N^2) in ``_hermitian_basis``."""
+        if dims not in self._coefficients:
+            c = _basis_expansion(self, dims, _hermitian_basis)
+            c.flags.writeable = False
+            self._coefficients[dims] = c
+        return self._coefficients[dims]
 
     @property
     def dim(self) -> int:

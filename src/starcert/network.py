@@ -564,11 +564,10 @@ def _real_maps(basis, dims: tuple):
     return maps, select, sign
 
 
-def _basis_expansion(meas, dims: tuple, basis, outcomes: slice = slice(None)) -> np.ndarray:
+def _basis_expansion(meas, dims: tuple, basis) -> np.ndarray:
     """Real coefficients c[l, m_1..m_N] = Re sum_k R_l[k] prod_i basis(d_i)[m_i, k_i].
 
-    ``meas`` is a (K, d, d) stack or a ``Povm``, of which the rows
-    ``outcomes`` (a slice of step 1) are expanded, ``dims`` factor d, and
+    ``meas`` is a (K, d, d) stack or a ``Povm``, ``dims`` factor d, and
     ``basis(d_i)`` is a cached (m_i, d_i^2) complex map whose rows are each
     purely real or purely imaginary (``_real_maps``).  The work is real: the
     float view (re, im) of each outcome's ``_pair_layout`` is contracted
@@ -581,17 +580,16 @@ def _basis_expansion(meas, dims: tuple, basis, outcomes: slice = slice(None)) ->
     pages; each chunk writes its rows of the one output array.
     """
     maps, select, sign = _real_maps(basis, dims)
-    rows = range(len(getattr(meas, "spectrum", meas)))[outcomes]  # of a Povm, or of the stack
-    out = np.empty((len(rows), len(sign)))
+    k = len(getattr(meas, "spectrum", meas))  # of a Povm, or of the stack
+    out = np.empty((k, len(sign)))
     # a basis is square, so a layout row has one (re, im) pair per coefficient
     step = max(1, _STEP_ENTRIES // (2 * len(sign)))
-    for s in range(0, len(rows), step):
-        chunk = rows[s:s + step]
-        layout = _pair_layout(meas, dims, slice(chunk.start, chunk.stop)).view(float)
+    for s in range(0, k, step):
+        layout = _pair_layout(meas, dims, slice(s, s + step)).view(float)
         t = _contract_parties(layout, maps, (2,))
         np.take(t.reshape(len(t), -1), select, axis=1, out=out[s:s + step])
     out *= sign
-    return out.reshape((len(rows),) + tuple(len(m) for m in maps))
+    return out.reshape((k,) + tuple(len(m) for m in maps))
 
 
 def _basis_operators(coeffs: np.ndarray, dims: tuple, basis) -> np.ndarray:
@@ -633,7 +631,8 @@ def _born_factors(scenario: Scenario):
     """Real Hermitian-basis coefficients of the Born table: ([c_0, c_1], w_maps, spectra).
 
     ``c_e[l, b_1..b_N]`` expands Eve's effect R_{l|e} in the product basis
-    of ``_hermitian_basis`` (``_basis_expansion``, in real arithmetic), and
+    of ``_hermitian_basis``: the read-only coefficients its ``Povm`` holds
+    (``Povm._born_coefficients``, a ``_basis_expansion`` in real arithmetic), and
     ``w_maps[i][(x, a), b]`` expands party i's steering operator W[x, a] in
     the basis of its Eve factor (``_steering_factors``).  The table is
     linear in each.  ``spectra`` are the inputs of ``_lower_bounds``: the
@@ -644,7 +643,7 @@ def _born_factors(scenario: Scenario):
     w_maps, s = _steering_factors(scenario.sources, scenario.alice_observables, d_es)
     coeffs, spectra = [], [s]
     for meas in scenario.eve:
-        coeffs.append(_basis_expansion(meas, d_es, _hermitian_basis))
+        coeffs.append(meas._born_coefficients(d_es))
         lowest, highest = meas.extreme_eigenvalues.T
         spectra.append(np.stack([np.minimum(lowest, 0.0), np.maximum(highest, 0.0)]))
     return coeffs, w_maps, spectra

@@ -35,15 +35,21 @@ def _trivial_measurement(n: int) -> Povm:
     return Povm((np.eye(2**n, dtype=complex),))
 
 
+@lru_cache(maxsize=None)
+def _ghz_measurement(n: int) -> Povm:
+    """``ghz_basis_measurement(n)``, built once per N; it holds its Born coefficients once read."""
+    return ghz_basis_measurement(n)
+
+
 def ideal_scenario(n: int, eve_second=None, visibility: float = 1.0) -> Scenario:
     """The maximally violating scenario, optionally with isotropic sources.
 
     ``eve_second`` supplies Eve's e = 1 measurement: a ``Povm``, stored as
     it is, or a plain effect sequence; the default is the trivial one-outcome
     measurement, which suffices for part-1 runs.  The sources, the observable
-    triples and the default e = 1 measurement are shared, read-only
-    constants, built once per process on first use; the Scenario is new and
-    validates them on every call.
+    triples, the GHZ-basis e = 0 measurement and the default e = 1
+    measurement are shared, read-only constants, built once per process on
+    first use; the Scenario is new and validates them on every call.
     """
     if not 0 <= visibility <= 1:
         raise DimensionError(f"visibility {visibility} outside [0, 1]")
@@ -55,7 +61,7 @@ def ideal_scenario(n: int, eve_second=None, visibility: float = 1.0) -> Scenario
         n_parties=n,
         sources=(_phi_plus_source(),) * n,
         alice_observables=tuple(ideal_observables(n)),
-        eve=(ghz_basis_measurement(n), eve_second),
+        eve=(_ghz_measurement(n), eve_second),
     )
     return scenario if visibility == 1 else depolarize_sources(scenario, visibility)
 

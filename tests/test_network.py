@@ -501,8 +501,8 @@ def test_born_factor_expansion_matches_a_complex_tensordot(dims, rng):
         else:
             allowed = 2 * np.finfo(float).eps * np.linalg.norm(effects, axis=(1, 2))
             assert (np.abs(rows - want).max(axis=1) <= allowed).all(), (k, kind)
-        # the last outcome alone, and the inverse back to the effects
-        npt.assert_allclose(_basis_expansion(meas, dims, _hermitian_basis, slice(k - 1, k)),
+        # the last effect alone, and the inverse back to the effects
+        npt.assert_allclose(_basis_expansion(effects[k - 1:], dims, _hermitian_basis),
                             rows[k - 1:], rtol=0, atol=1e-14)
         npt.assert_allclose(_basis_operators(rows, dims, _hermitian_basis), effects, rtol=0,
                             atol=1e-13)
@@ -641,6 +641,7 @@ def test_a_vector_inside_the_norm_cut_is_accepted():
 
 def test_a_nan_coefficient_fails_the_table_checks():
     coeffs, w_maps = _born_factors(ideal_scenario(2))[:2]
+    coeffs = [c.copy() for c in coeffs]  # the Povms' held coefficients are read-only
     coeffs[0][0].flat[0] = np.nan
     with pytest.raises(ValidationError, match=r"^negative probability nan in table e=0$"):
         CorrelationTable(2, coeffs, w_maps)

@@ -3,16 +3,24 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import starcert
+from starcert import measurements
 from starcert.bell import ideal_observables
-from starcert.measurements import Povm, ghz_basis_measurement
-from starcert.network import BinaryObservableTriple, Scenario, born_table
+from starcert.measurements import (
+    MixedStateSpec,
+    Povm,
+    embed_rank1_povm,
+    ghz_basis_measurement,
+    trine_povm,
+)
+from starcert.network import BinaryObservableTriple, Scenario, _basis_expansion, born_table
 from starcert.presets import PHI_PLUS, ideal_scenario
-from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z
+from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z, _hermitian_basis
 
 
 def test_ideal_observables_are_the_same_two_triples_at_every_n():
@@ -83,3 +91,83 @@ def test_born_table_of_the_shared_constants_is_bit_identical(n, second):
     fresh = born_table(_fresh_scenario(n, eve_second))
     assert shared.p0.tobytes() == fresh.p0.tobytes()
     assert shared.p1.tobytes() == fresh.p1.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_second_ideal_scenario_builds_no_measurement(n, monkeypatch):
+    ideal_scenario(n)
+    calls = []
+    init, rank_one = Povm.__init__, Povm.rank_one.__func__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("__init__")
+        return init(self, *args, **kwargs)
+
+    def counting_rank_one(cls, *args, **kwargs):
+        calls.append("rank_one")
+        return rank_one(cls, *args, **kwargs)
+    monkeypatch.setattr(Povm, "__init__", counting_init)
+    monkeypatch.setattr(Povm, "rank_one", classmethod(counting_rank_one))
+    scen = ideal_scenario(n)
+    assert calls == []
+    assert scen.eve[0] is ideal_scenario(n).eve[0] and scen.eve[0].outcome_count == 2**n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_second_born_table_expands_only_the_new_measurement(n, monkeypatch):
+    spec = MixedStateSpec(2, (0.75, 0.25), (np.array([1, 1j]) / np.sqrt(2),
+                                            np.array([1, -1j]) / np.sqrt(2)))
+    born_table(ideal_scenario(n, eve_second=embed_rank1_povm(trine_povm(spec), n)))
+    expanded = []
+    expand = measurements._basis_expansion
+
+    def counting(meas, *args):
+        expanded.append(meas)
+        return expand(meas, *args)
+    monkeypatch.setattr(measurements, "_basis_expansion", counting)
+    scen = ideal_scenario(n, eve_second=embed_rank1_povm(trine_povm(spec), n))
+    table = born_table(scen)
+    assert len(expanded) == 1 and expanded[0] is scen.eve[1]
+    assert table._factors(0) is scen.eve[0]._born_coefficients(scen.eve_dims)
+
+
+def test_held_coefficients_are_read_only_and_kept_per_dims():
+    povm = ideal_scenario(2).eve[0]
+    held = povm._born_coefficients((2, 2))
+    assert povm._born_coefficients((2, 2)) is held and held.shape == (4, 4, 4)
+    assert povm._born_coefficients((4,)).shape == (4, 16)
+    with pytest.raises(ValueError, match="read-only"):
+        held[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_shared_ghz_measurement_is_bit_identical_to_a_fresh_one(n):
+    born_table(ideal_scenario(n))  # the held coefficients are read on the second table
+    shared = ideal_scenario(n)
+    dims = shared.eve_dims
+    fresh = ghz_basis_measurement(n)
+    held = shared.eve[0]._born_coefficients(dims)
+    assert held.tobytes() == _basis_expansion(fresh, dims, _hermitian_basis).tobytes()
+    assert np.array_equal(shared.eve[0].vectors, fresh.vectors)
+    tables = [born_table(s) for s in (shared, replace(shared, eve=(fresh, shared.eve[1])))]
+    assert tables[0].p0.tobytes() == tables[1].p0.tobytes()
+    assert tables[0].p1.tobytes() == tables[1].p1.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ghz_basis_measurement_still_builds_a_new_measurement(n):
+    shared = ideal_scenario(n).eve[0]
+    shared.effects  # the shared measurement's dense effects, kept alive from here on
+    first, second = ghz_basis_measurement(n), ghz_basis_measurement(n)
+    assert first is not second and shared not in (first, second)
+    assert first._effects is None and second._effects is None
+
+
+def test_importing_the_cli_builds_no_ghz_measurement():
+    code = ("import starcert.cli, starcert.presets as p\n"
+            "print(p._ghz_measurement.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(starcert.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "0\n"
