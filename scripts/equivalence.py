@@ -6,9 +6,9 @@
 ``dump`` runs one fixed corpus in process through the public API and the CLI:
 
 * ``certify`` on every bundled scenario/reference pair in both modes;
-* ``prepare-state`` for N = 2..6 on the bundled state spec, and for each N
+* ``prepare-state`` for N = 2..7 on the bundled state spec, and for each N
   up to 4 that fits on a seeded rank-2 spec on C^3 and a pure spec on C^2;
-* ``scan`` in both noise models with ``--n`` 2..5, and on the bundled
+* ``scan`` in both noise models with ``--n`` 2..7, and on the bundled
   scenarios with and without a matching reference;
 * ``bounds`` for N = 2..5 and ``validate`` on every bundled file;
 * seeded random rank-one, trine, conjugated, visibility-0.9, zero-effect,
@@ -23,7 +23,7 @@ exception (class and message).  Every CLI run is made twice with
 ``--reproducible``, from the fixture directory so that input paths are file
 names: ``--format structured``, with each input reduced to its SHA-256, and
 ``--format text``, whose stdout is stored verbatim.  A dump
-holds 1003 cases and takes about 9 s with one BLAS thread.
+holds 1008 cases and takes about 7 s with one BLAS thread.
 
 ``compare`` prints the largest absolute float difference, with its place
 when it is not zero; next to it, the largest difference in units of
@@ -161,11 +161,11 @@ def _cli_runs(cases):
             for mode in ("projective", "povm"):
                 cases[f"cli certify {s} {r} {mode}"] = _cli(
                     ["certify", "--scenario", scen(s), "--reference", ref(r), "--mode", mode])
-    for n in range(2, 7):
+    for n in range(2, 8):
         cases[f"cli prepare-state n={n}"] = _cli(["prepare-state", "--n", str(n),
                                                    "--state-spec", spec])
     for model in ("isotropic", "effects"):
-        for n in range(2, 6):
+        for n in range(2, 8):
             cases[f"cli scan {model} n={n}"] = _cli(["scan", "--n", str(n), "--noise", model,
                                                       "--grid", GRID])
         for s in SCENARIOS:

@@ -9,7 +9,9 @@ bundled fixtures, each run in both output formats:
 * ``bounds --n 3``;
 * ``certify`` on every bundled scenario/reference pair of one N, in both modes
   (a pair whose outcome counts differ exits 2);
-* ``prepare-state`` on the bundled state spec, at its own N and at N = 3;
+* ``prepare-state`` on the bundled state spec, at its own N, at N = 3 and at
+  N = 5 (the first N at which its trine and the GHZ basis expand from
+  their nonzero amplitudes);
 * ``scan`` in both noise models: from ``--n 3``, and on every bundled scenario,
   alone and with its matching reference in both modes;
 * ``validate`` on every bundled file, and on one file of each kind together.
@@ -48,7 +50,8 @@ def _runs(fixtures: str):
 
     runs = [["bounds", "--n", "3"],
             ["prepare-state", "--state-spec", spec],
-            ["prepare-state", "--n", "3", "--state-spec", spec]]
+            ["prepare-state", "--n", "3", "--state-spec", spec],
+            ["prepare-state", "--n", "5", "--state-spec", spec]]
     for scenario in scenarios:
         for reference in references:
             if n_of(reference) == n_of(scenario):

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import gc
 import json
-from itertools import chain
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -134,13 +135,13 @@ def _finite_array(values, path: str, pairs: bool = False, booleans: bool = True)
 
     Each number must be a JSON number (an ``int`` or a ``float``, so not a
     string or a boolean) and finite.  A valid list takes one length check of
-    the pairs, one flatten, one type check of the numbers and one
-    ``np.fromiter``; a pair that is not a list fails the type check, since
-    flattening yields its keys or characters.  The type check is the set of
-    the numbers' types or, when the document holds no boolean (``booleans``
-    False), one ``sum(flat, 0.0)``, which raises on every other JSON value
-    but a number.  When the pass fails, ``_ordered_numbers`` names the first
-    fault in order.
+    the pairs, one flatten (each pair extends one list in place), one type
+    check of the numbers and one ``np.fromiter``; a pair that is not a list
+    fails the type check, since flattening yields its keys or characters.
+    The type check is the set of the numbers' types or, when the document
+    holds no boolean (``booleans`` False), one ``sum(flat, 0.0)``, which
+    raises on every other JSON value but a number.  When the pass fails,
+    ``_ordered_numbers`` names the first fault in order.
     """
     try:
         if not isinstance(values, list):
@@ -149,7 +150,7 @@ def _finite_array(values, path: str, pairs: bool = False, booleans: bool = True)
         if pairs:
             if set(map(len, values)) != {2}:
                 raise TypeError
-            flat = list(chain.from_iterable(values))
+            flat = reduce(operator.iconcat, values, [])
         if not booleans:
             sum(flat, 0.0)
         elif not set(map(type, flat)) <= {int, float}:
@@ -173,7 +174,7 @@ def _ordered_numbers(values, path: str, pairs: bool) -> np.ndarray:
     if pairs:
         if set(map(type, values)) != {list} or set(map(len, values)) != {2}:
             raise ValidationError(f"{path}: expected a non-empty list of {what}")
-        flat = list(chain.from_iterable(values))
+        flat = reduce(operator.iconcat, values, [])
     kinds = set(map(type, flat)) - {int, float}
     if kinds:
         names = ", ".join(sorted(t.__name__ for t in kinds))

@@ -354,8 +354,18 @@ def _lower_bounds(w_maps, spectra) -> list:
     ||W_i||_1 <= sqrt(d_i) ||W_i||_F.  Eigenvalues read from a dense
     effect's rank-one factor (``Povm``) are off by at most
     _FACTOR_SLACK d_E u ||v||^2 <= gamma_{_FACTOR_SLACK d_E} ||R||_2, which
-    moves the bound by that times prod_i max ||W_i||_1.  So the bound holds
-    for the computed table, not only the exact one.
+    moves the bound by that times prod_i max ||W_i||_1.  A rank-one effect
+    expanded from its s nonzero amplitudes (``Povm._born_coefficients``)
+    sums at most min(s^2, 2^N) <= d_E products of N + 2 factors per
+    coefficient m, so coefficient m errs by at most gamma_{N + 1 + d_E} a_m,
+    where a expands |v| |v|^T with the moduli of the basis entries: a map
+    of 2-norm 2^(N/2) <= sqrt(d_E), so ||a||_2 <= sqrt(d_E) ||R||_2.  That
+    moves the table by at most gamma_{N + 1 + d_E} sqrt(d_E) ||R||_2
+    prod_i ||W_i||_F.  Such an R has ||R||_F = ||R||_2, which frees
+    (sqrt(d_E) - 1) gamma_{N (D + 1)} of the contraction's share, and
+    (sqrt(d_E) - 1) N (D + 1) >= sqrt(d_E) (N + 1) once d_E >= 4: the
+    N + 1 roundings beyond the expansion's d_E are covered.  So the bound
+    holds for the computed table, not only the exact one.
     """
     s, *r = spectra
     plus, minus, fro = s.max(axis=-1).transpose(1, 2, 0)
@@ -564,6 +574,16 @@ def _real_maps(basis, dims: tuple):
     return maps, select, sign
 
 
+@lru_cache(maxsize=None)
+def _inverse_maps(basis, dims: tuple) -> tuple:
+    """The inverses D_i^-1 of ``_real_maps``' maps, read-only: each distinct one inverted once."""
+    maps = _real_maps(basis, dims)[0]
+    inverses = {d: np.linalg.inv(m) for d, m in dict(zip(dims, maps)).items()}
+    for m in inverses.values():
+        m.flags.writeable = False
+    return tuple(inverses[d] for d in dims)
+
+
 def _basis_expansion(meas, dims: tuple, basis) -> np.ndarray:
     """Real coefficients c[l, m_1..m_N] = Re sum_k R_l[k] prod_i basis(d_i)[m_i, k_i].
 
@@ -600,13 +620,11 @@ def _basis_operators(coeffs: np.ndarray, dims: tuple, basis) -> np.ndarray:
     imaginary for odd s with ``_real_maps``' sign, then through prod_i D_i^-1:
     one real stack of both parts, scattered from the pair layout to (row, column).
     """
-    maps, select, sign = _real_maps(basis, dims)
+    _, select, sign = _real_maps(basis, dims)
     k, d = len(coeffs), int(np.prod(dims))
     parts = np.zeros((k, 2 * len(sign)))
     parts[:, select] = coeffs.reshape(k, -1) * sign
-    # parties of equal dims have equal maps: each distinct one is inverted once
-    inverses = {d: np.linalg.inv(m) for d, m in dict(zip(dims, maps)).items()}
-    t = _contract_parties(parts.reshape(2 * k, -1), [inverses[d] for d in dims])
+    t = _contract_parties(parts.reshape(2 * k, -1), _inverse_maps(basis, dims))
     out = np.empty((k, d * d), dtype=complex)
     out[:, _pair_indices(dims)[0]] = t[0::2].reshape(k, -1) + 1j * t[1::2].reshape(k, -1)
     return out.reshape(k, d, d)

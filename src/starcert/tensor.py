@@ -4,10 +4,11 @@ All functions are pure: they accept and return plain ``numpy`` arrays with
 dtype complex128 and never mutate their arguments.  Operators are square
 row-major matrices, states are one-dimensional vectors.  A list of matrices
 is checked as one stack: ``operator_stack`` and ``check_hermitian`` raise
-the error of its first faulty matrix, in order.  The operator bases and
-the pair layout of operators on a product space, which the Born factors
-and the Pauli expansion are contracted from, live here too;
-``_pair_layout`` also reads a ``Povm``'s rank-one vectors.
+the error of its first faulty matrix, in order.  The operator bases, the
+nonzero entries of each column of the Hermitian basis, and the pair layout
+of operators on a product space, which the Born factors and the Pauli
+expansion are built from, live here too; ``_pair_layout`` also reads a
+``Povm``'s rank-one vectors.
 """
 
 from __future__ import annotations
@@ -276,6 +277,28 @@ def _hermitian_basis(d: int) -> np.ndarray:
     basis = basis.reshape(d * d, d * d)
     basis.flags.writeable = False
     return basis
+
+
+@lru_cache(maxsize=None)
+def _basis_columns(d: int):
+    """Read-only (rows, values), each (d^2, 2), of the nonzero entries of ``_hermitian_basis(d)``.
+
+    Column x d + y sends |x><y| to its coefficients: one diagonal unit for
+    x = y, else the sqrt(1/2) pair of rows j < k for {x, y} = {j, k}.  Each
+    value is the real form of its entry, as ``network._real_maps`` reads a
+    row: the real part of a real row, the imaginary part of an imaginary
+    one.  A diagonal column's second entry repeats its row with value 0.
+    """
+    basis = _hermitian_basis(d)
+    imaginary = ~basis.real.any(axis=1)
+    real = np.where(imaginary[:, None], basis.imag, basis.real)
+    nonzero = real != 0
+    rows = np.stack([nonzero.argmax(axis=0), d * d - 1 - nonzero[::-1].argmax(axis=0)], axis=1)
+    values = real[rows, np.arange(d * d)[:, None]]
+    values[rows[:, 0] == rows[:, 1], 1] = 0.0
+    for a in (rows, values):
+        a.flags.writeable = False
+    return rows, values
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import starcert
-from starcert import measurements
 from starcert.bell import ideal_observables
 from starcert.measurements import (
     MixedStateSpec,
@@ -18,9 +17,9 @@ from starcert.measurements import (
     ghz_basis_measurement,
     trine_povm,
 )
-from starcert.network import BinaryObservableTriple, Scenario, _basis_expansion, born_table
+from starcert.network import BinaryObservableTriple, Scenario, born_table
 from starcert.presets import PHI_PLUS, ideal_scenario
-from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z, _hermitian_basis
+from starcert.tensor import PAULI_X, PAULI_Y, PAULI_Z
 
 
 def test_ideal_observables_are_the_same_two_triples_at_every_n():
@@ -113,18 +112,20 @@ def test_a_second_ideal_scenario_builds_no_measurement(n, monkeypatch):
     assert scen.eve[0] is ideal_scenario(n).eve[0] and scen.eve[0].outcome_count == 2**n
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_a_second_born_table_expands_only_the_new_measurement(n, monkeypatch):
+    # N = 5 expands both measurements from their nonzero amplitudes, N <= 4 densely
     spec = MixedStateSpec(2, (0.75, 0.25), (np.array([1, 1j]) / np.sqrt(2),
                                             np.array([1, -1j]) / np.sqrt(2)))
     born_table(ideal_scenario(n, eve_second=embed_rank1_povm(trine_povm(spec), n)))
     expanded = []
-    expand = measurements._basis_expansion
+    coefficients = Povm._born_coefficients
 
-    def counting(meas, *args):
-        expanded.append(meas)
-        return expand(meas, *args)
-    monkeypatch.setattr(measurements, "_basis_expansion", counting)
+    def counting(meas, dims):
+        if dims not in meas._coefficients:
+            expanded.append(meas)
+        return coefficients(meas, dims)
+    monkeypatch.setattr(Povm, "_born_coefficients", counting)
     scen = ideal_scenario(n, eve_second=embed_rank1_povm(trine_povm(spec), n))
     table = born_table(scen)
     assert len(expanded) == 1 and expanded[0] is scen.eve[1]
@@ -140,14 +141,14 @@ def test_held_coefficients_are_read_only_and_kept_per_dims():
         held[0, 0, 0] = 2.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_the_shared_ghz_measurement_is_bit_identical_to_a_fresh_one(n):
     born_table(ideal_scenario(n))  # the held coefficients are read on the second table
     shared = ideal_scenario(n)
     dims = shared.eve_dims
     fresh = ghz_basis_measurement(n)
     held = shared.eve[0]._born_coefficients(dims)
-    assert held.tobytes() == _basis_expansion(fresh, dims, _hermitian_basis).tobytes()
+    assert held.tobytes() == fresh._born_coefficients(dims).tobytes()
     assert np.array_equal(shared.eve[0].vectors, fresh.vectors)
     tables = [born_table(s) for s in (shared, replace(shared, eve=(fresh, shared.eve[1])))]
     assert tables[0].p0.tobytes() == tables[1].p0.tobytes()
